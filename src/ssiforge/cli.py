@@ -159,9 +159,8 @@ def cmd_validate(path: str, fmt: str) -> None:
 def cmd_roles(path: str, lexicon_path: str | None, fmt: str, strict: bool) -> None:
     """Show inferred credential roles and flows."""
     result = _load_model(path)
-    lexicon = _load_lexicon(lexicon_path)
-    roles = infer_roles(result.model, lexicon)
-    flows = derive_flows(result.model, roles, lexicon)
+    roles = infer_roles(result.model, _load_lexicon(lexicon_path))
+    flows = derive_flows(result.model, roles)
     warnings = lint_ssi(result.model, roles, flows)
     if fmt == "json":
         click.echo(
@@ -236,7 +235,7 @@ def cmd_simulate(
     lexicon = _load_lexicon(lexicon_path)
     overrides = _load_overrides(trust_path)
     roles = infer_roles(model, lexicon)
-    flows = derive_flows(model, roles, lexicon)
+    flows = derive_flows(model, roles)
     warnings = lint_ssi(model, roles, flows, overrides)
     ambiguous = [w for w in warnings if w.code == "W_FLOW_AMBIGUOUS"]
     if ambiguous and not allow_ambiguous:
@@ -257,7 +256,6 @@ def cmd_simulate(
             registry,
             derive_bootstrap(model, roles, flows),
             seed=seed,
-            lexicon=lexicon,
         )
         config = SimConfig(seed=seed, drop_probability=drop)
     except (TrustPolicyError, CompileError, ValueError) as exc:

@@ -23,15 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .model import (
-    Actor,
-    Dependency,
-    Element,
-    ElementKind,
-    Identifier,
-    Model,
-    ValidationIssue,
-)
+from .model import ElementKind, Identifier, Model, ValidationIssue
 
 _PUNCT = re.compile(r"[^a-z0-9 ]+")
 _SPACES = re.compile(r"\s+")
@@ -75,9 +67,16 @@ class SsiRole(enum.Enum):
 
 @dataclass(frozen=True)
 class RoleAssignment:
+    """One role of an actor for one credential type.
+
+    ``tasks`` lists, in element order, the actor's tasks whose names show
+    the role; it is empty for a Holder that only receives an issuance.
+    """
+
     actor: Identifier
     credential_type: str
     role: SsiRole
+    tasks: tuple[Identifier, ...] = ()
 
 
 class FlowKind(enum.Enum):
@@ -103,7 +102,10 @@ class CredentialFlow:
 
     ``sender`` is always the dependee and ``receiver`` the depender: an
     issuance delivers a new credential to the depender, a presentation sends
-    proof of an existing one to the depender.
+    proof of an existing one to the depender.  An issuance whose issuer has a
+    "send ... copy" task also mails the credential digest to ``copy_to``; a
+    presentation whose verifier has a check task mentioning "copy" sets
+    ``require_copy``.
     """
 
     dependency: Identifier
@@ -112,6 +114,9 @@ class CredentialFlow:
     sender: Identifier
     receiver: Identifier
     evidence: Evidence
+    copy_to: Identifier | None = None
+    copy_task: Identifier | None = None
+    require_copy: bool = False
 
 
 class TrustPolicyError(ValueError):
@@ -173,8 +178,15 @@ class CredentialCatalog:
         return found
 
 
-def _verb_prefix(name_norm: str, verbs: frozenset[str]) -> bool:
-    return any(name_norm.startswith(v) for v in verbs)
+def _verb_class(name_norm: str, lexicon: VerbLexicon) -> SsiRole | None:
+    for verbs, role in (
+        (lexicon.issue_verbs, SsiRole.ISSUER),
+        (lexicon.provide_verbs, SsiRole.HOLDER),
+        (lexicon.check_verbs, SsiRole.VERIFIER),
+    ):
+        if any(name_norm.startswith(v) for v in verbs):
+            return role
+    return None
 
 
 def infer_roles(model: Model, lexicon: VerbLexicon = DEFAULT_LEXICON) -> tuple[RoleAssignment, ...]:
@@ -184,19 +196,16 @@ def infer_roles(model: Model, lexicon: VerbLexicon = DEFAULT_LEXICON) -> tuple[R
     result is deduplicated and sorted by (actor, credential type, role).
     """
     catalog = CredentialCatalog(model)
-    found: set[tuple[Identifier, str, SsiRole]] = set()
+    found: dict[tuple[Identifier, str, SsiRole], list[Identifier]] = {}
     for actor in model.actors:
         for elem in actor.elements:
             if elem.kind is not ElementKind.TASK:
                 continue
-            name_norm = normalize_name(elem.name)
+            role = _verb_class(normalize_name(elem.name), lexicon)
+            if role is None:
+                continue
             for ctype in catalog.mentioned_types(elem.name):
-                if _verb_prefix(name_norm, lexicon.issue_verbs):
-                    found.add((actor.id, ctype, SsiRole.ISSUER))
-                elif _verb_prefix(name_norm, lexicon.provide_verbs):
-                    found.add((actor.id, ctype, SsiRole.HOLDER))
-                elif _verb_prefix(name_norm, lexicon.check_verbs):
-                    found.add((actor.id, ctype, SsiRole.VERIFIER))
+                found.setdefault((actor.id, ctype, role), []).append(elem.id)
 
     # Receiving an issuance makes the depender a holder even without a task.
     for dep in model.dependencies:
@@ -205,69 +214,83 @@ def infer_roles(model: Model, lexicon: VerbLexicon = DEFAULT_LEXICON) -> tuple[R
         ctype = catalog.resolve(dep.name)
         forced = dep.annotations.get("ssi")
         if forced == "issue" or (dep.dependee, ctype, SsiRole.ISSUER) in found:
-            found.add((dep.depender, ctype, SsiRole.HOLDER))
+            found.setdefault((dep.depender, ctype, SsiRole.HOLDER), [])
 
-    assignments = [RoleAssignment(actor, ctype, role) for actor, ctype, role in found]
+    assignments = [RoleAssignment(actor, ctype, role, tuple(tasks)) for (actor, ctype, role), tasks in found.items()]
     assignments.sort(key=lambda a: (a.actor, a.credential_type, a.role.value))
     return tuple(assignments)
 
 
-def _task_with(actor: Actor, verbs: frozenset[str], patterns: Sequence[str]) -> Element | None:
-    for elem in actor.elements:
-        if elem.kind is not ElementKind.TASK:
-            continue
-        norm = normalize_name(elem.name)
-        if _verb_prefix(norm, verbs) and any(p in norm for p in patterns):
-            return elem
-    return None
-
-
-def derive_flows(
+def _copy_readings(
     model: Model,
-    roles: Sequence[RoleAssignment],
-    lexicon: VerbLexicon = DEFAULT_LEXICON,
-) -> tuple[CredentialFlow, ...]:
+) -> tuple[dict[Identifier, tuple[Identifier, Identifier]], set[tuple[Identifier, Identifier]]]:
+    """Read the office-copy tasks: per actor, the target and task of its first
+    "send ... copy" task that names another actor; and every (actor, task)
+    whose name mentions "copy"."""
+    actor_names = [(a.id, normalize_name(a.name)) for a in model.actors]
+    targets: dict[Identifier, tuple[Identifier, Identifier]] = {}
+    copy_tasks: set[tuple[Identifier, Identifier]] = set()
+    for actor in model.actors:
+        for elem in actor.elements:
+            if elem.kind is not ElementKind.TASK:
+                continue
+            norm = normalize_name(elem.name)
+            if "copy" not in norm:
+                continue
+            copy_tasks.add((actor.id, elem.id))
+            if "send" in norm and actor.id not in targets:
+                for other, other_name in actor_names:
+                    if other != actor.id and other_name and other_name in norm:
+                        targets[actor.id] = (other, elem.id)
+                        break
+    return targets, copy_tasks
+
+
+def derive_flows(model: Model, roles: Sequence[RoleAssignment]) -> tuple[CredentialFlow, ...]:
     """Classify each resource dependency as an issuance or a presentation.
 
     Precedence per dependency: an ``ssi`` annotation wins outright; else a
     dependee that issues the dependum type makes it an issuance; else a
     dependee that holds it facing a depender that verifies it makes it a
     presentation; anything left is recorded as a presentation with
-    unresolved evidence, to be surfaced by :func:`lint_ssi`.
+    unresolved evidence, to be surfaced by :func:`lint_ssi`.  Evidence
+    elements come from the roles' tasks.
     """
     catalog = CredentialCatalog(model)
-    role_set = {(a.actor, a.credential_type, a.role) for a in roles}
+    role_tasks = {(a.actor, a.credential_type, a.role): a.tasks for a in roles}
+    copy_targets, copy_tasks = _copy_readings(model)
     flows: list[CredentialFlow] = []
     for dep in model.dependencies:
         if dep.kind is not ElementKind.RESOURCE:
             continue
         ctype = catalog.resolve(dep.name)
-        patterns = catalog.patterns.get(ctype, [normalize_name(ctype)])
         forced = dep.annotations.get("ssi")
+        issuer = role_tasks.get((dep.dependee, ctype, SsiRole.ISSUER))
+        holder = role_tasks.get((dep.dependee, ctype, SsiRole.HOLDER))
+        verifier = role_tasks.get((dep.depender, ctype, SsiRole.VERIFIER))
         if forced in ("issue", "present"):
             kind = FlowKind.ISSUANCE if forced == "issue" else FlowKind.PRESENTATION
             evidence = Evidence(EvidenceKind.ANNOTATION)
-        elif (dep.dependee, ctype, SsiRole.ISSUER) in role_set:
-            dependee = model.actor(dep.dependee)
-            task = _task_with(dependee, lexicon.issue_verbs, patterns) if dependee else None
+        elif issuer is not None:
             kind = FlowKind.ISSUANCE
-            evidence = Evidence(EvidenceKind.VERB, task.id if task else None)
-        elif (dep.dependee, ctype, SsiRole.HOLDER) in role_set and (
-            dep.depender,
-            ctype,
-            SsiRole.VERIFIER,
-        ) in role_set:
-            dependee = model.actor(dep.dependee)
-            depender = model.actor(dep.depender)
-            task = _task_with(dependee, lexicon.provide_verbs, patterns) if dependee else None
-            if task is None and depender is not None:
-                task = _task_with(depender, lexicon.check_verbs, patterns)
+            evidence = Evidence(EvidenceKind.VERB, issuer[0] if issuer else None)
+        elif holder is not None and verifier is not None:
             kind = FlowKind.PRESENTATION
-            evidence = Evidence(EvidenceKind.VERB, task.id if task else None)
+            evidence = Evidence(EvidenceKind.VERB, holder[0] if holder else verifier[0] if verifier else None)
         else:
             kind = FlowKind.PRESENTATION
             evidence = Evidence(EvidenceKind.UNRESOLVED)
-        flows.append(CredentialFlow(dep.id, kind, ctype, dep.dependee, dep.depender, evidence))
+        if kind is FlowKind.ISSUANCE:
+            copy_to, copy_task = copy_targets.get(dep.dependee, (None, None))
+            require_copy = False
+        else:
+            copy_to = copy_task = None
+            require_copy = any((dep.depender, t) in copy_tasks for t in verifier or ())
+        flows.append(
+            CredentialFlow(
+                dep.id, kind, ctype, dep.dependee, dep.depender, evidence, copy_to, copy_task, require_copy
+            )
+        )
     return tuple(flows)
 
 

@@ -25,6 +25,7 @@ triple always reproduces the same trace, byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import heapq
 import logging
@@ -42,18 +43,8 @@ from .credentials import (
     issue_credential,
     verify_presentation,
 )
-from .model import Dependency, ElementKind, Identifier, Model
-from .overlay import (
-    CredentialCatalog,
-    CredentialFlow,
-    FlowKind,
-    RoleAssignment,
-    SsiRole,
-    TrustRegistry,
-    VerbLexicon,
-    DEFAULT_LEXICON,
-    normalize_name,
-)
+from .model import Dependency, Identifier, LinkKind, Model
+from .overlay import CredentialFlow, FlowKind, RoleAssignment, SsiRole, TrustRegistry
 from .propagation import LabelState, evaluate_goals
 
 logger = logging.getLogger(__name__)
@@ -175,7 +166,6 @@ class BootstrapCredential:
     credential_type: str
     issuer: Identifier
     holder: Identifier
-    child_subject: bool = False
 
 
 @dataclass(frozen=True)
@@ -184,9 +174,7 @@ class AgentSpec:
     did: str
     keys: KeyPair
     wallet: tuple[Credential, ...]
-    roles: tuple[RoleAssignment, ...]
     behaviors: tuple[Behavior, ...]
-    record_store: Mapping[str, tuple[str, ...]]
     trust: TrustRegistry
     prelabeled: tuple[Identifier, ...] = ()
 
@@ -238,54 +226,52 @@ def compile_agents(
     trust: TrustRegistry,
     bootstrap: Iterable[BootstrapCredential] = (),
     seed: int = 0,
-    lexicon: VerbLexicon = DEFAULT_LEXICON,
 ) -> tuple[AgentSpec, ...]:
     """Turn actors plus derived flows into ready-to-run agent specs.
 
-    Raises :class:`CompileError` when a flow references an actor that lacks
-    the role the flow requires (issuer for issuances, holder and verifier
-    for presentations).
+    Every task id comes from the roles' tasks and the flows; no name is read
+    here.  Raises :class:`CompileError` when a flow references an actor that
+    lacks the role the flow requires (issuer for issuances, holder and
+    verifier for presentations).
     """
-    catalog = CredentialCatalog(model)
-    role_set = {(a.actor, a.credential_type, a.role) for a in roles}
+    role_tasks = {(a.actor, a.credential_type, a.role): a.tasks for a in roles}
+    actors = {actor.id: actor for actor in model.actors}
     keys = {actor.id: generate_keypair(actor_key_seed(seed, actor.id)) for actor in model.actors}
     dids = {actor.id: did_from_public_key(keys[actor.id].public_key) for actor in model.actors}
     dep_by_id = {d.id: d for d in model.dependencies}
+
+    # An issuer's gates are all of its Verifier-role tasks, in element order.
+    verifier_tasks = {(a.actor, t) for a in roles if a.role is SsiRole.VERIFIER for t in a.tasks}
+    check_tasks = {
+        actor.id: tuple(e.id for e in actor.elements if (actor.id, e.id) in verifier_tasks) for actor in model.actors
+    }
 
     verify_behaviors: dict[Identifier, list[VerifyBehavior]] = {a.id: [] for a in model.actors}
     issue_behaviors: dict[Identifier, list[IssueBehavior]] = {a.id: [] for a in model.actors}
     request_behaviors: dict[Identifier, list[RequestBehavior]] = {a.id: [] for a in model.actors}
     answer_types: dict[Identifier, list[str]] = {a.id: [] for a in model.actors}
 
-    def check_tasks_of(actor_id: Identifier) -> list[Identifier]:
-        actor = model.actor(actor_id)
-        out = []
-        for elem in actor.elements:
-            if elem.kind is not ElementKind.TASK:
-                continue
-            norm = normalize_name(elem.name)
-            if any(norm.startswith(v) for v in lexicon.check_verbs) and catalog.mentioned_types(elem.name):
-                out.append(elem.id)
-        return out
-
     for flow in flows:
         dep = dep_by_id[flow.dependency]
-        patterns = catalog.patterns.get(flow.credential_type, [normalize_name(flow.credential_type)])
         if flow.kind is FlowKind.ISSUANCE:
-            if (flow.sender, flow.credential_type, SsiRole.ISSUER) not in role_set:
+            issuer_tasks = role_tasks.get((flow.sender, flow.credential_type, SsiRole.ISSUER))
+            if issuer_tasks is None:
                 raise CompileError(f"{flow.sender!r} is not an issuer of {flow.credential_type!r}")
-            issuer_actor = model.actor(flow.sender)
-            issue_task = _first_task(issuer_actor, lexicon.issue_verbs, patterns)
-            copy_to, copy_task = _copy_target(model, issuer_actor)
+            issue_task = issuer_tasks[0] if issuer_tasks else None
+            needed = tuple(
+                l.source
+                for l in actors[flow.sender].links
+                if l.kind is LinkKind.NEEDED_BY and l.target == issue_task
+            )
             issue_behaviors[flow.sender].append(
                 IssueBehavior(
                     flow=flow.dependency,
                     credential_type=flow.credential_type,
                     recipient=flow.receiver,
                     issue_task_id=issue_task,
-                    gate_task_ids=tuple(check_tasks_of(flow.sender)) + _needed_resources(issuer_actor, issue_task),
-                    copy_to=copy_to,
-                    copy_task_id=copy_task,
+                    gate_task_ids=check_tasks[flow.sender] + needed,
+                    copy_to=flow.copy_to,
+                    copy_task_id=flow.copy_task,
                     child_subject=dep.annotations.get("ssi.subject") == "child",
                 )
             )
@@ -298,24 +284,18 @@ def compile_agents(
                 )
             )
         else:
-            if (flow.receiver, flow.credential_type, SsiRole.VERIFIER) not in role_set:
+            checks = role_tasks.get((flow.receiver, flow.credential_type, SsiRole.VERIFIER))
+            if checks is None:
                 raise CompileError(f"{flow.receiver!r} is not a verifier of {flow.credential_type!r}")
-            if (flow.sender, flow.credential_type, SsiRole.HOLDER) not in role_set:
+            if (flow.sender, flow.credential_type, SsiRole.HOLDER) not in role_tasks:
                 raise CompileError(f"{flow.sender!r} is not a holder of {flow.credential_type!r}")
-            verifier_actor = model.actor(flow.receiver)
-            checks = tuple(
-                e for e in check_tasks_of(flow.receiver)
-                if any(p in normalize_name(verifier_actor.element(e).name) for p in patterns)
-            )
             verify_behaviors[flow.receiver].append(
                 VerifyBehavior(
                     flow=flow.dependency,
                     credential_type=flow.credential_type,
                     presenter=flow.sender,
                     check_task_ids=checks,
-                    require_copy=any(
-                        "copy" in normalize_name(verifier_actor.element(e).name) for e in checks
-                    ),
+                    require_copy=flow.require_copy,
                     purpose=dep.annotations.get("ssi.purpose"),
                 )
             )
@@ -327,36 +307,28 @@ def compile_agents(
     for actor_id, behaviors in verify_behaviors.items():
         gated = {t for b in issue_behaviors[actor_id] for t in b.gate_task_ids}
         verify_behaviors[actor_id] = [
-            b if (set(b.check_task_ids) & gated or not b.check_task_ids) else _with_kickoff(b)
+            b if (set(b.check_task_ids) & gated or not b.check_task_ids) else dataclasses.replace(b, kickoff=True)
             for b in behaviors
         ]
 
     wallets: dict[Identifier, list[Credential]] = {a.id: [] for a in model.actors}
     prelabeled: dict[Identifier, list[Identifier]] = {a.id: [] for a in model.actors}
     for entry in bootstrap:
-        issuer_actor = model.actor(entry.issuer)
-        holder_actor = model.actor(entry.holder)
-        if issuer_actor is None or holder_actor is None:
+        if entry.issuer not in actors or entry.holder not in actors:
             raise CompileError(f"bootstrap references unknown actor {entry.issuer!r} or {entry.holder!r}")
-        subject_did = (
-            did_from_public_key(generate_keypair(subject_key_seed(seed, "child")).public_key)
-            if entry.child_subject
-            else dids[entry.holder]
-        )
         credential = issue_credential(
             keys[entry.issuer],
             dids[entry.issuer],
-            subject_did,
+            dids[entry.holder],
             dids[entry.holder],
             entry.credential_type,
-            _claims_for(entry.credential_type, entry.issuer, entry.holder, entry.child_subject),
+            _claims_for(entry.credential_type, entry.issuer, entry.holder, False),
             issued_at=0,
         )
         wallets[entry.holder].append(credential)
-        patterns = catalog.patterns.get(entry.credential_type, [normalize_name(entry.credential_type)])
-        task = _first_task(issuer_actor, lexicon.issue_verbs, patterns)
-        if task is not None:
-            prelabeled[entry.issuer].append(task)
+        issuer_tasks = role_tasks.get((entry.issuer, entry.credential_type, SsiRole.ISSUER))
+        if issuer_tasks:
+            prelabeled[entry.issuer].append(issuer_tasks[0])
 
     agents = []
     for actor in model.actors:
@@ -371,60 +343,12 @@ def compile_agents(
                 did=dids[actor.id],
                 keys=keys[actor.id],
                 wallet=tuple(wallets[actor.id]),
-                roles=tuple(a for a in roles if a.actor == actor.id),
                 behaviors=tuple(behaviors),
-                record_store={},
                 trust=trust,
                 prelabeled=tuple(prelabeled[actor.id]),
             )
         )
     return tuple(agents)
-
-
-def _with_kickoff(behavior: VerifyBehavior) -> VerifyBehavior:
-    return VerifyBehavior(
-        flow=behavior.flow,
-        credential_type=behavior.credential_type,
-        presenter=behavior.presenter,
-        check_task_ids=behavior.check_task_ids,
-        require_copy=behavior.require_copy,
-        purpose=behavior.purpose,
-        kickoff=True,
-    )
-
-
-def _first_task(actor, verbs: frozenset[str], patterns: Sequence[str]) -> Identifier | None:
-    if actor is None:
-        return None
-    for elem in actor.elements:
-        if elem.kind is not ElementKind.TASK:
-            continue
-        norm = normalize_name(elem.name)
-        if any(norm.startswith(v) for v in verbs) and any(p in norm for p in patterns):
-            return elem.id
-    return None
-
-
-def _needed_resources(actor, issue_task: Identifier | None) -> tuple[Identifier, ...]:
-    from .model import LinkKind
-
-    if actor is None or issue_task is None:
-        return ()
-    return tuple(l.source for l in actor.links if l.kind is LinkKind.NEEDED_BY and l.target == issue_task)
-
-
-def _copy_target(model: Model, actor) -> tuple[Identifier | None, Identifier | None]:
-    if actor is None:
-        return None, None
-    for elem in actor.elements:
-        if elem.kind is not ElementKind.TASK:
-            continue
-        norm = normalize_name(elem.name)
-        if "send" in norm and "copy" in norm:
-            for other in model.actors:
-                if other.id != actor.id and normalize_name(other.name) and normalize_name(other.name) in norm:
-                    return other.id, elem.id
-    return None, None
 
 
 @dataclass(frozen=True)
@@ -494,7 +418,7 @@ class _AgentState:
         self.wallet: dict[str, Credential] = {}
         for credential in spec.wallet:
             self.wallet[credential.type] = credential
-        self.record_store: dict[str, list[str]] = {k: list(v) for k, v in spec.record_store.items()}
+        self.record_store: dict[str, list[str]] = {}
         self.deferred: list[Message] = []
         self.verifications: dict[Identifier, _VerifyState] = {
             b.flow: _VerifyState(b) for b in spec.behaviors if isinstance(b, VerifyBehavior)

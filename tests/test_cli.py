@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -9,6 +10,8 @@ from ssiforge.pistar import export_dot, parse_model
 from ssiforge.simulator import actor_key_seed
 
 BND = "Birth Notification Document"
+# sha256 of the seed-42 fixture trace; a change to it is a change to the trace format.
+GOLDEN_TRACE_SHA256 = "3afdd5da3b90ba2501d0878d8c7870295bbed5285e842f57d316da5ed7e5ac2e"
 
 
 @pytest.fixture()
@@ -196,6 +199,26 @@ def test_simulate_trace_is_reproducible(runner, birth_path, tmp_path):
     assert first.read_bytes() == second.read_bytes()
     head = json.loads(first.read_text(encoding="utf-8").splitlines()[0])
     assert head["config"]["seed"] == 42
+
+
+@pytest.mark.parametrize("renamed", [False, True], ids=["fixture", "draw-up-lexicon"])
+def test_simulate_golden_trace(runner, tmp_path, birth_path, fixture_doc, renamed):
+    args = [str(birth_path)]
+    if renamed:
+        # The renamed issue task is read only through the custom lexicon;
+        # without it the Midwife issues nothing and compile fails.
+        rename_node(fixture_doc, "midwife-issue-bnd", "Draw Up BND")
+        model_path = write_doc(tmp_path, fixture_doc)
+        plain = runner.invoke(main, ["simulate", model_path, "--seed", "42", "--allow-ambiguous"])
+        assert plain.exit_code == 1
+        assert "E_COMPILE_ROLE" in plain.stderr
+        lexicon_path = tmp_path / "lexicon.json"
+        lexicon_path.write_text(json.dumps({"issueVerbs": ["issue", "draw up"]}), encoding="utf-8")
+        args = [model_path, "--lexicon", str(lexicon_path)]
+    trace = tmp_path / "run.jsonl"
+    result = runner.invoke(main, ["simulate", *args, "--seed", "42", "--trace", str(trace)])
+    assert result.exit_code == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN_TRACE_SHA256
 
 
 def test_simulate_writes_dot(runner, birth_path, tmp_path):

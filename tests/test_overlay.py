@@ -86,15 +86,15 @@ def test_catalog_aliases(birth_model):
 def test_fixture_role_map(birth_model):
     roles = infer_roles(birth_model)
     assert roles == (
-        RoleAssignment("ID Agency", MID, SsiRole.ISSUER),
-        RoleAssignment("Midwife", BND, SsiRole.ISSUER),
-        RoleAssignment("Midwife", MID, SsiRole.VERIFIER),
-        RoleAssignment("Mother", CERT, SsiRole.HOLDER),
-        RoleAssignment("Mother", BND, SsiRole.HOLDER),
-        RoleAssignment("Mother", MID, SsiRole.HOLDER),
-        RoleAssignment("Registrar", CERT, SsiRole.ISSUER),
-        RoleAssignment("Registrar", BND, SsiRole.VERIFIER),
-        RoleAssignment("Registrar", MID, SsiRole.VERIFIER),
+        RoleAssignment("ID Agency", MID, SsiRole.ISSUER, ("agency-issue-id",)),
+        RoleAssignment("Midwife", BND, SsiRole.ISSUER, ("midwife-issue-bnd",)),
+        RoleAssignment("Midwife", MID, SsiRole.VERIFIER, ("midwife-check-id",)),
+        RoleAssignment("Mother", CERT, SsiRole.HOLDER),  # from the issuance alone
+        RoleAssignment("Mother", BND, SsiRole.HOLDER, ("mother-present-bnd",)),
+        RoleAssignment("Mother", MID, SsiRole.HOLDER, ("mother-present-id",)),
+        RoleAssignment("Registrar", CERT, SsiRole.ISSUER, ("registrar-issue-cert",)),
+        RoleAssignment("Registrar", BND, SsiRole.VERIFIER, ("registrar-check-bnd", "registrar-check-copy")),
+        RoleAssignment("Registrar", MID, SsiRole.VERIFIER, ("registrar-check-id",)),
     )
 
 
@@ -108,7 +108,7 @@ def test_goal_names_do_not_create_roles(birth_model):
     # must come from the "Issue BND" task alone.
     stripped = rename_element(birth_model, "midwife-issue-bnd", "Prepare paperwork")
     roles = infer_roles(stripped)
-    assert RoleAssignment("Midwife", BND, SsiRole.ISSUER) not in roles
+    assert ("Midwife", BND, SsiRole.ISSUER) not in {(a.actor, a.credential_type, a.role) for a in roles}
 
 
 def test_issuance_receipt_grants_holder(birth_model):
@@ -124,11 +124,12 @@ def test_fixture_flows(birth_model):
         CredentialFlow("dep-id-midwife", FlowKind.PRESENTATION, MID, "Mother", "Midwife",
                        Evidence(EvidenceKind.VERB, "mother-present-id")),
         CredentialFlow("dep-bnd-mother", FlowKind.ISSUANCE, BND, "Midwife", "Mother",
-                       Evidence(EvidenceKind.VERB, "midwife-issue-bnd")),
+                       Evidence(EvidenceKind.VERB, "midwife-issue-bnd"),
+                       copy_to="Registrar", copy_task="midwife-send-copy"),
         CredentialFlow("dep-id-registrar", FlowKind.PRESENTATION, MID, "Mother", "Registrar",
                        Evidence(EvidenceKind.VERB, "mother-present-id")),
         CredentialFlow("dep-bnd-registrar", FlowKind.PRESENTATION, BND, "Mother", "Registrar",
-                       Evidence(EvidenceKind.VERB, "mother-present-bnd")),
+                       Evidence(EvidenceKind.VERB, "mother-present-bnd"), require_copy=True),
         CredentialFlow("dep-cert-mother", FlowKind.ISSUANCE, CERT, "Registrar", "Mother",
                        Evidence(EvidenceKind.VERB, "registrar-issue-cert")),
     )

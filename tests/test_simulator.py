@@ -15,6 +15,7 @@ from ssiforge.credentials import (
 )
 from ssiforge.model import ElementKind
 from ssiforge.overlay import (
+    DEFAULT_LEXICON,
     CredentialFlow,
     Evidence,
     EvidenceKind,
@@ -22,6 +23,7 @@ from ssiforge.overlay import (
     RoleAssignment,
     SsiRole,
     TrustOverride,
+    VerbLexicon,
     build_trust_registry,
     infer_roles,
     derive_flows,
@@ -114,8 +116,8 @@ def test_config_rejects_bad_values(kwargs):
 # -- compilation ----------------------------------------------------------
 
 
-def fixture_agents(model, seed=42, overrides=()):
-    roles = infer_roles(model)
+def fixture_agents(model, seed=42, overrides=(), lexicon=DEFAULT_LEXICON):
+    roles = infer_roles(model, lexicon)
     flows = derive_flows(model, roles)
     keys = {a.id: generate_keypair(actor_key_seed(seed, a.id)) for a in model.actors}
     dids = {aid: did_from_public_key(k.public_key) for aid, k in keys.items()}
@@ -227,6 +229,23 @@ def test_ungated_verifier_kicks_off(birth_model):
     _, _, agents = fixture_agents(model)
     verify = behaviors_of(agents, "Midwife", VerifyBehavior)[0]
     assert verify.kickoff is True
+
+
+def test_prefix_verb_task_takes_only_its_role_class(birth_model):
+    # "Check in BND" starts with the issue verb "check in" and with the check
+    # verb "check"; it is the Midwife's issue task and never one of its gates.
+    midwife = birth_model.actor("Midwife")
+    elements = tuple(
+        dataclasses.replace(e, name="Check in BND") if e.id == "midwife-issue-bnd" else e for e in midwife.elements
+    )
+    model = birth_model.replace_actor(dataclasses.replace(midwife, elements=elements))
+    lexicon = VerbLexicon(issue_verbs=frozenset({"issue", "check in"}))
+    _, _, agents = fixture_agents(model, lexicon=lexicon)
+    bnd_issue = behaviors_of(agents, "Midwife", IssueBehavior)[0]
+    assert bnd_issue.issue_task_id == "midwife-issue-bnd"
+    assert bnd_issue.gate_task_ids == ("midwife-check-id",)
+    trace = run(model, agents, SimConfig(seed=42))
+    assert set(trace.final_labels.values()) == {"Satisfied"}
 
 
 @pytest.mark.parametrize(
