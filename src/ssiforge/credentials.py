@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Mapping, Protocol
+from dataclasses import dataclass, field
+from typing import Mapping
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
-from cryptography.hazmat.primitives.serialization import Encoding, PrivateFormat, PublicFormat, NoEncryption
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from .overlay import TrustRegistry
 
@@ -74,8 +74,10 @@ def base58_decode(text: str) -> bytes:
 
 @dataclass(frozen=True)
 class KeyPair:
-    private_key: bytes
+    """An Ed25519 key pair; ``signing_key`` is loaded once, when the pair is derived."""
+
     public_key: bytes
+    signing_key: Ed25519PrivateKey = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -84,44 +86,24 @@ class DidDocument:
     verification_key: bytes
 
 
-class SignatureScheme(Protocol):
-    name: str
-
-    def keypair_from_seed(self, seed: bytes) -> KeyPair: ...
-
-    def sign(self, private_key: bytes, message: bytes) -> bytes: ...
-
-    def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool: ...
-
-
-class Ed25519Scheme:
-    name = "Ed25519"
-
-    def keypair_from_seed(self, seed: bytes) -> KeyPair:
-        if len(seed) != SEED_LENGTH:
-            raise ValueError(f"seed must be {SEED_LENGTH} bytes, got {len(seed)}")
-        private = Ed25519PrivateKey.from_private_bytes(seed)
-        return KeyPair(
-            private_key=private.private_bytes(Encoding.Raw, PrivateFormat.Raw, NoEncryption()),
-            public_key=private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw),
-        )
-
-    def sign(self, private_key: bytes, message: bytes) -> bytes:
-        return Ed25519PrivateKey.from_private_bytes(private_key).sign(message)
-
-    def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
-        try:
-            Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
-            return True
-        except (InvalidSignature, ValueError):
-            return False
+def generate_keypair(seed: bytes) -> KeyPair:
+    """Derive an Ed25519 key pair from a 32-byte seed."""
+    if len(seed) != SEED_LENGTH:
+        raise ValueError(f"seed must be {SEED_LENGTH} bytes, got {len(seed)}")
+    private = Ed25519PrivateKey.from_private_bytes(seed)
+    return KeyPair(
+        public_key=private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw),
+        signing_key=private,
+    )
 
 
-DEFAULT_SCHEME = Ed25519Scheme()
-
-
-def generate_keypair(seed: bytes, scheme: SignatureScheme = DEFAULT_SCHEME) -> KeyPair:
-    return scheme.keypair_from_seed(seed)
+def verify_signature(public_key: bytes, message: bytes, signature: bytes) -> bool:
+    """True when ``signature`` is a valid Ed25519 signature of ``message``."""
+    try:
+        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
+        return True
+    except (InvalidSignature, ValueError):
+        return False
 
 
 def did_from_public_key(public_key: bytes) -> str:
@@ -235,7 +217,6 @@ def issue_credential(
     credential_type: str,
     claims: Mapping[str, str],
     issued_at: int,
-    scheme: SignatureScheme = DEFAULT_SCHEME,
 ) -> Credential:
     """Create a content-addressed, issuer-signed credential.
 
@@ -254,14 +235,13 @@ def issue_credential(
         holder=holder_did,
         claims=dict(claims),
         issued_at=issued_at,
-        signature=scheme.sign(issuer_keys.private_key, raw),
+        signature=issuer_keys.signing_key.sign(raw),
     )
 
 
 def verify_credential(
     credential: Credential,
     directory: Mapping[str, DidDocument],
-    scheme: SignatureScheme = DEFAULT_SCHEME,
 ) -> CredentialCheck:
     raw = canonical_bytes(credential.payload())
     integrity = hashlib.sha256(raw).hexdigest() == credential.id
@@ -269,7 +249,7 @@ def verify_credential(
         issuer_doc = resolve_did(credential.issuer, directory)
     except DidResolutionError:
         return CredentialCheck(integrity=integrity, issuer_signature=False, reason=DidResolutionError.code)
-    issuer_signature = scheme.verify(issuer_doc.verification_key, raw, credential.signature)
+    issuer_signature = verify_signature(issuer_doc.verification_key, raw, credential.signature)
     return CredentialCheck(integrity=integrity, issuer_signature=issuer_signature)
 
 
@@ -282,7 +262,6 @@ def create_presentation(
     presenter_did: str,
     credential: Credential,
     nonce: bytes,
-    scheme: SignatureScheme = DEFAULT_SCHEME,
 ) -> Presentation:
     if len(nonce) != NONCE_LENGTH:
         raise ValueError(f"nonce must be {NONCE_LENGTH} bytes, got {len(nonce)}")
@@ -290,7 +269,7 @@ def create_presentation(
         credential=credential,
         presenter=presenter_did,
         nonce=nonce,
-        holder_proof=scheme.sign(holder_keys.private_key, proof_message(credential.id, nonce)),
+        holder_proof=holder_keys.signing_key.sign(proof_message(credential.id, nonce)),
     )
 
 
@@ -300,7 +279,6 @@ def verify_presentation(
     trust: TrustRegistry,
     verifier: str,
     expected_nonce: bytes,
-    scheme: SignatureScheme = DEFAULT_SCHEME,
 ) -> VerificationOutcome:
     """Run all four checks on a presentation.
 
@@ -309,11 +287,11 @@ def verify_presentation(
     own DID, since possession, not registration, is what it demonstrates.
     """
     credential = presentation.credential
-    cred_check = verify_credential(credential, directory, scheme)
+    cred_check = verify_credential(credential, directory)
 
     try:
         presenter_key = decode_did(presentation.presenter)
-        proof_ok = scheme.verify(
+        proof_ok = verify_signature(
             presenter_key,
             proof_message(credential.id, presentation.nonce),
             presentation.holder_proof,

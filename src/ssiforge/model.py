@@ -106,12 +106,11 @@ class Actor:
     def __post_init__(self) -> None:
         object.__setattr__(self, "elements", _tuple(self.elements))
         object.__setattr__(self, "links", _tuple(self.links))
+        # Element lookup by id; built in reverse so that the first of duplicate ids wins.
+        object.__setattr__(self, "_elements_by_id", {e.id: e for e in reversed(self.elements)})
 
     def element(self, element_id: Identifier) -> Element | None:
-        for elem in self.elements:
-            if elem.id == element_id:
-                return elem
-        return None
+        return self._elements_by_id.get(element_id)
 
 
 @dataclass(frozen=True)
@@ -152,12 +151,11 @@ class Model:
         object.__setattr__(self, "actors", _tuple(self.actors))
         object.__setattr__(self, "dependencies", _tuple(self.dependencies))
         object.__setattr__(self, "actor_links", _tuple(self.actor_links))
+        # Actor lookup by id; built in reverse so that the first of duplicate ids wins.
+        object.__setattr__(self, "_actors_by_id", {a.id: a for a in reversed(self.actors)})
 
     def actor(self, actor_id: Identifier) -> Actor | None:
-        for actor in self.actors:
-            if actor.id == actor_id:
-                return actor
-        return None
+        return self._actors_by_id.get(actor_id)
 
     def owner_of(self, element_id: Identifier) -> Actor | None:
         for actor in self.actors:
@@ -212,8 +210,6 @@ def validate(model: Model) -> ValidationReport:
         if node_id in seen:
             errors.append(ValidationIssue("E_ID_DUP", node_id, f"identifier {node_id!r} is not unique"))
         seen.add(node_id)
-
-    actor_ids = {a.id for a in model.actors}
 
     for actor in model.actors:
         if not actor.name:
@@ -279,15 +275,15 @@ def validate(model: Model) -> ValidationReport:
             ("dependee", dep.dependee, dep.dependee_element),
         ):
             actor = model.actor(actor_id)
-            if actor_id not in actor_ids:
+            if actor is None:
                 errors.append(ValidationIssue("E_REF_DANGLING", dep.id, f"{side} {actor_id!r} is not an actor"))
-            elif element_id is not None and (actor is None or actor.element(element_id) is None):
+            elif element_id is not None and actor.element(element_id) is None:
                 errors.append(
                     ValidationIssue("E_REF_DANGLING", dep.id, f"{side} element {element_id!r} not owned by {actor_id!r}")
                 )
 
     for link in model.actor_links:
-        if link.source not in actor_ids or link.target not in actor_ids:
+        if model.actor(link.source) is None or model.actor(link.target) is None:
             errors.append(ValidationIssue("E_REF_DANGLING", link.id, "actor link endpoint is not an actor"))
         elif link.source == link.target:
             errors.append(ValidationIssue("E_LINK_KIND", link.id, "actor link endpoints must differ"))
@@ -342,13 +338,12 @@ def refinement_forest(model: Model, actor_id: Identifier) -> tuple[RefinementNod
     actor = model.actor(actor_id)
     if actor is None:
         raise UnknownActorError(actor_id)
-    local = {e.id for e in actor.elements}
     children: dict[Identifier, list[Identifier]] = {}
     mode: dict[Identifier, LinkKind] = {}
     claimed: set[Identifier] = set()
     child_side: set[Identifier] = set()
     for link in actor.links:
-        if link.kind not in REFINEMENT_KINDS or link.source not in local or link.target not in local:
+        if link.kind not in REFINEMENT_KINDS or actor.element(link.source) is None or actor.element(link.target) is None:
             continue
         child_side.add(link.source)
         if link.source in claimed:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .model import ElementKind, Identifier, Model, ValidationIssue
@@ -145,6 +146,33 @@ class TrustRegistry:
         return issuer_did in self.accepted.get((verifier, credential_type), frozenset())
 
 
+class _SpellingIndex:
+    """The owners with a spelling inside a text, in the order they were given:
+    a character trie over the spellings, walked from each position of the text,
+    so the cost grows with the text's length, not with the number of spellings."""
+
+    def __init__(self, owners: Iterable[tuple[str, Iterable[str]]]) -> None:
+        self.root: dict = {}
+        for position, (owner, spellings) in enumerate(owners):
+            for spelling in filter(None, spellings):  # an empty spelling names nothing
+                node = self.root
+                for char in spelling:
+                    node = node.setdefault(char, {})
+                node.setdefault("", []).append((position, owner))  # key "": owners of spellings ending here
+
+    def owners_in(self, text: str) -> list[str]:
+        found: set[tuple[int, str]] = set()
+        for start in range(len(text)):
+            node = self.root
+            for char in text[start:]:
+                node = node.get(char)
+                if node is None:
+                    break
+                if "" in node:
+                    found.update(node[""])
+        return [owner for _, owner in sorted(found)]
+
+
 class CredentialCatalog:
     """Credential types named by resource dependums, with alias spellings."""
 
@@ -165,17 +193,17 @@ class CredentialCatalog:
         for norm, display in self.canonical.items():
             self.patterns.setdefault(display, []).append(norm)
 
+    @cached_property
+    def _index(self) -> _SpellingIndex:
+        return _SpellingIndex(self.patterns.items())
+
     def resolve(self, dependum_name: str) -> str:
         norm = normalize_name(dependum_name)
         return self.canonical.get(norm, dependum_name)
 
     def mentioned_types(self, task_name: str) -> list[str]:
-        norm = normalize_name(task_name)
-        found = []
-        for display, patterns in self.patterns.items():
-            if any(p in norm for p in patterns):
-                found.append(display)
-        return found
+        """Types with a spelling inside the normalized task name, in catalog order."""
+        return self._index.owners_in(normalize_name(task_name))
 
 
 def _verb_class(name_norm: str, lexicon: VerbLexicon) -> SsiRole | None:
@@ -227,7 +255,7 @@ def _copy_readings(
     """Read the office-copy tasks: per actor, the target and task of its first
     "send ... copy" task that names another actor; and every (actor, task)
     whose name mentions "copy"."""
-    actor_names = [(a.id, normalize_name(a.name)) for a in model.actors]
+    names = _SpellingIndex((a.id, [normalize_name(a.name)]) for a in model.actors)
     targets: dict[Identifier, tuple[Identifier, Identifier]] = {}
     copy_tasks: set[tuple[Identifier, Identifier]] = set()
     for actor in model.actors:
@@ -239,10 +267,9 @@ def _copy_readings(
                 continue
             copy_tasks.add((actor.id, elem.id))
             if "send" in norm and actor.id not in targets:
-                for other, other_name in actor_names:
-                    if other != actor.id and other_name and other_name in norm:
-                        targets[actor.id] = (other, elem.id)
-                        break
+                other = next((o for o in names.owners_in(norm) if o != actor.id), None)
+                if other is not None:
+                    targets[actor.id] = (other, elem.id)
     return targets, copy_tasks
 
 

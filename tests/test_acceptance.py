@@ -16,7 +16,6 @@ from click.testing import CliRunner
 import helpers
 from ssiforge.cli import main
 from ssiforge.credentials import (
-    DEFAULT_SCHEME,
     canonical_bytes,
     create_presentation,
     did_from_public_key,
@@ -125,7 +124,7 @@ def _resign_tamper(msg):
     credential = msg.presentation.credential
     forged = dataclasses.replace(
         credential,
-        signature=DEFAULT_SCHEME.sign(mallory.private_key, canonical_bytes(credential.payload())),
+        signature=mallory.signing_key.sign(canonical_bytes(credential.payload())),
     )
     return dataclasses.replace(msg, presentation=dataclasses.replace(msg.presentation, credential=forged))
 

@@ -8,10 +8,8 @@ from hypothesis import given, strategies as st
 
 from ssiforge.credentials import (
     CHECK_ORDER,
-    DEFAULT_SCHEME,
     DidDocument,
     DidResolutionError,
-    Ed25519Scheme,
     NONCE_LENGTH,
     SelfIssueError,
     VerificationOutcome,
@@ -28,6 +26,7 @@ from ssiforge.credentials import (
     resolve_did,
     verify_credential,
     verify_presentation,
+    verify_signature,
 )
 from ssiforge.overlay import TrustRegistry
 
@@ -56,19 +55,18 @@ ED25519_VECTORS = [
 
 @pytest.mark.parametrize("seed,public,message,signature", ED25519_VECTORS)
 def test_ed25519_reference_vectors(seed, public, message, signature):
-    scheme = Ed25519Scheme()
-    pair = scheme.keypair_from_seed(bytes.fromhex(seed))
+    pair = generate_keypair(bytes.fromhex(seed))
     assert pair.public_key.hex() == public
-    assert scheme.sign(pair.private_key, bytes.fromhex(message)).hex() == signature
-    assert scheme.verify(pair.public_key, bytes.fromhex(message), bytes.fromhex(signature))
+    assert pair.signing_key.sign(bytes.fromhex(message)).hex() == signature
+    assert verify_signature(pair.public_key, bytes.fromhex(message), bytes.fromhex(signature))
 
 
 def test_scheme_rejects_bad_material():
     with pytest.raises(ValueError):
-        DEFAULT_SCHEME.keypair_from_seed(b"short")
+        generate_keypair(b"short")
     pair = generate_keypair(bytes(32))
-    assert not DEFAULT_SCHEME.verify(b"not-a-key", b"m", b"s")
-    assert not DEFAULT_SCHEME.verify(pair.public_key, b"m", b"bogus")
+    assert not verify_signature(b"not-a-key", b"m", b"s")
+    assert not verify_signature(pair.public_key, b"m", b"bogus")
 
 
 def test_base58_known_values():
@@ -265,7 +263,7 @@ def test_foreign_signature_fails_issuer_check():
     mallory = generate_keypair(bytes([0x33]) * 32)
     resigned = dataclasses.replace(
         presentation.credential,
-        signature=DEFAULT_SCHEME.sign(mallory.private_key, canonical_bytes(presentation.credential.payload())),
+        signature=mallory.signing_key.sign(canonical_bytes(presentation.credential.payload())),
     )
     outcome = verify_presentation(
         dataclasses.replace(presentation, credential=resigned), directory, trust, "Gate", nonce

@@ -1,9 +1,9 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from ssiforge.model import ElementKind
+from ssiforge.model import Actor, Dependency, Element, ElementKind, Model
 from ssiforge.overlay import (
     CredentialCatalog,
     CredentialFlow,
@@ -23,6 +23,7 @@ from ssiforge.overlay import (
     lint_ssi,
     normalize_name,
 )
+from ssiforge.overlay import _copy_readings
 from ssiforge.pistar import parse_model
 
 BND = "Birth Notification Document"
@@ -81,6 +82,68 @@ def test_catalog_aliases(birth_model):
     assert catalog.mentioned_types("Check BND against Office Copy") == [BND]
     assert catalog.mentioned_types("Issue Mother's ID Credential") == [MID]
     assert catalog.mentioned_types("File paperwork") == []
+
+
+# Name fragments that stress substring matching: copy numbers that are
+# prefixes of each other, an alias inside a longer word ("ID" in "valid"),
+# and the words of office-copy tasks.
+NAME_FRAGMENTS = (
+    "BND 1", "BND 12", "Registrar 1", "Registrar 10", "Registrar", "ID", "valid",
+    "Mother's ID", "Midwife", "send", "copy", "issue", "check", "of", "",
+)
+NAMES = st.one_of(st.sampled_from(NAME_FRAGMENTS), st.text(alphabet="abdiIDR 01'-", max_size=8))
+
+
+def naive_mentioned_types(catalog, task_name):
+    norm = normalize_name(task_name)
+    return [display for display, patterns in catalog.patterns.items() if any(p in norm for p in patterns)]
+
+
+def naive_copy_targets(model):
+    actor_names = [(a.id, normalize_name(a.name)) for a in model.actors]
+    targets = {}
+    for actor in model.actors:
+        for elem in actor.elements:
+            norm = normalize_name(elem.name)
+            if elem.kind is ElementKind.TASK and "copy" in norm and "send" in norm and actor.id not in targets:
+                for other, other_name in actor_names:
+                    if other != actor.id and other_name and other_name in norm:
+                        targets[actor.id] = (other, elem.id)
+                        break
+    return targets
+
+
+@given(
+    actor_names=st.lists(NAMES, min_size=1, max_size=6),
+    type_spellings=st.lists(st.lists(NAMES, min_size=1, max_size=3), max_size=5),
+    tasks=st.lists(st.tuples(st.integers(0, 5), st.lists(NAMES, max_size=6).map(" ".join)), max_size=12),
+)
+@example(
+    actor_names=["Registrar 1", "Registrar 10", "Midwife 1"],
+    type_spellings=[["Birth Notification Document 1", "BND 1"], ["Birth Notification Document 12", "BND 12"]],
+    tasks=[(2, "Send BND 12 copy to Registrar 10"), (0, "Issue BND 1"), (1, "Check BND 12")],
+)
+@example(actor_names=["Midwife"], type_spellings=[["Mother's ID", "ID"]], tasks=[(0, "Check valid BND")])
+@example(
+    actor_names=["Midwife", "Registrar"],
+    type_spellings=[],
+    tasks=[(0, "Send copy of Midwife record to Registrar"), (1, "Send Registrar copy")],
+)
+def test_name_index_matches_naive_substring_search(actor_names, type_spellings, tasks):
+    elements = [[] for _ in actor_names]
+    for n, (owner, name) in enumerate(tasks):
+        elements[owner % len(actor_names)].append(Element(f"t{n}", name, ElementKind.TASK))
+    actors = [Actor(f"a{i}", name, elements=elements[i]) for i, name in enumerate(actor_names)]
+    deps = [
+        Dependency(f"d{j}", spellings[0], ElementKind.RESOURCE, "a0", actors[-1].id,
+                   annotations={"ssi.alias": ",".join(spellings[1:])})
+        for j, spellings in enumerate(type_spellings)
+    ]
+    model = Model(actors=actors, dependencies=deps)
+    catalog = CredentialCatalog(model)
+    for _, name in tasks:
+        assert catalog.mentioned_types(name) == naive_mentioned_types(catalog, name)
+    assert _copy_readings(model)[0] == naive_copy_targets(model)
 
 
 def test_fixture_role_map(birth_model):

@@ -5,9 +5,10 @@ from collections import Counter
 
 import pytest
 
+import ssiforge.credentials as credentials
+import ssiforge.simulator as simulator
 from ssiforge.credentials import (
     CHECK_ORDER,
-    DEFAULT_SCHEME,
     canonical_bytes,
     create_presentation,
     did_from_public_key,
@@ -314,6 +315,39 @@ def test_honest_run_is_reproducible(birth_model):
     assert first.text() == second.text()
 
 
+def test_run_signs_with_the_loaded_keys(birth_model, monkeypatch):
+    """No key is loaded to sign: during a run the only key load is the
+    "child" subject key the run derives."""
+    _, _, agents = fixture_agents(birth_model, seed=42)
+    real_key = credentials.Ed25519PrivateKey
+    signing: list[str] = []
+    loads: list[tuple[str, ...]] = []  # per key load, the signing calls open at the time
+
+    class CountingKey:
+        @staticmethod
+        def from_private_bytes(data):
+            loads.append(tuple(signing))
+            return real_key.from_private_bytes(data)
+
+    def signs(fn):
+        def wrapper(*args, **kwargs):
+            signing.append(fn.__name__)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                signing.pop()
+
+        return wrapper
+
+    monkeypatch.setattr(credentials, "Ed25519PrivateKey", CountingKey)
+    monkeypatch.setattr(simulator, "issue_credential", signs(simulator.issue_credential))
+    monkeypatch.setattr(simulator, "create_presentation", signs(simulator.create_presentation))
+    trace = run(birth_model, agents, SimConfig(seed=42))
+    assert Counter(e["kind"] for e in trace.events)["Issue"] == 2
+    assert len(verify_events(trace)) == 3
+    assert loads == [()]
+
+
 def test_different_seed_changes_keys_not_outcome(birth_model):
     _, a = run_fixture(birth_model, seed=42)
     _, b = run_fixture(birth_model, seed=43)
@@ -415,7 +449,7 @@ def test_foreign_resign_fails_issuer_signature(birth_model):
         credential = msg.presentation.credential
         forged = dataclasses.replace(
             credential,
-            signature=DEFAULT_SCHEME.sign(mallory.private_key, canonical_bytes(credential.payload())),
+            signature=mallory.signing_key.sign(canonical_bytes(credential.payload())),
         )
         return dataclasses.replace(msg, presentation=dataclasses.replace(msg.presentation, credential=forged))
 
