@@ -1,5 +1,7 @@
 """Goal models of credential ecosystems, compiled down to executable agents."""
 
+from importlib import import_module as _import_module
+
 from .model import (
     Actor,
     ActorKind,
@@ -40,39 +42,55 @@ from .overlay import (
     lint_ssi,
     normalize_name,
 )
-from .credentials import (
-    Credential,
-    CredentialCheck,
-    DidDocument,
-    DidResolutionError,
-    KeyPair,
-    Presentation,
-    SelfIssueError,
-    VerificationOutcome,
-    canonical_bytes,
-    create_presentation,
-    decode_did,
-    did_from_public_key,
-    generate_keypair,
-    issue_credential,
-    resolve_did,
-    verify_credential,
-    verify_presentation,
-)
-from .propagation import LabelState, evaluate_goals, root_goals
-from .simulator import (
-    AgentSpec,
-    BootstrapCredential,
-    CompileError,
-    Message,
-    SimConfig,
-    Trace,
-    compile_agents,
-    derive_bootstrap,
-    run,
-    write_trace,
-)
+# The credential and simulation layers, and with them ``cryptography``, load
+# on first use: ``import ssiforge`` and the validate, roles and export
+# commands never need them.
+_LAZY = {
+    "credentials": (
+        "Credential",
+        "CredentialCheck",
+        "DidDocument",
+        "DidResolutionError",
+        "KeyPair",
+        "Presentation",
+        "SelfIssueError",
+        "VerificationOutcome",
+        "canonical_bytes",
+        "create_presentation",
+        "decode_did",
+        "did_from_public_key",
+        "generate_keypair",
+        "issue_credential",
+        "resolve_did",
+        "verify_credential",
+        "verify_presentation",
+    ),
+    "propagation": ("LabelState", "evaluate_goals", "root_goals"),
+    "simulator": (
+        "AgentSpec",
+        "BootstrapCredential",
+        "CompileError",
+        "Message",
+        "SimConfig",
+        "Trace",
+        "compile_agents",
+        "derive_bootstrap",
+        "run",
+        "write_trace",
+    ),
+}
+_LAZY_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | _LAZY.keys() | _LAZY_MODULE_OF.keys())
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return _import_module(f".{name}", __name__)
+    if name not in _LAZY_MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_LAZY_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value

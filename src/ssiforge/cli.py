@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import os
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import click
 
 from . import __version__
-from .credentials import did_from_public_key, generate_keypair
 from .model import validate as validate_model
 from .overlay import (
     DEFAULT_LEXICON,
@@ -31,18 +31,41 @@ from .overlay import (
     lint_ssi,
 )
 from .pistar import export_dot, parse_model
-from .propagation import LabelState, root_goals
-from .simulator import (
-    CompileError,
-    SimConfig,
-    actor_key_seed,
-    compile_agents,
-    derive_bootstrap,
-    run,
-    write_trace,
-)
+
+# What only ``simulate`` uses, and with it ``cryptography``: bound as module
+# globals on the first ``simulate`` (or on first attribute access), so that
+# validate, roles and export never load it.  A name already set on the module
+# (a wrapper, say) is kept.
+_SIMULATE_IMPORTS = {
+    "credentials": ("did_from_public_key", "generate_keypair"),
+    "propagation": ("LabelState", "root_goals"),
+    "simulator": (
+        "CompileError",
+        "SimConfig",
+        "actor_key_seed",
+        "compile_agents",
+        "derive_bootstrap",
+        "run",
+        "write_trace",
+    ),
+}
 
 _LABEL_COLORS = {"Satisfied": "green", "Denied": "red"}
+_LEXICON_KEYS = {"issueVerbs": "issue_verbs", "provideVerbs": "provide_verbs", "checkVerbs": "check_verbs"}
+
+
+def _load_simulation() -> None:
+    for module, names in _SIMULATE_IMPORTS.items():
+        loaded = import_module(f".{module}", __package__)
+        for name in names:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    if not any(name in names for names in _SIMULATE_IMPORTS.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_simulation()
+    return globals()[name]
 
 
 def _use_color() -> bool:
@@ -82,11 +105,15 @@ def _load_lexicon(path: str | None) -> VerbLexicon:
         return DEFAULT_LEXICON
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return VerbLexicon(
-            issue_verbs=frozenset(raw.get("issueVerbs", ["issue"])),
-            provide_verbs=frozenset(raw.get("provideVerbs", ["provide", "present"])),
-            check_verbs=frozenset(raw.get("checkVerbs", ["check", "verify"])),
-        )
+        if not isinstance(raw, dict):
+            raise ValueError("lexicon file must hold a JSON object")
+        verbs = {}
+        for key, field in _LEXICON_KEYS.items():
+            if key in raw:
+                if not isinstance(raw[key], list) or not all(isinstance(v, str) for v in raw[key]):
+                    raise ValueError(f"{key} must be a list of strings")
+                verbs[field] = frozenset(raw[key])
+        return VerbLexicon(**verbs)  # a missing key keeps the default verbs
     except (OSError, ValueError) as exc:
         _fail(f"bad lexicon file {path}: {exc}", 2)
         raise AssertionError
@@ -225,6 +252,7 @@ def cmd_simulate(
     allow_ambiguous: bool,
 ) -> None:
     """Run the credential lifecycle and report goal satisfaction."""
+    _load_simulation()
     result = _load_model(path)
     model = result.model
     report = validate_model(model)

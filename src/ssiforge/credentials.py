@@ -28,7 +28,6 @@ from typing import Mapping
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
-from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from .overlay import TrustRegistry
 
@@ -92,7 +91,7 @@ def generate_keypair(seed: bytes) -> KeyPair:
         raise ValueError(f"seed must be {SEED_LENGTH} bytes, got {len(seed)}")
     private = Ed25519PrivateKey.from_private_bytes(seed)
     return KeyPair(
-        public_key=private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw),
+        public_key=private.public_key().public_bytes_raw(),
         signing_key=private,
     )
 

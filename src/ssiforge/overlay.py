@@ -178,13 +178,15 @@ class CredentialCatalog:
 
     def __init__(self, model: Model) -> None:
         self.canonical: dict[str, str] = {}  # normalized spelling -> display name
+        self.dependum_types: dict[str, str] = {}  # resource dependum name -> its type, as resolve() gives it
         for dep in model.dependencies:
             if dep.kind is not ElementKind.RESOURCE:
                 continue
             norm = normalize_name(dep.name)
             if not norm:
+                self.dependum_types[dep.name] = dep.name
                 continue
-            display = self.canonical.setdefault(norm, dep.name)
+            display = self.dependum_types[dep.name] = self.canonical.setdefault(norm, dep.name)
             for alias in dep.annotations.get("ssi.alias", "").split(","):
                 alias_norm = normalize_name(alias)
                 if alias_norm:
@@ -198,12 +200,18 @@ class CredentialCatalog:
         return _SpellingIndex(self.patterns.items())
 
     def resolve(self, dependum_name: str) -> str:
-        norm = normalize_name(dependum_name)
-        return self.canonical.get(norm, dependum_name)
+        known = self.dependum_types.get(dependum_name)
+        if known is not None:
+            return known
+        return self.canonical.get(normalize_name(dependum_name), dependum_name)
 
     def mentioned_types(self, task_name: str) -> list[str]:
         """Types with a spelling inside the normalized task name, in catalog order."""
-        return self._index.owners_in(normalize_name(task_name))
+        return self.types_in(normalize_name(task_name))
+
+    def types_in(self, name_norm: str) -> list[str]:
+        """:meth:`mentioned_types` of a name that is already normalized."""
+        return self._index.owners_in(name_norm)
 
 
 def _verb_class(name_norm: str, lexicon: VerbLexicon) -> SsiRole | None:
@@ -229,10 +237,11 @@ def infer_roles(model: Model, lexicon: VerbLexicon = DEFAULT_LEXICON) -> tuple[R
         for elem in actor.elements:
             if elem.kind is not ElementKind.TASK:
                 continue
-            role = _verb_class(normalize_name(elem.name), lexicon)
+            norm = normalize_name(elem.name)
+            role = _verb_class(norm, lexicon)
             if role is None:
                 continue
-            for ctype in catalog.mentioned_types(elem.name):
+            for ctype in catalog.types_in(norm):
                 found.setdefault((actor.id, ctype, role), []).append(elem.id)
 
     # Receiving an issuance makes the depender a holder even without a task.

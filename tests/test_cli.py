@@ -1,9 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import ssiforge
+import ssiforge.cli as cli
 from ssiforge.cli import main
 from ssiforge.credentials import did_from_public_key, generate_keypair
 from ssiforge.pistar import export_dot, parse_model
@@ -168,9 +174,19 @@ def test_roles_custom_lexicon(runner, tmp_path, fixture_doc):
     assert "  Midwife: Issuer of Birth Notification Document" in custom.output
 
 
-def test_bad_lexicon_file_exits_two(runner, birth_path, tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"issueVerbs": ["check"]}',  # collides with check verbs
+        '{"issueVerbs": "issue"}',  # a string, not a list: not the verbs i, s, u, e
+        '{"issueVerbs": [1]}',
+        '["issue"]',
+    ],
+    ids=["colliding", "string", "number", "array"],
+)
+def test_bad_lexicon_file_exits_two(runner, birth_path, tmp_path, text):
     bad = tmp_path / "lexicon.json"
-    bad.write_text('{"issueVerbs": ["check"]}', encoding="utf-8")  # collides with check verbs
+    bad.write_text(text, encoding="utf-8")
     result = runner.invoke(main, ["roles", str(birth_path), "--lexicon", str(bad)])
     assert result.exit_code == 2
     assert "bad lexicon file" in result.stderr
@@ -353,3 +369,61 @@ def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "ssiforge, version 0.1.0" in result.output
+
+
+# -- lazy loading ---------------------------------------------------------
+
+LAZY_MODULES = ("cryptography", "ssiforge.credentials", "ssiforge.simulator")
+LOADED_AFTER = """
+import sys
+from ssiforge.cli import main
+try:
+    main(sys.argv[1:], prog_name="ssiforge")
+except SystemExit:
+    pass
+print(",".join(m for m in {modules!r} if m in sys.modules), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "args, loaded",
+    [
+        (["validate"], False),
+        (["roles"], False),
+        (["export", "--view", "sd"], False),
+        (["simulate", "--seed", "42"], True),
+    ],
+    ids=["validate", "roles", "export", "simulate"],
+)
+def test_only_simulate_loads_the_credential_layer(birth_path, args, loaded):
+    script = LOADED_AFTER.format(modules=LAZY_MODULES)
+    argv = [args[0], str(birth_path), *args[1:]]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(ssiforge.__file__).parent.parent)},
+    )
+    assert proc.stderr.strip().split(",") == (list(LAZY_MODULES) if loaded else [""])
+
+
+def test_package_names_all_resolve():
+    for name in ssiforge.__all__:
+        assert getattr(ssiforge, name) is not None, name
+
+
+def test_simulate_calls_the_functions_set_on_the_module(runner, birth_path, monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("compile_agents", "run"):
+        monkeypatch.setattr(cli, name, spy(name))
+    result = runner.invoke(main, ["simulate", str(birth_path), "--seed", "42"])
+    assert result.exit_code == 0
+    assert calls == ["compile_agents", "run"]
