@@ -126,16 +126,16 @@ def _load_overrides(path: str | None) -> tuple[TrustOverride, ...]:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(raw, list):
             raise ValueError("trust file must hold a JSON array")
-        return tuple(
-            TrustOverride(
-                verifier=entry["verifier"],
-                credential_type=entry["credentialType"],
-                issuer_did=entry["issuerDid"],
-                action=entry.get("action", "add"),
-            )
-            for entry in raw
-        )
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        overrides = []
+        for entry in raw:
+            if not isinstance(entry, dict):
+                raise ValueError("each trust entry must be a JSON object")
+            fields = (entry["verifier"], entry["credentialType"], entry["issuerDid"], entry.get("action", "add"))
+            if not all(isinstance(value, str) for value in fields):
+                raise ValueError("verifier, credentialType, issuerDid and action must be strings")
+            overrides.append(TrustOverride(*fields))
+        return tuple(overrides)
+    except (OSError, ValueError, KeyError) as exc:
         _fail(f"bad trust file {path}: {exc}", 2)
         raise AssertionError
 

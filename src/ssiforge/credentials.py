@@ -21,6 +21,7 @@ callers always see all four flags.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -34,6 +35,11 @@ from .overlay import TrustRegistry
 DID_PREFIX = "did:sim:"
 NONCE_LENGTH = 16
 SEED_LENGTH = 32
+# Derived key pairs kept for reuse, least recently used evicted first: a
+# simulation derives every actor's pair once for its DIDs and again to
+# compile its agents.  1,024 pairs cover two simulations of 512 actors and
+# hold well under 1 MB (a pair is a few hundred bytes resident).
+KEY_CACHE_SIZE = 1024
 
 CHECK_ORDER = ("integrity", "issuerSignature", "subjectBinding", "issuerTrusted")
 
@@ -86,9 +92,18 @@ class DidDocument:
 
 
 def generate_keypair(seed: bytes) -> KeyPair:
-    """Derive an Ed25519 key pair from a 32-byte seed."""
+    """Derive an Ed25519 key pair from a 32-byte seed.
+
+    The last ``KEY_CACHE_SIZE`` pairs are memoized on their seed, so a seed
+    derived again returns the same (immutable) pair without loading its key.
+    """
     if len(seed) != SEED_LENGTH:
         raise ValueError(f"seed must be {SEED_LENGTH} bytes, got {len(seed)}")
+    return _derive_keypair(bytes(seed))
+
+
+@functools.lru_cache(maxsize=KEY_CACHE_SIZE)
+def _derive_keypair(seed: bytes) -> KeyPair:
     private = Ed25519PrivateKey.from_private_bytes(seed)
     return KeyPair(
         public_key=private.public_key().public_bytes_raw(),
@@ -127,9 +142,13 @@ def resolve_did(did: str, directory: Mapping[str, DidDocument]) -> DidDocument:
     return doc
 
 
+# Canonical JSON: sorted keys, no whitespace, non-ASCII text left as is.
+CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def canonical_bytes(value) -> bytes:
     """Canonical JSON encoding: sorted keys, no whitespace, raw UTF-8."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    return CANONICAL_JSON.encode(value).encode("utf-8")
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .credentials import (
+    CANONICAL_JSON,
     Credential,
     DidDocument,
     KeyPair,
@@ -379,17 +380,16 @@ class Trace:
     final_tick: int
 
     def lines(self) -> list[str]:
-        from .credentials import canonical_bytes
-
-        head = canonical_bytes({"config": dict(self.config)}).decode("utf-8")
-        body = [canonical_bytes(dict(e)).decode("utf-8") for e in self.events]
-        tail = canonical_bytes(
+        encode = CANONICAL_JSON.encode
+        head = encode({"config": dict(self.config)})
+        body = [encode(e if isinstance(e, dict) else dict(e)) for e in self.events]
+        tail = encode(
             {
                 "finalLabels": dict(self.final_labels),
                 "finalTick": self.final_tick,
                 "termination": self.termination,
             }
-        ).decode("utf-8")
+        )
         return [head, *body, tail]
 
     def text(self) -> str:
@@ -493,9 +493,10 @@ class _Simulation:
         return summary
 
     def _send(self, msg: Message) -> None:
-        self._event("Send", message=self._message_summary(msg))
+        summary = self._message_summary(msg)
+        self._event("Send", message=summary)
         latency = self.config.latency_between(msg.from_actor, msg.to_actor)
-        self._push(self.tick + latency, ("deliver", msg))
+        self._push(self.tick + latency, ("deliver", msg, summary))
 
     def _set_label(self, element_id: Identifier | None, label: LabelState) -> None:
         if element_id is None:
@@ -823,18 +824,19 @@ class _Simulation:
             if entry[0] == "timer":
                 self._on_timer(entry[1], entry[2], entry[3])
                 continue
-            msg: Message = entry[1]
+            _, msg, summary = entry
             dropped = self.prng.next_float() < self.config.drop_probability
             if not dropped and self.intercept is not None:
                 replacement = self.intercept(msg, self.tick)
                 if replacement is None:
                     dropped = True
-                else:
+                elif replacement is not msg:
                     msg = replacement
+                    summary = self._message_summary(msg)
+            # A copy, so that no two events share one summary dict.
+            self._event("Drop" if dropped else "Deliver", message=dict(summary))
             if dropped:
-                self._event("Drop", message=self._message_summary(msg))
                 continue
-            self._event("Deliver", message=self._message_summary(msg))
             handler = self._HANDLERS[msg.kind]
             handler(self, self.agents[msg.to_actor], msg)
 

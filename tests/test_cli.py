@@ -286,6 +286,25 @@ def test_simulate_malformed_trust_file_exits_two(runner, birth_path, tmp_path):
     assert "bad trust file" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("verifier", ["Registrar"]),
+        ("credentialType", {"type": BND}),
+        ("issuerDid", 5),
+        ("action", None),
+    ],
+)
+def test_simulate_mistyped_trust_entry_exits_two(runner, birth_path, tmp_path, field, value):
+    entry = {"verifier": "Registrar", "credentialType": BND, "issuerDid": midwife_did(42), field: value}
+    trust = tmp_path / "trust.json"
+    trust.write_text(json.dumps([entry]), encoding="utf-8")
+    result = runner.invoke(main, ["simulate", str(birth_path), "--seed", "42", "--trust", str(trust)])
+    assert result.exit_code == 2
+    assert "bad trust file" in result.stderr
+    assert "must be strings" in result.stderr
+
+
 def test_simulate_unknown_trust_pair_exits_one(runner, birth_path, tmp_path):
     trust = tmp_path / "trust.json"
     trust.write_text(

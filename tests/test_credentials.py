@@ -69,6 +69,15 @@ def test_scheme_rejects_bad_material():
     assert not verify_signature(pair.public_key, b"m", b"bogus")
 
 
+def test_keypair_is_derived_once_per_seed():
+    seed = bytes(range(32))
+    pair = generate_keypair(seed)
+    assert generate_keypair(bytes(range(32))) is pair
+    assert generate_keypair(bytearray(seed)) is pair  # an unhashable seed still derives
+    with pytest.raises(ValueError):
+        generate_keypair(bytearray(31))
+
+
 def test_base58_known_values():
     assert base58_encode(b"hello world") == "StV1DL6CwTryKyV"
     assert base58_encode(b"") == ""
@@ -115,6 +124,15 @@ def test_resolve_did():
 def test_canonical_bytes_shape():
     assert canonical_bytes({"b": 1, "a": "é"}) == b'{"a":"\xc3\xa9","b":1}'
     assert canonical_bytes([1, {"z": None, "a": True}]) == b'[1,{"a":true,"z":null}]'
+    nested = {
+        "z": {"b": "tab\there\nnew", "a": "Zo\u00eb \u2028 \u65e5"},
+        "a": ["\x00\x1f\x7f", '"q"\\', 1.5, None, True, -0, 10**20],
+        "\u00c9": {},
+    }
+    assert canonical_bytes(nested) == (
+        b'{"a":["\\u0000\\u001f\x7f","\\"q\\"\\\\",1.5,null,true,0,100000000000000000000],'
+        b'"z":{"a":"Zo\xc3\xab \xe2\x80\xa8 \xe6\x97\xa5","b":"tab\\there\\nnew"},"\xc3\x89":{}}'
+    )
 
 
 def test_canonical_bytes_distinguishes_payloads():

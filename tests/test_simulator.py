@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
 from collections import Counter
+from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -29,6 +32,7 @@ from ssiforge.overlay import (
     infer_roles,
     derive_flows,
 )
+from ssiforge.pistar import parse_model
 from ssiforge.simulator import (
     AnswerBehavior,
     BootstrapCredential,
@@ -319,6 +323,7 @@ def test_run_signs_with_the_loaded_keys(birth_model, monkeypatch):
     """No key is loaded to sign: during a run the only key load is the
     "child" subject key the run derives."""
     _, _, agents = fixture_agents(birth_model, seed=42)
+    credentials._derive_keypair.cache_clear()  # an earlier test may have derived the "child" key
     real_key = credentials.Ed25519PrivateKey
     signing: list[str] = []
     loads: list[tuple[str, ...]] = []  # per key load, the signing calls open at the time
@@ -346,6 +351,25 @@ def test_run_signs_with_the_loaded_keys(birth_model, monkeypatch):
     assert Counter(e["kind"] for e in trace.events)["Issue"] == 2
     assert len(verify_events(trace)) == 3
     assert loads == [()]
+
+
+def test_pipeline_loads_each_key_once(birth_model, monkeypatch):
+    """The caller's DIDs and compile_agents derive the same four actor keys;
+    only the first derivation loads them, and the run adds the "child" key."""
+    credentials._derive_keypair.cache_clear()
+    real_key = credentials.Ed25519PrivateKey
+    loads: list[bytes] = []
+
+    class CountingKey:
+        @staticmethod
+        def from_private_bytes(data):
+            loads.append(bytes(data))
+            return real_key.from_private_bytes(data)
+
+    monkeypatch.setattr(credentials, "Ed25519PrivateKey", CountingKey)
+    _, trace = run_fixture(birth_model, seed=9_001)
+    assert set(trace.final_labels.values()) == {"Satisfied"}
+    assert len(loads) == len(set(loads)) == 5
 
 
 def test_different_seed_changes_keys_not_outcome(birth_model):
@@ -480,6 +504,16 @@ def test_replayed_nonce_fails_subject_binding(birth_model):
     assert event["integrity"] is True and event["issuerSignature"] is True and event["issuerTrusted"] is True
     assert event["failReason"] == "subjectBinding"
     assert_no_certificate(trace)
+    # Deliver summarizes the replacement; Send keeps the original nonce.
+    sent, delivered = (
+        e["message"]
+        for e in trace.events
+        if e["kind"] in ("Send", "Deliver")
+        and e["message"]["type"] == "ProofPresentation"
+        and e["message"]["flow"] == "dep-bnd-registrar"
+    )
+    assert delivered["nonce"] == bytes(16).hex() != sent["nonce"]
+    assert dict(sent, nonce=None) == dict(delivered, nonce=None)
 
 
 def test_impostor_presenter_fails_subject_binding(birth_model):
@@ -565,6 +599,16 @@ def test_starved_verifier_gives_up(birth_model):
     assert trace.final_tick == 41
 
 
+def test_events_do_not_share_message_summaries(birth_model):
+    _, trace = run_fixture(birth_model, config=SimConfig(seed=42, drop_probability=0.3))
+    messages = [e["message"] for e in trace.events if "message" in e]
+    assert {"Send", "Deliver", "Drop"} <= {e["kind"] for e in trace.events}
+    assert len({id(m) for m in messages}) == len(messages)
+    before = [dict(m) for m in messages]
+    messages[0]["flow"] = "tampered"
+    assert [dict(m) for m in messages[1:]] == before[1:]
+
+
 def test_identity_intercept_changes_nothing(birth_model):
     _, plain = run_fixture(birth_model)
     _, hooked = run_fixture(birth_model, intercept=lambda msg, tick: msg)
@@ -586,6 +630,32 @@ def test_trace_lines_are_canonical_json(birth_model):
     assert tail["finalLabels"] == dict(trace.final_labels)
     assert len(lines) == len(trace.events) + 2
     assert trace.text() == "\n".join(lines) + "\n"
+
+
+def load_scaled():
+    """``bench/scaled.py``, the generator of the benchmark's multi-copy fixtures."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "scaled.py"
+    spec = importlib.util.spec_from_file_location("scaled", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_text_equals_per_event_canonical_bytes(birth_path):
+    doc = load_scaled().scale_document(json.loads(birth_path.read_text(encoding="utf-8")), 3)
+    model = parse_model(json.dumps(doc).encode("utf-8")).model
+    _, trace = run_fixture(model, seed=7, config=SimConfig(seed=7, drop_probability=0.3))
+    assert Counter(e["kind"] for e in trace.events)["Drop"] > 0
+    oracle = [
+        canonical_bytes({"config": dict(trace.config)}),
+        *(canonical_bytes(dict(e)) for e in trace.events),
+        canonical_bytes(
+            {"finalLabels": dict(trace.final_labels), "finalTick": trace.final_tick, "termination": trace.termination}
+        ),
+    ]
+    assert trace.text().encode("utf-8") == b"\n".join(oracle) + b"\n"
+    read_only = dataclasses.replace(trace, events=tuple(MappingProxyType(e) for e in trace.events))
+    assert read_only.text() == trace.text()
 
 
 def test_write_trace_round_trips(birth_model, tmp_path):
