@@ -15,12 +15,10 @@ from .model import (
     InternalLink,
     LinkKind,
     Model,
-    RefinementNode,
     UnknownActorError,
     ValidationIssue,
     ValidationReport,
     dependencies_of,
-    refinement_forest,
     validate,
 )
 from .pistar import ParseError, ParseResult, export_dot, parse_model, serialize_model

@@ -2,13 +2,15 @@
 
 Exit codes across all commands: 0 success, 1 semantic failure (validation
 errors, unsatisfied root goals, strict-mode warnings, bad trust data), 2
-unusable input (unreadable file, unparseable document, bad flags).  With
+unusable input or output (unreadable file, unparseable document, bad
+flags, an output file that cannot be written).  With
 ``--format json`` stdout carries exactly one JSON document; diagnostics go
 to stderr.  Set ``SSIFORGE_NO_COLOR`` to suppress ANSI styling.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -89,6 +91,21 @@ def _read_document(path: str) -> bytes:
     except OSError as exc:
         _fail(f"cannot read {path}: {exc}", 2)
         raise AssertionError  # unreachable
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn a failed write of ``path`` into one line and exit 2."""
+    try:
+        yield
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc}", 2)
+
+
+def _probability(ctx, param, value: float) -> float:
+    if not 0.0 <= value <= 1.0:  # also rejects nan, which click.FloatRange lets through
+        raise click.BadParameter(f"{value} is not within [0, 1]")
+    return value
 
 
 def _load_model(path: str):
@@ -236,7 +253,9 @@ def cmd_roles(path: str, lexicon_path: str | None, fmt: str, strict: bool) -> No
 @click.argument("path", type=click.Path())
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--trust", "trust_path", type=click.Path(), default=None, help="JSON trust override file.")
-@click.option("--drop", type=float, default=0.0, show_default=True, help="Message drop probability.")
+@click.option(
+    "--drop", type=float, default=0.0, show_default=True, callback=_probability, help="Message drop probability."
+)
 @click.option("--trace", "trace_path", type=click.Path(), default=None, help="Write the JSONL trace here.")
 @click.option("--dot", "dot_path", type=click.Path(), default=None, help="Write the SD view as DOT here.")
 @click.option("--lexicon", "lexicon_path", type=click.Path(), default=None, help="JSON verb lexicon override.")
@@ -292,9 +311,11 @@ def cmd_simulate(
 
     trace = run(model, agents, config)
     if trace_path is not None:
-        write_trace(trace, trace_path)
+        with _writing(trace_path):
+            write_trace(trace, trace_path)
     if dot_path is not None:
-        Path(dot_path).write_text(export_dot(model, "sd"), encoding="utf-8")
+        with _writing(dot_path):
+            Path(dot_path).write_text(export_dot(model, "sd"), encoding="utf-8")
 
     click.echo("Root goals:")
     all_satisfied = True
@@ -326,7 +347,8 @@ def cmd_export(path: str, view: str, out_path: str | None) -> None:
     if out_path is None:
         click.echo(dot, nl=False)
     else:
-        Path(out_path).write_text(dot, encoding="utf-8")
+        with _writing(out_path):
+            Path(out_path).write_text(dot, encoding="utf-8")
 
 
 if __name__ == "__main__":

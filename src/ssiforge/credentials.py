@@ -25,6 +25,7 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring
 from typing import Mapping
 
 from cryptography.exceptions import InvalidSignature
@@ -146,9 +147,34 @@ def resolve_did(did: str, directory: Mapping[str, DidDocument]) -> DidDocument:
 CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+def _build_canonical_encoder():
+    """``CANONICAL_JSON.encode`` with its C encoder built once, not per call.
+
+    The encoder keeps no circular-reference markers: every value encoded
+    here is a tree ssiforge built itself.  Without the C accelerator this is
+    ``CANONICAL_JSON.encode``.
+    """
+    if c_make_encoder is None:
+        return CANONICAL_JSON.encode
+    j = CANONICAL_JSON
+    # The arguments ``json.JSONEncoder.iterencode`` passes, with None for the markers.
+    c_encode = c_make_encoder(
+        None, j.default, encode_basestring, j.indent, j.key_separator, j.item_separator, j.sort_keys, j.skipkeys,
+        j.allow_nan
+    )
+
+    def encode(value) -> str:
+        return "".join(c_encode(value, 0))
+
+    return encode
+
+
+canonical_text = _build_canonical_encoder()
+
+
 def canonical_bytes(value) -> bytes:
     """Canonical JSON encoding: sorted keys, no whitespace, raw UTF-8."""
-    return CANONICAL_JSON.encode(value).encode("utf-8")
+    return canonical_text(value).encode("utf-8")
 
 
 @dataclass(frozen=True)

@@ -321,51 +321,6 @@ def _refinement_cycle_members(actor: Actor) -> set[Identifier]:
 
 
 @dataclass(frozen=True)
-class RefinementNode:
-    element: Identifier
-    mode: LinkKind | None
-    children: tuple["RefinementNode", ...] = ()
-
-
-def refinement_forest(model: Model, actor_id: Identifier) -> tuple[RefinementNode, ...]:
-    """Build the refinement tree(s) of one actor.
-
-    Roots are elements that never appear as the source (child side) of a
-    refinement link; each node records whether its children are And or Or
-    refined.  A child claimed by several parents is attached only to the
-    first parent in link order.  Assumes a model free of refinement cycles.
-    """
-    actor = model.actor(actor_id)
-    if actor is None:
-        raise UnknownActorError(actor_id)
-    children: dict[Identifier, list[Identifier]] = {}
-    mode: dict[Identifier, LinkKind] = {}
-    claimed: set[Identifier] = set()
-    child_side: set[Identifier] = set()
-    for link in actor.links:
-        if link.kind not in REFINEMENT_KINDS or actor.element(link.source) is None or actor.element(link.target) is None:
-            continue
-        child_side.add(link.source)
-        if link.source in claimed:
-            continue
-        claimed.add(link.source)
-        children.setdefault(link.target, []).append(link.source)
-        mode.setdefault(link.target, link.kind)
-
-    def build(element_id: Identifier, seen: frozenset[Identifier]) -> RefinementNode:
-        if element_id in seen:
-            return RefinementNode(element_id, None, ())
-        kids = children.get(element_id, [])
-        return RefinementNode(
-            element_id,
-            mode.get(element_id),
-            tuple(build(k, seen | {element_id}) for k in kids),
-        )
-
-    return tuple(build(e.id, frozenset()) for e in actor.elements if e.id not in child_side)
-
-
-@dataclass(frozen=True)
 class ActorDependencies:
     as_depender: tuple[Dependency, ...] = ()
     as_dependee: tuple[Dependency, ...] = ()

@@ -34,7 +34,6 @@ from .model import (
     LinkKind,
     Model,
     REFINEMENT_KINDS,
-    refinement_forest,
 )
 
 
@@ -114,17 +113,19 @@ def combine_dependencies(sources: list[LabelState]) -> LabelState:
 
 
 def root_goals(model: Model) -> tuple[tuple[Identifier, Element], ...]:
-    """Goal elements at the top of each actor's refinement forest.
+    """Goal elements at the top of each actor's refinement forest, in element order.
 
-    Root tasks and resources are excluded: they are means, and only goals
-    decide whether a run counts as a success.
+    A root is never the child (source) side of a refinement link inside its
+    actor.  Root tasks and resources are excluded: they are means, and only
+    goals decide whether a run counts as a success.
     """
     out: list[tuple[Identifier, Element]] = []
     for actor in model.actors:
-        for node in refinement_forest(model, actor.id):
-            elem = actor.element(node.element)
-            if elem is not None and elem.kind is ElementKind.GOAL:
-                out.append((actor.id, elem))
+        local = {e.id for e in actor.elements}
+        refined = {
+            l.source for l in actor.links if l.kind in REFINEMENT_KINDS and l.source in local and l.target in local
+        }
+        out.extend((actor.id, e) for e in actor.elements if e.kind is ElementKind.GOAL and e.id not in refined)
     return tuple(out)
 
 

@@ -33,11 +33,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .credentials import (
-    CANONICAL_JSON,
     Credential,
     DidDocument,
     KeyPair,
     Presentation,
+    canonical_text,
     create_presentation,
     did_from_public_key,
     generate_keypair,
@@ -378,12 +378,16 @@ class Trace:
     final_labels: Mapping[Identifier, str]
     termination: str
     final_tick: int
+    # The events' lines as the run recorded them.  Not an init field, so a
+    # trace built by hand or by ``dataclasses.replace`` encodes its events.
+    _recorded: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def lines(self) -> list[str]:
-        encode = CANONICAL_JSON.encode
-        head = encode({"config": dict(self.config)})
-        body = [encode(e if isinstance(e, dict) else dict(e)) for e in self.events]
-        tail = encode(
+        head = canonical_text({"config": dict(self.config)})
+        body = self._recorded
+        if body is None:
+            body = [canonical_text(e if isinstance(e, dict) else dict(e)) for e in self.events]
+        tail = canonical_text(
             {
                 "finalLabels": dict(self.final_labels),
                 "finalTick": self.final_tick,
@@ -452,6 +456,7 @@ class _Simulation:
         self.subject_dids: dict[str, str] = {}
         self.labels: dict[Identifier, LabelState] = {}
         self.events: list[dict] = []
+        self.event_lines: list[str] = []  # each event's canonical JSON, encoded as it is recorded
         self.heap: list[tuple[int, int, tuple]] = []
         self.order = 0
         self.seq = 0
@@ -467,6 +472,14 @@ class _Simulation:
         record = {"kind": kind, "seq": self.seq, "tick": self.tick}
         record.update(fields)
         self.events.append(record)
+        self.event_lines.append(canonical_text(record))
+        self.seq += 1
+
+    def _message_event(self, kind: str, summary: dict, encoded: str) -> None:
+        """Record a Send, Deliver or Drop; ``encoded`` is ``summary``'s canonical JSON."""
+        self.events.append({"kind": kind, "seq": self.seq, "tick": self.tick, "message": summary})
+        # The keys in canonical (sorted) order; kind needs no escaping.
+        self.event_lines.append(f'{{"kind":"{kind}","message":{encoded},"seq":{self.seq},"tick":{self.tick}}}')
         self.seq += 1
 
     def _message_summary(self, msg: Message) -> dict:
@@ -494,9 +507,10 @@ class _Simulation:
 
     def _send(self, msg: Message) -> None:
         summary = self._message_summary(msg)
-        self._event("Send", message=summary)
+        encoded = canonical_text(summary)
+        self._message_event("Send", summary, encoded)
         latency = self.config.latency_between(msg.from_actor, msg.to_actor)
-        self._push(self.tick + latency, ("deliver", msg, summary))
+        self._push(self.tick + latency, ("deliver", msg, summary, encoded))
 
     def _set_label(self, element_id: Identifier | None, label: LabelState) -> None:
         if element_id is None:
@@ -824,7 +838,7 @@ class _Simulation:
             if entry[0] == "timer":
                 self._on_timer(entry[1], entry[2], entry[3])
                 continue
-            _, msg, summary = entry
+            _, msg, summary, encoded = entry
             dropped = self.prng.next_float() < self.config.drop_probability
             if not dropped and self.intercept is not None:
                 replacement = self.intercept(msg, self.tick)
@@ -833,21 +847,24 @@ class _Simulation:
                 elif replacement is not msg:
                     msg = replacement
                     summary = self._message_summary(msg)
+                    encoded = canonical_text(summary)
             # A copy, so that no two events share one summary dict.
-            self._event("Drop" if dropped else "Deliver", message=dict(summary))
+            self._message_event("Drop" if dropped else "Deliver", dict(summary), encoded)
             if dropped:
                 continue
             handler = self._HANDLERS[msg.kind]
             handler(self, self.agents[msg.to_actor], msg)
 
         final = evaluate_goals(self.model, self.labels)
-        return Trace(
+        trace = Trace(
             config=self.config.as_trace_dict(),
             events=tuple(self.events),
             final_labels={k: v.value for k, v in sorted(final.items())},
             termination=termination,
             final_tick=self.tick,
         )
+        object.__setattr__(trace, "_recorded", tuple(self.event_lines))
+        return trace
 
 
 def run(

@@ -344,6 +344,57 @@ def test_simulate_drop_flag(runner, birth_path):
     assert "Termination: quiescence at tick 40" in result.output
 
 
+@pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
+def test_simulate_out_of_range_drop_exits_two(runner, birth_path, value):
+    result = runner.invoke(main, ["simulate", str(birth_path), "--drop", value])
+    assert result.exit_code == 2
+    assert "Invalid value for '--drop'" in result.stderr
+    assert "Root goals:" not in result.output
+
+
+def goal_chain_doc(length):
+    """One actor whose goals form an And-refinement chain, listed child first."""
+    nodes = [
+        {"id": f"g{i}", "text": f"Goal {i}", "type": "istar.Goal", "x": 0, "y": 0, "customProperties": {}}
+        for i in range(length)
+    ]
+    links = [
+        {"id": f"l{i}", "type": "istar.AndRefinementLink", "source": f"g{i}", "target": f"g{i + 1}"}
+        for i in range(length - 1)
+    ]
+    actor = {"id": "A", "text": "A", "type": "istar.Actor", "x": 0, "y": 0, "customProperties": {}, "nodes": nodes}
+    return {"actors": [actor], "dependencies": [], "links": links, "istar": "2.0"}
+
+
+def test_simulate_deep_goal_chain_exits_without_traceback(runner, tmp_path):
+    path = write_doc(tmp_path, goal_chain_doc(1000))
+    assert runner.invoke(main, ["validate", path]).exit_code == 0
+    result = runner.invoke(main, ["simulate", path])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1  # the root goal stays Unknown: nothing in the chain is seeded
+    assert "  A: Goal 999: Unknown" in result.output
+    assert "Traceback" not in result.output + result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--seed", "42", "--trace"],
+        ["simulate", "--seed", "42", "--dot"],
+        ["export", "--view", "sd", "--out"],
+    ],
+    ids=["trace", "dot", "out"],
+)
+def test_unwritable_output_exits_two(runner, birth_path, tmp_path, args):
+    target = tmp_path / "missing" / "out.txt"
+    command, *options = args
+    result = runner.invoke(main, [command, str(birth_path), *options, str(target)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"cannot write {target}: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert not target.parent.exists()
+
+
 # -- export ---------------------------------------------------------------
 
 

@@ -6,6 +6,8 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+import ssiforge.credentials as credentials
+
 from ssiforge.credentials import (
     CHECK_ORDER,
     DidDocument,
@@ -133,6 +135,22 @@ def test_canonical_bytes_shape():
         b'{"a":["\\u0000\\u001f\x7f","\\"q\\"\\\\",1.5,null,true,0,100000000000000000000],'
         b'"z":{"a":"Zo\xc3\xab \xe2\x80\xa8 \xe6\x97\xa5","b":"tab\\there\\nnew"},"\xc3\x89":{}}'
     )
+
+
+def test_prebuilt_encoder_matches_the_json_encoder(monkeypatch):
+    values = [
+        {"b": 1, "a": "é", "c": [1.5, -0.0, float("inf"), None, False, {"z": {}, "y": []}]},
+        {3: "int key", 1: True},
+        "tab\tand \u2028",
+        10**20,
+        [],
+    ]
+    for value in values:
+        assert credentials.canonical_text(value) == credentials.CANONICAL_JSON.encode(value)
+    with pytest.raises(TypeError):
+        credentials.canonical_text({"raw": b"bytes"})
+    monkeypatch.setattr(credentials, "c_make_encoder", None)
+    assert credentials._build_canonical_encoder() == credentials.CANONICAL_JSON.encode
 
 
 def test_canonical_bytes_distinguishes_payloads():

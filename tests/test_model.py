@@ -17,7 +17,6 @@ from ssiforge.model import (
     Model,
     UnknownActorError,
     dependencies_of,
-    refinement_forest,
     validate,
 )
 
@@ -224,47 +223,6 @@ def test_generated_models_validate_clean():
         model = helpers.make_random_model(rng)
         report = validate(model)
         assert report.errors == (), (seed, report.errors)
-
-
-def test_refinement_forest_of_fixture(birth_model):
-    forest = refinement_forest(birth_model, "Mother")
-    assert [n.element for n in forest] == ["mother-goal"]
-    root = forest[0]
-    assert root.mode is LinkKind.AND_REFINEMENT
-    assert [c.element for c in root.children] == [
-        "mother-obtain-bnd",
-        "mother-present-id",
-        "mother-present-bnd",
-        "mother-obtain-cert",
-    ]
-    assert all(c.children == () and c.mode is None for c in root.children)
-
-    registrar = refinement_forest(birth_model, "Registrar")
-    assert [n.element for n in registrar] == ["registrar-goal", "registrar-issue-cert"]
-
-
-def test_refinement_forest_attaches_multi_parent_child_once():
-    model = Model(
-        (
-            actor(
-                "a",
-                [goal("g1"), goal("g2"), task("t")],
-                [
-                    InternalLink("l1", LinkKind.AND_REFINEMENT, "t", "g1"),
-                    InternalLink("l2", LinkKind.AND_REFINEMENT, "t", "g2"),
-                ],
-            ),
-        )
-    )
-    forest = refinement_forest(model, "a")
-    assert [n.element for n in forest] == ["g1", "g2"]
-    assert [c.element for c in forest[0].children] == ["t"]
-    assert forest[1].children == ()
-
-
-def test_refinement_forest_unknown_actor(birth_model):
-    with pytest.raises(UnknownActorError):
-        refinement_forest(birth_model, "Stranger")
 
 
 def test_dependencies_of_fixture(birth_model):

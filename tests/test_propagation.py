@@ -149,6 +149,40 @@ def _task(eid):
     return Element(eid, eid, ElementKind.TASK)
 
 
+def _goal(eid):
+    return Element(eid, eid, ElementKind.GOAL)
+
+
+def test_root_goals_are_goals_never_refined_inside_their_actor():
+    model = Model(
+        (
+            _actor(
+                "a",
+                [_goal("g1"), _goal("g2"), _goal("sub"), _task("t"), _task("top-task")],
+                [
+                    InternalLink("l1", LinkKind.AND_REFINEMENT, "t", "g1"),
+                    InternalLink("l2", LinkKind.OR_REFINEMENT, "t", "g2"),
+                    InternalLink("l3", LinkKind.AND_REFINEMENT, "sub", "g2"),
+                    # A link whose parent is not in this actor leaves g1 a root.
+                    InternalLink("l4", LinkKind.AND_REFINEMENT, "g1", "elsewhere"),
+                    InternalLink("l5", LinkKind.CONTRIBUTION, "g2", "g1", ContributionLabel.HELP),
+                ],
+            ),
+            _actor("b", [_goal("b-goal")]),
+        )
+    )
+    assert [(actor, elem.id) for actor, elem in root_goals(model)] == [("a", "g1"), ("a", "g2"), ("b", "b-goal")]
+
+
+@pytest.mark.parametrize("child_first", [True, False], ids=["child-first", "parent-first"])
+def test_root_goals_of_a_deep_chain(child_first):
+    ids = [f"g{i}" for i in range(5000)]
+    elements = [_goal(eid) for eid in (ids if child_first else reversed(ids))]
+    links = [InternalLink(f"l{i}", LinkKind.AND_REFINEMENT, ids[i], ids[i + 1]) for i in range(len(ids) - 1)]
+    model = Model((_actor("a", elements, links),))
+    assert [elem.id for _, elem in root_goals(model)] == ["g4999"]
+
+
 def test_or_refinement_needs_one_satisfied_child():
     model = Model(
         (

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import importlib.util
+import itertools
 import json
 from collections import Counter
 from pathlib import Path
@@ -641,21 +642,73 @@ def load_scaled():
     return module
 
 
-def test_trace_text_equals_per_event_canonical_bytes(birth_path):
-    doc = load_scaled().scale_document(json.loads(birth_path.read_text(encoding="utf-8")), 3)
-    model = parse_model(json.dumps(doc).encode("utf-8")).model
-    _, trace = run_fixture(model, seed=7, config=SimConfig(seed=7, drop_probability=0.3))
-    assert Counter(e["kind"] for e in trace.events)["Drop"] > 0
-    oracle = [
+# sha256 of the 3-copy scaled fixture's trace at seed 7, drop 0.3: a run with drops.
+SCALED_LOSSY_TRACE_SHA256 = "f657090a4dceaacbdc7bb1b7cafd775f3ec661e638273a35bef334c84caf7a11"
+
+
+def scaled_model(birth_path, copies):
+    doc = load_scaled().scale_document(json.loads(birth_path.read_text(encoding="utf-8")), copies)
+    return parse_model(json.dumps(doc).encode("utf-8")).model
+
+
+def per_event_oracle(trace) -> bytes:
+    """The trace text from one ``canonical_bytes`` call per line."""
+    lines = [
         canonical_bytes({"config": dict(trace.config)}),
         *(canonical_bytes(dict(e)) for e in trace.events),
         canonical_bytes(
             {"finalLabels": dict(trace.final_labels), "finalTick": trace.final_tick, "termination": trace.termination}
         ),
     ]
-    assert trace.text().encode("utf-8") == b"\n".join(oracle) + b"\n"
+    return b"\n".join(lines) + b"\n"
+
+
+def rewriting_intercept():
+    """Replace every third delivered message with a differently summarized one, and drop every seventh."""
+    calls = itertools.count(1)
+
+    def intercept(msg, tick):
+        n = next(calls)
+        if n % 7 == 0:
+            return None
+        if n % 3 == 0:
+            return dataclasses.replace(msg, purpose=f"rewritten {n}")
+        return msg
+
+    return intercept
+
+
+def test_scaled_lossy_trace_is_pinned(birth_path):
+    _, trace = run_fixture(scaled_model(birth_path, 3), seed=7, config=SimConfig(seed=7, drop_probability=0.3))
+    assert hashlib.sha256(trace.text().encode("utf-8")).hexdigest() == SCALED_LOSSY_TRACE_SHA256
+
+
+def test_trace_text_equals_per_event_canonical_bytes(birth_path):
+    model = scaled_model(birth_path, 3)
+    config = SimConfig(seed=7, drop_probability=0.3)
+    _, trace = run_fixture(model, seed=7, config=config)
+    assert Counter(e["kind"] for e in trace.events)["Drop"] > 0
+    assert trace.text().encode("utf-8") == per_event_oracle(trace)
     read_only = dataclasses.replace(trace, events=tuple(MappingProxyType(e) for e in trace.events))
     assert read_only.text() == trace.text()
+
+    # Replaced messages are summarized and encoded again at delivery.
+    _, hooked = run_fixture(model, seed=7, config=config, intercept=rewriting_intercept())
+    delivered = [e["message"] for e in hooked.events if e["kind"] == "Deliver"]
+    assert any("rewritten" in m.get("purpose", "") for m in delivered)
+    assert hooked.text().encode("utf-8") == per_event_oracle(hooked)
+
+
+def test_replaced_trace_serializes_its_own_events(birth_model):
+    _, trace = run_fixture(birth_model, config=SimConfig(seed=42, drop_probability=0.3))
+    altered = tuple(
+        dict(e, tick=e["tick"] + 1, message=dict(e["message"], to="Nobody")) if "message" in e else dict(e, tick=0)
+        for e in trace.events
+    )
+    replaced = dataclasses.replace(trace, events=altered)
+    assert replaced.lines()[1:-1] == [canonical_bytes(e).decode("utf-8") for e in altered]
+    assert replaced.text().encode("utf-8") == per_event_oracle(replaced) != trace.text().encode("utf-8")
+    assert replaced.lines()[0] == trace.lines()[0] and replaced.lines()[-1] == trace.lines()[-1]
 
 
 def test_write_trace_round_trips(birth_model, tmp_path):
