@@ -15,10 +15,8 @@ from .model import (
     InternalLink,
     LinkKind,
     Model,
-    UnknownActorError,
     ValidationIssue,
     ValidationReport,
-    dependencies_of,
     validate,
 )
 from .pistar import ParseError, ParseResult, export_dot, parse_model, serialize_model
@@ -71,6 +69,7 @@ _LAZY = {
         "Message",
         "SimConfig",
         "Trace",
+        "actor_key_seed",
         "compile_agents",
         "derive_bootstrap",
         "run",

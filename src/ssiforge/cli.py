@@ -14,12 +14,12 @@ import contextlib
 import json
 import os
 import sys
-from importlib import import_module
 from pathlib import Path
 
 import click
 
-from . import __version__
+import ssiforge
+
 from .model import validate as validate_model
 from .overlay import (
     DEFAULT_LEXICON,
@@ -35,36 +35,34 @@ from .overlay import (
 from .pistar import export_dot, parse_model
 
 # What only ``simulate`` uses, and with it ``cryptography``: bound as module
-# globals on the first ``simulate`` (or on first attribute access), so that
-# validate, roles and export never load it.  A name already set on the module
-# (a wrapper, say) is kept.
-_SIMULATE_IMPORTS = {
-    "credentials": ("did_from_public_key", "generate_keypair"),
-    "propagation": ("LabelState", "root_goals"),
-    "simulator": (
-        "CompileError",
-        "SimConfig",
-        "actor_key_seed",
-        "compile_agents",
-        "derive_bootstrap",
-        "run",
-        "write_trace",
-    ),
-}
+# globals from the package's lazy names on the first ``simulate`` (or on first
+# attribute access), so that validate, roles and export never load it.  A name
+# already set on the module (a wrapper, say) is kept.
+_SIMULATE_NAMES = (
+    "did_from_public_key",
+    "generate_keypair",
+    "LabelState",
+    "root_goals",
+    "CompileError",
+    "SimConfig",
+    "actor_key_seed",
+    "compile_agents",
+    "derive_bootstrap",
+    "run",
+    "write_trace",
+)
 
 _LABEL_COLORS = {"Satisfied": "green", "Denied": "red"}
 _LEXICON_KEYS = {"issueVerbs": "issue_verbs", "provideVerbs": "provide_verbs", "checkVerbs": "check_verbs"}
 
 
 def _load_simulation() -> None:
-    for module, names in _SIMULATE_IMPORTS.items():
-        loaded = import_module(f".{module}", __package__)
-        for name in names:
-            globals().setdefault(name, getattr(loaded, name))
+    for name in _SIMULATE_NAMES:
+        globals().setdefault(name, getattr(ssiforge, name))
 
 
 def __getattr__(name: str):
-    if not any(name in names for names in _SIMULATE_IMPORTS.values()):
+    if name not in _SIMULATE_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _load_simulation()
     return globals()[name]
@@ -158,7 +156,7 @@ def _load_overrides(path: str | None) -> tuple[TrustOverride, ...]:
 
 
 @click.group()
-@click.version_option(__version__, prog_name="ssiforge")
+@click.version_option(ssiforge.__version__, prog_name="ssiforge")
 def main() -> None:
     """Goal-model driven credential ecosystem toolkit."""
 

@@ -204,7 +204,6 @@ class Presentation:
 class CredentialCheck:
     integrity: bool
     issuer_signature: bool
-    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -292,7 +291,7 @@ def verify_credential(
     try:
         issuer_doc = resolve_did(credential.issuer, directory)
     except DidResolutionError:
-        return CredentialCheck(integrity=integrity, issuer_signature=False, reason=DidResolutionError.code)
+        return CredentialCheck(integrity=integrity, issuer_signature=False)
     issuer_signature = verify_signature(issuer_doc.verification_key, raw, credential.signature)
     return CredentialCheck(integrity=integrity, issuer_signature=issuer_signature)
 

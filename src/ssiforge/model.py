@@ -24,7 +24,7 @@ W_MULTI_PARENT             element that refines more than one parent
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 Identifier = str
@@ -67,10 +67,6 @@ REFINEMENT_KINDS = frozenset({LinkKind.AND_REFINEMENT, LinkKind.OR_REFINEMENT})
 
 # Allowed target kinds for a refinement link.
 _REFINABLE = frozenset({ElementKind.GOAL, ElementKind.TASK})
-
-
-class UnknownActorError(KeyError):
-    """Raised when an operation names an actor id absent from the model."""
 
 
 def _tuple(items: Iterable) -> tuple:
@@ -157,16 +153,6 @@ class Model:
     def actor(self, actor_id: Identifier) -> Actor | None:
         return self._actors_by_id.get(actor_id)
 
-    def owner_of(self, element_id: Identifier) -> Actor | None:
-        for actor in self.actors:
-            if actor.element(element_id) is not None:
-                return actor
-        return None
-
-    def replace_actor(self, actor: Actor) -> "Model":
-        actors = tuple(actor if a.id == actor.id else a for a in self.actors)
-        return replace(self, actors=actors)
-
 
 @dataclass(frozen=True)
 class ValidationIssue:
@@ -179,10 +165,6 @@ class ValidationIssue:
 class ValidationReport:
     errors: tuple[ValidationIssue, ...] = ()
     warnings: tuple[ValidationIssue, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
 
 
 def _all_ids(model: Model) -> list[Identifier]:
@@ -318,18 +300,3 @@ def _refinement_cycle_members(actor: Actor) -> set[Identifier]:
                 queue.append(src)
     participants = {e for e in local if e not in removed and outdeg[e] > 0}
     return participants
-
-
-@dataclass(frozen=True)
-class ActorDependencies:
-    as_depender: tuple[Dependency, ...] = ()
-    as_dependee: tuple[Dependency, ...] = ()
-
-
-def dependencies_of(model: Model, actor_id: Identifier) -> ActorDependencies:
-    """Partition the model's dependencies around one actor, in model order."""
-    if model.actor(actor_id) is None:
-        raise UnknownActorError(actor_id)
-    as_depender = tuple(d for d in model.dependencies if d.depender == actor_id)
-    as_dependee = tuple(d for d in model.dependencies if d.dependee == actor_id)
-    return ActorDependencies(as_depender=as_depender, as_dependee=as_dependee)

@@ -38,7 +38,7 @@ def normalize_name(text: str) -> str:
 
 @dataclass(frozen=True)
 class VerbLexicon:
-    """Task-name prefixes that signal credential handling intent."""
+    """Leading task-name words that signal credential handling intent."""
 
     issue_verbs: frozenset[str] = frozenset({"issue"})
     provide_verbs: frozenset[str] = frozenset({"provide", "present"})
@@ -205,22 +205,20 @@ class CredentialCatalog:
             return known
         return self.canonical.get(normalize_name(dependum_name), dependum_name)
 
-    def mentioned_types(self, task_name: str) -> list[str]:
-        """Types with a spelling inside the normalized task name, in catalog order."""
-        return self.types_in(normalize_name(task_name))
-
     def types_in(self, name_norm: str) -> list[str]:
-        """:meth:`mentioned_types` of a name that is already normalized."""
+        """Types with a spelling inside the normalized name ``name_norm``, in catalog order."""
         return self._index.owners_in(name_norm)
 
 
 def _verb_class(name_norm: str, lexicon: VerbLexicon) -> SsiRole | None:
+    # Verbs match whole words: "checkout bnd" does not start with "check".
+    words = name_norm + " "
     for verbs, role in (
         (lexicon.issue_verbs, SsiRole.ISSUER),
         (lexicon.provide_verbs, SsiRole.HOLDER),
         (lexicon.check_verbs, SsiRole.VERIFIER),
     ):
-        if any(name_norm.startswith(v) for v in verbs):
+        if any(words.startswith(v + " ") for v in verbs):
             return role
     return None
 

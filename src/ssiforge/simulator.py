@@ -153,16 +153,6 @@ class RequestBehavior:
 
 
 @dataclass(frozen=True)
-class AnswerBehavior:
-    """Answer proof requests for one credential type from the wallet."""
-
-    credential_type: str
-
-
-Behavior = VerifyBehavior | IssueBehavior | RequestBehavior | AnswerBehavior
-
-
-@dataclass(frozen=True)
 class BootstrapCredential:
     credential_type: str
     issuer: Identifier
@@ -175,7 +165,10 @@ class AgentSpec:
     did: str
     keys: KeyPair
     wallet: tuple[Credential, ...]
-    behaviors: tuple[Behavior, ...]
+    verifies: tuple[VerifyBehavior, ...]
+    issues: tuple[IssueBehavior, ...]
+    requests: tuple[RequestBehavior, ...]
+    answers: tuple[str, ...]  # the credential types it answers proof requests for
     trust: TrustRegistry
     prelabeled: tuple[Identifier, ...] = ()
 
@@ -331,25 +324,21 @@ def compile_agents(
         if issuer_tasks:
             prelabeled[entry.issuer].append(issuer_tasks[0])
 
-    agents = []
-    for actor in model.actors:
-        behaviors: list[Behavior] = []
-        behaviors.extend(verify_behaviors[actor.id])
-        behaviors.extend(issue_behaviors[actor.id])
-        behaviors.extend(request_behaviors[actor.id])
-        behaviors.extend(AnswerBehavior(t) for t in answer_types[actor.id])
-        agents.append(
-            AgentSpec(
-                actor=actor.id,
-                did=dids[actor.id],
-                keys=keys[actor.id],
-                wallet=tuple(wallets[actor.id]),
-                behaviors=tuple(behaviors),
-                trust=trust,
-                prelabeled=tuple(prelabeled[actor.id]),
-            )
+    return tuple(
+        AgentSpec(
+            actor=actor.id,
+            did=dids[actor.id],
+            keys=keys[actor.id],
+            wallet=tuple(wallets[actor.id]),
+            verifies=tuple(verify_behaviors[actor.id]),
+            issues=tuple(issue_behaviors[actor.id]),
+            requests=tuple(request_behaviors[actor.id]),
+            answers=tuple(answer_types[actor.id]),
+            trust=trust,
+            prelabeled=tuple(prelabeled[actor.id]),
         )
-    return tuple(agents)
+        for actor in model.actors
+    )
 
 
 @dataclass(frozen=True)
@@ -359,9 +348,6 @@ class Message:
     credential_type: str
     from_actor: Identifier
     to_actor: Identifier
-    from_did: str
-    to_did: str
-    send_tick: int
     nonce: bytes | None = None
     credential: Credential | None = None
     presentation: Presentation | None = None
@@ -424,16 +410,9 @@ class _AgentState:
             self.wallet[credential.type] = credential
         self.record_store: dict[str, list[str]] = {}
         self.deferred: list[Message] = []
-        self.verifications: dict[Identifier, _VerifyState] = {
-            b.flow: _VerifyState(b) for b in spec.behaviors if isinstance(b, VerifyBehavior)
-        }
-        self.requests: dict[Identifier, _RequestState] = {
-            b.flow: _RequestState(b) for b in spec.behaviors if isinstance(b, RequestBehavior)
-        }
-        self.issue_by_flow: dict[Identifier, IssueBehavior] = {
-            b.flow: b for b in spec.behaviors if isinstance(b, IssueBehavior)
-        }
-        self.answer_types = {b.credential_type for b in spec.behaviors if isinstance(b, AnswerBehavior)}
+        self.verifications: dict[Identifier, _VerifyState] = {b.flow: _VerifyState(b) for b in spec.verifies}
+        self.requests: dict[Identifier, _RequestState] = {b.flow: _RequestState(b) for b in spec.requests}
+        self.issue_by_flow: dict[Identifier, IssueBehavior] = {b.flow: b for b in spec.issues}
         self.pending_issue: dict[Identifier, str] = {}
         self.issued: dict[Identifier, Credential] = {}
 
@@ -540,7 +519,6 @@ class _Simulation:
 
     def _send_proof_request(self, agent: _AgentState, state: _VerifyState) -> None:
         behavior = state.behavior
-        presenter = self.agents[behavior.presenter]
         state.nonce = self.prng.next_nonce()
         self._send(
             Message(
@@ -549,9 +527,6 @@ class _Simulation:
                 credential_type=behavior.credential_type,
                 from_actor=agent.spec.actor,
                 to_actor=behavior.presenter,
-                from_did=agent.spec.did,
-                to_did=presenter.spec.did,
-                send_tick=self.tick,
                 nonce=state.nonce,
                 purpose=behavior.purpose,
             )
@@ -560,7 +535,6 @@ class _Simulation:
 
     def _send_issuance_request(self, agent: _AgentState, state: _RequestState) -> None:
         behavior = state.behavior
-        issuer = self.agents[behavior.issuer]
         self._send(
             Message(
                 kind="IssuanceRequest",
@@ -568,9 +542,6 @@ class _Simulation:
                 credential_type=behavior.credential_type,
                 from_actor=agent.spec.actor,
                 to_actor=behavior.issuer,
-                from_did=agent.spec.did,
-                to_did=issuer.spec.did,
-                send_tick=self.tick,
             )
         )
         self._push(self.tick + self.config.retry_timeout, ("timer", "request", agent.spec.actor, behavior.flow))
@@ -616,14 +587,10 @@ class _Simulation:
                     credential_type=behavior.credential_type,
                     from_actor=agent.spec.actor,
                     to_actor=behavior.recipient,
-                    from_did=agent.spec.did,
-                    to_did=holder_did,
-                    send_tick=self.tick,
                     credential=credential,
                 )
             )
             if behavior.copy_to is not None:
-                copy_target = self.agents[behavior.copy_to]
                 self._send(
                     Message(
                         kind="RecordCopy",
@@ -631,9 +598,6 @@ class _Simulation:
                         credential_type=behavior.credential_type,
                         from_actor=agent.spec.actor,
                         to_actor=behavior.copy_to,
-                        from_did=agent.spec.did,
-                        to_did=copy_target.spec.did,
-                        send_tick=self.tick,
                         digest=credential.id,
                         copy_task=behavior.copy_task_id,
                     )
@@ -655,7 +619,6 @@ class _Simulation:
             logger.debug("%s ignoring issuance request for %r", agent.spec.actor, msg.flow)
             return
         if msg.flow in agent.issued:
-            recipient = self.agents[behavior.recipient]
             self._send(
                 Message(
                     kind="CredentialIssuance",
@@ -663,9 +626,6 @@ class _Simulation:
                     credential_type=behavior.credential_type,
                     from_actor=agent.spec.actor,
                     to_actor=behavior.recipient,
-                    from_did=agent.spec.did,
-                    to_did=recipient.spec.did,
-                    send_tick=self.tick,
                     credential=agent.issued[msg.flow],
                 )
             )
@@ -675,7 +635,7 @@ class _Simulation:
         self._try_issue(agent)
 
     def _on_proof_request(self, agent: _AgentState, msg: Message) -> None:
-        if msg.credential_type not in agent.answer_types:
+        if msg.credential_type not in agent.spec.answers:
             logger.debug("%s has no answer behavior for %r", agent.spec.actor, msg.credential_type)
             return
         credential = agent.wallet.get(msg.credential_type)
@@ -693,9 +653,6 @@ class _Simulation:
                 credential_type=msg.credential_type,
                 from_actor=agent.spec.actor,
                 to_actor=msg.from_actor,
-                from_did=agent.spec.did,
-                to_did=msg.from_did,
-                send_tick=self.tick,
                 presentation=presentation,
             )
         )
@@ -747,9 +704,6 @@ class _Simulation:
                 credential_type=behavior.credential_type,
                 from_actor=agent.spec.actor,
                 to_actor=msg.from_actor,
-                from_did=agent.spec.did,
-                to_did=msg.from_did,
-                send_tick=self.tick,
                 verdict=overall,
             )
         )

@@ -284,3 +284,15 @@ def mutate_presentation(pres, rng: random.Random):
     else:
         return dataclasses.replace(pres, holder_proof=flip_bit_bytes(pres.holder_proof, rng)), field
     return dataclasses.replace(pres, credential=cred), field
+
+
+def rename_element(model: Model, element_id: str, new_name: str) -> Model:
+    """``model`` with the element ``element_id`` renamed, in whichever actor owns it."""
+    actors = tuple(
+        dataclasses.replace(
+            actor,
+            elements=tuple(dataclasses.replace(e, name=new_name) if e.id == element_id else e for e in actor.elements),
+        )
+        for actor in model.actors
+    )
+    return dataclasses.replace(model, actors=actors)

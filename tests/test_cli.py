@@ -480,7 +480,24 @@ def test_package_names_all_resolve():
         assert getattr(ssiforge, name) is not None, name
 
 
-def test_simulate_calls_the_functions_set_on_the_module(runner, birth_path, monkeypatch):
+# The stage functions that bench/cli_child.py wraps on ssiforge.cli for simulate,
+# in the order simulate calls them.
+SIMULATE_STAGES = (
+    "parse_model",
+    "validate_model",
+    "infer_roles",
+    "derive_flows",
+    "lint_ssi",
+    "generate_keypair",
+    "build_trust_registry",
+    "derive_bootstrap",
+    "compile_agents",
+    "run",
+    "write_trace",
+)
+
+
+def test_simulate_calls_the_functions_set_on_the_module(runner, birth_path, birth_model, tmp_path, monkeypatch):
     calls = []
 
     def spy(name):
@@ -492,8 +509,20 @@ def test_simulate_calls_the_functions_set_on_the_module(runner, birth_path, monk
 
         return wrapper
 
-    for name in ("compile_agents", "run"):
+    for name in SIMULATE_STAGES:
         monkeypatch.setattr(cli, name, spy(name))
-    result = runner.invoke(main, ["simulate", str(birth_path), "--seed", "42"])
+    trace_path = tmp_path / "run.jsonl"
+    result = runner.invoke(main, ["simulate", str(birth_path), "--seed", "42", "--trace", str(trace_path)])
     assert result.exit_code == 0
-    assert calls == ["compile_agents", "run"]
+    keygens = len(birth_model.actors)  # one key pair per actor
+    assert calls == [name for name in SIMULATE_STAGES for _ in range(keygens if name == "generate_keypair" else 1)]
+    assert trace_path.exists()
+
+
+def test_readme_library_example_prints_satisfied(monkeypatch, capsys):
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## As a library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(root)
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip() == "Satisfied"

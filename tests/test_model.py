@@ -15,8 +15,6 @@ from ssiforge.model import (
     InternalLink,
     LinkKind,
     Model,
-    UnknownActorError,
-    dependencies_of,
     validate,
 )
 
@@ -49,7 +47,6 @@ def test_fixture_is_clean(birth_model):
     report = validate(birth_model)
     assert report.errors == ()
     assert report.warnings == ()
-    assert report.ok
 
 
 def test_duplicate_identifier_reported():
@@ -225,33 +222,8 @@ def test_generated_models_validate_clean():
         assert report.errors == (), (seed, report.errors)
 
 
-def test_dependencies_of_fixture(birth_model):
-    mother = dependencies_of(birth_model, "Mother")
-    assert [d.id for d in mother.as_depender] == ["dep-bnd-mother", "dep-cert-mother", "dep-registration"]
-    assert [d.id for d in mother.as_dependee] == ["dep-id-midwife", "dep-id-registrar", "dep-bnd-registrar"]
-
-
-def test_dependencies_partition_covers_each_dependency_twice(birth_model):
-    # Every dependency has exactly one depender and one dependee actor.
-    depender_total = 0
-    dependee_total = 0
-    for a in birth_model.actors:
-        part = dependencies_of(birth_model, a.id)
-        depender_total += len(part.as_depender)
-        dependee_total += len(part.as_dependee)
-    assert depender_total == len(birth_model.dependencies)
-    assert dependee_total == len(birth_model.dependencies)
-
-
-def test_dependencies_of_unknown_actor(birth_model):
-    with pytest.raises(UnknownActorError):
-        dependencies_of(birth_model, "Stranger")
-
-
 def test_model_lookups(birth_model):
     assert birth_model.actor("Midwife").name == "Midwife"
     assert birth_model.actor("Stranger") is None
-    assert birth_model.owner_of("registrar-check-bnd").id == "Registrar"
-    assert birth_model.owner_of("ghost") is None
     assert birth_model.actor("Mother").element("mother-goal").kind is ElementKind.GOAL
     assert birth_model.actor("Mother").element("ghost") is None

@@ -9,6 +9,7 @@ from types import MappingProxyType
 
 import pytest
 
+import helpers
 import ssiforge.credentials as credentials
 import ssiforge.simulator as simulator
 from ssiforge.credentials import (
@@ -35,11 +36,8 @@ from ssiforge.overlay import (
 )
 from ssiforge.pistar import parse_model
 from ssiforge.simulator import (
-    AnswerBehavior,
     BootstrapCredential,
     CompileError,
-    IssueBehavior,
-    RequestBehavior,
     SimConfig,
     SplitMix64,
     VerifyBehavior,
@@ -138,9 +136,8 @@ def run_fixture(model, seed=42, overrides=(), config=None, intercept=None):
     return agents, run(model, agents, config or SimConfig(seed=seed), intercept)
 
 
-def behaviors_of(agents, actor, kind):
-    spec = next(a for a in agents if a.actor == actor)
-    return [b for b in spec.behaviors if isinstance(b, kind)]
+def spec_of(agents, actor):
+    return next(a for a in agents if a.actor == actor)
 
 
 def test_bootstrap_covers_only_the_unissued_presented_type(birth_model):
@@ -164,25 +161,25 @@ def test_compiled_fixture_agents(birth_model):
     by_actor = {a.actor: a for a in agents}
 
     mother = by_actor["Mother"]
-    assert [b.flow for b in behaviors_of(agents, "Mother", RequestBehavior)] == [
+    assert [b.flow for b in mother.requests] == [
         "dep-bnd-mother",
         "dep-cert-mother",
     ]
-    assert {b.credential_type for b in behaviors_of(agents, "Mother", AnswerBehavior)} == {MID, BND}
+    assert mother.answers == (MID, BND)
     assert [c.type for c in mother.wallet] == [MID]
     assert mother.wallet[0].issuer == by_actor["ID Agency"].did
     assert mother.prelabeled == ()
 
-    midwife_verifies = behaviors_of(agents, "Midwife", VerifyBehavior)
-    assert midwife_verifies == [
+    midwife_verifies = by_actor["Midwife"].verifies
+    assert midwife_verifies == (
         VerifyBehavior(
             flow="dep-id-midwife",
             credential_type=MID,
             presenter="Mother",
             check_task_ids=("midwife-check-id",),
-        )
-    ]
-    bnd_issue = behaviors_of(agents, "Midwife", IssueBehavior)[0]
+        ),
+    )
+    bnd_issue = by_actor["Midwife"].issues[0]
     assert bnd_issue.flow == "dep-bnd-mother"
     assert bnd_issue.issue_task_id == "midwife-issue-bnd"
     assert bnd_issue.gate_task_ids == ("midwife-check-id",)
@@ -190,7 +187,7 @@ def test_compiled_fixture_agents(birth_model):
     assert bnd_issue.copy_task_id == "midwife-send-copy"
     assert bnd_issue.child_subject is True
 
-    registrar_verifies = {b.flow: b for b in behaviors_of(agents, "Registrar", VerifyBehavior)}
+    registrar_verifies = {b.flow: b for b in by_actor["Registrar"].verifies}
     assert registrar_verifies["dep-id-registrar"].check_task_ids == ("registrar-check-id",)
     assert registrar_verifies["dep-id-registrar"].require_copy is False
     assert registrar_verifies["dep-id-registrar"].purpose == "entitlement"
@@ -203,7 +200,7 @@ def test_compiled_fixture_agents(birth_model):
     assert all(not b.kickoff for b in registrar_verifies.values())
     assert not midwife_verifies[0].kickoff
 
-    cert_issue = behaviors_of(agents, "Registrar", IssueBehavior)[0]
+    cert_issue = by_actor["Registrar"].issues[0]
     assert cert_issue.flow == "dep-cert-mother"
     assert cert_issue.issue_task_id == "registrar-issue-cert"
     assert cert_issue.gate_task_ids == (
@@ -215,7 +212,7 @@ def test_compiled_fixture_agents(birth_model):
     assert cert_issue.child_subject is True
 
     agency = by_actor["ID Agency"]
-    assert agency.behaviors == ()
+    assert agency.verifies == agency.issues == agency.requests == agency.answers == ()
     assert agency.prelabeled == ("agency-issue-id",)
 
 
@@ -233,21 +230,17 @@ def test_ungated_verifier_kicks_off(birth_model):
         dependencies=tuple(d for d in birth_model.dependencies if d.id == "dep-id-midwife"),
     )
     _, _, agents = fixture_agents(model)
-    verify = behaviors_of(agents, "Midwife", VerifyBehavior)[0]
+    verify = spec_of(agents, "Midwife").verifies[0]
     assert verify.kickoff is True
 
 
 def test_prefix_verb_task_takes_only_its_role_class(birth_model):
     # "Check in BND" starts with the issue verb "check in" and with the check
     # verb "check"; it is the Midwife's issue task and never one of its gates.
-    midwife = birth_model.actor("Midwife")
-    elements = tuple(
-        dataclasses.replace(e, name="Check in BND") if e.id == "midwife-issue-bnd" else e for e in midwife.elements
-    )
-    model = birth_model.replace_actor(dataclasses.replace(midwife, elements=elements))
+    model = helpers.rename_element(birth_model, "midwife-issue-bnd", "Check in BND")
     lexicon = VerbLexicon(issue_verbs=frozenset({"issue", "check in"}))
     _, _, agents = fixture_agents(model, lexicon=lexicon)
-    bnd_issue = behaviors_of(agents, "Midwife", IssueBehavior)[0]
+    bnd_issue = spec_of(agents, "Midwife").issues[0]
     assert bnd_issue.issue_task_id == "midwife-issue-bnd"
     assert bnd_issue.gate_task_ids == ("midwife-check-id",)
     trace = run(model, agents, SimConfig(seed=42))
