@@ -46,7 +46,6 @@ _LAZY = {
         "Credential",
         "CredentialCheck",
         "DidDocument",
-        "DidResolutionError",
         "KeyPair",
         "Presentation",
         "SelfIssueError",
@@ -57,7 +56,6 @@ _LAZY = {
         "did_from_public_key",
         "generate_keypair",
         "issue_credential",
-        "resolve_did",
         "verify_credential",
         "verify_presentation",
     ),

@@ -45,10 +45,6 @@ KEY_CACHE_SIZE = 1024
 CHECK_ORDER = ("integrity", "issuerSignature", "subjectBinding", "issuerTrusted")
 
 
-class DidResolutionError(KeyError):
-    code = "E_DID_UNRESOLVED"
-
-
 class SelfIssueError(ValueError):
     code = "E_SELF_ISSUE"
 
@@ -134,13 +130,6 @@ def decode_did(did: str) -> bytes:
     if len(raw) != 32:
         raise ValueError("DID does not encode a 32-byte key")
     return raw
-
-
-def resolve_did(did: str, directory: Mapping[str, DidDocument]) -> DidDocument:
-    doc = directory.get(did)
-    if doc is None:
-        raise DidResolutionError(did)
-    return doc
 
 
 # Canonical JSON: sorted keys, no whitespace, non-ASCII text left as is.
@@ -288,9 +277,8 @@ def verify_credential(
 ) -> CredentialCheck:
     raw = canonical_bytes(credential.payload())
     integrity = hashlib.sha256(raw).hexdigest() == credential.id
-    try:
-        issuer_doc = resolve_did(credential.issuer, directory)
-    except DidResolutionError:
+    issuer_doc = directory.get(credential.issuer)
+    if issuer_doc is None:
         return CredentialCheck(integrity=integrity, issuer_signature=False)
     issuer_signature = verify_signature(issuer_doc.verification_key, raw, credential.signature)
     return CredentialCheck(integrity=integrity, issuer_signature=issuer_signature)

@@ -105,7 +105,7 @@ class CredentialFlow:
     issuance delivers a new credential to the depender, a presentation sends
     proof of an existing one to the depender.  An issuance whose issuer has a
     "send ... copy" task also mails the credential digest to ``copy_to``; a
-    presentation whose verifier has a check task mentioning "copy" sets
+    presentation whose verifier has a check task with the word "copy" sets
     ``require_copy``.
     """
 
@@ -261,7 +261,7 @@ def _copy_readings(
 ) -> tuple[dict[Identifier, tuple[Identifier, Identifier]], set[tuple[Identifier, Identifier]]]:
     """Read the office-copy tasks: per actor, the target and task of its first
     "send ... copy" task that names another actor; and every (actor, task)
-    whose name mentions "copy"."""
+    whose name has the word "copy"."""
     names = _SpellingIndex((a.id, [normalize_name(a.name)]) for a in model.actors)
     targets: dict[Identifier, tuple[Identifier, Identifier]] = {}
     copy_tasks: set[tuple[Identifier, Identifier]] = set()
@@ -270,10 +270,11 @@ def _copy_readings(
             if elem.kind is not ElementKind.TASK:
                 continue
             norm = normalize_name(elem.name)
-            if "copy" not in norm:
+            words = norm.split()  # whole words, as for verbs: "copyright" is no "copy"
+            if "copy" not in words:
                 continue
             copy_tasks.add((actor.id, elem.id))
-            if "send" in norm and actor.id not in targets:
+            if "send" in words and actor.id not in targets:
                 other = next((o for o in names.owners_in(norm) if o != actor.id), None)
                 if other is not None:
                     targets[actor.id] = (other, elem.id)

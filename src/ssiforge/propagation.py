@@ -1,8 +1,9 @@
 """Qualitative satisfaction labels over a goal model.
 
 Labels follow the usual five-valued qualitative scale.  Evaluation seeds
-leaf elements from observed task outcomes, then repeatedly applies four
-rules until nothing changes (bounded by the element count):
+leaf elements from observed task outcomes, then sweeps the elements in
+order, applying four rules in place, until a sweep changes nothing (at most
+element count + 2 sweeps):
 
 1. a seeded, unrefined element keeps its seeded label;
 2. a refined element combines its children: And is Satisfied only when every
@@ -13,18 +14,20 @@ rules until nothing changes (bounded by the element count):
    weakens toward the same sign, hurt weakens toward the opposite sign);
    mixed signs are a conflict and give Unknown, otherwise the strongest
    candidate wins;
-4. an element anchoring the depender side of dependencies copies the
-   dependee-side labels: Denied if any is denied, Satisfied if all are
-   satisfied.
+4. an element anchoring the depender side of dependencies combines the
+   dependee-side labels like an And: Denied if any is denied, Satisfied if
+   all are satisfied.
 
-The first applicable rule decides an element; anything untouched stays
-Unknown.  The full table with worked cases lives in ``docs/goals.md``.
+The first applicable rule decides an element, once, before the passes;
+anything untouched stays Unknown.  The full table with worked cases lives
+in ``docs/goals.md``.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Mapping
+from functools import partial
+from typing import Callable, Mapping
 
 from .model import (
     ContributionLabel,
@@ -88,6 +91,10 @@ def combine_contributions(candidates: list[LabelState]) -> LabelState:
     return known[0]
 
 
+def _contribute(polarities: tuple[ContributionLabel, ...], sources: list[LabelState]) -> LabelState:
+    return combine_contributions([apply_contribution(p, label) for p, label in zip(polarities, sources)])
+
+
 def combine_and(children: list[LabelState]) -> LabelState:
     if any(c is LabelState.DENIED for c in children):
         return LabelState.DENIED
@@ -101,14 +108,6 @@ def combine_or(children: list[LabelState]) -> LabelState:
         return LabelState.SATISFIED
     if children and all(c is LabelState.DENIED for c in children):
         return LabelState.DENIED
-    return LabelState.UNKNOWN
-
-
-def combine_dependencies(sources: list[LabelState]) -> LabelState:
-    if any(c is LabelState.DENIED for c in sources):
-        return LabelState.DENIED
-    if sources and all(c is LabelState.SATISFIED for c in sources):
-        return LabelState.SATISFIED
     return LabelState.UNKNOWN
 
 
@@ -163,31 +162,27 @@ def evaluate_goals(
         if dep.depender_element is not None and dep.dependee_element is not None:
             dep_sources.setdefault(dep.depender_element, []).append(dep.dependee_element)
 
+    # Each element's rule, decided once in element order: the combine
+    # function and the elements it reads.  A seeded element keeps its label,
+    # so only the derived rules enter the passes.
     labels: dict[Identifier, LabelState] = {e: LabelState.UNKNOWN for e in order}
-    seeded = {
-        e: task_outcomes[e]
-        for e in order
-        if e in task_outcomes and e not in refines
-    }
-    labels.update(seeded)
+    rules: list[tuple[Identifier, Callable[[list[LabelState]], LabelState], list[Identifier]]] = []
+    for element in order:
+        if element in refines:
+            mode, children = refines[element]
+            rules.append((element, combine_and if mode is LinkKind.AND_REFINEMENT else combine_or, children))
+        elif element in task_outcomes:
+            labels[element] = task_outcomes[element]
+        elif element in quality and element in contributions:
+            polarities, sources = zip(*contributions[element])
+            rules.append((element, partial(_contribute, polarities), list(sources)))
+        elif element in dep_sources:
+            rules.append((element, combine_and, dep_sources[element]))
 
     for _ in range(len(order) + 2):
         changed = False
-        for element in order:
-            if element in seeded:
-                continue
-            if element in refines:
-                mode, children = refines[element]
-                child_labels = [labels[c] for c in children]
-                new = combine_and(child_labels) if mode is LinkKind.AND_REFINEMENT else combine_or(child_labels)
-            elif element in quality and element in contributions:
-                new = combine_contributions(
-                    [apply_contribution(pol, labels[src]) for pol, src in contributions[element]]
-                )
-            elif element in dep_sources:
-                new = combine_dependencies([labels[s] for s in dep_sources[element]])
-            else:
-                continue
+        for element, combine, sources in rules:
+            new = combine([labels[s] for s in sources])
             if new is not labels[element]:
                 labels[element] = new
                 changed = True

@@ -12,9 +12,12 @@ compiled from the derived credential flows:
   digest to the named actor;
 - a holder answers proof requests from its wallet, deferring the answer
   until the credential arrives if it must;
-- a verifier runs the four cryptographic checks on each presentation, plus
-  a digest comparison against its record store when a "check ... copy" task
-  exists, then reports the verdict back to the presenter.
+- a verifier that issues nothing sends its proof requests at tick 0; it
+  runs the four cryptographic checks on each presentation, plus a digest
+  comparison against its record store when a "check ... copy" task exists,
+  then reports the verdict back to the presenter;
+- a request or verification still unanswered after its last retry Denies
+  the tasks waiting on it.
 
 Task labels move as the run progresses (Denied is terminal), and the final
 labels come from propagating them through the goal model.  Time is a tick
@@ -25,7 +28,6 @@ triple always reproduces the same trace, byte for byte.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import heapq
 import logging
@@ -125,7 +127,6 @@ class VerifyBehavior:
     check_task_ids: tuple[Identifier, ...]
     require_copy: bool = False
     purpose: str | None = None
-    kickoff: bool = False
 
 
 @dataclass(frozen=True)
@@ -296,15 +297,6 @@ def compile_agents(
             if flow.credential_type not in answer_types[flow.sender]:
                 answer_types[flow.sender].append(flow.credential_type)
 
-    # A check task that gates no issuance of its agent has nothing to wait
-    # for, so its verification starts at tick 0.
-    for actor_id, behaviors in verify_behaviors.items():
-        gated = {t for b in issue_behaviors[actor_id] for t in b.gate_task_ids}
-        verify_behaviors[actor_id] = [
-            b if (set(b.check_task_ids) & gated or not b.check_task_ids) else dataclasses.replace(b, kickoff=True)
-            for b in behaviors
-        ]
-
     wallets: dict[Identifier, list[Credential]] = {a.id: [] for a in model.actors}
     prelabeled: dict[Identifier, list[Identifier]] = {a.id: [] for a in model.actors}
     for entry in bootstrap:
@@ -386,18 +378,17 @@ class Trace:
         return "\n".join(self.lines()) + "\n"
 
 
-class _VerifyState:
-    def __init__(self, behavior: VerifyBehavior) -> None:
-        self.behavior = behavior
-        self.nonce: bytes | None = None
-        self.attempt = 0
-        self.started = False
-        self.resolved = False
+class _RetryState:
+    """A verification or an issuance request: sent, then resent on a timer
+    until it resolves; when the retries run out, ``tasks`` are Denied."""
 
-
-class _RequestState:
-    def __init__(self, behavior: RequestBehavior) -> None:
+    def __init__(
+        self, actor: Identifier, behavior: VerifyBehavior | RequestBehavior, tasks: tuple[Identifier | None, ...]
+    ) -> None:
+        self.actor = actor
         self.behavior = behavior
+        self.tasks = tasks
+        self.nonce: bytes | None = None  # a verification's latest nonce; None until it starts
         self.attempt = 0
         self.resolved = False
 
@@ -410,8 +401,8 @@ class _AgentState:
             self.wallet[credential.type] = credential
         self.record_store: dict[str, list[str]] = {}
         self.deferred: list[Message] = []
-        self.verifications: dict[Identifier, _VerifyState] = {b.flow: _VerifyState(b) for b in spec.verifies}
-        self.requests: dict[Identifier, _RequestState] = {b.flow: _RequestState(b) for b in spec.requests}
+        self.verifications = {b.flow: _RetryState(spec.actor, b, b.check_task_ids) for b in spec.verifies}
+        self.requests = {b.flow: _RetryState(spec.actor, b, (b.await_task_id,)) for b in spec.requests}
         self.issue_by_flow: dict[Identifier, IssueBehavior] = {b.flow: b for b in spec.issues}
         self.pending_issue: dict[Identifier, str] = {}
         self.issued: dict[Identifier, Credential] = {}
@@ -510,52 +501,48 @@ class _Simulation:
             self.subject_dids["child"] = did_from_public_key(keys.public_key)
         return self.subject_dids["child"]
 
-    def _start_verification(self, agent: _AgentState, state: _VerifyState) -> None:
-        if state.started or state.resolved:
-            return
-        state.started = True
-        state.attempt = 0
-        self._send_proof_request(agent, state)
-
-    def _send_proof_request(self, agent: _AgentState, state: _VerifyState) -> None:
+    def _send_attempt(self, state: _RetryState) -> None:
+        """Send a proof request (with a fresh nonce) or an issuance request,
+        and arm the retry timer."""
         behavior = state.behavior
-        state.nonce = self.prng.next_nonce()
-        self._send(
-            Message(
+        if isinstance(behavior, VerifyBehavior):
+            state.nonce = self.prng.next_nonce()
+            msg = Message(
                 kind="ProofRequest",
                 flow=behavior.flow,
                 credential_type=behavior.credential_type,
-                from_actor=agent.spec.actor,
+                from_actor=state.actor,
                 to_actor=behavior.presenter,
                 nonce=state.nonce,
                 purpose=behavior.purpose,
             )
-        )
-        self._push(self.tick + self.config.retry_timeout, ("timer", "verify", agent.spec.actor, behavior.flow))
-
-    def _send_issuance_request(self, agent: _AgentState, state: _RequestState) -> None:
-        behavior = state.behavior
-        self._send(
-            Message(
+        else:
+            msg = Message(
                 kind="IssuanceRequest",
                 flow=behavior.flow,
                 credential_type=behavior.credential_type,
-                from_actor=agent.spec.actor,
+                from_actor=state.actor,
                 to_actor=behavior.issuer,
             )
-        )
-        self._push(self.tick + self.config.retry_timeout, ("timer", "request", agent.spec.actor, behavior.flow))
+        self._send(msg)
+        self._push(self.tick + self.config.retry_timeout, ("timer", state))
 
-    def _gate_labels(self, behavior: IssueBehavior) -> list[LabelState]:
-        return [self.labels.get(t, LabelState.UNKNOWN) for t in behavior.gate_task_ids]
+    def _send_credential(self, agent: _AgentState, behavior: IssueBehavior, credential: Credential) -> None:
+        self._send(
+            Message(
+                kind="CredentialIssuance",
+                flow=behavior.flow,
+                credential_type=behavior.credential_type,
+                from_actor=agent.spec.actor,
+                to_actor=behavior.recipient,
+                credential=credential,
+            )
+        )
 
     def _try_issue(self, agent: _AgentState) -> None:
         for flow_id in list(agent.pending_issue):
             behavior = agent.issue_by_flow[flow_id]
-            gates = self._gate_labels(behavior)
-            if any(g is LabelState.DENIED for g in gates):
-                continue
-            if not all(g is LabelState.SATISFIED for g in gates):
+            if any(self.labels.get(t) is not LabelState.SATISFIED for t in behavior.gate_task_ids):
                 continue
             recipient = self.agents[behavior.recipient]
             holder_did = recipient.spec.did
@@ -580,16 +567,7 @@ class _Simulation:
                 subject=credential.subject,
             )
             self._set_label(behavior.issue_task_id, LabelState.SATISFIED)
-            self._send(
-                Message(
-                    kind="CredentialIssuance",
-                    flow=flow_id,
-                    credential_type=behavior.credential_type,
-                    from_actor=agent.spec.actor,
-                    to_actor=behavior.recipient,
-                    credential=credential,
-                )
-            )
+            self._send_credential(agent, behavior, credential)
             if behavior.copy_to is not None:
                 self._send(
                     Message(
@@ -604,12 +582,10 @@ class _Simulation:
                 )
 
     def _activate_gates(self, agent: _AgentState, behavior: IssueBehavior) -> None:
-        unsatisfied = {
-            t for t in behavior.gate_task_ids if self.labels.get(t, LabelState.UNKNOWN) is not LabelState.SATISFIED
-        }
+        unsatisfied = {t for t in behavior.gate_task_ids if self.labels.get(t) is not LabelState.SATISFIED}
         for state in agent.verifications.values():
-            if set(state.behavior.check_task_ids) & unsatisfied:
-                self._start_verification(agent, state)
+            if state.nonce is None and set(state.tasks) & unsatisfied:
+                self._send_attempt(state)
 
     # -- message handlers -------------------------------------------------
 
@@ -619,16 +595,7 @@ class _Simulation:
             logger.debug("%s ignoring issuance request for %r", agent.spec.actor, msg.flow)
             return
         if msg.flow in agent.issued:
-            self._send(
-                Message(
-                    kind="CredentialIssuance",
-                    flow=msg.flow,
-                    credential_type=behavior.credential_type,
-                    from_actor=agent.spec.actor,
-                    to_actor=behavior.recipient,
-                    credential=agent.issued[msg.flow],
-                )
-            )
+            self._send_credential(agent, behavior, agent.issued[msg.flow])
             return
         agent.pending_issue.setdefault(msg.flow, msg.from_actor)
         self._activate_gates(agent, behavior)
@@ -659,7 +626,7 @@ class _Simulation:
 
     def _on_proof_presentation(self, agent: _AgentState, msg: Message) -> None:
         state = agent.verifications.get(msg.flow)
-        if state is None or state.resolved or not state.started:
+        if state is None or state.resolved or state.nonce is None:
             logger.debug("%s ignoring presentation for %r", agent.spec.actor, msg.flow)
             return
         behavior = state.behavior
@@ -695,7 +662,7 @@ class _Simulation:
         self._event("Verify", **record)
         state.resolved = True
         label = LabelState.SATISFIED if overall else LabelState.DENIED
-        for task_id in behavior.check_task_ids:
+        for task_id in state.tasks:
             self._set_label(task_id, label)
         self._send(
             Message(
@@ -744,29 +711,16 @@ class _Simulation:
 
     # -- timers -----------------------------------------------------------
 
-    def _on_timer(self, side: str, actor_id: Identifier, flow_id: Identifier) -> None:
-        agent = self.agents[actor_id]
-        if side == "request":
-            state = agent.requests[flow_id]
-            if state.resolved:
-                return
-            if state.attempt < self.config.max_retries:
-                state.attempt += 1
-                self._send_issuance_request(agent, state)
-            else:
-                state.resolved = True
-                self._set_label(state.behavior.await_task_id, LabelState.DENIED)
+    def _on_timer(self, state: _RetryState) -> None:
+        if state.resolved:
+            return
+        if state.attempt < self.config.max_retries:
+            state.attempt += 1
+            self._send_attempt(state)
         else:
-            state = agent.verifications[flow_id]
-            if state.resolved:
-                return
-            if state.attempt < self.config.max_retries:
-                state.attempt += 1
-                self._send_proof_request(agent, state)
-            else:
-                state.resolved = True
-                for task_id in state.behavior.check_task_ids:
-                    self._set_label(task_id, LabelState.DENIED)
+            state.resolved = True
+            for task_id in state.tasks:
+                self._set_label(task_id, LabelState.DENIED)
 
     # -- main loop --------------------------------------------------------
 
@@ -775,11 +729,15 @@ class _Simulation:
             for task_id in agent.spec.prelabeled:
                 self._set_label(task_id, LabelState.SATISFIED)
         for agent in self.agents.values():
-            for state in agent.verifications.values():
-                if state.behavior.kickoff:
-                    self._start_verification(agent, state)
+            # Every check task of an issuing agent gates its issuances, so
+            # those verifications wait for a request; the checks of an agent
+            # that issues nothing start at tick 0.
+            if not agent.spec.issues:
+                for state in agent.verifications.values():
+                    if state.tasks:
+                        self._send_attempt(state)
             for state in agent.requests.values():
-                self._send_issuance_request(agent, state)
+                self._send_attempt(state)
 
         termination = "quiescence"
         while self.heap:
@@ -790,7 +748,7 @@ class _Simulation:
                 break
             self.tick = tick
             if entry[0] == "timer":
-                self._on_timer(entry[1], entry[2], entry[3])
+                self._on_timer(entry[1])
                 continue
             _, msg, summary, encoded = entry
             dropped = self.prng.next_float() < self.config.drop_probability

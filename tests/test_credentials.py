@@ -11,7 +11,6 @@ import ssiforge.credentials as credentials
 from ssiforge.credentials import (
     CHECK_ORDER,
     DidDocument,
-    DidResolutionError,
     NONCE_LENGTH,
     SelfIssueError,
     VerificationOutcome,
@@ -25,7 +24,6 @@ from ssiforge.credentials import (
     generate_keypair,
     issue_credential,
     proof_message,
-    resolve_did,
     verify_credential,
     verify_presentation,
     verify_signature,
@@ -113,14 +111,6 @@ def test_did_guards():
         decode_did("did:web:foo")
     with pytest.raises(ValueError):
         decode_did("did:sim:" + base58_encode(b"\x01" * 31))
-
-
-def test_resolve_did():
-    doc = DidDocument("did:sim:abc", b"\x01" * 32)
-    assert resolve_did("did:sim:abc", {"did:sim:abc": doc}) is doc
-    with pytest.raises(DidResolutionError) as err:
-        resolve_did("did:sim:missing", {})
-    assert err.value.code == "E_DID_UNRESOLVED"
 
 
 def test_canonical_bytes_shape():

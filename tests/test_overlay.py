@@ -79,10 +79,10 @@ def test_catalog_aliases(birth_model):
 
 # Name fragments that stress substring matching: copy numbers that are
 # prefixes of each other, an alias inside a longer word ("ID" in "valid"),
-# and the words of office-copy tasks.
+# and the words of office-copy tasks, also inside longer words.
 NAME_FRAGMENTS = (
     "BND 1", "BND 12", "Registrar 1", "Registrar 10", "Registrar", "ID", "valid",
-    "Mother's ID", "Midwife", "send", "copy", "issue", "check", "of", "",
+    "Mother's ID", "Midwife", "send", "copy", "resend", "copyist", "issue", "check", "of", "",
 )
 NAMES = st.one_of(st.sampled_from(NAME_FRAGMENTS), st.text(alphabet="abdiIDR 01'-", max_size=8))
 
@@ -93,12 +93,14 @@ def naive_mentioned_types(catalog, task_name):
 
 
 def naive_copy_targets(model):
+    """Office-copy keywords are whole words; actor names still match as substrings."""
     actor_names = [(a.id, normalize_name(a.name)) for a in model.actors]
     targets = {}
     for actor in model.actors:
         for elem in actor.elements:
             norm = normalize_name(elem.name)
-            if elem.kind is ElementKind.TASK and "copy" in norm and "send" in norm and actor.id not in targets:
+            words = f" {norm} "
+            if elem.kind is ElementKind.TASK and " copy " in words and " send " in words and actor.id not in targets:
                 for other, other_name in actor_names:
                     if other != actor.id and other_name and other_name in norm:
                         targets[actor.id] = (other, elem.id)
@@ -180,6 +182,22 @@ def test_verbs_match_whole_words(birth_model, element, name):
     # Each name starts with a verb's letters but not with the verb as a word.
     renamed = helpers.rename_element(birth_model, element, name)
     assert all(element not in a.tasks for a in infer_roles(renamed))
+
+
+def flow_of(model, dependency):
+    return next(f for f in derive_flows(model, infer_roles(model)) if f.dependency == dependency)
+
+
+def test_office_copy_check_needs_the_word_copy(birth_model):
+    renamed = helpers.rename_element(birth_model, "registrar-check-copy", "Check BND against copyright notice")
+    assert flow_of(birth_model, "dep-bnd-registrar").require_copy is True
+    assert flow_of(renamed, "dep-bnd-registrar").require_copy is False
+
+
+def test_office_copy_send_needs_the_words_send_and_copy(birth_model):
+    renamed = helpers.rename_element(birth_model, "midwife-send-copy", "Resend copyist note to Registrar")
+    flow = flow_of(renamed, "dep-bnd-mother")
+    assert (flow.copy_to, flow.copy_task) == (None, None)
 
 
 def test_issuance_receipt_grants_holder(birth_model):

@@ -14,13 +14,13 @@ from ssiforge.model import (
     InternalLink,
     LinkKind,
     Model,
+    validate,
 )
 from ssiforge.propagation import (
     LabelState,
     apply_contribution,
     combine_and,
     combine_contributions,
-    combine_dependencies,
     combine_or,
     evaluate_goals,
     root_goals,
@@ -69,13 +69,6 @@ def test_combine_or():
     assert combine_or([D, S]) is S
     assert combine_or([D, D]) is D
     assert combine_or([D, U]) is U
-
-
-def test_combine_dependencies():
-    assert combine_dependencies([]) is U
-    assert combine_dependencies([S, S]) is S
-    assert combine_dependencies([S, D]) is D
-    assert combine_dependencies([S, U]) is U
 
 
 def test_fixture_root_goals(birth_model):
@@ -248,6 +241,65 @@ def test_multiple_dependencies_combine():
     assert evaluate_goals(model, {"y": S, "z": S})["x"] is S
     assert evaluate_goals(model, {"y": S, "z": D})["x"] is D
     assert evaluate_goals(model, {"y": S})["x"] is U
+
+
+def _quality(eid):
+    return Element(eid, eid, ElementKind.QUALITY)
+
+
+def _contribution(lid, polarity, source, target):
+    return InternalLink(lid, LinkKind.CONTRIBUTION, source, target, polarity)
+
+
+def flipping_quality_cycle(extra_elements=()):
+    """``s`` makes ``q1``, ``q1`` makes ``q2`` and ``q2`` breaks ``q1``: with
+    ``s`` Satisfied, the two qualities flip between Satisfied and Unknown on
+    every pass and never settle."""
+    links = [
+        _contribution("l1", ContributionLabel.MAKE, "s", "q1"),
+        _contribution("l2", ContributionLabel.MAKE, "q1", "q2"),
+        _contribution("l3", ContributionLabel.BREAK, "q2", "q1"),
+    ]
+    return Model((_actor("a", [_task("s"), _quality("q1"), _quality("q2"), *extra_elements], links),))
+
+
+@pytest.mark.parametrize(
+    "extra,expected",
+    [((), S), ((_quality("unrelated"),), U)],
+    ids=["3-elements", "4-elements"],
+)
+def test_contribution_cycle_ends_where_the_pass_bound_stops_it(extra, expected):
+    # The labels never settle, so the element count + 2 pass bound decides
+    # them: an odd number of passes ends on Satisfied, an even one on Unknown.
+    model = flipping_quality_cycle(extra)
+    assert validate(model).errors == ()
+    labels = evaluate_goals(model, {"s": S})
+    assert (labels["q1"], labels["q2"]) == (expected, expected)
+
+
+def test_cross_actor_dependency_cycle_ends_where_the_pass_bound_stops_it():
+    # a.ta depends on b.tb, b.tb depends on a.qa, and ta breaks qa while the
+    # seeded sa makes it: ta, qa and tb flip on every pass.
+    model = Model(
+        (
+            _actor(
+                "a",
+                [_task("ta"), _quality("qa"), _task("sa")],
+                [
+                    _contribution("l1", ContributionLabel.BREAK, "ta", "qa"),
+                    _contribution("l2", ContributionLabel.MAKE, "sa", "qa"),
+                ],
+            ),
+            _actor("b", [_task("tb")]),
+        ),
+        (
+            Dependency("d1", "Item", ElementKind.RESOURCE, "a", "b", "ta", "tb"),
+            Dependency("d2", "Item", ElementKind.RESOURCE, "b", "a", "tb", "qa"),
+        ),
+    )
+    assert validate(model).errors == ()
+    assert evaluate_goals(model, {"sa": S}) == {"ta": S, "qa": U, "sa": S, "tb": U}
+    assert evaluate_goals(model, {"sa": D}) == {"ta": D, "qa": U, "sa": D, "tb": U}
 
 
 def test_matches_brute_force_oracle_on_small_sample():

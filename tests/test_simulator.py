@@ -196,9 +196,6 @@ def test_compiled_fixture_agents(birth_model):
         "registrar-check-copy",
     )
     assert registrar_verifies["dep-bnd-registrar"].require_copy is True
-    # gated verifications wait for the issuance request instead of kicking off
-    assert all(not b.kickoff for b in registrar_verifies.values())
-    assert not midwife_verifies[0].kickoff
 
     cert_issue = by_actor["Registrar"].issues[0]
     assert cert_issue.flow == "dep-cert-mother"
@@ -216,22 +213,63 @@ def test_compiled_fixture_agents(birth_model):
     assert agency.prelabeled == ("agency-issue-id",)
 
 
-def test_ungated_verifier_kicks_off(birth_model):
-    # strip the issuing task so the Midwife's check gates nothing
+def ungated_midwife_model(birth_model):
+    """The fixture with the Midwife's issuing task stripped, so its check gates nothing."""
     actors = []
     for actor in birth_model.actors:
         if actor.id == "Midwife":
             elements = tuple(e for e in actor.elements if e.kind is not ElementKind.TASK or e.id == "midwife-check-id")
             actor = dataclasses.replace(actor, elements=elements, links=())
         actors.append(actor)
-    model = dataclasses.replace(
+    return dataclasses.replace(
         birth_model,
         actors=tuple(actors),
         dependencies=tuple(d for d in birth_model.dependencies if d.id == "dep-id-midwife"),
     )
+
+
+def sent(trace, kind):
+    return [e for e in trace.events if e["kind"] == "Send" and e["message"]["type"] == kind]
+
+
+def test_ungated_verifier_kicks_off(birth_model):
+    model = ungated_midwife_model(birth_model)
     _, _, agents = fixture_agents(model)
-    verify = spec_of(agents, "Midwife").verifies[0]
-    assert verify.kickoff is True
+    assert spec_of(agents, "Midwife").issues == ()
+    trace = run(model, agents, SimConfig(seed=42))
+    first = sent(trace, "ProofRequest")[0]
+    assert first["tick"] == 0
+    assert (first["message"]["from"], first["message"]["flow"]) == ("Midwife", "dep-id-midwife")
+    assert trace.final_labels["midwife-check-id"] == "Satisfied"
+
+
+def test_gated_verifiers_wait_for_an_issuance_request(birth_model):
+    _, trace = run_fixture(birth_model)
+    asked: set[str] = set()
+    for event in trace.events:
+        message = event.get("message", {})
+        if event["kind"] == "Deliver" and message["type"] == "IssuanceRequest":
+            asked.add(message["to"])
+        if event["kind"] == "Send" and message["type"] == "ProofRequest":
+            assert message["from"] in asked, event
+    assert {e["message"]["from"] for e in sent(trace, "ProofRequest")} == {"Midwife", "Registrar"}
+
+
+def test_lost_proof_requests_are_retried_then_deny_the_checks(birth_model):
+    model = ungated_midwife_model(birth_model)
+    _, _, agents = fixture_agents(model)
+    config = SimConfig(seed=42)
+    trace = run(model, agents, config, intercept=lambda msg, tick: None if msg.kind == "ProofRequest" else msg)
+    requests = sent(trace, "ProofRequest")
+    assert len(requests) == 1 + config.max_retries
+    assert [e["tick"] for e in requests] == [0, 10, 20, 30]
+    assert len({e["message"]["nonce"] for e in requests}) == len(requests)  # each attempt draws a fresh nonce
+    updates = [e for e in trace.events if e["kind"] == "GoalUpdate"]
+    assert updates[-1] == {
+        "kind": "GoalUpdate", "seq": updates[-1]["seq"], "tick": 40, "element": "midwife-check-id", "label": "Denied",
+    }
+    assert updates[-1]["seq"] > requests[-1]["seq"]
+    assert "Verify" not in {e["kind"] for e in trace.events}
 
 
 def test_prefix_verb_task_takes_only_its_role_class(birth_model):
