@@ -5,18 +5,18 @@ errors, unsatisfied root goals, strict-mode warnings, bad trust data), 2
 unusable input or output (unreadable file, unparseable document, bad
 flags, an output file that cannot be written).  With
 ``--format json`` stdout carries exactly one JSON document; diagnostics go
-to stderr.  Set ``SSIFORGE_NO_COLOR`` to suppress ANSI styling.
+to stderr.  Labels and markers are styled with ANSI colours only when stdout
+is a terminal and ``SSIFORGE_NO_COLOR`` is unset.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import json
 import os
 import sys
 from pathlib import Path
-
-import click
 
 import ssiforge
 
@@ -52,7 +52,9 @@ _SIMULATE_NAMES = (
     "write_trace",
 )
 
-_LABEL_COLORS = {"Satisfied": "green", "Denied": "red"}
+# ANSI foreground colour codes.
+_RED, _GREEN, _YELLOW = 31, 32, 33
+_LABEL_COLORS = {"Satisfied": _GREEN, "Denied": _RED}
 _LEXICON_KEYS = {"issueVerbs": "issue_verbs", "provideVerbs": "provide_verbs", "checkVerbs": "check_verbs"}
 
 
@@ -68,18 +70,14 @@ def __getattr__(name: str):
     return globals()[name]
 
 
-def _use_color() -> bool:
-    return "SSIFORGE_NO_COLOR" not in os.environ
-
-
-def _styled(text: str, color: str | None) -> str:
-    if color and _use_color():
-        return click.style(text, fg=color)
+def _styled(text: str, color: int | None) -> str:
+    if color and sys.stdout.isatty() and "SSIFORGE_NO_COLOR" not in os.environ:
+        return f"\x1b[{color}m{text}\x1b[0m"
     return text
 
 
 def _fail(message: str, code: int) -> None:
-    click.echo(message, err=True)
+    print(message, file=sys.stderr)
     sys.exit(code)
 
 
@@ -100,9 +98,23 @@ def _writing(path: str):
         _fail(f"cannot write {path}: {exc}", 2)
 
 
-def _probability(ctx, param, value: float) -> float:
-    if not 0.0 <= value <= 1.0:  # also rejects nan, which click.FloatRange lets through
-        raise click.BadParameter(f"{value} is not within [0, 1]")
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if not 0 <= value < 2**64:  # key derivation and the PRNG read a seed as 64 bits
+        raise argparse.ArgumentTypeError(f"{value} is not within [0, 2^64)")
+    return value
+
+
+def _probability(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not 0.0 <= value <= 1.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"{value} is not within [0, 1]")
     return value
 
 
@@ -110,7 +122,7 @@ def _load_model(path: str):
     result = parse_model(_read_document(path))
     if not result.ok:
         for error in result.errors:
-            click.echo(f"PARSE {error.code} at {error.path or '/'}: {error.message}", err=True)
+            print(f"PARSE {error.code} at {error.path or '/'}: {error.message}", file=sys.stderr)
         sys.exit(2)
     return result
 
@@ -129,7 +141,7 @@ def _load_lexicon(path: str | None) -> VerbLexicon:
                     raise ValueError(f"{key} must be a list of strings")
                 verbs[field] = frozenset(raw[key])
         return VerbLexicon(**verbs)  # a missing key keeps the default verbs
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         _fail(f"bad lexicon file {path}: {exc}", 2)
         raise AssertionError
 
@@ -150,20 +162,11 @@ def _load_overrides(path: str | None) -> tuple[TrustOverride, ...]:
                 raise ValueError("verifier, credentialType, issuerDid and action must be strings")
             overrides.append(TrustOverride(*fields))
         return tuple(overrides)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError) as exc:
         _fail(f"bad trust file {path}: {exc}", 2)
         raise AssertionError
 
 
-@click.group()
-@click.version_option(ssiforge.__version__, prog_name="ssiforge")
-def main() -> None:
-    """Goal-model driven credential ecosystem toolkit."""
-
-
-@main.command("validate")
-@click.argument("path", type=click.Path())
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 def cmd_validate(path: str, fmt: str) -> None:
     """Check a model document for structural problems."""
     result = _load_model(path)
@@ -171,7 +174,7 @@ def cmd_validate(path: str, fmt: str) -> None:
     warnings = [{"code": w.code, "message": w.message, "subject": w.path or "/"} for w in result.warnings]
     warnings += [{"code": w.code, "message": w.message, "subject": w.offending_id} for w in report.warnings]
     if fmt == "json":
-        click.echo(
+        print(
             json.dumps(
                 {
                     "errors": [
@@ -185,19 +188,14 @@ def cmd_validate(path: str, fmt: str) -> None:
         )
     else:
         for error in report.errors:
-            click.echo(f"{_styled('ERROR', 'red')} {error.code} {error.offending_id}: {error.message}")
+            print(f"{_styled('ERROR', _RED)} {error.code} {error.offending_id}: {error.message}")
         for warning in warnings:
-            click.echo(f"{_styled('WARN', 'yellow')} {warning['code']} {warning['subject']}: {warning['message']}")
-        click.echo(f"{len(report.errors)} error(s), {len(warnings)} warning(s)")
+            print(f"{_styled('WARN', _YELLOW)} {warning['code']} {warning['subject']}: {warning['message']}")
+        print(f"{len(report.errors)} error(s), {len(warnings)} warning(s)")
     if report.errors:
         sys.exit(1)
 
 
-@main.command("roles")
-@click.argument("path", type=click.Path())
-@click.option("--lexicon", "lexicon_path", type=click.Path(), default=None, help="JSON verb lexicon override.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
-@click.option("--strict", is_flag=True, help="Exit 1 when any overlay warning fires.")
 def cmd_roles(path: str, lexicon_path: str | None, fmt: str, strict: bool) -> None:
     """Show inferred credential roles and flows."""
     result = _load_model(path)
@@ -205,7 +203,7 @@ def cmd_roles(path: str, lexicon_path: str | None, fmt: str, strict: bool) -> No
     flows = derive_flows(result.model, roles)
     warnings = lint_ssi(result.model, roles, flows)
     if fmt == "json":
-        click.echo(
+        print(
             json.dumps(
                 {
                     "flows": [
@@ -232,32 +230,21 @@ def cmd_roles(path: str, lexicon_path: str | None, fmt: str, strict: bool) -> No
             )
         )
     else:
-        click.echo("Roles:")
+        print("Roles:")
         for a in roles:
-            click.echo(f"  {a.actor}: {a.role.value} of {a.credential_type}")
-        click.echo("Flows:")
+            print(f"  {a.actor}: {a.role.value} of {a.credential_type}")
+        print("Flows:")
         for f in flows:
-            click.echo(
+            print(
                 f"  {f.dependency}: {f.kind.value} of {f.credential_type} from {f.sender} to {f.receiver}"
                 f" [{f.evidence.kind.value}]"
             )
         for w in warnings:
-            click.echo(f"{_styled('WARN', 'yellow')} {w.code} {w.offending_id}: {w.message}")
+            print(f"{_styled('WARN', _YELLOW)} {w.code} {w.offending_id}: {w.message}")
     if strict and warnings:
         sys.exit(1)
 
 
-@main.command("simulate")
-@click.argument("path", type=click.Path())
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--trust", "trust_path", type=click.Path(), default=None, help="JSON trust override file.")
-@click.option(
-    "--drop", type=float, default=0.0, show_default=True, callback=_probability, help="Message drop probability."
-)
-@click.option("--trace", "trace_path", type=click.Path(), default=None, help="Write the JSONL trace here.")
-@click.option("--dot", "dot_path", type=click.Path(), default=None, help="Write the SD view as DOT here.")
-@click.option("--lexicon", "lexicon_path", type=click.Path(), default=None, help="JSON verb lexicon override.")
-@click.option("--allow-ambiguous", is_flag=True, help="Run even when some flows stay unresolved.")
 def cmd_simulate(
     path: str,
     seed: int,
@@ -275,7 +262,7 @@ def cmd_simulate(
     report = validate_model(model)
     if report.errors:
         for error in report.errors:
-            click.echo(f"ERROR {error.code} {error.offending_id}: {error.message}", err=True)
+            print(f"ERROR {error.code} {error.offending_id}: {error.message}", file=sys.stderr)
         sys.exit(1)
     lexicon = _load_lexicon(lexicon_path)
     overrides = _load_overrides(trust_path)
@@ -285,7 +272,7 @@ def cmd_simulate(
     ambiguous = [w for w in warnings if w.code == "W_FLOW_AMBIGUOUS"]
     if ambiguous and not allow_ambiguous:
         for w in ambiguous:
-            click.echo(f"WARN {w.code} {w.offending_id}: {w.message}", err=True)
+            print(f"WARN {w.code} {w.offending_id}: {w.message}", file=sys.stderr)
         _fail("ambiguous flows; rerun with --allow-ambiguous to simulate anyway", 1)
 
     did_of = {
@@ -315,38 +302,81 @@ def cmd_simulate(
         with _writing(dot_path):
             Path(dot_path).write_text(export_dot(model, "sd"), encoding="utf-8")
 
-    click.echo("Root goals:")
+    print("Root goals:")
     all_satisfied = True
     for actor_id, goal in root_goals(model):
         label = trace.final_labels.get(goal.id, LabelState.UNKNOWN.value)
         all_satisfied = all_satisfied and label == LabelState.SATISFIED.value
-        click.echo(f"  {actor_id}: {goal.name}: {_styled(label, _LABEL_COLORS.get(label))}")
+        print(f"  {actor_id}: {goal.name}: {_styled(label, _LABEL_COLORS.get(label))}")
     counts = {name: [0, 0] for name in ("integrity", "issuerSignature", "subjectBinding", "issuerTrusted")}
     for event in trace.events:
         if event["kind"] == "Verify":
             for name in counts:
                 counts[name][0 if event[name] else 1] += 1
-    click.echo("Checks:")
+    print("Checks:")
     for name, (passed, failed) in counts.items():
-        click.echo(f"  {name}: {passed} pass, {failed} fail")
-    click.echo(f"Termination: {trace.termination} at tick {trace.final_tick}")
+        print(f"  {name}: {passed} pass, {failed} fail")
+    print(f"Termination: {trace.termination} at tick {trace.final_tick}")
     if not all_satisfied:
         sys.exit(1)
 
 
-@main.command("export")
-@click.argument("path", type=click.Path())
-@click.option("--view", type=click.Choice(["sd", "sr"]), required=True)
-@click.option("--out", "out_path", type=click.Path(), default=None, help="Target file; stdout when omitted.")
 def cmd_export(path: str, view: str, out_path: str | None) -> None:
     """Render the model as GraphViz DOT."""
     result = _load_model(path)
     dot = export_dot(result.model, view)
     if out_path is None:
-        click.echo(dot, nl=False)
+        sys.stdout.write(dot)
     else:
         with _writing(out_path):
             Path(out_path).write_text(dot, encoding="utf-8")
+
+
+def _parser(prog_name: str | None) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog=prog_name, description=main.__doc__, allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=f"ssiforge, version {ssiforge.__version__}")
+    commands = parser.add_subparsers(required=True)
+
+    def command(function) -> argparse.ArgumentParser:
+        name, summary = function.__name__.removeprefix("cmd_"), function.__doc__
+        sub = commands.add_parser(name, help=summary, description=summary, allow_abbrev=False)
+        sub.set_defaults(command=function)
+        sub.add_argument("path", metavar="PATH")
+        return sub
+
+    fmt = {"dest": "fmt", "choices": ("text", "json"), "default": "text", "help": "[default: %(default)s]"}
+    lexicon = {"dest": "lexicon_path", "metavar": "PATH", "help": "JSON verb lexicon override."}
+
+    command(cmd_validate).add_argument("--format", **fmt)
+
+    roles = command(cmd_roles)
+    roles.add_argument("--lexicon", **lexicon)
+    roles.add_argument("--format", **fmt)
+    roles.add_argument("--strict", action="store_true", help="Exit 1 when any overlay warning fires.")
+
+    simulate = command(cmd_simulate)
+    simulate.add_argument(
+        "--seed", type=_seed, default=0, metavar="N", help="Within [0, 2^64).  [default: %(default)s]"
+    )
+    simulate.add_argument("--trust", dest="trust_path", metavar="PATH", help="JSON trust override file.")
+    simulate.add_argument(
+        "--drop", type=_probability, default=0.0, metavar="P", help="Message drop probability.  [default: %(default)s]"
+    )
+    simulate.add_argument("--trace", dest="trace_path", metavar="PATH", help="Write the JSONL trace here.")
+    simulate.add_argument("--dot", dest="dot_path", metavar="PATH", help="Write the SD view as DOT here.")
+    simulate.add_argument("--lexicon", **lexicon)
+    simulate.add_argument("--allow-ambiguous", action="store_true", help="Run even when some flows stay unresolved.")
+
+    export = command(cmd_export)
+    export.add_argument("--view", choices=("sd", "sr"), required=True)
+    export.add_argument("--out", dest="out_path", metavar="PATH", help="Target file; stdout when omitted.")
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Goal-model driven credential ecosystem toolkit."""
+    options = vars(_parser(prog_name).parse_args(args))
+    options.pop("command")(**options)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ total: it never raises on bad input, and instead accumulates
 :class:`ParseError` records whose ``path`` is a JSON Pointer into the
 document.  Error codes:
 
-- ``E_JSON``: the document is not valid JSON (single error at the root)
+- ``E_JSON``: the document is not valid JSON, or nests too deeply to decode
+  (single error at the root)
 - ``E_VERSION``: missing or unsupported ``istar`` version marker
 - ``E_UNKNOWN_TYPE``: a ``type`` or contribution ``label`` outside the dialect
 - ``E_DANGLING``: an id reference that resolves to nothing (or to the wrong
@@ -133,7 +134,7 @@ def parse_model(data: bytes | str) -> ParseResult:
             return ParseResult(None, tuple(out.errors), tuple(out.warnings))
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         out.error("", "E_JSON", f"not valid JSON: {exc}")
         return ParseResult(None, tuple(out.errors), tuple(out.warnings))
     if not isinstance(doc, dict):

@@ -95,6 +95,8 @@ class SimConfig:
     max_ticks: int = 10000
 
     def __post_init__(self) -> None:
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError("seed must be within [0, 2^64)")
         if not 0.0 <= self.drop_probability <= 1.0:
             raise ValueError("drop_probability must be within [0, 1]")
         if self.default_latency < 0 or any(v < 0 for v in self.latency.values()):

@@ -1,5 +1,5 @@
 """Shared test machinery: an independent propagation oracle, a random model
-generator, DOT scanners, and single-bit mutators.
+generator, DOT scanners, single-bit mutators, and a runner for the CLI.
 
 The oracle deliberately recomputes every label from the previous full
 assignment (Jacobi style) while the library updates in place, so agreement
@@ -10,10 +10,13 @@ acyclic and the fixpoint unique.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import random
 import re
 
+from ssiforge.cli import main
 from ssiforge.model import (
     Actor,
     ActorKind,
@@ -296,3 +299,32 @@ def rename_element(model: Model, element_id: str, new_name: str) -> Model:
         for actor in model.actors
     )
     return dataclasses.replace(model, actors=actors)
+
+
+@dataclasses.dataclass(frozen=True)
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: SystemExit | None
+
+
+class _Terminal(io.StringIO):
+    def isatty(self) -> bool:
+        return True
+
+
+def invoke(args: list[str], tty: bool = False) -> CliResult:
+    """Run ``ssiforge ARGS`` in this process, capturing both streams.
+
+    With ``tty`` stdout claims to be a terminal.  Any exception other than
+    ``SystemExit`` propagates, so a traceback fails the calling test.
+    """
+    stdout, stderr = (_Terminal() if tty else io.StringIO()), io.StringIO()
+    code, exception = 0, None
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            main(args, prog_name="ssiforge")
+        except SystemExit as exc:
+            code, exception = exc.code or 0, exc
+    return CliResult(code, stdout.getvalue(), stderr.getvalue(), exception)

@@ -11,10 +11,8 @@ import string
 from collections import defaultdict
 
 import pytest
-from click.testing import CliRunner
 
 import helpers
-from ssiforge.cli import main
 from ssiforge.credentials import (
     canonical_bytes,
     create_presentation,
@@ -182,9 +180,8 @@ def test_untrusted_issuer_blocks_the_certificate(birth_path, tmp_path):
         encoding="utf-8",
     )
     trace_path = tmp_path / "run.jsonl"
-    result = CliRunner().invoke(
-        main,
-        ["simulate", str(birth_path), "--seed", "42", "--trust", str(trust_path), "--trace", str(trace_path)],
+    result = helpers.invoke(
+        ["simulate", str(birth_path), "--seed", "42", "--trust", str(trust_path), "--trace", str(trace_path)]
     )
     assert result.exit_code == 1
     lines = [json.loads(line) for line in trace_path.read_text(encoding="utf-8").splitlines()]

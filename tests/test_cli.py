@@ -6,11 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import ssiforge
 import ssiforge.cli as cli
-from ssiforge.cli import main
+from helpers import invoke
 from ssiforge.credentials import did_from_public_key, generate_keypair
 from ssiforge.pistar import export_dot, parse_model
 from ssiforge.simulator import actor_key_seed
@@ -18,11 +17,6 @@ from ssiforge.simulator import actor_key_seed
 BND = "Birth Notification Document"
 # sha256 of the seed-42 fixture trace; a change to it is a change to the trace format.
 GOLDEN_TRACE_SHA256 = "3afdd5da3b90ba2501d0878d8c7870295bbed5285e842f57d316da5ed7e5ac2e"
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 @pytest.fixture()
@@ -65,57 +59,57 @@ def midwife_did(seed):
 # -- validate -------------------------------------------------------------
 
 
-def test_validate_clean_fixture(runner, birth_path):
-    result = runner.invoke(main, ["validate", str(birth_path)])
+def test_validate_clean_fixture(birth_path):
+    result = invoke(["validate", str(birth_path)])
     assert result.exit_code == 0
-    assert result.output == "0 error(s), 0 warning(s)\n"
+    assert result.stdout == "0 error(s), 0 warning(s)\n"
 
 
-def test_validate_clean_fixture_json(runner, birth_path):
-    result = runner.invoke(main, ["validate", str(birth_path), "--format", "json"])
+def test_validate_clean_fixture_json(birth_path):
+    result = invoke(["validate", str(birth_path), "--format", "json"])
     assert result.exit_code == 0
-    assert json.loads(result.output) == {"errors": [], "warnings": []}
+    assert json.loads(result.stdout) == {"errors": [], "warnings": []}
 
 
-def test_validate_reports_errors(runner, tmp_path, fixture_doc):
+def test_validate_reports_errors(tmp_path, fixture_doc):
     path = write_doc(tmp_path, self_dep_doc(fixture_doc))
-    result = runner.invoke(main, ["validate", path])
+    result = invoke(["validate", path])
     assert result.exit_code == 1
-    assert "ERROR E_DEP_SELF dep-id-midwife:" in result.output
-    assert "1 error(s), 0 warning(s)" in result.output
+    assert "ERROR E_DEP_SELF dep-id-midwife:" in result.stdout
+    assert "1 error(s), 0 warning(s)" in result.stdout
 
-    result = runner.invoke(main, ["validate", path, "--format", "json"])
+    result = invoke(["validate", path, "--format", "json"])
     assert result.exit_code == 1
-    payload = json.loads(result.output)
+    payload = json.loads(result.stdout)
     assert [e["code"] for e in payload["errors"]] == ["E_DEP_SELF"]
     assert payload["errors"][0]["subject"] == "dep-id-midwife"
 
 
-def test_validate_bundled_broken_fixture(runner, birth_path):
-    result = runner.invoke(main, ["validate", str(birth_path.parent / "bad_dep.json")])
+def test_validate_bundled_broken_fixture(birth_path):
+    result = invoke(["validate", str(birth_path.parent / "bad_dep.json")])
     assert result.exit_code == 1
-    assert "ERROR E_DEP_SELF dep-self:" in result.output
+    assert "ERROR E_DEP_SELF dep-self:" in result.stdout
 
 
-def test_validate_surfaces_parser_warnings(runner, tmp_path, fixture_doc):
+def test_validate_surfaces_parser_warnings(tmp_path, fixture_doc):
     fixture_doc["colorScheme"] = "pastel"
-    result = runner.invoke(main, ["validate", write_doc(tmp_path, fixture_doc)])
+    result = invoke(["validate", write_doc(tmp_path, fixture_doc)])
     assert result.exit_code == 0
-    assert "WARN W_UNKNOWN_KEY /colorScheme:" in result.output
-    assert "0 error(s), 1 warning(s)" in result.output
+    assert "WARN W_UNKNOWN_KEY /colorScheme:" in result.stdout
+    assert "0 error(s), 1 warning(s)" in result.stdout
 
 
-def test_unparseable_document_exits_two(runner, tmp_path):
+def test_unparseable_document_exits_two(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope", encoding="utf-8")
-    result = runner.invoke(main, ["validate", str(path)])
+    result = invoke(["validate", str(path)])
     assert result.exit_code == 2
     assert "PARSE E_JSON" in result.stderr
     assert result.stdout == ""
 
 
-def test_unreadable_path_exits_two(runner, tmp_path):
-    result = runner.invoke(main, ["validate", str(tmp_path / "missing.json")])
+def test_unreadable_path_exits_two(tmp_path):
+    result = invoke(["validate", str(tmp_path / "missing.json")])
     assert result.exit_code == 2
     assert "cannot read" in result.stderr
 
@@ -123,22 +117,22 @@ def test_unreadable_path_exits_two(runner, tmp_path):
 # -- roles ----------------------------------------------------------------
 
 
-def test_roles_text_lists_roles_and_flows(runner, birth_path):
-    result = runner.invoke(main, ["roles", str(birth_path)])
+def test_roles_text_lists_roles_and_flows(birth_path):
+    result = invoke(["roles", str(birth_path)])
     assert result.exit_code == 0
-    assert "  Midwife: Issuer of Birth Notification Document" in result.output
-    assert "  Mother: Holder of Birth Certificate" in result.output
+    assert "  Midwife: Issuer of Birth Notification Document" in result.stdout
+    assert "  Mother: Holder of Birth Certificate" in result.stdout
     assert (
         "  dep-bnd-mother: Issuance of Birth Notification Document from Midwife to Mother [Verb]"
-        in result.output
+        in result.stdout
     )
-    assert "WARN" not in result.output
+    assert "WARN" not in result.stdout
 
 
-def test_roles_json(runner, birth_path):
-    result = runner.invoke(main, ["roles", str(birth_path), "--format", "json"])
+def test_roles_json(birth_path):
+    result = invoke(["roles", str(birth_path), "--format", "json"])
     assert result.exit_code == 0
-    payload = json.loads(result.output)
+    payload = json.loads(result.stdout)
     assert {"actor": "Midwife", "credentialType": BND, "role": "Issuer"} in payload["roles"]
     flow = next(f for f in payload["flows"] if f["dependency"] == "dep-bnd-mother")
     assert flow == {
@@ -152,26 +146,26 @@ def test_roles_json(runner, birth_path):
     assert payload["warnings"] == []
 
 
-def test_roles_strict_flag(runner, tmp_path, birth_path, fixture_doc):
+def test_roles_strict_flag(tmp_path, birth_path, fixture_doc):
     ambiguous = write_doc(tmp_path, ambiguous_doc(fixture_doc))
-    assert runner.invoke(main, ["roles", str(birth_path), "--strict"]).exit_code == 0
-    assert runner.invoke(main, ["roles", ambiguous]).exit_code == 0
-    result = runner.invoke(main, ["roles", ambiguous, "--strict"])
+    assert invoke(["roles", str(birth_path), "--strict"]).exit_code == 0
+    assert invoke(["roles", ambiguous]).exit_code == 0
+    result = invoke(["roles", ambiguous, "--strict"])
     assert result.exit_code == 1
-    assert "WARN W_FLOW_AMBIGUOUS dep-bnd-mother:" in result.output
+    assert "WARN W_FLOW_AMBIGUOUS dep-bnd-mother:" in result.stdout
 
 
-def test_roles_custom_lexicon(runner, tmp_path, fixture_doc):
+def test_roles_custom_lexicon(tmp_path, fixture_doc):
     rename_node(fixture_doc, "midwife-issue-bnd", "Draw Up BND")
     model_path = write_doc(tmp_path, fixture_doc)
     lexicon_path = tmp_path / "lexicon.json"
     lexicon_path.write_text(json.dumps({"issueVerbs": ["issue", "draw up"]}), encoding="utf-8")
 
-    plain = runner.invoke(main, ["roles", model_path, "--strict"])
+    plain = invoke(["roles", model_path, "--strict"])
     assert plain.exit_code == 1
-    custom = runner.invoke(main, ["roles", model_path, "--strict", "--lexicon", str(lexicon_path)])
+    custom = invoke(["roles", model_path, "--strict", "--lexicon", str(lexicon_path)])
     assert custom.exit_code == 0
-    assert "  Midwife: Issuer of Birth Notification Document" in custom.output
+    assert "  Midwife: Issuer of Birth Notification Document" in custom.stdout
 
 
 @pytest.mark.parametrize(
@@ -184,10 +178,10 @@ def test_roles_custom_lexicon(runner, tmp_path, fixture_doc):
     ],
     ids=["colliding", "string", "number", "array"],
 )
-def test_bad_lexicon_file_exits_two(runner, birth_path, tmp_path, text):
+def test_bad_lexicon_file_exits_two(birth_path, tmp_path, text):
     bad = tmp_path / "lexicon.json"
     bad.write_text(text, encoding="utf-8")
-    result = runner.invoke(main, ["roles", str(birth_path), "--lexicon", str(bad)])
+    result = invoke(["roles", str(birth_path), "--lexicon", str(bad)])
     assert result.exit_code == 2
     assert "bad lexicon file" in result.stderr
 
@@ -195,22 +189,22 @@ def test_bad_lexicon_file_exits_two(runner, birth_path, tmp_path, text):
 # -- simulate -------------------------------------------------------------
 
 
-def test_simulate_happy_path(runner, birth_path):
-    result = runner.invoke(main, ["simulate", str(birth_path), "--seed", "42"])
+def test_simulate_happy_path(birth_path):
+    result = invoke(["simulate", str(birth_path), "--seed", "42"])
     assert result.exit_code == 0
-    assert "Root goals:" in result.output
-    assert "  Mother: Get Birth Certificate for new baby: Satisfied" in result.output
-    assert "  Midwife: Issue Valid BNDs: Satisfied" in result.output
-    assert "  integrity: 3 pass, 0 fail" in result.output
-    assert "  issuerTrusted: 3 pass, 0 fail" in result.output
-    assert "Termination: quiescence at tick 11" in result.output
+    assert "Root goals:" in result.stdout
+    assert "  Mother: Get Birth Certificate for new baby: Satisfied" in result.stdout
+    assert "  Midwife: Issue Valid BNDs: Satisfied" in result.stdout
+    assert "  integrity: 3 pass, 0 fail" in result.stdout
+    assert "  issuerTrusted: 3 pass, 0 fail" in result.stdout
+    assert "Termination: quiescence at tick 11" in result.stdout
 
 
-def test_simulate_trace_is_reproducible(runner, birth_path, tmp_path):
+def test_simulate_trace_is_reproducible(birth_path, tmp_path):
     first = tmp_path / "a.jsonl"
     second = tmp_path / "b.jsonl"
     for target in (first, second):
-        result = runner.invoke(main, ["simulate", str(birth_path), "--seed", "42", "--trace", str(target)])
+        result = invoke(["simulate", str(birth_path), "--seed", "42", "--trace", str(target)])
         assert result.exit_code == 0
     assert first.read_bytes() == second.read_bytes()
     head = json.loads(first.read_text(encoding="utf-8").splitlines()[0])
@@ -218,35 +212,35 @@ def test_simulate_trace_is_reproducible(runner, birth_path, tmp_path):
 
 
 @pytest.mark.parametrize("renamed", [False, True], ids=["fixture", "draw-up-lexicon"])
-def test_simulate_golden_trace(runner, tmp_path, birth_path, fixture_doc, renamed):
+def test_simulate_golden_trace(tmp_path, birth_path, fixture_doc, renamed):
     args = [str(birth_path)]
     if renamed:
         # The renamed issue task is read only through the custom lexicon;
         # without it the Midwife issues nothing and compile fails.
         rename_node(fixture_doc, "midwife-issue-bnd", "Draw Up BND")
         model_path = write_doc(tmp_path, fixture_doc)
-        plain = runner.invoke(main, ["simulate", model_path, "--seed", "42", "--allow-ambiguous"])
+        plain = invoke(["simulate", model_path, "--seed", "42", "--allow-ambiguous"])
         assert plain.exit_code == 1
         assert "E_COMPILE_ROLE" in plain.stderr
         lexicon_path = tmp_path / "lexicon.json"
         lexicon_path.write_text(json.dumps({"issueVerbs": ["issue", "draw up"]}), encoding="utf-8")
         args = [model_path, "--lexicon", str(lexicon_path)]
     trace = tmp_path / "run.jsonl"
-    result = runner.invoke(main, ["simulate", *args, "--seed", "42", "--trace", str(trace)])
+    result = invoke(["simulate", *args, "--seed", "42", "--trace", str(trace)])
     assert result.exit_code == 0
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN_TRACE_SHA256
 
 
-def test_simulate_writes_dot(runner, birth_path, tmp_path):
+def test_simulate_writes_dot(birth_path, tmp_path):
     dot = tmp_path / "model.dot"
-    result = runner.invoke(main, ["simulate", str(birth_path), "--seed", "42", "--dot", str(dot)])
+    result = invoke(["simulate", str(birth_path), "--seed", "42", "--dot", str(dot)])
     assert result.exit_code == 0
     text = dot.read_text(encoding="utf-8")
     assert text.startswith("digraph")
     assert "dep-bnd-mother" in text
 
 
-def test_simulate_trust_removal_denies(runner, birth_path, tmp_path):
+def test_simulate_trust_removal_denies(birth_path, tmp_path):
     trust = tmp_path / "trust.json"
     trust.write_text(
         json.dumps(
@@ -261,27 +255,27 @@ def test_simulate_trust_removal_denies(runner, birth_path, tmp_path):
         ),
         encoding="utf-8",
     )
-    result = runner.invoke(main, ["simulate", str(birth_path), "--seed", "42", "--trust", str(trust)])
+    result = invoke(["simulate", str(birth_path), "--seed", "42", "--trust", str(trust)])
     assert result.exit_code == 1
-    assert "  Mother: Get Birth Certificate for new baby: Denied" in result.output
-    assert "  issuerTrusted: 2 pass, 1 fail" in result.output
-    assert "  integrity: 3 pass, 0 fail" in result.output
+    assert "  Mother: Get Birth Certificate for new baby: Denied" in result.stdout
+    assert "  issuerTrusted: 2 pass, 1 fail" in result.stdout
+    assert "  integrity: 3 pass, 0 fail" in result.stdout
 
 
-def test_simulate_trust_addition_is_accepted(runner, birth_path, tmp_path):
+def test_simulate_trust_addition_is_accepted(birth_path, tmp_path):
     trust = tmp_path / "trust.json"
     trust.write_text(
         json.dumps([{"verifier": "Registrar", "credentialType": BND, "issuerDid": "did:sim:ext"}]),
         encoding="utf-8",
     )
-    result = runner.invoke(main, ["simulate", str(birth_path), "--seed", "42", "--trust", str(trust)])
+    result = invoke(["simulate", str(birth_path), "--seed", "42", "--trust", str(trust)])
     assert result.exit_code == 0
 
 
-def test_simulate_malformed_trust_file_exits_two(runner, birth_path, tmp_path):
+def test_simulate_malformed_trust_file_exits_two(birth_path, tmp_path):
     trust = tmp_path / "trust.json"
     trust.write_text('{"not": "a list"}', encoding="utf-8")
-    result = runner.invoke(main, ["simulate", str(birth_path), "--trust", str(trust)])
+    result = invoke(["simulate", str(birth_path), "--trust", str(trust)])
     assert result.exit_code == 2
     assert "bad trust file" in result.stderr
 
@@ -295,61 +289,76 @@ def test_simulate_malformed_trust_file_exits_two(runner, birth_path, tmp_path):
         ("action", None),
     ],
 )
-def test_simulate_mistyped_trust_entry_exits_two(runner, birth_path, tmp_path, field, value):
+def test_simulate_mistyped_trust_entry_exits_two(birth_path, tmp_path, field, value):
     entry = {"verifier": "Registrar", "credentialType": BND, "issuerDid": midwife_did(42), field: value}
     trust = tmp_path / "trust.json"
     trust.write_text(json.dumps([entry]), encoding="utf-8")
-    result = runner.invoke(main, ["simulate", str(birth_path), "--seed", "42", "--trust", str(trust)])
+    result = invoke(["simulate", str(birth_path), "--seed", "42", "--trust", str(trust)])
     assert result.exit_code == 2
     assert "bad trust file" in result.stderr
     assert "must be strings" in result.stderr
 
 
-def test_simulate_unknown_trust_pair_exits_one(runner, birth_path, tmp_path):
+def test_simulate_unknown_trust_pair_exits_one(birth_path, tmp_path):
     trust = tmp_path / "trust.json"
     trust.write_text(
         json.dumps([{"verifier": "Mother", "credentialType": "Birth Certificate", "issuerDid": "did:sim:x"}]),
         encoding="utf-8",
     )
-    result = runner.invoke(main, ["simulate", str(birth_path), "--trust", str(trust)])
+    result = invoke(["simulate", str(birth_path), "--trust", str(trust)])
     assert result.exit_code == 1
     assert result.stderr.startswith("E_TRUST_NOT_VERIFIER:")
 
 
-def test_simulate_rejects_invalid_model(runner, tmp_path, fixture_doc):
+def test_simulate_rejects_invalid_model(tmp_path, fixture_doc):
     path = write_doc(tmp_path, self_dep_doc(fixture_doc))
-    result = runner.invoke(main, ["simulate", path])
+    result = invoke(["simulate", path])
     assert result.exit_code == 1
     assert "ERROR E_DEP_SELF dep-id-midwife:" in result.stderr
 
 
-def test_simulate_stops_on_ambiguous_flows(runner, tmp_path, fixture_doc):
+def test_simulate_stops_on_ambiguous_flows(tmp_path, fixture_doc):
     path = write_doc(tmp_path, ambiguous_doc(fixture_doc))
-    result = runner.invoke(main, ["simulate", path, "--seed", "42"])
+    result = invoke(["simulate", path, "--seed", "42"])
     assert result.exit_code == 1
     assert "WARN W_FLOW_AMBIGUOUS dep-bnd-mother:" in result.stderr
     assert "--allow-ambiguous" in result.stderr
 
-    forced = runner.invoke(main, ["simulate", path, "--seed", "42", "--allow-ambiguous"])
+    forced = invoke(["simulate", path, "--seed", "42", "--allow-ambiguous"])
     # the defaulted presentation has no matching verifier, so compilation fails
     assert forced.exit_code == 1
     assert forced.stderr.startswith("E_COMPILE_ROLE:")
 
 
-def test_simulate_drop_flag(runner, birth_path):
-    result = runner.invoke(main, ["simulate", str(birth_path), "--seed", "42", "--drop", "1.0"])
+def test_simulate_drop_flag(birth_path):
+    result = invoke(["simulate", str(birth_path), "--seed", "42", "--drop", "1.0"])
     assert result.exit_code == 1
-    assert "  Mother: Get Birth Certificate for new baby: Denied" in result.output
-    assert "  integrity: 0 pass, 0 fail" in result.output
-    assert "Termination: quiescence at tick 40" in result.output
+    assert "  Mother: Get Birth Certificate for new baby: Denied" in result.stdout
+    assert "  integrity: 0 pass, 0 fail" in result.stdout
+    assert "Termination: quiescence at tick 40" in result.stdout
 
 
 @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
-def test_simulate_out_of_range_drop_exits_two(runner, birth_path, value):
-    result = runner.invoke(main, ["simulate", str(birth_path), "--drop", value])
+def test_simulate_out_of_range_drop_exits_two(birth_path, value):
+    result = invoke(["simulate", str(birth_path), "--drop", value])
     assert result.exit_code == 2
-    assert "Invalid value for '--drop'" in result.stderr
-    assert "Root goals:" not in result.output
+    assert "--drop" in result.stderr
+    assert "not within [0, 1]" in result.stderr
+    assert "Root goals:" not in result.stdout
+
+
+@pytest.mark.parametrize("value", ["-1", str(2**64), "4.2", "x"])
+def test_simulate_seed_outside_64_bits_exits_two(birth_path, value):
+    result = invoke(["simulate", str(birth_path), "--seed", value])
+    assert result.exit_code == 2
+    assert "--seed" in result.stderr
+    assert "Root goals:" not in result.stdout
+
+
+def test_simulate_largest_seed_runs(birth_path):
+    result = invoke(["simulate", str(birth_path), "--seed", str(2**64 - 1)])
+    assert "Root goals:" in result.stdout
+    assert result.exit_code == 0
 
 
 def goal_chain_doc(length):
@@ -366,14 +375,35 @@ def goal_chain_doc(length):
     return {"actors": [actor], "dependencies": [], "links": links, "istar": "2.0"}
 
 
-def test_simulate_deep_goal_chain_exits_without_traceback(runner, tmp_path):
+def test_simulate_deep_goal_chain_exits_without_traceback(tmp_path):
     path = write_doc(tmp_path, goal_chain_doc(1000))
-    assert runner.invoke(main, ["validate", path]).exit_code == 0
-    result = runner.invoke(main, ["simulate", path])
+    assert invoke(["validate", path]).exit_code == 0
+    result = invoke(["simulate", path])
     assert isinstance(result.exception, SystemExit), result.exception
     assert result.exit_code == 1  # the root goal stays Unknown: nothing in the chain is seeded
-    assert "  A: Goal 999: Unknown" in result.output
-    assert "Traceback" not in result.output + result.stderr
+    assert "  A: Goal 999: Unknown" in result.stdout
+    assert "Traceback" not in result.stdout + result.stderr
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["validate", "{deep}"], "PARSE E_JSON at /: not valid JSON"),
+        (["roles", "{model}", "--lexicon", "{deep}"], "bad lexicon file"),
+        (["simulate", "{model}", "--trust", "{deep}"], "bad trust file"),
+    ],
+    ids=["model", "lexicon", "trust"],
+)
+def test_deeply_nested_json_exits_two(birth_path, tmp_path, args, message):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON, encoding="utf-8")
+    result = invoke([arg.format(deep=deep, model=birth_path) for arg in args])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(message)
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize(
@@ -385,10 +415,10 @@ def test_simulate_deep_goal_chain_exits_without_traceback(runner, tmp_path):
     ],
     ids=["trace", "dot", "out"],
 )
-def test_unwritable_output_exits_two(runner, birth_path, tmp_path, args):
+def test_unwritable_output_exits_two(birth_path, tmp_path, args):
     target = tmp_path / "missing" / "out.txt"
     command, *options = args
-    result = runner.invoke(main, [command, str(birth_path), *options, str(target)])
+    result = invoke([command, str(birth_path), *options, str(target)])
     assert result.exit_code == 2
     assert result.stderr.startswith(f"cannot write {target}: ")
     assert len(result.stderr.splitlines()) == 1
@@ -398,47 +428,73 @@ def test_unwritable_output_exits_two(runner, birth_path, tmp_path, args):
 # -- export ---------------------------------------------------------------
 
 
-def test_export_sd_to_stdout(runner, birth_path):
-    result = runner.invoke(main, ["export", str(birth_path), "--view", "sd"])
+def test_export_sd_to_stdout(birth_path):
+    result = invoke(["export", str(birth_path), "--view", "sd"])
     assert result.exit_code == 0
     parsed = parse_model(birth_path.read_bytes())
-    assert result.output == export_dot(parsed.model, "sd")
+    assert result.stdout == export_dot(parsed.model, "sd")
 
 
-def test_export_sr_to_file(runner, birth_path, tmp_path):
+def test_export_sr_to_file(birth_path, tmp_path):
     out = tmp_path / "model.dot"
-    result = runner.invoke(main, ["export", str(birth_path), "--view", "sr", "--out", str(out)])
+    result = invoke(["export", str(birth_path), "--view", "sr", "--out", str(out)])
     assert result.exit_code == 0
-    assert result.output == ""
+    assert result.stdout == ""
     parsed = parse_model(birth_path.read_bytes())
     assert out.read_text(encoding="utf-8") == export_dot(parsed.model, "sr")
 
 
-def test_export_requires_known_view(runner, birth_path):
-    assert runner.invoke(main, ["export", str(birth_path), "--view", "3d"]).exit_code == 2
-    assert runner.invoke(main, ["export", str(birth_path)]).exit_code == 2
+def test_export_requires_known_view(birth_path):
+    assert invoke(["export", str(birth_path), "--view", "3d"]).exit_code == 2
+    assert invoke(["export", str(birth_path)]).exit_code == 2
 
 
 # -- presentation ---------------------------------------------------------
 
 
-def test_color_toggle(runner, birth_path):
-    colored = runner.invoke(main, ["simulate", str(birth_path), "--seed", "42"], color=True)
-    assert "\x1b[" in colored.output
-    plain = runner.invoke(
-        main,
-        ["simulate", str(birth_path), "--seed", "42"],
-        color=True,
-        env={"SSIFORGE_NO_COLOR": "1"},
-    )
-    assert "\x1b[" not in plain.output
+def test_color_toggle(birth_path, monkeypatch):
+    colored = invoke(["simulate", str(birth_path), "--seed", "42"], tty=True)
+    assert "\x1b[" in colored.stdout
+    piped = invoke(["simulate", str(birth_path), "--seed", "42"])
+    assert "\x1b[" not in piped.stdout
+    monkeypatch.setenv("SSIFORGE_NO_COLOR", "1")
+    plain = invoke(["simulate", str(birth_path), "--seed", "42"], tty=True)
+    assert "\x1b[" not in plain.stdout
     assert plain.exit_code == 0
 
 
-def test_version_flag(runner):
-    result = runner.invoke(main, ["--version"])
+def test_version_flag():
+    result = invoke(["--version"])
     assert result.exit_code == 0
-    assert "ssiforge, version 0.1.0" in result.output
+    assert "ssiforge, version 0.1.0" in result.stdout
+
+
+def test_help_names_the_commands():
+    result = invoke(["--help"])
+    assert result.exit_code == 0
+    for command in ("validate", "roles", "simulate", "export"):
+        assert command in result.stdout
+
+
+def test_simulate_help_shows_option_help():
+    result = invoke(["simulate", "--help"])
+    assert result.exit_code == 0
+    for text in (
+        "JSON trust override file.",
+        "Message drop probability.",
+        "Write the JSONL trace here.",
+        "Write the SD view as DOT here.",
+        "JSON verb lexicon override.",
+        "Run even when some flows stay unresolved.",
+    ):
+        assert text in result.stdout
+
+
+def test_bare_command_prints_usage_and_exits_two():
+    result = invoke([])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("usage: ssiforge")
+    assert result.stdout == ""
 
 
 # -- lazy loading ---------------------------------------------------------
@@ -455,6 +511,16 @@ print(",".join(m for m in {modules!r} if m in sys.modules), file=sys.stderr)
 """
 
 
+def stderr_of_fresh_run(script, birth_path, args):
+    """Run ``script`` in a fresh interpreter with argv ``COMMAND FIXTURE OPTIONS...``."""
+    argv = [args[0], str(birth_path), *args[1:]]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(ssiforge.__file__).parent.parent)},
+    )
+    return proc.stderr
+
+
 @pytest.mark.parametrize(
     "args, loaded",
     [
@@ -466,13 +532,35 @@ print(",".join(m for m in {modules!r} if m in sys.modules), file=sys.stderr)
     ids=["validate", "roles", "export", "simulate"],
 )
 def test_only_simulate_loads_the_credential_layer(birth_path, args, loaded):
-    script = LOADED_AFTER.format(modules=LAZY_MODULES)
-    argv = [args[0], str(birth_path), *args[1:]]
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *argv], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(Path(ssiforge.__file__).parent.parent)},
-    )
-    assert proc.stderr.strip().split(",") == (list(LAZY_MODULES) if loaded else [""])
+    stderr = stderr_of_fresh_run(LOADED_AFTER.format(modules=LAZY_MODULES), birth_path, args)
+    assert stderr.strip().split(",") == (list(LAZY_MODULES) if loaded else [""])
+
+
+THIRD_PARTY_AFTER = """
+import sys
+before = {name.partition(".")[0] for name in sys.modules}
+from ssiforge.cli import main
+try:
+    main(sys.argv[1:], prog_name="ssiforge")
+except SystemExit:
+    pass
+loaded = {name.partition(".")[0] for name in sys.modules} - before - sys.stdlib_module_names - {"ssiforge"}
+print(",".join(sorted(loaded)), file=sys.stderr)
+"""
+# cryptography and the top-level modules of its bindings (they differ between its releases).
+CRYPTOGRAPHY_MODULES = {"cryptography", "_cffi_backend", "_openssl"}
+
+
+@pytest.mark.parametrize(
+    "args", [["validate"], ["roles"], ["export", "--view", "sd"], ["simulate", "--seed", "42"]],
+    ids=["validate", "roles", "export", "simulate"],
+)
+def test_commands_load_only_stdlib_and_their_dependencies(birth_path, args):
+    loaded = set(stderr_of_fresh_run(THIRD_PARTY_AFTER, birth_path, args).strip().split(",")) - {""}
+    if args[0] == "simulate":
+        assert "cryptography" in loaded and loaded <= CRYPTOGRAPHY_MODULES, loaded
+    else:
+        assert loaded == set()
 
 
 def test_package_names_all_resolve():
@@ -497,7 +585,7 @@ SIMULATE_STAGES = (
 )
 
 
-def test_simulate_calls_the_functions_set_on_the_module(runner, birth_path, birth_model, tmp_path, monkeypatch):
+def test_simulate_calls_the_functions_set_on_the_module(birth_path, birth_model, tmp_path, monkeypatch):
     calls = []
 
     def spy(name):
@@ -512,7 +600,7 @@ def test_simulate_calls_the_functions_set_on_the_module(runner, birth_path, birt
     for name in SIMULATE_STAGES:
         monkeypatch.setattr(cli, name, spy(name))
     trace_path = tmp_path / "run.jsonl"
-    result = runner.invoke(main, ["simulate", str(birth_path), "--seed", "42", "--trace", str(trace_path)])
+    result = invoke(["simulate", str(birth_path), "--seed", "42", "--trace", str(trace_path)])
     assert result.exit_code == 0
     keygens = len(birth_model.actors)  # one key pair per actor
     assert calls == [name for name in SIMULATE_STAGES for _ in range(keygens if name == "generate_keypair" else 1)]

@@ -110,6 +110,8 @@ def test_config_defaults_and_latency():
         {"max_retries": -1},
         {"retry_timeout": 0},
         {"max_ticks": 0},
+        {"seed": -1},
+        {"seed": 2**64},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
