@@ -56,6 +56,7 @@ _SIMULATE_NAMES = (
 _RED, _GREEN, _YELLOW = 31, 32, 33
 _LABEL_COLORS = {"Satisfied": _GREEN, "Denied": _RED}
 _LEXICON_KEYS = {"issueVerbs": "issue_verbs", "provideVerbs": "provide_verbs", "checkVerbs": "check_verbs"}
+_TRUST_KEYS = {"verifier", "credentialType", "issuerDid", "action"}
 
 
 def _load_simulation() -> None:
@@ -134,6 +135,9 @@ def _load_lexicon(path: str | None) -> VerbLexicon:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ValueError("lexicon file must hold a JSON object")
+        unknown = sorted(raw.keys() - _LEXICON_KEYS.keys())
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}")
         verbs = {}
         for key, field in _LEXICON_KEYS.items():
             if key in raw:
@@ -157,6 +161,9 @@ def _load_overrides(path: str | None) -> tuple[TrustOverride, ...]:
         for entry in raw:
             if not isinstance(entry, dict):
                 raise ValueError("each trust entry must be a JSON object")
+            unknown = sorted(entry.keys() - _TRUST_KEYS)
+            if unknown:
+                raise ValueError(f"unknown keys {unknown}")
             fields = (entry["verifier"], entry["credentialType"], entry["issuerDid"], entry.get("action", "add"))
             if not all(isinstance(value, str) for value in fields):
                 raise ValueError("verifier, credentialType, issuerDid and action must be strings")

@@ -24,13 +24,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring
 from typing import Mapping
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 
+from .model import Record
 from .overlay import TrustRegistry
 
 DID_PREFIX = "did:sim:"
@@ -74,16 +74,15 @@ def base58_decode(text: str) -> bytes:
     return b"\x00" * zeros + body
 
 
-@dataclass(frozen=True)
-class KeyPair:
+class KeyPair(Record):
     """An Ed25519 key pair; ``signing_key`` is loaded once, when the pair is derived."""
 
     public_key: bytes
-    signing_key: Ed25519PrivateKey = field(compare=False, repr=False)
+    signing_key: Ed25519PrivateKey
+    _hidden = frozenset({"signing_key"})
 
 
-@dataclass(frozen=True)
-class DidDocument:
+class DidDocument(Record):
     id: str
     verification_key: bytes
 
@@ -166,8 +165,7 @@ def canonical_bytes(value) -> bytes:
     return canonical_text(value).encode("utf-8")
 
 
-@dataclass(frozen=True)
-class Credential:
+class Credential(Record):
     id: str
     type: str
     issuer: str
@@ -181,22 +179,19 @@ class Credential:
         return credential_payload(self.type, self.issuer, self.subject, self.holder, self.claims, self.issued_at)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     credential: Credential
     presenter: str
     nonce: bytes
     holder_proof: bytes
 
 
-@dataclass(frozen=True)
-class CredentialCheck:
+class CredentialCheck(Record):
     integrity: bool
     issuer_signature: bool
 
 
-@dataclass(frozen=True)
-class VerificationOutcome:
+class VerificationOutcome(Record):
     integrity: bool
     issuer_signature: bool
     subject_binding: bool

@@ -24,7 +24,6 @@ W_MULTI_PARENT             element that refines more than one parent
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 Identifier = str
@@ -73,16 +72,105 @@ def _tuple(items: Iterable) -> tuple:
     return tuple(items) if not isinstance(items, tuple) else items
 
 
-@dataclass(frozen=True)
-class Element:
+class _RecordType(type):
+    """Turns a record class body's annotated names into its slots and fields.
+
+    A name without a leading ``_`` is a field: an ``__init__`` parameter, in
+    the order written, whose default is the value assigned to it in the body,
+    if any; a default of ``{}`` gives each record its own new dict, also when
+    the caller passes ``None``.  A name with a leading ``_`` holds derived
+    state: it is no parameter and starts as ``None``.  The ``__init__``,
+    compiled once per class, sets each slot through ``object.__setattr__`` and
+    then calls the class's ``__post_init__``, if it has one, to check and
+    normalize the fields.
+    """
+
+    def __new__(mcls, name: str, bases: tuple, namespace: dict):
+        own = tuple(namespace.get("__annotations__", ()))
+        defaults = {slot: namespace.pop(slot) for slot in own if slot in namespace}
+        namespace["__slots__"] = own
+        cls = super().__new__(mcls, name, bases, namespace)
+        cls._slots = getattr(cls, "_slots", ()) + own
+        cls._defaults = {**getattr(cls, "_defaults", {}), **defaults}
+        cls._params = tuple(slot for slot in cls._slots if not slot.startswith("_"))
+        cls._fields = tuple(slot for slot in cls._params if slot not in cls._hidden)
+        cls.__init__ = mcls._compile_init(cls)
+        return cls
+
+    @staticmethod
+    def _compile_init(cls: type):
+        defaults, body = [], []
+        for slot in cls._slots:
+            value = slot
+            if slot.startswith("_"):
+                value = "None"
+            elif slot in cls._defaults:
+                default = cls._defaults[slot]
+                if default == {}:
+                    default, value = None, f"{{}} if {slot} is None else {slot}"
+                defaults.append(default)
+            elif defaults:
+                raise TypeError(f"field {slot!r} without a default follows one with a default")
+            body.append(f"_set(self, {slot!r}, {value})")
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        namespace = {"_set": object.__setattr__}
+        exec(f"def __init__(self, {', '.join(cls._params)}):\n    " + "\n    ".join(body or ["pass"]), namespace)
+        init = namespace["__init__"]
+        init.__defaults__ = tuple(defaults) or None
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        return init
+
+
+class Record(metaclass=_RecordType):
+    """Base of the immutable records; see ``_RecordType`` for how a subclass
+    declares its fields.
+
+    Records of one class compare and hash by their fields in order, except
+    the fields named in ``_hidden``, which the repr leaves out too.
+    ``replace`` goes through ``__init__``, so a copy is checked and normalized
+    like a new record.
+    """
+
+    _hidden = frozenset()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(getattr(self, name) for name in self._params)
+
+    def replace(self, **changes: object):
+        """A copy of this record with the named fields changed."""
+        return self.__class__(**{**{name: getattr(self, name) for name in self._params}, **changes})
+
+
+class Element(Record):
     id: Identifier
     name: str
     kind: ElementKind
-    annotations: Mapping[str, str] = field(default_factory=dict)
+    annotations: Mapping[str, str] = {}
 
 
-@dataclass(frozen=True)
-class InternalLink:
+class InternalLink(Record):
     id: Identifier
     kind: LinkKind
     source: Identifier
@@ -90,14 +178,14 @@ class InternalLink:
     contribution: ContributionLabel | None = None
 
 
-@dataclass(frozen=True)
-class Actor:
+class Actor(Record):
     id: Identifier
     name: str
     kind: ActorKind = ActorKind.ACTOR
     elements: tuple[Element, ...] = ()
     links: tuple[InternalLink, ...] = ()
-    annotations: Mapping[str, str] = field(default_factory=dict)
+    annotations: Mapping[str, str] = {}
+    _elements_by_id: dict[Identifier, Element]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "elements", _tuple(self.elements))
@@ -109,16 +197,14 @@ class Actor:
         return self._elements_by_id.get(element_id)
 
 
-@dataclass(frozen=True)
-class ActorLink:
+class ActorLink(Record):
     id: Identifier
     kind: ActorLinkKind
     source: Identifier
     target: Identifier
 
 
-@dataclass(frozen=True)
-class Dependency:
+class Dependency(Record):
     """A strategic dependency: depender relies on dependee for the dependum.
 
     The dependum is inlined as ``name``/``kind`` rather than referencing an
@@ -133,15 +219,15 @@ class Dependency:
     dependee: Identifier
     depender_element: Identifier | None = None
     dependee_element: Identifier | None = None
-    annotations: Mapping[str, str] = field(default_factory=dict)
+    annotations: Mapping[str, str] = {}
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Record):
     actors: tuple[Actor, ...] = ()
     dependencies: tuple[Dependency, ...] = ()
     actor_links: tuple[ActorLink, ...] = ()
-    metadata: Mapping[str, str] = field(default_factory=dict)
+    metadata: Mapping[str, str] = {}
+    _actors_by_id: dict[Identifier, Actor]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "actors", _tuple(self.actors))
@@ -154,15 +240,13 @@ class Model:
         return self._actors_by_id.get(actor_id)
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(Record):
     code: str
     offending_id: Identifier
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     errors: tuple[ValidationIssue, ...] = ()
     warnings: tuple[ValidationIssue, ...] = ()
 

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .model import ElementKind, Identifier, Model, ValidationIssue
+from .model import ElementKind, Identifier, Model, Record, ValidationIssue
 
 _PUNCT = re.compile(r"[^a-z0-9 ]+")
 _SPACES = re.compile(r"\s+")
@@ -36,8 +35,7 @@ def normalize_name(text: str) -> str:
     return _SPACES.sub(" ", lowered).strip()
 
 
-@dataclass(frozen=True)
-class VerbLexicon:
+class VerbLexicon(Record):
     """Leading task-name words that signal credential handling intent."""
 
     issue_verbs: frozenset[str] = frozenset({"issue"})
@@ -66,8 +64,7 @@ class SsiRole(enum.Enum):
     VERIFIER = "Verifier"
 
 
-@dataclass(frozen=True)
-class RoleAssignment:
+class RoleAssignment(Record):
     """One role of an actor for one credential type.
 
     ``tasks`` lists, in element order, the actor's tasks whose names show
@@ -91,14 +88,12 @@ class EvidenceKind(enum.Enum):
     UNRESOLVED = "Unresolved"
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(Record):
     kind: EvidenceKind
     element: Identifier | None = None
 
 
-@dataclass(frozen=True)
-class CredentialFlow:
+class CredentialFlow(Record):
     """One dependency read as a credential movement between two actors.
 
     ``sender`` is always the dependee and ``receiver`` the depender: an
@@ -124,8 +119,7 @@ class TrustPolicyError(ValueError):
     code = "E_TRUST_NOT_VERIFIER"
 
 
-@dataclass(frozen=True)
-class TrustOverride:
+class TrustOverride(Record):
     verifier: Identifier
     credential_type: str
     issuer_did: str
@@ -136,8 +130,7 @@ class TrustOverride:
             raise ValueError(f"override action must be 'add' or 'remove', got {self.action!r}")
 
 
-@dataclass(frozen=True)
-class TrustRegistry:
+class TrustRegistry(Record):
     """Per-verifier accepted issuer DIDs, keyed by (verifier, credential type)."""
 
     accepted: Mapping[tuple[Identifier, str], frozenset[str]]

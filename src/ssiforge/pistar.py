@@ -21,7 +21,6 @@ Layout data (``diagram``, node coordinates) is dropped on parse, so
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .model import (
     Actor,
@@ -35,6 +34,7 @@ from .model import (
     InternalLink,
     LinkKind,
     Model,
+    Record,
 )
 
 ISTAR_VERSION = "2.0"
@@ -67,15 +67,13 @@ _KNOWN_TOP_KEYS = {"actors", "dependencies", "links", "istar", "tool", "saveDate
 _METADATA_KEYS = ("tool", "saveDate")
 
 
-@dataclass(frozen=True)
-class ParseError:
+class ParseError(Record):
     path: str
     code: str
     message: str
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(Record):
     model: Model | None
     errors: tuple[ParseError, ...] = ()
     warnings: tuple[ParseError, ...] = ()

@@ -31,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import logging
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .credentials import (
@@ -46,7 +45,7 @@ from .credentials import (
     issue_credential,
     verify_presentation,
 )
-from .model import Dependency, Identifier, LinkKind, Model
+from .model import Dependency, Identifier, LinkKind, Model, Record
 from .overlay import CredentialFlow, FlowKind, RoleAssignment, SsiRole, TrustRegistry
 from .propagation import LabelState, evaluate_goals
 
@@ -84,10 +83,9 @@ def subject_key_seed(seed: int, subject: str) -> bytes:
     return hashlib.sha256((seed & _MASK64).to_bytes(8, "big") + b"\x00subject:" + subject.encode("utf-8")).digest()
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     seed: int = 0
-    latency: Mapping[tuple[Identifier, Identifier], int] = field(default_factory=dict)
+    latency: Mapping[tuple[Identifier, Identifier], int] = {}
     default_latency: int = 1
     drop_probability: float = 0.0
     max_retries: int = 3
@@ -119,8 +117,7 @@ class SimConfig:
         }
 
 
-@dataclass(frozen=True)
-class VerifyBehavior:
+class VerifyBehavior(Record):
     """Run the checks of one presentation flow when the check tasks activate."""
 
     flow: Identifier
@@ -131,8 +128,7 @@ class VerifyBehavior:
     purpose: str | None = None
 
 
-@dataclass(frozen=True)
-class IssueBehavior:
+class IssueBehavior(Record):
     """Answer issuance requests for one flow once every gate task is Satisfied."""
 
     flow: Identifier
@@ -145,8 +141,7 @@ class IssueBehavior:
     child_subject: bool = False
 
 
-@dataclass(frozen=True)
-class RequestBehavior:
+class RequestBehavior(Record):
     """Kick off one issuance flow at tick 0 and await the credential."""
 
     flow: Identifier
@@ -155,15 +150,13 @@ class RequestBehavior:
     await_task_id: Identifier | None
 
 
-@dataclass(frozen=True)
-class BootstrapCredential:
+class BootstrapCredential(Record):
     credential_type: str
     issuer: Identifier
     holder: Identifier
 
 
-@dataclass(frozen=True)
-class AgentSpec:
+class AgentSpec(Record):
     actor: Identifier
     did: str
     keys: KeyPair
@@ -335,8 +328,7 @@ def compile_agents(
     )
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(Record):
     kind: str
     flow: Identifier | None
     credential_type: str
@@ -351,16 +343,15 @@ class Message:
     copy_task: Identifier | None = None
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     config: Mapping[str, object]
     events: tuple[Mapping[str, object], ...]
     final_labels: Mapping[Identifier, str]
     termination: str
     final_tick: int
     # The events' lines as the run recorded them.  Not an init field, so a
-    # trace built by hand or by ``dataclasses.replace`` encodes its events.
-    _recorded: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    # trace built by hand or by ``replace`` encodes its events.
+    _recorded: tuple[str, ...] | None
 
     def lines(self) -> list[str]:
         head = canonical_text({"config": dict(self.config)})

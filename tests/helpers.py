@@ -273,32 +273,31 @@ def mutate_presentation(pres, rng: random.Random):
         key = rng.choice(sorted(cred.claims))
         claims = dict(cred.claims)
         claims[key] = flip_bit_text(claims[key], rng)
-        cred = dataclasses.replace(cred, claims=claims)
+        cred = cred.replace(claims=claims)
     elif field == "issued_at":
-        cred = dataclasses.replace(cred, issued_at=cred.issued_at ^ (1 << rng.randrange(31)))
+        cred = cred.replace(issued_at=cred.issued_at ^ (1 << rng.randrange(31)))
     elif field == "signature":
-        cred = dataclasses.replace(cred, signature=flip_bit_bytes(cred.signature, rng))
+        cred = cred.replace(signature=flip_bit_bytes(cred.signature, rng))
     elif field in ("type", "issuer", "subject", "holder", "id"):
-        cred = dataclasses.replace(cred, **{field: flip_bit_text(getattr(cred, field), rng)})
+        cred = cred.replace(**{field: flip_bit_text(getattr(cred, field), rng)})
     elif field == "presenter":
-        return dataclasses.replace(pres, presenter=flip_bit_text(pres.presenter, rng)), field
+        return pres.replace(presenter=flip_bit_text(pres.presenter, rng)), field
     elif field == "nonce":
-        return dataclasses.replace(pres, nonce=flip_bit_bytes(pres.nonce, rng)), field
+        return pres.replace(nonce=flip_bit_bytes(pres.nonce, rng)), field
     else:
-        return dataclasses.replace(pres, holder_proof=flip_bit_bytes(pres.holder_proof, rng)), field
-    return dataclasses.replace(pres, credential=cred), field
+        return pres.replace(holder_proof=flip_bit_bytes(pres.holder_proof, rng)), field
+    return pres.replace(credential=cred), field
 
 
 def rename_element(model: Model, element_id: str, new_name: str) -> Model:
     """``model`` with the element ``element_id`` renamed, in whichever actor owns it."""
     actors = tuple(
-        dataclasses.replace(
-            actor,
-            elements=tuple(dataclasses.replace(e, name=new_name) if e.id == element_id else e for e in actor.elements),
+        actor.replace(
+            elements=tuple(e.replace(name=new_name) if e.id == element_id else e for e in actor.elements),
         )
         for actor in model.actors
     )
-    return dataclasses.replace(model, actors=actors)
+    return model.replace(actors=actors)
 
 
 @dataclasses.dataclass(frozen=True)

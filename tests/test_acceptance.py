@@ -4,7 +4,6 @@ Each test here exercises one externally visible guarantee of the package;
 the terminal summary lists their verdicts one per line.
 """
 
-import dataclasses
 import json
 import random
 import string
@@ -113,24 +112,23 @@ def test_honest_run_satisfies_the_mother_deterministically(birth_model):
 
 def _claim_tamper(msg):
     credential = msg.presentation.credential
-    tampered = dataclasses.replace(credential, claims=dict(credential.claims, subjectActor="intruder"))
-    return dataclasses.replace(msg, presentation=dataclasses.replace(msg.presentation, credential=tampered))
+    tampered = credential.replace(claims=dict(credential.claims, subjectActor="intruder"))
+    return msg.replace(presentation=msg.presentation.replace(credential=tampered))
 
 
 def _resign_tamper(msg):
     mallory = generate_keypair(b"\x99" * 32)
     credential = msg.presentation.credential
-    forged = dataclasses.replace(
-        credential,
+    forged = credential.replace(
         signature=mallory.signing_key.sign(canonical_bytes(credential.payload())),
     )
-    return dataclasses.replace(msg, presentation=dataclasses.replace(msg.presentation, credential=forged))
+    return msg.replace(presentation=msg.presentation.replace(credential=forged))
 
 
 def _stale_nonce_tamper(msg):
     mother = generate_keypair(actor_key_seed(42, "Mother"))
     stale = create_presentation(mother, msg.presentation.presenter, msg.presentation.credential, bytes(16))
-    return dataclasses.replace(msg, presentation=stale)
+    return msg.replace(presentation=stale)
 
 
 def _impostor_tamper(msg):
@@ -138,7 +136,7 @@ def _impostor_tamper(msg):
     hijacked = create_presentation(
         mallory, did_from_public_key(mallory.public_key), msg.presentation.credential, msg.presentation.nonce
     )
-    return dataclasses.replace(msg, presentation=hijacked)
+    return msg.replace(presentation=hijacked)
 
 
 @pytest.mark.parametrize(

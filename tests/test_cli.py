@@ -175,8 +175,9 @@ def test_roles_custom_lexicon(tmp_path, fixture_doc):
         '{"issueVerbs": "issue"}',  # a string, not a list: not the verbs i, s, u, e
         '{"issueVerbs": [1]}',
         '["issue"]',
+        '{"issueVerb": ["grant"]}',  # misspelled: would keep the default verbs
     ],
-    ids=["colliding", "string", "number", "array"],
+    ids=["colliding", "string", "number", "array", "unknown-key"],
 )
 def test_bad_lexicon_file_exits_two(birth_path, tmp_path, text):
     bad = tmp_path / "lexicon.json"
@@ -297,6 +298,17 @@ def test_simulate_mistyped_trust_entry_exits_two(birth_path, tmp_path, field, va
     assert result.exit_code == 2
     assert "bad trust file" in result.stderr
     assert "must be strings" in result.stderr
+
+
+def test_simulate_unknown_trust_key_exits_two(birth_path, tmp_path):
+    # A misspelled "action" would otherwise read as the default, add.
+    entry = {"verifier": "Registrar", "credentialType": BND, "issuerDid": midwife_did(42), "acton": "remove"}
+    trust = tmp_path / "trust.json"
+    trust.write_text(json.dumps([entry]), encoding="utf-8")
+    result = invoke(["simulate", str(birth_path), "--seed", "42", "--trust", str(trust)])
+    assert result.exit_code == 2
+    assert "bad trust file" in result.stderr
+    assert "'acton'" in result.stderr
 
 
 def test_simulate_unknown_trust_pair_exits_one(birth_path, tmp_path):
@@ -500,6 +512,9 @@ def test_bare_command_prints_usage_and_exits_two():
 # -- lazy loading ---------------------------------------------------------
 
 LAZY_MODULES = ("cryptography", "ssiforge.credentials", "ssiforge.simulator")
+# No command loads these: records are plain slotted classes, and importing
+# ``dataclasses`` (with ``inspect``) would add about 10 ms to every start-up.
+UNUSED_MODULES = ("dataclasses", "inspect")
 LOADED_AFTER = """
 import sys
 from ssiforge.cli import main
@@ -532,7 +547,7 @@ def stderr_of_fresh_run(script, birth_path, args):
     ids=["validate", "roles", "export", "simulate"],
 )
 def test_only_simulate_loads_the_credential_layer(birth_path, args, loaded):
-    stderr = stderr_of_fresh_run(LOADED_AFTER.format(modules=LAZY_MODULES), birth_path, args)
+    stderr = stderr_of_fresh_run(LOADED_AFTER.format(modules=LAZY_MODULES + UNUSED_MODULES), birth_path, args)
     assert stderr.strip().split(",") == (list(LAZY_MODULES) if loaded else [""])
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -275,9 +274,9 @@ def test_unregistered_issuer_fails_signature_check():
 
 def test_claim_tamper_breaks_integrity():
     _, _, presentation, directory, trust, nonce = lifecycle()
-    tampered = dataclasses.replace(presentation.credential, claims={"zone": "4"})
+    tampered = presentation.credential.replace(claims={"zone": "4"})
     outcome = verify_presentation(
-        dataclasses.replace(presentation, credential=tampered), directory, trust, "Gate", nonce
+        presentation.replace(credential=tampered), directory, trust, "Gate", nonce
     )
     assert not outcome.integrity
     assert outcome.fail_reason == "integrity"
@@ -286,12 +285,11 @@ def test_claim_tamper_breaks_integrity():
 def test_foreign_signature_fails_issuer_check():
     _, _, presentation, directory, trust, nonce = lifecycle()
     mallory = generate_keypair(bytes([0x33]) * 32)
-    resigned = dataclasses.replace(
-        presentation.credential,
+    resigned = presentation.credential.replace(
         signature=mallory.signing_key.sign(canonical_bytes(presentation.credential.payload())),
     )
     outcome = verify_presentation(
-        dataclasses.replace(presentation, credential=resigned), directory, trust, "Gate", nonce
+        presentation.replace(credential=resigned), directory, trust, "Gate", nonce
     )
     assert (outcome.integrity, outcome.issuer_signature, outcome.subject_binding, outcome.issuer_trusted) == (
         True, False, True, True,

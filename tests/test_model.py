@@ -1,8 +1,19 @@
+import copy
+import pickle
 import random
 
 import pytest
 
 import helpers
+from ssiforge.credentials import (
+    Credential,
+    CredentialCheck,
+    DidDocument,
+    KeyPair,
+    Presentation,
+    VerificationOutcome,
+    generate_keypair,
+)
 from ssiforge.model import (
     Actor,
     ActorKind,
@@ -15,7 +26,32 @@ from ssiforge.model import (
     InternalLink,
     LinkKind,
     Model,
+    Record,
+    ValidationIssue,
+    ValidationReport,
     validate,
+)
+from ssiforge.overlay import (
+    CredentialFlow,
+    Evidence,
+    EvidenceKind,
+    FlowKind,
+    RoleAssignment,
+    SsiRole,
+    TrustOverride,
+    TrustRegistry,
+    VerbLexicon,
+)
+from ssiforge.pistar import ParseError, ParseResult
+from ssiforge.simulator import (
+    AgentSpec,
+    BootstrapCredential,
+    IssueBehavior,
+    Message,
+    RequestBehavior,
+    SimConfig,
+    Trace,
+    VerifyBehavior,
 )
 
 
@@ -227,3 +263,250 @@ def test_model_lookups(birth_model):
     assert birth_model.actor("Stranger") is None
     assert birth_model.actor("Mother").element("mother-goal").kind is ElementKind.GOAL
     assert birth_model.actor("Mother").element("ghost") is None
+
+
+# -- records ----------------------------------------------------------------
+
+_TASK = Element("t", "Issue BND", ElementKind.TASK, {"note": "x"})
+_ACTOR = Actor("A", "Midwife", ActorKind.AGENT, (_TASK,), (), {})
+_ISSUE = ValidationIssue("E_ID_DUP", "x", "identifier 'x' is not unique")
+_EVIDENCE = Evidence(EvidenceKind.VERB, "t")
+_KEYS = generate_keypair(bytes(32))
+_CREDENTIAL = Credential("urn:1", "BND", "did:sim:i", "did:sim:s", "did:sim:h", {"zone": "3"}, 4, b"sig")
+_REGISTRY = TrustRegistry({("V", "BND"): frozenset({"did:sim:i"})})
+
+# One record of every type: its fields in order, a change that ``replace``
+# must apply, and a change its checks must reject (None if it has none).
+RECORDS = [
+    (Element, dict(id="e", name="Check BND", kind=ElementKind.TASK, annotations={"k": "v"}), {"name": "Verify"}, None),
+    (
+        InternalLink,
+        dict(id="l", kind=LinkKind.CONTRIBUTION, source="a", target="b", contribution=ContributionLabel.HELP),
+        {"contribution": ContributionLabel.HURT},
+        None,
+    ),
+    (
+        Actor,
+        dict(id="A", name="Midwife", kind=ActorKind.AGENT, elements=(_TASK,), links=(), annotations={}),
+        {"elements": [Element("u", "Check ID", ElementKind.TASK)]},
+        None,
+    ),
+    (ActorLink, dict(id="al", kind=ActorLinkKind.IS_A, source="A", target="B"), {"target": "C"}, None),
+    (
+        Dependency,
+        dict(
+            id="d", name="BND", kind=ElementKind.RESOURCE, depender="A", dependee="B", depender_element=None,
+            dependee_element="t", annotations={"ssi": "issue"},
+        ),
+        {"depender_element": "g", "annotations": {}},
+        None,
+    ),
+    (Model, dict(actors=(_ACTOR,), dependencies=(), actor_links=(), metadata={"tool": "x"}), {"actors": []}, None),
+    (ValidationIssue, dict(code="W_EMPTY_NAME", offending_id="x", message="m"), {"message": "n"}, None),
+    (ValidationReport, dict(errors=(_ISSUE,), warnings=()), {"warnings": (_ISSUE,)}, None),
+    (ParseError, dict(path="/actors/0", code="E_JSON", message="m"), {"code": "E_TYPE"}, None),
+    (ParseResult, dict(model=Model(), errors=(), warnings=()), {"model": None}, None),
+    (
+        VerbLexicon,
+        # One verb a set: a set's repr lists its items in an order that
+        # varies with the string hash seed.
+        dict(issue_verbs=frozenset({"draw up"}), provide_verbs=frozenset({"present"}), check_verbs=frozenset({"check"})),
+        {"check_verbs": frozenset({"verify"})},
+        {"check_verbs": frozenset({"draw up"})},
+    ),
+    (RoleAssignment, dict(actor="A", credential_type="BND", role=SsiRole.ISSUER, tasks=("t",)), {"role": SsiRole.HOLDER}, None),
+    (Evidence, dict(kind=EvidenceKind.VERB, element="t"), {"element": None}, None),
+    (
+        CredentialFlow,
+        dict(
+            dependency="d", kind=FlowKind.ISSUANCE, credential_type="BND", sender="B", receiver="A",
+            evidence=_EVIDENCE, copy_to=None, copy_task=None, require_copy=False,
+        ),
+        {"require_copy": True},
+        None,
+    ),
+    (
+        TrustOverride,
+        dict(verifier="V", credential_type="BND", issuer_did="did:sim:i", action="remove"),
+        {"action": "add"},
+        {"action": "acton"},
+    ),
+    (TrustRegistry, dict(accepted={("V", "BND"): frozenset({"did:sim:i"})}), {"accepted": {}}, None),
+    (KeyPair, dict(public_key=_KEYS.public_key, signing_key=_KEYS.signing_key), {"public_key": b"\x01" * 32}, None),
+    (DidDocument, dict(id="did:sim:i", verification_key=b"key"), {"id": "did:sim:j"}, None),
+    (
+        Credential,
+        dict(
+            id="urn:1", type="BND", issuer="did:sim:i", subject="did:sim:s", holder="did:sim:h", claims={"zone": "3"},
+            issued_at=4, signature=b"sig",
+        ),
+        {"claims": {"zone": "4"}},
+        None,
+    ),
+    (
+        Presentation,
+        dict(credential=_CREDENTIAL, presenter="did:sim:h", nonce=bytes(16), holder_proof=b"proof"),
+        {"nonce": b"\x01" * 16},
+        None,
+    ),
+    (CredentialCheck, dict(integrity=True, issuer_signature=False), {"issuer_signature": True}, None),
+    (
+        VerificationOutcome,
+        dict(integrity=True, issuer_signature=True, subject_binding=False, issuer_trusted=True),
+        {"subject_binding": True},
+        None,
+    ),
+    (
+        SimConfig,
+        dict(
+            seed=7, latency={("A", "B"): 2}, default_latency=1, drop_probability=0.25, max_retries=3,
+            retry_timeout=10, max_ticks=100,
+        ),
+        {"seed": 8},
+        {"drop_probability": 1.5},
+    ),
+    (
+        VerifyBehavior,
+        dict(flow="d", credential_type="BND", presenter="A", check_task_ids=("t",), require_copy=True, purpose="p"),
+        {"purpose": None},
+        None,
+    ),
+    (
+        IssueBehavior,
+        dict(
+            flow="d", credential_type="BND", recipient="A", issue_task_id="t", gate_task_ids=("g",), copy_to="C",
+            copy_task_id="s", child_subject=False,
+        ),
+        {"child_subject": True},
+        None,
+    ),
+    (RequestBehavior, dict(flow="d", credential_type="BND", issuer="B", await_task_id="w"), {"await_task_id": None}, None),
+    (BootstrapCredential, dict(credential_type="ID", issuer="B", holder="A"), {"holder": "C"}, None),
+    (
+        AgentSpec,
+        dict(
+            actor="A", did="did:sim:a", keys=_KEYS, wallet=(_CREDENTIAL,), verifies=(), issues=(), requests=(),
+            answers=("BND",), trust=_REGISTRY, prelabeled=(),
+        ),
+        {"answers": ()},
+        None,
+    ),
+    (
+        Message,
+        dict(
+            kind="Present", flow="d", credential_type="BND", from_actor="A", to_actor="B", nonce=bytes(16),
+            credential=None, presentation=None, verdict=None, digest="ab", purpose="p", copy_task=None,
+        ),
+        {"purpose": "rewritten"},
+        None,
+    ),
+    (
+        Trace,
+        dict(
+            config={"seed": 1}, events=({"kind": "Start", "tick": 0},), final_labels={"g": "Satisfied"},
+            termination="quiescence", final_tick=3,
+        ),
+        {"final_tick": 4},
+        None,
+    ),
+]
+# Left out of equality, hashing and repr.
+HIDDEN = {"signing_key"}
+# Records holding an Ed25519 private key, which does not pickle.
+UNPICKLABLE = {KeyPair, AgentSpec}
+
+
+def test_every_record_type_has_an_example():
+    defined = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("ssiforge.")}
+    assert defined == {cls for cls, *_ in RECORDS}
+
+
+@pytest.mark.parametrize("cls, fields, change, bad", RECORDS, ids=[cls.__name__ for cls, *_ in RECORDS])
+def test_record_semantics(cls, fields, change, bad):
+    record = cls(**fields)
+    shown = {name: value for name, value in fields.items() if name not in HIDDEN}
+
+    same = cls(**copy.deepcopy(fields))
+    assert record == same and not record != same
+    try:
+        hash(tuple(shown.values()))
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(same)
+    twin = type(cls.__name__, (cls,), {"__slots__": ()})
+    assert record != twin(**fields) and twin(**fields) != record
+
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert record == same
+
+    assert repr(record) == f"{cls.__qualname__}({', '.join(f'{k}={v!r}' for k, v in shown.items())})"
+
+    changed = record.replace(**change)
+    expected = cls(**{**fields, **change})
+    assert changed == expected != record
+    for name in fields:
+        assert getattr(changed, name) == getattr(expected if name in change else record, name)
+    assert record == same
+    if bad is not None:
+        with pytest.raises(ValueError):
+            record.replace(**bad)
+    with pytest.raises(TypeError):
+        record.replace(unknown=1)
+
+    assert copy.deepcopy(record) == record
+    if cls in UNPICKLABLE:
+        with pytest.raises(TypeError, match="pickle"):
+            pickle.dumps(record)
+    else:
+        assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_default_mappings_are_not_shared():
+    makers = [
+        (lambda: Element("e", "n", ElementKind.TASK), "annotations"),
+        (lambda: Actor("a", "A"), "annotations"),
+        (lambda: Dependency("d", "n", ElementKind.RESOURCE, "a", "b"), "annotations"),
+        (Model, "metadata"),
+        (SimConfig, "latency"),
+    ]
+    for make, name in makers:
+        first, second = getattr(make(), name), getattr(make(), name)
+        assert first == {} and first is not second, name
+
+
+def test_record_fields_come_from_annotations():
+    class Sample(Record):
+        first: int
+        table: dict = {}
+        last: str = "z"
+        _derived: int
+
+        def __post_init__(self):
+            if self.first < 0:
+                raise ValueError("first must be non-negative")
+            object.__setattr__(self, "_derived", self.first * 2)
+
+    assert Sample.__slots__ == ("first", "table", "last", "_derived")
+    sample = Sample(3)
+    assert (sample.first, sample.table, sample.last, sample._derived) == (3, {}, "z", 6)
+    assert Sample(3, None).table == {} and Sample(3).table is not sample.table
+    assert repr(Sample(1, {"k": 1}, last="y")) == "test_record_fields_come_from_annotations.<locals>.Sample(first=1, table={'k': 1}, last='y')"
+    assert sample.replace(last="y") == Sample(3, {}, "y")
+    with pytest.raises(ValueError):
+        sample.replace(first=-1)
+    with pytest.raises(TypeError):
+        Sample(3, _derived=1)
+    with pytest.raises(AttributeError):
+        sample.other = 1
+
+    with pytest.raises(TypeError, match="without a default"):
+
+        class Misordered(Record):
+            first: int = 0
+            second: int

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -34,10 +32,10 @@ CERT = "Birth Certificate"
 
 def annotate_dependency(model, dep_id, **notes):
     deps = tuple(
-        dataclasses.replace(d, annotations={**d.annotations, **notes}) if d.id == dep_id else d
+        d.replace(annotations={**d.annotations, **notes}) if d.id == dep_id else d
         for d in model.dependencies
     )
-    return dataclasses.replace(model, dependencies=deps)
+    return model.replace(dependencies=deps)
 
 
 def test_normalize_name():
@@ -157,7 +155,7 @@ def test_fixture_role_map(birth_model):
 
 
 def test_roles_ignore_actor_order(birth_model):
-    shuffled = dataclasses.replace(birth_model, actors=tuple(reversed(birth_model.actors)))
+    shuffled = birth_model.replace(actors=tuple(reversed(birth_model.actors)))
     assert infer_roles(shuffled) == infer_roles(birth_model)
 
 
@@ -302,8 +300,7 @@ def test_add_override_silences_missing_issuer(birth_model):
 
 
 def test_orphan_verifier_warns(birth_model):
-    trimmed = dataclasses.replace(
-        birth_model,
+    trimmed = birth_model.replace(
         dependencies=tuple(d for d in birth_model.dependencies if d.id != "dep-id-midwife"),
     )
     roles = infer_roles(trimmed)

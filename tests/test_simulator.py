@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import importlib.util
 import itertools
@@ -221,10 +220,9 @@ def ungated_midwife_model(birth_model):
     for actor in birth_model.actors:
         if actor.id == "Midwife":
             elements = tuple(e for e in actor.elements if e.kind is not ElementKind.TASK or e.id == "midwife-check-id")
-            actor = dataclasses.replace(actor, elements=elements, links=())
+            actor = actor.replace(elements=elements, links=())
         actors.append(actor)
-    return dataclasses.replace(
-        birth_model,
+    return birth_model.replace(
         actors=tuple(actors),
         dependencies=tuple(d for d in birth_model.dependencies if d.id == "dep-id-midwife"),
     )
@@ -490,8 +488,8 @@ def test_mutated_claim_fails_integrity(birth_model):
     def mutate(msg):
         credential = msg.presentation.credential
         claims = dict(credential.claims, subjectActor="someone else")
-        tampered = dataclasses.replace(credential, claims=claims)
-        return dataclasses.replace(msg, presentation=dataclasses.replace(msg.presentation, credential=tampered))
+        tampered = credential.replace(claims=claims)
+        return msg.replace(presentation=msg.presentation.replace(credential=tampered))
 
     _, trace = run_fixture(birth_model, intercept=bnd_presentation_intercept(mutate))
     event = failed_bnd_check(trace)
@@ -505,11 +503,10 @@ def test_foreign_resign_fails_issuer_signature(birth_model):
 
     def mutate(msg):
         credential = msg.presentation.credential
-        forged = dataclasses.replace(
-            credential,
+        forged = credential.replace(
             signature=mallory.signing_key.sign(canonical_bytes(credential.payload())),
         )
-        return dataclasses.replace(msg, presentation=dataclasses.replace(msg.presentation, credential=forged))
+        return msg.replace(presentation=msg.presentation.replace(credential=forged))
 
     _, trace = run_fixture(birth_model, intercept=bnd_presentation_intercept(mutate))
     event = failed_bnd_check(trace)
@@ -530,7 +527,7 @@ def test_replayed_nonce_fails_subject_binding(birth_model):
         stale = create_presentation(
             mother_keys, msg.presentation.presenter, msg.presentation.credential, bytes(16)
         )
-        return dataclasses.replace(msg, presentation=stale)
+        return msg.replace(presentation=stale)
 
     _, trace = run_fixture(birth_model, intercept=bnd_presentation_intercept(mutate))
     event = failed_bnd_check(trace)
@@ -558,7 +555,7 @@ def test_impostor_presenter_fails_subject_binding(birth_model):
         hijacked = create_presentation(
             mallory, mallory_did, msg.presentation.credential, msg.presentation.nonce
         )
-        return dataclasses.replace(msg, presentation=hijacked)
+        return msg.replace(presentation=hijacked)
 
     _, trace = run_fixture(birth_model, intercept=bnd_presentation_intercept(mutate))
     event = failed_bnd_check(trace)
@@ -705,7 +702,7 @@ def rewriting_intercept():
         if n % 7 == 0:
             return None
         if n % 3 == 0:
-            return dataclasses.replace(msg, purpose=f"rewritten {n}")
+            return msg.replace(purpose=f"rewritten {n}")
         return msg
 
     return intercept
@@ -722,7 +719,7 @@ def test_trace_text_equals_per_event_canonical_bytes(birth_path):
     _, trace = run_fixture(model, seed=7, config=config)
     assert Counter(e["kind"] for e in trace.events)["Drop"] > 0
     assert trace.text().encode("utf-8") == per_event_oracle(trace)
-    read_only = dataclasses.replace(trace, events=tuple(MappingProxyType(e) for e in trace.events))
+    read_only = trace.replace(events=tuple(MappingProxyType(e) for e in trace.events))
     assert read_only.text() == trace.text()
 
     # Replaced messages are summarized and encoded again at delivery.
@@ -738,7 +735,7 @@ def test_replaced_trace_serializes_its_own_events(birth_model):
         dict(e, tick=e["tick"] + 1, message=dict(e["message"], to="Nobody")) if "message" in e else dict(e, tick=0)
         for e in trace.events
     )
-    replaced = dataclasses.replace(trace, events=altered)
+    replaced = trace.replace(events=altered)
     assert replaced.lines()[1:-1] == [canonical_bytes(e).decode("utf-8") for e in altered]
     assert replaced.text().encode("utf-8") == per_event_oracle(replaced) != trace.text().encode("utf-8")
     assert replaced.lines()[0] == trace.lines()[0] and replaced.lines()[-1] == trace.lines()[-1]
