@@ -51,16 +51,19 @@ class SelfIssueError(ValueError):
 
 _B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
 _B58_INDEX = {c: i for i, c in enumerate(_B58_ALPHABET)}
+# Every two-digit string, indexed by its value below 58 * 58.
+_B58_PAIRS = [high + low for high in _B58_ALPHABET for low in _B58_ALPHABET]
 
 
 def base58_encode(raw: bytes) -> str:
     zeros = len(raw) - len(raw.lstrip(b"\x00"))
     value = int.from_bytes(raw, "big")
-    digits = []
+    pairs = []
     while value:
-        value, rem = divmod(value, 58)
-        digits.append(_B58_ALPHABET[rem])
-    return "1" * zeros + "".join(reversed(digits))
+        value, rem = divmod(value, 58 * 58)
+        pairs.append(_B58_PAIRS[rem])
+    # The top pair may start with a zero digit, which the number does not have.
+    return "1" * zeros + "".join(reversed(pairs)).lstrip("1")
 
 
 def base58_decode(text: str) -> bytes:

@@ -80,7 +80,7 @@ class _RecordType(type):
     if any; a default of ``{}`` gives each record its own new dict, also when
     the caller passes ``None``.  A name with a leading ``_`` holds derived
     state: it is no parameter and starts as ``None``.  The ``__init__``,
-    compiled once per class, sets each slot through ``object.__setattr__`` and
+    compiled once per class, sets each slot through its member descriptor and
     then calls the class's ``__post_init__``, if it has one, to check and
     normalize the fields.
     """
@@ -99,8 +99,8 @@ class _RecordType(type):
 
     @staticmethod
     def _compile_init(cls: type):
-        defaults, body = [], []
-        for slot in cls._slots:
+        defaults, body, namespace = [], [], {}
+        for i, slot in enumerate(cls._slots):
             value = slot
             if slot.startswith("_"):
                 value = "None"
@@ -111,10 +111,11 @@ class _RecordType(type):
                 defaults.append(default)
             elif defaults:
                 raise TypeError(f"field {slot!r} without a default follows one with a default")
-            body.append(f"_set(self, {slot!r}, {value})")
+            # The slot's member descriptor sets it without the frozen ``__setattr__``.
+            namespace[f"_set{i}"] = getattr(cls, slot).__set__
+            body.append(f"_set{i}(self, {value})")
         if hasattr(cls, "__post_init__"):
             body.append("self.__post_init__()")
-        namespace = {"_set": object.__setattr__}
         exec(f"def __init__(self, {', '.join(cls._params)}):\n    " + "\n    ".join(body or ["pass"]), namespace)
         init = namespace["__init__"]
         init.__defaults__ = tuple(defaults) or None

@@ -11,7 +11,9 @@ compiled from the derived credential flows:
   arrives; an issuer with a "send copy" task also mails the credential
   digest to the named actor;
 - a holder answers proof requests from its wallet, deferring the answer
-  until the credential arrives if it must;
+  until the credential arrives if it must; its proof is signed when the
+  presentation is delivered, so a presentation the network drops is never
+  signed;
 - a verifier that issues nothing sends its proof requests at tick 0; it
   runs the four cryptographic checks on each presentation, plus a digest
   comparison against its record store when a "check ... copy" task exists,
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import logging
+from json.encoder import encode_basestring
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .credentials import (
@@ -48,8 +50,6 @@ from .credentials import (
 from .model import Dependency, Identifier, LinkKind, Model, Record
 from .overlay import CredentialFlow, FlowKind, RoleAssignment, SsiRole, TrustRegistry
 from .propagation import LabelState, evaluate_goals
-
-logger = logging.getLogger(__name__)
 
 _MASK64 = (1 << 64) - 1
 
@@ -343,6 +343,57 @@ class Message(Record):
     copy_task: Identifier | None = None
 
 
+def _summarize(msg: Message) -> tuple[dict, str]:
+    """A message's trace summary and its canonical JSON.
+
+    The JSON is written from a fixed template, keys in canonical (sorted)
+    order, rather than by sorting the dict: it equals
+    ``canonical_text(summary)``.
+    """
+    presentation = msg.presentation
+    if presentation is not None:
+        credential_id, nonce = presentation.credential.id, presentation.nonce
+    else:
+        credential_id, nonce = (msg.credential.id if msg.credential is not None else None), msg.nonce
+    summary: dict = {}
+    parts = []
+    if credential_id is not None:
+        summary["credentialId"] = credential_id
+        parts.append('"credentialId":' + encode_basestring(credential_id))
+    summary["credentialType"] = msg.credential_type
+    parts.append('"credentialType":' + encode_basestring(msg.credential_type))
+    if msg.digest is not None:
+        summary["digest"] = msg.digest
+        parts.append('"digest":' + encode_basestring(msg.digest))
+    summary["flow"] = msg.flow
+    parts.append('"flow":' + ("null" if msg.flow is None else encode_basestring(msg.flow)))
+    summary["from"] = msg.from_actor
+    parts.append('"from":' + encode_basestring(msg.from_actor))
+    if nonce is not None:
+        summary["nonce"] = nonce.hex()
+        parts.append('"nonce":' + encode_basestring(summary["nonce"]))
+    if msg.purpose is not None:
+        summary["purpose"] = msg.purpose
+        parts.append('"purpose":' + encode_basestring(msg.purpose))
+    summary["to"] = msg.to_actor
+    summary["type"] = msg.kind
+    parts.append(f'"to":{encode_basestring(msg.to_actor)},"type":{encode_basestring(msg.kind)}')
+    if msg.verdict is not None:
+        summary["verdict"] = msg.verdict
+        parts.append('"verdict":true' if msg.verdict else '"verdict":false')
+    return summary, "{" + ",".join(parts) + "}"
+
+
+def _goal_update(seq: int, tick: int, element: Identifier, label: str) -> tuple[dict, str]:
+    """A GoalUpdate event and its canonical JSON, written from a fixed template."""
+    event = {"kind": "GoalUpdate", "seq": seq, "tick": tick, "element": element, "label": label}
+    line = (
+        f'{{"element":{encode_basestring(element)},"kind":"GoalUpdate",'
+        f'"label":{encode_basestring(label)},"seq":{seq},"tick":{tick}}}'
+    )
+    return event, line
+
+
 class Trace(Record):
     config: Mapping[str, object]
     events: tuple[Mapping[str, object], ...]
@@ -445,32 +496,8 @@ class _Simulation:
         self.event_lines.append(f'{{"kind":"{kind}","message":{encoded},"seq":{self.seq},"tick":{self.tick}}}')
         self.seq += 1
 
-    def _message_summary(self, msg: Message) -> dict:
-        summary: dict = {
-            "credentialType": msg.credential_type,
-            "flow": msg.flow,
-            "from": msg.from_actor,
-            "to": msg.to_actor,
-            "type": msg.kind,
-        }
-        if msg.nonce is not None:
-            summary["nonce"] = msg.nonce.hex()
-        if msg.credential is not None:
-            summary["credentialId"] = msg.credential.id
-        if msg.presentation is not None:
-            summary["credentialId"] = msg.presentation.credential.id
-            summary["nonce"] = msg.presentation.nonce.hex()
-        if msg.verdict is not None:
-            summary["verdict"] = msg.verdict
-        if msg.digest is not None:
-            summary["digest"] = msg.digest
-        if msg.purpose is not None:
-            summary["purpose"] = msg.purpose
-        return summary
-
     def _send(self, msg: Message) -> None:
-        summary = self._message_summary(msg)
-        encoded = canonical_text(summary)
+        summary, encoded = _summarize(msg)
         self._message_event("Send", summary, encoded)
         latency = self.config.latency_between(msg.from_actor, msg.to_actor)
         self._push(self.tick + latency, ("deliver", msg, summary, encoded))
@@ -482,7 +509,10 @@ class _Simulation:
         if current is label or current is LabelState.DENIED:
             return
         self.labels[element_id] = label
-        self._event("GoalUpdate", element=element_id, label=label.value)
+        event, line = _goal_update(self.seq, self.tick, element_id, label.value)
+        self.events.append(event)
+        self.event_lines.append(line)
+        self.seq += 1
 
     # -- behavior activation ----------------------------------------------
 
@@ -585,7 +615,6 @@ class _Simulation:
     def _on_issuance_request(self, agent: _AgentState, msg: Message) -> None:
         behavior = agent.issue_by_flow.get(msg.flow)
         if behavior is None or behavior.recipient != msg.from_actor:
-            logger.debug("%s ignoring issuance request for %r", agent.spec.actor, msg.flow)
             return
         if msg.flow in agent.issued:
             self._send_credential(agent, behavior, agent.issued[msg.flow])
@@ -596,7 +625,6 @@ class _Simulation:
 
     def _on_proof_request(self, agent: _AgentState, msg: Message) -> None:
         if msg.credential_type not in agent.spec.answers:
-            logger.debug("%s has no answer behavior for %r", agent.spec.actor, msg.credential_type)
             return
         credential = agent.wallet.get(msg.credential_type)
         if credential is None:
@@ -605,7 +633,7 @@ class _Simulation:
         self._answer_proof(agent, msg, credential)
 
     def _answer_proof(self, agent: _AgentState, msg: Message, credential: Credential) -> None:
-        presentation = create_presentation(agent.spec.keys, agent.spec.did, credential, msg.nonce)
+        # The credential and nonce to present; ``_signed`` signs the proof at delivery.
         self._send(
             Message(
                 kind="ProofPresentation",
@@ -613,14 +641,30 @@ class _Simulation:
                 credential_type=msg.credential_type,
                 from_actor=agent.spec.actor,
                 to_actor=msg.from_actor,
-                presentation=presentation,
+                nonce=msg.nonce,
+                credential=credential,
             )
+        )
+
+    def _signed(self, msg: Message) -> Message:
+        """The presentation ``_answer_proof`` sent, with its holder proof signed.
+
+        Ed25519 signatures are deterministic, so signing at delivery gives
+        the bytes signing at send would have, and the summary is the same.
+        """
+        holder = self.agents[msg.from_actor].spec
+        return Message(
+            kind=msg.kind,
+            flow=msg.flow,
+            credential_type=msg.credential_type,
+            from_actor=msg.from_actor,
+            to_actor=msg.to_actor,
+            presentation=create_presentation(holder.keys, holder.did, msg.credential, msg.nonce),
         )
 
     def _on_proof_presentation(self, agent: _AgentState, msg: Message) -> None:
         state = agent.verifications.get(msg.flow)
         if state is None or state.resolved or state.nonce is None:
-            logger.debug("%s ignoring presentation for %r", agent.spec.actor, msg.flow)
             return
         behavior = state.behavior
         presentation = msg.presentation
@@ -745,14 +789,15 @@ class _Simulation:
                 continue
             _, msg, summary, encoded = entry
             dropped = self.prng.next_float() < self.config.drop_probability
+            if not dropped and msg.kind == "ProofPresentation" and msg.presentation is None:
+                msg = self._signed(msg)
             if not dropped and self.intercept is not None:
                 replacement = self.intercept(msg, self.tick)
                 if replacement is None:
                     dropped = True
                 elif replacement is not msg:
                     msg = replacement
-                    summary = self._message_summary(msg)
-                    encoded = canonical_text(summary)
+                    summary, encoded = _summarize(msg)
             # A copy, so that no two events share one summary dict.
             self._message_event("Drop" if dropped else "Deliver", dict(summary), encoded)
             if dropped:
@@ -781,7 +826,8 @@ def run(
     """Execute the compiled agents until quiescence or the tick bound.
 
     ``intercept`` is a test-harness hook: it sees every message at delivery
-    time and may substitute it or return None to force a drop.
+    time, a presentation with its holder proof signed, and may substitute
+    it or return None to force a drop.
     """
     return _Simulation(model, agents, config, intercept).run()
 

@@ -513,8 +513,9 @@ def test_bare_command_prints_usage_and_exits_two():
 
 LAZY_MODULES = ("cryptography", "ssiforge.credentials", "ssiforge.simulator")
 # No command loads these: records are plain slotted classes, and importing
-# ``dataclasses`` (with ``inspect``) would add about 10 ms to every start-up.
-UNUSED_MODULES = ("dataclasses", "inspect")
+# ``dataclasses`` (with ``inspect``) would add about 10 ms to every start-up;
+# the simulator logs nothing, and ``logging`` would add 6-8 ms to ``simulate``.
+UNUSED_MODULES = ("dataclasses", "inspect", "logging")
 LOADED_AFTER = """
 import sys
 from ssiforge.cli import main

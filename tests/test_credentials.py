@@ -90,6 +90,31 @@ def test_base58_round_trip(raw):
     assert base58_decode(base58_encode(raw)) == raw
 
 
+def base58_by_digit(raw: bytes) -> str:
+    """Base58, one digit per ``divmod``: the oracle for the two-digit encoder."""
+    zeros = len(raw) - len(raw.lstrip(b"\x00"))
+    value = int.from_bytes(raw, "big")
+    digits = []
+    while value:
+        value, rem = divmod(value, 58)
+        digits.append(credentials._B58_ALPHABET[rem])
+    return "1" * zeros + "".join(reversed(digits))
+
+
+@given(st.integers(0, 4), st.binary(max_size=48), st.booleans())
+def test_base58_encode_matches_digit_by_digit(zeros, body, all_zero):
+    raw = b"\x00" * zeros + (bytes(len(body)) if all_zero else body)
+    assert base58_encode(raw) == base58_by_digit(raw)
+
+
+def test_base58_encode_pair_boundaries():
+    # Values whose top pair starts with a zero digit, and digit counts of both parities.
+    for value in (1, 57, 58, 3363, 3364, 3364 * 58 - 1, 3364 * 58, 3364**2):
+        raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
+        for prefix in (b"", b"\x00", b"\x00\x00"):
+            assert base58_encode(prefix + raw) == base58_by_digit(prefix + raw)
+
+
 def test_base58_rejects_foreign_characters():
     for char in "0OIl+/":
         with pytest.raises(ValueError):

@@ -7,13 +7,17 @@ from pathlib import Path
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given, strategies as st
 
 import helpers
 import ssiforge.credentials as credentials
 import ssiforge.simulator as simulator
 from ssiforge.credentials import (
     CHECK_ORDER,
+    Credential,
+    Presentation,
     canonical_bytes,
+    canonical_text,
     create_presentation,
     did_from_public_key,
     generate_keypair,
@@ -34,9 +38,11 @@ from ssiforge.overlay import (
     derive_flows,
 )
 from ssiforge.pistar import parse_model
+from ssiforge.propagation import LabelState
 from ssiforge.simulator import (
     BootstrapCredential,
     CompileError,
+    Message,
     SimConfig,
     SplitMix64,
     VerifyBehavior,
@@ -649,6 +655,80 @@ def test_identity_intercept_changes_nothing(birth_model):
 # -- trace format ---------------------------------------------------------
 
 
+# Text with what JSON must escape, non-ASCII and astral characters.
+TRICKY_TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028é😀'), st.characters()), max_size=12)
+
+
+def optional(strategy):
+    return st.none() | strategy
+
+
+def credential_with_id(credential_id: str) -> Credential:
+    return Credential(credential_id, "T", "did:sim:i", "did:sim:s", "did:sim:h", {}, 0, b"")
+
+
+@st.composite
+def messages(draw) -> Message:
+    credential = draw(optional(TRICKY_TEXT.map(credential_with_id)))
+    presentation = draw(
+        optional(
+            st.builds(
+                Presentation, TRICKY_TEXT.map(credential_with_id), TRICKY_TEXT, st.binary(min_size=16, max_size=16),
+                st.just(b""),
+            )
+        )
+    )
+    return Message(
+        kind=draw(TRICKY_TEXT),
+        flow=draw(optional(TRICKY_TEXT)),
+        credential_type=draw(TRICKY_TEXT),
+        from_actor=draw(TRICKY_TEXT),
+        to_actor=draw(TRICKY_TEXT),
+        nonce=draw(optional(st.binary(min_size=16, max_size=16))),
+        credential=credential,
+        presentation=presentation,
+        verdict=draw(optional(st.booleans())),
+        digest=draw(optional(TRICKY_TEXT)),
+        purpose=draw(optional(TRICKY_TEXT)),
+    )
+
+
+def summary_oracle(msg: Message) -> dict:
+    """The summary of ``msg``, field by field as docs/trace.md lists it."""
+    summary = {
+        "credentialType": msg.credential_type, "flow": msg.flow, "from": msg.from_actor, "to": msg.to_actor,
+        "type": msg.kind,
+    }
+    if msg.nonce is not None:
+        summary["nonce"] = msg.nonce.hex()
+    if msg.credential is not None:
+        summary["credentialId"] = msg.credential.id
+    if msg.presentation is not None:
+        summary["credentialId"] = msg.presentation.credential.id
+        summary["nonce"] = msg.presentation.nonce.hex()
+    for key, value in (("verdict", msg.verdict), ("digest", msg.digest), ("purpose", msg.purpose)):
+        if value is not None:
+            summary[key] = value
+    return summary
+
+
+@given(messages())
+def test_summary_template_is_canonical_json(msg):
+    summary, encoded = simulator._summarize(msg)
+    assert summary == summary_oracle(msg)
+    assert encoded == canonical_text(summary)
+
+
+@given(
+    st.integers(0, 10**6), st.integers(0, 10**6), TRICKY_TEXT,
+    st.sampled_from([label.value for label in LabelState]) | TRICKY_TEXT,
+)
+def test_goal_update_template_is_canonical_json(seq, tick, element, label):
+    event, line = simulator._goal_update(seq, tick, element, label)
+    assert event == {"kind": "GoalUpdate", "seq": seq, "tick": tick, "element": element, "label": label}
+    assert line == canonical_text(event)
+
+
 def test_trace_lines_are_canonical_json(birth_model):
     _, trace = run_fixture(birth_model)
     lines = trace.lines()
@@ -711,6 +791,48 @@ def rewriting_intercept():
 def test_scaled_lossy_trace_is_pinned(birth_path):
     _, trace = run_fixture(scaled_model(birth_path, 3), seed=7, config=SimConfig(seed=7, drop_probability=0.3))
     assert hashlib.sha256(trace.text().encode("utf-8")).hexdigest() == SCALED_LOSSY_TRACE_SHA256
+
+
+# sha256 of the fixture's trace at seed 7, drop 0.3: a run that drops a presentation.
+FIXTURE_LOSSY_TRACE_SHA256 = "1055e9f1703bdcfe874c2fe0b8a1b42e3eb2ff3474ac10e90f1e96739b1d9042"
+
+
+def test_fixture_lossy_trace_is_pinned(birth_model):
+    _, trace = run_fixture(birth_model, seed=7, config=SimConfig(seed=7, drop_probability=0.3))
+    assert hashlib.sha256(trace.text().encode("utf-8")).hexdigest() == FIXTURE_LOSSY_TRACE_SHA256
+
+
+def counted_presentations(monkeypatch) -> list:
+    """Count the run's ``create_presentation`` calls."""
+    calls: list = []
+    real = simulator.create_presentation
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "create_presentation", counting)
+    return calls
+
+
+def test_nothing_is_signed_when_every_message_drops(birth_model, monkeypatch):
+    calls = counted_presentations(monkeypatch)
+    run_fixture(birth_model, config=SimConfig(seed=42, drop_probability=1.0))
+    assert calls == []
+
+
+def test_each_delivered_presentation_is_signed_once(birth_model, monkeypatch):
+    """A holder proof is signed when its presentation is delivered, so a
+    dropped presentation costs no signature."""
+    calls = counted_presentations(monkeypatch)
+    dropped = 0
+    for seed in range(1, 12):
+        calls.clear()
+        _, trace = run_fixture(birth_model, seed=seed, config=SimConfig(seed=seed, drop_probability=0.3))
+        kinds = Counter((e["kind"], e["message"]["type"]) for e in trace.events if "message" in e)
+        assert len(calls) == kinds["Deliver", "ProofPresentation"], seed
+        dropped += kinds["Drop", "ProofPresentation"]
+    assert dropped > 0
 
 
 def test_trace_text_equals_per_event_canonical_bytes(birth_path):
