@@ -37,6 +37,7 @@ from .overlay import (
     infer_roles,
     lint_ssi,
     normalize_name,
+    trust_noops,
 )
 # The credential and simulation layers, and with them ``cryptography``, load
 # on first use: ``import ssiforge`` and the validate, roles and export

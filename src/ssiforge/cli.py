@@ -31,6 +31,7 @@ from .overlay import (
     derive_flows,
     infer_roles,
     lint_ssi,
+    trust_noops,
 )
 from .pistar import export_dot, parse_model
 
@@ -288,6 +289,8 @@ def cmd_simulate(
     }
     try:
         registry = build_trust_registry(roles, flows, did_of, overrides)
+        for w in trust_noops(roles, flows, did_of, overrides):
+            print(f"WARN {w.code} {w.offending_id}: {w.message}", file=sys.stderr)
         agents = compile_agents(
             model,
             roles,

@@ -17,6 +17,17 @@ Verification runs four independent checks, always in this order:
 
 The first failing check names the failure reason; later checks still run so
 callers always see all four flags.
+
+``verify_credential`` and ``verify_presentation`` take an optional memo, a
+dict that one caller keeps for one run (the simulator keeps one per run):
+it maps an issuer signature check, keyed on the issuer key, the payload
+bytes recomputed from the credential and the signature, to its result.  A
+credential presented to several verifiers is then checked with Ed25519
+once.  This is sound because Ed25519 verification is a pure function of
+key, message and signature: the key holds exactly the bytes verified, so a
+credential with a changed claim or a foreign signature misses the memo even
+when its ``id`` is unchanged.  The holder proof is never memoized; each one
+signs a fresh nonce.
 """
 
 from __future__ import annotations
@@ -43,6 +54,9 @@ SEED_LENGTH = 32
 KEY_CACHE_SIZE = 1024
 
 CHECK_ORDER = ("integrity", "issuerSignature", "subjectBinding", "issuerTrusted")
+
+# Issuer signature checks already run: (issuer key, payload bytes, signature) -> valid.
+SignatureMemo = dict[tuple[bytes, bytes, bytes], bool]
 
 
 class SelfIssueError(ValueError):
@@ -272,14 +286,21 @@ def issue_credential(
 def verify_credential(
     credential: Credential,
     directory: Mapping[str, DidDocument],
+    memo: SignatureMemo | None = None,
 ) -> CredentialCheck:
+    """Check a credential's integrity and issuer signature, the latter
+    through ``memo`` when one is given (see the module docstring)."""
     raw = canonical_bytes(credential.payload())
     integrity = hashlib.sha256(raw).hexdigest() == credential.id
     issuer_doc = directory.get(credential.issuer)
     if issuer_doc is None:
         return CredentialCheck(integrity=integrity, issuer_signature=False)
-    issuer_signature = verify_signature(issuer_doc.verification_key, raw, credential.signature)
-    return CredentialCheck(integrity=integrity, issuer_signature=issuer_signature)
+    if memo is None:
+        memo = {}
+    checked = (issuer_doc.verification_key, raw, credential.signature)
+    if checked not in memo:
+        memo[checked] = verify_signature(*checked)
+    return CredentialCheck(integrity=integrity, issuer_signature=memo[checked])
 
 
 def proof_message(credential_id: str, nonce: bytes) -> bytes:
@@ -308,15 +329,18 @@ def verify_presentation(
     trust: TrustRegistry,
     verifier: str,
     expected_nonce: bytes,
+    memo: SignatureMemo | None = None,
 ) -> VerificationOutcome:
     """Run all four checks on a presentation.
 
     The issuer key comes from the directory (issuers must be registered);
     the holder proof is checked against the key embedded in the presenter's
     own DID, since possession, not registration, is what it demonstrates.
+    ``memo`` is passed to :func:`verify_credential`; the holder proof is
+    always verified.
     """
     credential = presentation.credential
-    cred_check = verify_credential(credential, directory)
+    cred_check = verify_credential(credential, directory, memo)
 
     try:
         presenter_key = decode_did(presentation.presenter)

@@ -393,14 +393,51 @@ def build_trust_registry(
     accepted: dict[tuple[Identifier, str], set[str]] = {
         pair: {did_of[a] for a in issuers_by_type.get(pair[1], [])} for pair in sorted(verifier_pairs)
     }
+    _apply_overrides(accepted, overrides)
+    return TrustRegistry({pair: frozenset(dids) for pair, dids in accepted.items()})
+
+
+def trust_noops(
+    roles: Sequence[RoleAssignment],
+    flows: Sequence[CredentialFlow],
+    did_of: Mapping[Identifier, str],
+    overrides: Iterable[TrustOverride],
+) -> tuple[ValidationIssue, ...]:
+    """A ``W_TRUST_NOOP`` warning for each override that changes nothing.
+
+    Overrides apply in order, as in :func:`build_trust_registry`: one that
+    removes a DID its pair does not accept, or adds one it already accepts,
+    is a no-op.  DIDs depend on the seed, so such an override is usually a
+    policy written for another seed.
+    """
+    defaults = build_trust_registry(roles, flows, did_of).accepted
+    return tuple(_apply_overrides({pair: set(dids) for pair, dids in defaults.items()}, overrides))
+
+
+def _apply_overrides(
+    accepted: dict[tuple[Identifier, str], set[str]], overrides: Iterable[TrustOverride]
+) -> list[ValidationIssue]:
+    """Apply ``overrides`` to ``accepted`` in order; return a warning for each no-op."""
+    noops = []
     for override in overrides:
         pair = (override.verifier, override.credential_type)
         if pair not in accepted:
             raise TrustPolicyError(
                 f"{override.verifier!r} holds no Verifier role for {override.credential_type!r}"
             )
+        dids = accepted[pair]
+        if (override.issuer_did in dids) == (override.action == "add"):
+            state = "already accepts" if override.action == "add" else "does not accept"
+            noops.append(
+                ValidationIssue(
+                    "W_TRUST_NOOP",
+                    override.verifier,
+                    f"{override.action} of {override.issuer_did} for {override.credential_type!r} changes "
+                    f"nothing: the verifier {state} it",
+                )
+            )
         if override.action == "add":
-            accepted[pair].add(override.issuer_did)
+            dids.add(override.issuer_did)
         else:
-            accepted[pair].discard(override.issuer_did)
-    return TrustRegistry({pair: frozenset(dids) for pair, dids in accepted.items()})
+            dids.discard(override.issuer_did)
+    return noops

@@ -11,13 +11,19 @@ compiled from the derived credential flows:
   arrives; an issuer with a "send copy" task also mails the credential
   digest to the named actor;
 - a holder answers proof requests from its wallet, deferring the answer
-  until the credential arrives if it must; its proof is signed when the
-  presentation is delivered, so a presentation the network drops is never
-  signed;
+  until the credential arrives if it must; its proof is signed only when a
+  verifier (or an ``intercept``) reads it, so a presentation the network
+  drops, or one that reaches a verification already resolved or not yet
+  started, is never signed;
 - a verifier that issues nothing sends its proof requests at tick 0; it
   runs the four cryptographic checks on each presentation, plus a digest
   comparison against its record store when a "check ... copy" task exists,
   then reports the verdict back to the presenter;
+- each distinct issuer signature is verified with Ed25519 once per run: a
+  credential presented to several verifiers reuses the first result,
+  through a memo keyed on the bytes verified that the run keeps and drops
+  with itself (``credentials.verify_credential``); every holder proof is
+  verified;
 - a request or verification still unanswered after its last retry Denies
   the tasks waiting on it.
 
@@ -40,6 +46,7 @@ from .credentials import (
     DidDocument,
     KeyPair,
     Presentation,
+    SignatureMemo,
     canonical_text,
     create_presentation,
     did_from_public_key,
@@ -468,6 +475,7 @@ class _Simulation:
         self.directory = {spec.did: DidDocument(spec.did, spec.keys.public_key) for spec in agents}
         self.dep_by_id: dict[Identifier, Dependency] = {d.id: d for d in model.dependencies}
         self.subject_dids: dict[str, str] = {}
+        self.verified: SignatureMemo = {}  # the run's issuer signature checks
         self.labels: dict[Identifier, LabelState] = {}
         self.events: list[dict] = []
         self.event_lines: list[str] = []  # each event's canonical JSON, encoded as it is recorded
@@ -633,7 +641,7 @@ class _Simulation:
         self._answer_proof(agent, msg, credential)
 
     def _answer_proof(self, agent: _AgentState, msg: Message, credential: Credential) -> None:
-        # The credential and nonce to present; ``_signed`` signs the proof at delivery.
+        # The credential and nonce to present; ``_holder_proof`` signs the proof when it is read.
         self._send(
             Message(
                 kind="ProofPresentation",
@@ -646,21 +654,18 @@ class _Simulation:
             )
         )
 
-    def _signed(self, msg: Message) -> Message:
+    def _holder_proof(self, msg: Message) -> Presentation:
         """The presentation ``_answer_proof`` sent, with its holder proof signed.
 
-        Ed25519 signatures are deterministic, so signing at delivery gives
-        the bytes signing at send would have, and the summary is the same.
+        A proof is signed only where it is read: by a verification in
+        progress (``_on_proof_presentation``), or before an ``intercept``
+        sees the message (``run``).  Ed25519 signatures are
+        deterministic, so signing late gives the bytes signing at send would
+        have, and the summary, which holds only the credential id and the
+        nonce, is the same.
         """
         holder = self.agents[msg.from_actor].spec
-        return Message(
-            kind=msg.kind,
-            flow=msg.flow,
-            credential_type=msg.credential_type,
-            from_actor=msg.from_actor,
-            to_actor=msg.to_actor,
-            presentation=create_presentation(holder.keys, holder.did, msg.credential, msg.nonce),
-        )
+        return create_presentation(holder.keys, holder.did, msg.credential, msg.nonce)
 
     def _on_proof_presentation(self, agent: _AgentState, msg: Message) -> None:
         state = agent.verifications.get(msg.flow)
@@ -668,12 +673,15 @@ class _Simulation:
             return
         behavior = state.behavior
         presentation = msg.presentation
+        if presentation is None:
+            presentation = self._holder_proof(msg)
         outcome = verify_presentation(
             presentation,
             self.directory,
             agent.spec.trust,
             verifier=agent.spec.actor,
             expected_nonce=state.nonce,
+            memo=self.verified,
         )
         copy_ok: bool | None = None
         if behavior.require_copy:
@@ -789,9 +797,10 @@ class _Simulation:
                 continue
             _, msg, summary, encoded = entry
             dropped = self.prng.next_float() < self.config.drop_probability
-            if not dropped and msg.kind == "ProofPresentation" and msg.presentation is None:
-                msg = self._signed(msg)
             if not dropped and self.intercept is not None:
+                if msg.kind == "ProofPresentation" and msg.presentation is None:
+                    # The hook sees the presentation, its holder proof signed.
+                    msg = msg.replace(nonce=None, credential=None, presentation=self._holder_proof(msg))
                 replacement = self.intercept(msg, self.tick)
                 if replacement is None:
                     dropped = True
@@ -825,9 +834,12 @@ def run(
 ) -> Trace:
     """Execute the compiled agents until quiescence or the tick bound.
 
-    ``intercept`` is a test-harness hook: it sees every message at delivery
-    time, a presentation with its holder proof signed, and may substitute
-    it or return None to force a drop.
+    A holder proof is signed only when a verification in progress reads it,
+    and each distinct issuer signature is verified once; the memo of those
+    checks lives in the run and goes with it.  ``intercept`` is a
+    test-harness hook: it sees every message at delivery time, a
+    presentation with its holder proof signed, and may substitute it or
+    return None to force a drop.
     """
     return _Simulation(model, agents, config, intercept).run()
 

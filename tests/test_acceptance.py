@@ -168,6 +168,37 @@ def test_tampered_presentations_trip_their_check(birth_model, tamper, failed_fla
     assert trace.final_labels["mother-goal"] == "Denied"
 
 
+@pytest.mark.parametrize("tamper", [_claim_tamper, _resign_tamper], ids=["mutated-claim", "foreign-signature"])
+def test_a_run_never_reuses_a_check_for_other_bytes(birth_model, tamper):
+    """The Midwife verifies the honest Mother's ID first; the copy the
+    Registrar gets later in the same run keeps its ``id`` but not its bytes,
+    and gets the flags a memo-free check gives."""
+    tampered = []
+
+    def intercept(msg, tick):
+        if msg.kind == "ProofPresentation" and msg.flow == "dep-id-registrar":
+            tampered.append(tamper(msg).presentation)
+            return msg.replace(presentation=tampered[-1])
+        return msg
+
+    trace = simulate_fixture(birth_model, intercept=intercept)
+    verifies = [e for e in trace.events if e["kind"] == "Verify"]
+    honest = next(e for e in verifies if e["flow"] == "dep-id-midwife")
+    event = next(e for e in verifies if e["flow"] == "dep-id-registrar")
+    assert honest["verdict"] and honest["seq"] < event["seq"]
+    assert honest["credentialId"] == event["credentialId"] == tampered[0].credential.id
+
+    issuer = tampered[0].credential.issuer
+    directory = {issuer: DidDocument(issuer, generate_keypair(actor_key_seed(42, "ID Agency")).public_key)}
+    trust = TrustRegistry({("Registrar", MID): frozenset({issuer})})
+    fresh = verify_presentation(tampered[0], directory, trust, "Registrar", tampered[0].nonce)
+    flags = ("integrity", "issuerSignature", "subjectBinding", "issuerTrusted")
+    assert tuple(event[f] for f in flags) == (
+        fresh.integrity, fresh.issuer_signature, fresh.subject_binding, fresh.issuer_trusted
+    )
+    assert not fresh.verdict
+
+
 def test_untrusted_issuer_blocks_the_certificate(birth_path, tmp_path):
     midwife_did = did_from_public_key(generate_keypair(actor_key_seed(42, "Midwife")).public_key)
     trust_path = tmp_path / "trust.json"
@@ -237,10 +268,15 @@ def _honest_presentation(rng):
 def test_single_bit_mutations_never_verify():
     rng = random.Random(31_337)
     presentation, directory, trust, nonce = _honest_presentation(rng)
+    # A memo warmed by the honest presentation, as a run keeps one.
+    memo = {}
+    assert verify_presentation(presentation, directory, trust, verifier="Gate", expected_nonce=nonce, memo=memo).verdict
     for i in range(1000):
         mutated, _field = helpers.mutate_presentation(presentation, rng)
         outcome = verify_presentation(mutated, directory, trust, verifier="Gate", expected_nonce=nonce)
         assert not outcome.verdict, (i, _field)
+        memoized = verify_presentation(mutated, directory, trust, verifier="Gate", expected_nonce=nonce, memo=memo)
+        assert memoized == outcome, (i, _field)
 
 
 def test_honest_presentations_always_verify():

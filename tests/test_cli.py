@@ -273,6 +273,26 @@ def test_simulate_trust_addition_is_accepted(birth_path, tmp_path):
     assert result.exit_code == 0
 
 
+@pytest.mark.parametrize(
+    "seed,action,exit_code,warns",
+    [(42, "remove", 1, False), (43, "remove", 0, True), (42, "add", 0, True), (43, "add", 0, False)],
+    ids=["remove-42", "remove-43", "add-42", "add-43"],
+)
+def test_simulate_warns_on_a_trust_override_that_changes_nothing(birth_path, tmp_path, seed, action, exit_code, warns):
+    # DIDs depend on the seed: the seed-42 Midwife DID is accepted at seed 42 only.
+    trust = tmp_path / "trust.json"
+    entry = {"verifier": "Registrar", "credentialType": BND, "issuerDid": midwife_did(42), "action": action}
+    trust.write_text(json.dumps([entry]), encoding="utf-8")
+    result = invoke(["simulate", str(birth_path), "--seed", str(seed), "--trust", str(trust)])
+    assert result.exit_code == exit_code
+    warning = (
+        f"WARN W_TRUST_NOOP Registrar: {action} of {midwife_did(42)} for {BND!r} changes nothing: the verifier "
+        + ("does not accept it" if action == "remove" else "already accepts it")
+    )
+    assert result.stderr.splitlines() == ([warning] if warns else [])
+    assert ("Denied" in result.stdout) == (exit_code == 1)
+
+
 def test_simulate_malformed_trust_file_exits_two(birth_path, tmp_path):
     trust = tmp_path / "trust.json"
     trust.write_text('{"not": "a list"}', encoding="utf-8")

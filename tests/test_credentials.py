@@ -321,6 +321,42 @@ def test_foreign_signature_fails_issuer_check():
     )
 
 
+def test_memo_gives_the_flags_of_a_memo_free_check(monkeypatch):
+    """A memo warmed by an honest presentation must not vouch for a copy
+    with a mutated claim (same ``id``) or with a foreign signature."""
+    _, _, presentation, directory, trust, nonce = lifecycle()
+    credential = presentation.credential
+    mutated = credential.replace(claims={"zone": "4"})
+    mallory = generate_keypair(bytes([0x33]) * 32)
+    foreign = credential.replace(signature=mallory.signing_key.sign(canonical_bytes(credential.payload())))
+    assert mutated.id == foreign.id == credential.id
+
+    memo = {}
+    honest = verify_presentation(presentation, directory, trust, "Gate", nonce, memo=memo)
+    assert honest.verdict
+    for copy in (mutated, foreign):
+        tampered = presentation.replace(credential=copy)
+        memoized = verify_presentation(tampered, directory, trust, "Gate", nonce, memo=memo)
+        assert memoized == verify_presentation(tampered, directory, trust, "Gate", nonce)
+        assert not memoized.verdict
+    assert sorted(memo.values()) == [False, False, True]
+
+    # Again: the issuer signature comes from the memo, the holder proof is verified.
+    calls = []
+    real = credentials.verify_signature
+    monkeypatch.setattr(credentials, "verify_signature", lambda *args: calls.append(args) or real(*args))
+    assert verify_presentation(presentation, directory, trust, "Gate", nonce, memo=memo) == honest
+    assert calls == [(decode_did(presentation.presenter), proof_message(credential.id, nonce), presentation.holder_proof)]
+
+
+def test_memo_skips_unregistered_issuers():
+    _, _, presentation, _, trust, nonce = lifecycle()
+    memo = {}
+    outcome = verify_presentation(presentation, {}, trust, "Gate", nonce, memo=memo)
+    assert outcome == verify_presentation(presentation, {}, trust, "Gate", nonce)
+    assert not outcome.issuer_signature and memo == {}
+
+
 def test_wrong_presenter_fails_binding():
     _, _, presentation, directory, trust, nonce = lifecycle()
     mallory = generate_keypair(bytes([0x33]) * 32)

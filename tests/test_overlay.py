@@ -21,6 +21,7 @@ from ssiforge.overlay import (
     infer_roles,
     lint_ssi,
     normalize_name,
+    trust_noops,
 )
 from ssiforge.overlay import _copy_readings
 from ssiforge.pistar import parse_model
@@ -374,3 +375,17 @@ def test_registry_lookup_is_pure():
     assert registry.is_trusted("V", "T", "did:sim:a")
     assert not registry.is_trusted("V", "T", "did:sim:b")
     assert not registry.is_trusted("W", "T", "did:sim:a")
+
+
+def test_trust_noops_follow_override_order(birth_model):
+    roles = infer_roles(birth_model)
+    flows = derive_flows(birth_model, roles)
+    did_of = {a.id: f"did:sim:{a.id}" for a in birth_model.actors}
+    remove = TrustOverride("Registrar", BND, "did:sim:Midwife", "remove")
+    add = TrustOverride("Registrar", BND, "did:sim:Midwife")
+    assert trust_noops(roles, flows, did_of, []) == ()
+    assert trust_noops(roles, flows, did_of, [remove, add]) == ()
+    codes = [w.code for w in trust_noops(roles, flows, did_of, [remove, remove, add, add])]
+    assert codes == ["W_TRUST_NOOP", "W_TRUST_NOOP"]
+    with pytest.raises(TrustPolicyError):
+        trust_noops(roles, flows, did_of, [TrustOverride("Mother", BND, "did:sim:x")])

@@ -802,37 +802,78 @@ def test_fixture_lossy_trace_is_pinned(birth_model):
     assert hashlib.sha256(trace.text().encode("utf-8")).hexdigest() == FIXTURE_LOSSY_TRACE_SHA256
 
 
-def counted_presentations(monkeypatch) -> list:
-    """Count the run's ``create_presentation`` calls."""
+def counted_calls(monkeypatch, module, name) -> list:
+    """Record the arguments of each call to ``module.name`` during the test."""
     calls: list = []
-    real = simulator.create_presentation
+    real = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(simulator, "create_presentation", counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
 def test_nothing_is_signed_when_every_message_drops(birth_model, monkeypatch):
-    calls = counted_presentations(monkeypatch)
+    calls = counted_calls(monkeypatch, simulator, "create_presentation")
     run_fixture(birth_model, config=SimConfig(seed=42, drop_probability=1.0))
     assert calls == []
 
 
-def test_each_delivered_presentation_is_signed_once(birth_model, monkeypatch):
-    """A holder proof is signed when its presentation is delivered, so a
-    dropped presentation costs no signature."""
-    calls = counted_presentations(monkeypatch)
-    dropped = 0
+def test_each_read_presentation_is_signed_once(birth_model, monkeypatch):
+    """A holder proof is signed only when it is read: by a verification in
+    progress, or by an intercept, which sees every delivered presentation
+    signed.  A dropped presentation, or one that reaches a verification
+    already resolved, costs no signature."""
+    calls = counted_calls(monkeypatch, simulator, "create_presentation")
+    dropped = unread = 0
     for seed in range(1, 12):
+        config = SimConfig(seed=seed, drop_probability=0.3)
         calls.clear()
-        _, trace = run_fixture(birth_model, seed=seed, config=SimConfig(seed=seed, drop_probability=0.3))
+        _, trace = run_fixture(birth_model, seed=seed, config=config)
         kinds = Counter((e["kind"], e["message"]["type"]) for e in trace.events if "message" in e)
-        assert len(calls) == kinds["Deliver", "ProofPresentation"], seed
+        verifies = sum(e["kind"] == "Verify" for e in trace.events)
+        assert len(calls) == verifies, seed
         dropped += kinds["Drop", "ProofPresentation"]
-    assert dropped > 0
+        unread += kinds["Deliver", "ProofPresentation"] - verifies
+
+        calls.clear()
+        seen = []
+
+        def identity(msg, tick):
+            if msg.kind == "ProofPresentation":
+                seen.append(msg.presentation.holder_proof)
+            return msg
+
+        _, hooked = run_fixture(birth_model, seed=seed, config=config, intercept=identity)
+        assert hooked.text() == trace.text(), seed
+        delivered = sum(e["kind"] == "Deliver" and e["message"]["type"] == "ProofPresentation" for e in hooked.events)
+        assert len(calls) == len(seen) == delivered, seed
+        assert all(isinstance(proof, bytes) and len(proof) == 64 for proof in seen), seed
+    assert dropped > 0 and unread > 0
+
+
+def test_fixture_verifies_each_distinct_signature_once(birth_model, monkeypatch):
+    """Three holder proofs plus two distinct credentials: the Mother's ID,
+    presented to the Midwife and to the Registrar, is verified once.  A
+    second run verifies as much again, so no check outlives its run."""
+    calls = counted_calls(monkeypatch, credentials, "verify_signature")
+    for _ in range(2):
+        calls.clear()
+        _, trace = run_fixture(birth_model, seed=42)
+        assert sum(e["kind"] == "Verify" for e in trace.events) == 3
+        assert len(calls) == 5
+        assert len(set(calls)) == 5
+
+
+@pytest.mark.parametrize("copies", range(1, 11))
+def test_scaled_copies_verify_five_signatures_each(birth_path, monkeypatch, copies):
+    model = scaled_model(birth_path, copies)
+    calls = counted_calls(monkeypatch, credentials, "verify_signature")
+    _, trace = run_fixture(model, seed=1, config=SimConfig(seed=1))
+    assert sum(e["kind"] == "Verify" for e in trace.events) == 3 * copies
+    assert len(calls) == len(set(calls)) == 5 * copies
 
 
 def test_trace_text_equals_per_event_canonical_bytes(birth_path):
