@@ -259,7 +259,6 @@ def cmd_simulate(
     trust_path: str | None,
     drop: float,
     trace_path: str | None,
-    dot_path: str | None,
     lexicon_path: str | None,
     allow_ambiguous: bool,
 ) -> None:
@@ -308,9 +307,6 @@ def cmd_simulate(
     if trace_path is not None:
         with _writing(trace_path):
             write_trace(trace, trace_path)
-    if dot_path is not None:
-        with _writing(dot_path):
-            Path(dot_path).write_text(export_dot(model, "sd"), encoding="utf-8")
 
     print("Root goals:")
     all_satisfied = True
@@ -373,7 +369,6 @@ def _parser(prog_name: str | None) -> argparse.ArgumentParser:
         "--drop", type=_probability, default=0.0, metavar="P", help="Message drop probability.  [default: %(default)s]"
     )
     simulate.add_argument("--trace", dest="trace_path", metavar="PATH", help="Write the JSONL trace here.")
-    simulate.add_argument("--dot", dest="dot_path", metavar="PATH", help="Write the SD view as DOT here.")
     simulate.add_argument("--lexicon", **lexicon)
     simulate.add_argument("--allow-ambiguous", action="store_true", help="Run even when some flows stay unresolved.")
 

@@ -12,7 +12,8 @@ Dependency annotations refine the picture:
 
 - ``ssi``: force the flow classification, value ``issue`` or ``present``
 - ``ssi.alias``: comma-separated alternative spellings for the dependum
-- ``ssi.subject``: ``child`` marks credentials about a non-actor subject
+- ``ssi.subject``: names a non-actor subject (the fixture's is ``child``);
+  each distinct name gets its own subject DID, else the holder is the subject
 - ``ssi.purpose``: free-form note carried through to proof requests
 """
 

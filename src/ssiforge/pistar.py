@@ -2,8 +2,8 @@
 
 The accepted document shape is described in ``docs/format.md``.  Parsing is
 total: it never raises on bad input, and instead accumulates
-:class:`ParseError` records whose ``path`` is a JSON Pointer into the
-document.  Error codes:
+:class:`ParseError` records whose ``path`` is a JSON Pointer (RFC 6901)
+into the document.  Error codes:
 
 - ``E_JSON``: the document is not valid JSON, or nests too deeply to decode
   (single error at the root)
@@ -21,6 +21,8 @@ Layout data (``diagram``, node coordinates) is dropped on parse, so
 from __future__ import annotations
 
 import json
+from itertools import chain
+from typing import Iterator
 
 from .model import (
     Actor,
@@ -50,14 +52,13 @@ _ELEMENT_TYPES = {
     "istar.Resource": ElementKind.RESOURCE,
     "istar.Quality": ElementKind.QUALITY,
 }
-_INTERNAL_LINK_TYPES = {
+# Links between elements of one actor, then links between actors.
+_LINK_TYPES = {
     "istar.AndRefinementLink": LinkKind.AND_REFINEMENT,
     "istar.OrRefinementLink": LinkKind.OR_REFINEMENT,
     "istar.ContributionLink": LinkKind.CONTRIBUTION,
     "istar.QualificationLink": LinkKind.QUALIFICATION,
     "istar.NeededByLink": LinkKind.NEEDED_BY,
-}
-_ACTOR_LINK_TYPES = {
     "istar.IsALink": ActorLinkKind.IS_A,
     "istar.ParticipatesInLink": ActorLinkKind.PARTICIPATES_IN,
 }
@@ -83,7 +84,14 @@ class ParseResult(Record):
         return self.model is not None
 
 
-class _Collector:
+def _token(key: str) -> str:
+    """``key`` as one JSON Pointer reference token (RFC 6901)."""
+    return key.replace("~", "~0").replace("/", "~1")
+
+
+class _Reader:
+    """The diagnostics of one document, and the checks that add to them."""
+
     def __init__(self) -> None:
         self.errors: list[ParseError] = []
         self.warnings: list[ParseError] = []
@@ -91,30 +99,63 @@ class _Collector:
     def error(self, path: str, code: str, message: str) -> None:
         self.errors.append(ParseError(path, code, message))
 
-    def warn(self, path: str, code: str, message: str) -> None:
-        self.warnings.append(ParseError(path, code, message))
+    def result(self, model: Model | None = None) -> ParseResult:
+        return ParseResult(model, tuple(self.errors), tuple(self.warnings))
 
+    def objects(self, parent: dict, key: str, path: str, noun: str) -> Iterator[tuple[str, dict]]:
+        """Yield ``(path, entry)`` for each object in the array ``parent[key]``."""
+        path = f"{path}/{key}"
+        entries = parent.get(key, [])
+        if not isinstance(entries, list):
+            self.error(path, "E_SCHEMA", f"{key} must be an array")
+            return
+        for i, entry in enumerate(entries):
+            if isinstance(entry, dict):
+                yield f"{path}/{i}", entry
+            else:
+                self.error(f"{path}/{i}", "E_SCHEMA", f"{noun} must be an object")
 
-def _str_field(obj: dict, key: str, path: str, out: _Collector, default: str | None = None) -> str | None:
-    value = obj.get(key, default)
-    if not isinstance(value, str):
-        out.error(f"{path}/{key}", "E_SCHEMA", f"field {key!r} must be a string")
-        return None
-    return value
+    def fields(self, obj: dict, path: str, keys: tuple[str, ...], types: dict, noun: str) -> list | None:
+        """The string fields ``keys`` of ``obj`` (a missing ``text`` reads as ""),
+        with the ``type`` value replaced by its kind from ``types``.  None after
+        an error for each field that is not a string, or else for an unknown type."""
+        values = []
+        ok = True
+        for key in keys:
+            value = obj.get(key, "" if key == "text" else None)
+            if not isinstance(value, str):
+                self.error(f"{path}/{key}", "E_SCHEMA", f"field {key!r} must be a string")
+                ok = False
+            values.append(value)
+        if not ok:
+            return None
+        at = keys.index("type")
+        kind = types.get(values[at])
+        if kind is None:
+            self.error(f"{path}/type", "E_UNKNOWN_TYPE", f"unknown {noun} type {values[at]!r}")
+            return None
+        values[at] = kind
+        return values
 
+    def resolve(self, refs: dict, ref: str, path: str, field: str, expected: str):
+        """``refs[ref]``, or None after a dangling-reference error."""
+        found = refs.get(ref)
+        if found is None:
+            self.error(f"{path}/{field}", "E_DANGLING", f"{ref!r} is {expected}")
+        return found
 
-def _properties(obj: dict, path: str, out: _Collector) -> dict[str, str]:
-    raw = obj.get("customProperties", {})
-    if not isinstance(raw, dict):
-        out.error(f"{path}/customProperties", "E_SCHEMA", "customProperties must be an object")
-        return {}
-    props: dict[str, str] = {}
-    for key, value in raw.items():
-        if not isinstance(value, str):
-            out.error(f"{path}/customProperties/{key}", "E_SCHEMA", "property values must be strings")
-            continue
-        props[key] = value
-    return props
+    def properties(self, obj: dict, path: str) -> dict[str, str]:
+        raw = obj.get("customProperties", {})
+        if not isinstance(raw, dict):
+            self.error(f"{path}/customProperties", "E_SCHEMA", "customProperties must be an object")
+            return {}
+        props: dict[str, str] = {}
+        for key, value in raw.items():
+            if isinstance(value, str):
+                props[key] = value
+            else:
+                self.error(f"{path}/customProperties/{_token(key)}", "E_SCHEMA", "property values must be strings")
+        return props
 
 
 def parse_model(data: bytes | str) -> ParseResult:
@@ -123,198 +164,115 @@ def parse_model(data: bytes | str) -> ParseResult:
     Returns a result whose ``model`` is None when any error was found.
     Duplicate identifiers are tolerated here and left to model validation.
     """
-    out = _Collector()
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            out.error("", "E_JSON", f"not valid UTF-8: {exc}")
-            return ParseResult(None, tuple(out.errors), tuple(out.warnings))
+    r = _Reader()
     try:
-        doc = json.loads(data)
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        r.error("", "E_JSON", f"not valid UTF-8: {exc}")
+        return r.result()
     except (json.JSONDecodeError, RecursionError) as exc:
-        out.error("", "E_JSON", f"not valid JSON: {exc}")
-        return ParseResult(None, tuple(out.errors), tuple(out.warnings))
+        r.error("", "E_JSON", f"not valid JSON: {exc}")
+        return r.result()
     if not isinstance(doc, dict):
-        out.error("", "E_SCHEMA", "top-level value must be an object")
-        return ParseResult(None, tuple(out.errors), tuple(out.warnings))
+        r.error("", "E_SCHEMA", "top-level value must be an object")
+        return r.result()
 
     for key in doc:
         if key not in _KNOWN_TOP_KEYS:
-            out.warn(f"/{key}", "W_UNKNOWN_KEY", f"unknown top-level key {key!r} ignored")
-
+            r.warnings.append(ParseError(f"/{_token(key)}", "W_UNKNOWN_KEY", f"unknown top-level key {key!r} ignored"))
     if "istar" not in doc:
-        out.error("", "E_VERSION", "missing 'istar' version marker")
+        r.error("", "E_VERSION", "missing 'istar' version marker")
     elif doc["istar"] != ISTAR_VERSION:
-        out.error("/istar", "E_VERSION", f"unsupported version {doc['istar']!r}, expected {ISTAR_VERSION!r}")
+        r.error("/istar", "E_VERSION", f"unsupported version {doc['istar']!r}, expected {ISTAR_VERSION!r}")
 
-    actors: list[Actor] = []
-    element_owner: dict[str, str] = {}
-    actor_ids: set[str] = set()
-    raw_actors = doc.get("actors", [])
-    if not isinstance(raw_actors, list):
-        out.error("/actors", "E_SCHEMA", "actors must be an array")
-        raw_actors = []
-    for i, raw_actor in enumerate(raw_actors):
-        path = f"/actors/{i}"
-        if not isinstance(raw_actor, dict):
-            out.error(path, "E_SCHEMA", "actor must be an object")
+    # Actors are built at the end, once their links are known.  ``links`` is
+    # keyed by actor id, and the first actor to declare an element owns it.
+    actors: list[tuple[str, str, ActorKind, tuple[Element, ...], dict[str, str]]] = []
+    links: dict[str, list[InternalLink]] = {}
+    owner: dict[str, str] = {}
+    for path, raw in r.objects(doc, "actors", "", "actor"):
+        fields = r.fields(raw, path, ("id", "text", "type"), _ACTOR_TYPES, "actor")
+        if fields is None:
             continue
-        actor_id = _str_field(raw_actor, "id", path, out)
-        name = _str_field(raw_actor, "text", path, out, default="")
-        type_name = _str_field(raw_actor, "type", path, out)
-        if actor_id is None or name is None or type_name is None:
-            continue
-        kind = _ACTOR_TYPES.get(type_name)
-        if kind is None:
-            out.error(f"{path}/type", "E_UNKNOWN_TYPE", f"unknown actor type {type_name!r}")
-            continue
+        actor_id, name, kind = fields
         elements: list[Element] = []
-        raw_nodes = raw_actor.get("nodes", [])
-        if not isinstance(raw_nodes, list):
-            out.error(f"{path}/nodes", "E_SCHEMA", "nodes must be an array")
-            raw_nodes = []
-        for j, raw_node in enumerate(raw_nodes):
-            node_path = f"{path}/nodes/{j}"
-            if not isinstance(raw_node, dict):
-                out.error(node_path, "E_SCHEMA", "node must be an object")
+        for node_path, node in r.objects(raw, "nodes", path, "node"):
+            fields = r.fields(node, node_path, ("id", "text", "type"), _ELEMENT_TYPES, "element")
+            if fields is None:
                 continue
-            node_id = _str_field(raw_node, "id", node_path, out)
-            node_name = _str_field(raw_node, "text", node_path, out, default="")
-            node_type = _str_field(raw_node, "type", node_path, out)
-            if node_id is None or node_name is None or node_type is None:
-                continue
-            node_kind = _ELEMENT_TYPES.get(node_type)
-            if node_kind is None:
-                out.error(f"{node_path}/type", "E_UNKNOWN_TYPE", f"unknown element type {node_type!r}")
-                continue
-            elements.append(Element(node_id, node_name, node_kind, _properties(raw_node, node_path, out)))
-            element_owner.setdefault(node_id, actor_id)
-        actors.append(Actor(actor_id, name, kind, tuple(elements), (), _properties(raw_actor, path, out)))
-        actor_ids.add(actor_id)
+            elements.append(Element(*fields, r.properties(node, node_path)))
+            owner.setdefault(fields[0], actor_id)
+        actors.append((actor_id, name, kind, tuple(elements), r.properties(raw, path)))
+        links.setdefault(actor_id, [])
 
-    internal_links: dict[str, list[InternalLink]] = {a.id: [] for a in actors}
     actor_links: list[ActorLink] = []
-    raw_links = doc.get("links", [])
-    if not isinstance(raw_links, list):
-        out.error("/links", "E_SCHEMA", "links must be an array")
-        raw_links = []
-    for i, raw_link in enumerate(raw_links):
-        path = f"/links/{i}"
-        if not isinstance(raw_link, dict):
-            out.error(path, "E_SCHEMA", "link must be an object")
+    for path, raw in r.objects(doc, "links", "", "link"):
+        fields = r.fields(raw, path, ("id", "type", "source", "target"), _LINK_TYPES, "link")
+        if fields is None:
             continue
-        link_id = _str_field(raw_link, "id", path, out)
-        type_name = _str_field(raw_link, "type", path, out)
-        source = _str_field(raw_link, "source", path, out)
-        target = _str_field(raw_link, "target", path, out)
-        if link_id is None or type_name is None or source is None or target is None:
+        _, kind, source, target = fields
+        between_actors = isinstance(kind, ActorLinkKind)
+        refs, expected = (links, "not an actor id") if between_actors else (owner, "not an element id")
+        src = r.resolve(refs, source, path, "source", expected)
+        if src is None:
             continue
-        if type_name in _ACTOR_LINK_TYPES:
-            if source not in actor_ids:
-                out.error(f"{path}/source", "E_DANGLING", f"{source!r} is not an actor id")
-                continue
-            if target not in actor_ids:
-                out.error(f"{path}/target", "E_DANGLING", f"{target!r} is not an actor id")
-                continue
-            actor_links.append(ActorLink(link_id, _ACTOR_LINK_TYPES[type_name], source, target))
+        dst = r.resolve(refs, target, path, "target", expected)
+        if dst is None:
             continue
-        kind = _INTERNAL_LINK_TYPES.get(type_name)
-        if kind is None:
-            out.error(f"{path}/type", "E_UNKNOWN_TYPE", f"unknown link type {type_name!r}")
+        if between_actors:
+            actor_links.append(ActorLink(*fields))
             continue
-        src_owner = element_owner.get(source)
-        dst_owner = element_owner.get(target)
-        if src_owner is None:
-            out.error(f"{path}/source", "E_DANGLING", f"{source!r} is not an element id")
-            continue
-        if dst_owner is None:
-            out.error(f"{path}/target", "E_DANGLING", f"{target!r} is not an element id")
-            continue
-        if src_owner != dst_owner:
-            out.error(path, "E_DANGLING", "link endpoints belong to different actors")
+        if src != dst:
+            r.error(path, "E_DANGLING", "link endpoints belong to different actors")
             continue
         contribution: ContributionLabel | None = None
         if kind is LinkKind.CONTRIBUTION:
-            raw_label = raw_link.get("label")
-            if not isinstance(raw_label, str):
-                out.error(f"{path}/label", "E_SCHEMA", "contribution link needs a string label")
+            label = raw.get("label")
+            if not isinstance(label, str):
+                r.error(f"{path}/label", "E_SCHEMA", "contribution link needs a string label")
                 continue
-            contribution = _CONTRIBUTION_LABELS.get(raw_label.lower())
+            contribution = _CONTRIBUTION_LABELS.get(label.lower())
             if contribution is None:
-                out.error(f"{path}/label", "E_UNKNOWN_TYPE", f"unknown contribution label {raw_label!r}")
+                r.error(f"{path}/label", "E_UNKNOWN_TYPE", f"unknown contribution label {label!r}")
                 continue
-        internal_links[src_owner].append(InternalLink(link_id, kind, source, target, contribution))
+        links[src].append(InternalLink(*fields, contribution))
 
+    # A dependency side is an actor id, or an element id inside that actor.
+    sides: dict[str, tuple[str, str | None]] = {element: (actor, element) for element, actor in owner.items()}
+    sides.update((actor, (actor, None)) for actor in links)
     dependencies: list[Dependency] = []
-    raw_deps = doc.get("dependencies", [])
-    if not isinstance(raw_deps, list):
-        out.error("/dependencies", "E_SCHEMA", "dependencies must be an array")
-        raw_deps = []
-    for i, raw_dep in enumerate(raw_deps):
-        path = f"/dependencies/{i}"
-        if not isinstance(raw_dep, dict):
-            out.error(path, "E_SCHEMA", "dependency must be an object")
+    for path, raw in r.objects(doc, "dependencies", "", "dependency"):
+        fields = r.fields(raw, path, ("id", "text", "type", "source", "target"), _ELEMENT_TYPES, "dependum")
+        if fields is None:
             continue
-        dep_id = _str_field(raw_dep, "id", path, out)
-        name = _str_field(raw_dep, "text", path, out, default="")
-        type_name = _str_field(raw_dep, "type", path, out)
-        source = _str_field(raw_dep, "source", path, out)
-        target = _str_field(raw_dep, "target", path, out)
-        if dep_id is None or name is None or type_name is None or source is None or target is None:
-            continue
-        kind = _ELEMENT_TYPES.get(type_name)
-        if kind is None:
-            out.error(f"{path}/type", "E_UNKNOWN_TYPE", f"unknown dependum type {type_name!r}")
-            continue
-
-        # source names the dependee side, target the depender side; either may
-        # be an actor id or an element id inside that actor.
-        def _resolve(ref: str, field: str) -> tuple[str, str | None] | None:
-            if ref in actor_ids:
-                return ref, None
-            owner = element_owner.get(ref)
-            if owner is None:
-                out.error(f"{path}/{field}", "E_DANGLING", f"{ref!r} is neither an actor nor an element id")
-                return None
-            return owner, ref
-
-        dependee = _resolve(source, "source")
-        depender = _resolve(target, "target")
+        dep_id, name, kind, source, target = fields
+        # source names the dependee side, target the depender side.
+        dependee = r.resolve(sides, source, path, "source", "neither an actor nor an element id")
+        depender = r.resolve(sides, target, path, "target", "neither an actor nor an element id")
         if dependee is None or depender is None:
             continue
         dependencies.append(
-            Dependency(
-                id=dep_id,
-                name=name,
-                kind=kind,
-                depender=depender[0],
-                dependee=dependee[0],
-                depender_element=depender[1],
-                dependee_element=dependee[1],
-                annotations=_properties(raw_dep, path, out),
-            )
+            Dependency(dep_id, name, kind, depender[0], dependee[0], depender[1], dependee[1], r.properties(raw, path))
         )
 
-    if out.errors:
-        return ParseResult(None, tuple(out.errors), tuple(out.warnings))
-
-    metadata = {k: doc[k] for k in _METADATA_KEYS if isinstance(doc.get(k), str)}
-    model = Model(
-        actors=tuple(
-            Actor(a.id, a.name, a.kind, a.elements, tuple(internal_links[a.id]), a.annotations) for a in actors
-        ),
-        dependencies=tuple(dependencies),
-        actor_links=tuple(actor_links),
-        metadata=metadata,
+    if r.errors:
+        return r.result()
+    return r.result(
+        Model(
+            actors=tuple(
+                Actor(actor_id, name, kind, elements, tuple(links[actor_id]), annotations)
+                for actor_id, name, kind, elements, annotations in actors
+            ),
+            dependencies=tuple(dependencies),
+            actor_links=tuple(actor_links),
+            metadata={k: doc[k] for k in _METADATA_KEYS if isinstance(doc.get(k), str)},
+        )
     )
-    return ParseResult(model, (), tuple(out.warnings))
 
 
 _ACTOR_TYPE_NAMES = {v: k for k, v in _ACTOR_TYPES.items()}
 _ELEMENT_TYPE_NAMES = {v: k for k, v in _ELEMENT_TYPES.items()}
-_INTERNAL_LINK_TYPE_NAMES = {v: k for k, v in _INTERNAL_LINK_TYPES.items()}
-_ACTOR_LINK_TYPE_NAMES = {v: k for k, v in _ACTOR_LINK_TYPES.items()}
+_LINK_TYPE_NAMES = {v: k for k, v in _LINK_TYPES.items()}
 
 
 def serialize_model(model: Model) -> str:
@@ -325,26 +283,11 @@ def serialize_model(model: Model) -> str:
     the same bytes.
     """
     links: list[dict] = []
-    for actor in model.actors:
-        for link in actor.links:
-            raw: dict = {
-                "id": link.id,
-                "source": link.source,
-                "target": link.target,
-                "type": _INTERNAL_LINK_TYPE_NAMES[link.kind],
-            }
-            if link.kind is LinkKind.CONTRIBUTION and link.contribution is not None:
-                raw["label"] = link.contribution.value
-            links.append(raw)
-    for actor_link in model.actor_links:
-        links.append(
-            {
-                "id": actor_link.id,
-                "source": actor_link.source,
-                "target": actor_link.target,
-                "type": _ACTOR_LINK_TYPE_NAMES[actor_link.kind],
-            }
-        )
+    for link in chain(*(actor.links for actor in model.actors), model.actor_links):
+        raw = {"id": link.id, "source": link.source, "target": link.target, "type": _LINK_TYPE_NAMES[link.kind]}
+        if link.kind is LinkKind.CONTRIBUTION and link.contribution is not None:
+            raw["label"] = link.contribution.value
+        links.append(raw)
 
     doc = {
         "actors": [

@@ -145,7 +145,7 @@ class IssueBehavior(Record):
     gate_task_ids: tuple[Identifier, ...]
     copy_to: Identifier | None = None
     copy_task_id: Identifier | None = None
-    child_subject: bool = False
+    subject: str | None = None  # the ``ssi.subject`` annotation; None: the holder is the subject
 
 
 class RequestBehavior(Record):
@@ -207,12 +207,12 @@ def derive_bootstrap(
     return tuple(out)
 
 
-def _claims_for(credential_type: str, issuer: Identifier, holder: Identifier, child_subject: bool) -> dict[str, str]:
+def _claims_for(credential_type: str, issuer: Identifier, holder: Identifier, subject: str | None) -> dict[str, str]:
     return {
         "credentialType": credential_type,
         "holderActor": holder,
         "issuerActor": issuer,
-        "subjectActor": "child" if child_subject else holder,
+        "subjectActor": holder if subject is None else subject,
     }
 
 
@@ -269,7 +269,7 @@ def compile_agents(
                     gate_task_ids=check_tasks[flow.sender] + needed,
                     copy_to=flow.copy_to,
                     copy_task_id=flow.copy_task,
-                    child_subject=dep.annotations.get("ssi.subject") == "child",
+                    subject=dep.annotations.get("ssi.subject"),
                 )
             )
             request_behaviors[flow.receiver].append(
@@ -310,7 +310,7 @@ def compile_agents(
             dids[entry.holder],
             dids[entry.holder],
             entry.credential_type,
-            _claims_for(entry.credential_type, entry.issuer, entry.holder, False),
+            _claims_for(entry.credential_type, entry.issuer, entry.holder, None),
             issued_at=0,
         )
         wallets[entry.holder].append(credential)
@@ -524,13 +524,13 @@ class _Simulation:
 
     # -- behavior activation ----------------------------------------------
 
-    def _subject_did(self, child_subject: bool, holder_did: str) -> str:
-        if not child_subject:
+    def _subject_did(self, subject: str | None, holder_did: str) -> str:
+        if subject is None:
             return holder_did
-        if "child" not in self.subject_dids:
-            keys = generate_keypair(subject_key_seed(self.config.seed, "child"))
-            self.subject_dids["child"] = did_from_public_key(keys.public_key)
-        return self.subject_dids["child"]
+        if subject not in self.subject_dids:
+            keys = generate_keypair(subject_key_seed(self.config.seed, subject))
+            self.subject_dids[subject] = did_from_public_key(keys.public_key)
+        return self.subject_dids[subject]
 
     def _send_attempt(self, state: _RetryState) -> None:
         """Send a proof request (with a fresh nonce) or an issuance request,
@@ -580,10 +580,10 @@ class _Simulation:
             credential = issue_credential(
                 agent.spec.keys,
                 agent.spec.did,
-                self._subject_did(behavior.child_subject, holder_did),
+                self._subject_did(behavior.subject, holder_did),
                 holder_did,
                 behavior.credential_type,
-                _claims_for(behavior.credential_type, agent.spec.actor, behavior.recipient, behavior.child_subject),
+                _claims_for(behavior.credential_type, agent.spec.actor, behavior.recipient, behavior.subject),
                 issued_at=self.tick,
             )
             agent.issued[flow_id] = credential

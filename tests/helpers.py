@@ -1,5 +1,6 @@
 """Shared test machinery: an independent propagation oracle, a random model
-generator, DOT scanners, single-bit mutators, and a runner for the CLI.
+generator, DOT scanners, single-bit mutators, a runner for the CLI, and a
+mutator of piStar documents.
 
 The oracle deliberately recomputes every label from the previous full
 assignment (Jacobi style) while the library updates in place, so agreement
@@ -11,6 +12,7 @@ acyclic and the fixpoint unique.
 from __future__ import annotations
 
 import contextlib
+import copy
 import dataclasses
 import io
 import random
@@ -327,3 +329,88 @@ def invoke(args: list[str], tty: bool = False) -> CliResult:
         except SystemExit as exc:
             code, exception = exc.code or 0, exc
     return CliResult(code, stdout.getvalue(), stderr.getvalue(), exception)
+
+
+_DOC_KEYS = (
+    "id", "text", "type", "source", "target", "label", "nodes", "customProperties",
+    "istar", "actors", "links", "dependencies", "tool", "saveDate", "diagram", "ssi.subject", "colorScheme",
+)
+_DOC_VALUES = (None, True, 0, 2.5, "", "zz", [], {}, [1], {"k": 3}, {"k": "v"})
+_FIELD_VALUES = {
+    "type": (
+        "istar.Actor", "istar.Agent", "istar.Role", "istar.Thing",
+        "istar.Goal", "istar.Task", "istar.Resource", "istar.Quality", "istar.Belief",
+        "istar.AndRefinementLink", "istar.OrRefinementLink", "istar.ContributionLink", "istar.QualificationLink",
+        "istar.NeededByLink", "istar.IsALink", "istar.ParticipatesInLink", "istar.FancyLink",
+    ),
+    "label": ("make", "Hurt", "break", "boost", 3),
+    "istar": ("2.0", "1.0", 2.0),
+}
+
+
+def _containers(node, out: list) -> list:
+    """Every object and array in ``node``, itself one, in document order."""
+    out.append(node)
+    for child in node.values() if isinstance(node, dict) else node:
+        if isinstance(child, (dict, list)):
+            _containers(child, out)
+    return out
+
+
+def mutate_document(doc, rng: random.Random):
+    """Apply one to three random edits to a parsed piStar document.
+
+    Edits delete, set, duplicate, swap or replace object fields and array
+    entries, or retype a node.  A field's new value is mostly one its name
+    suggests (a dialect type name, a contribution label, one of the
+    document's ids) and otherwise one of the wrong JSON type.  Objects with a
+    ``type`` are picked five times as often as other objects and arrays, and
+    half of the follow-up edits hit the object or array edited last, so one
+    node collects several faults.  No key it writes contains ``/`` or ``~``.
+    """
+    ids = sorted({c["id"] for c in _containers(doc, []) if isinstance(c, dict) and isinstance(c.get("id"), str)})
+    ids.append("zz")
+    actors = doc.get("actors") if isinstance(doc, dict) else None
+    actor_ids = [a["id"] for a in actors if isinstance(a, dict) and "id" in a] if isinstance(actors, list) else []
+    actor_ids.append("zz")
+    target = None
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.01:
+            return rng.choice(_DOC_VALUES)
+        if target is None or rng.random() < 0.5:
+            nodes = _containers(doc, [])
+            target = rng.choices(nodes, [5 if isinstance(n, dict) and "type" in n else 1 for n in nodes])[0]
+        if isinstance(target, dict):
+            keys = list(target)
+            op = rng.randrange(4 if "type" in target else 3) if keys else 2
+            if op == 0:
+                del target[rng.choice(keys)]
+            elif op == 3:
+                # Retype, and mostly give the fields the new type reads.
+                target["type"] = value = rng.choice(_FIELD_VALUES["type"])
+                if value == "istar.ContributionLink" and rng.random() < 0.7:
+                    target["label"] = rng.choice(_FIELD_VALUES["label"])
+                if value in ("istar.IsALink", "istar.ParticipatesInLink") and rng.random() < 0.7:
+                    target[rng.choice(("source", "target"))] = rng.choice(actor_ids)
+            else:
+                key = rng.choice(keys) if op == 1 else rng.choice(_DOC_KEYS)
+                if rng.random() < 0.3:
+                    value = rng.choice(_DOC_VALUES)
+                else:
+                    pool = ids if key in ("id", "source", "target") else _FIELD_VALUES.get(key, _DOC_VALUES)
+                    value = rng.choice(pool)
+                target[key] = copy.deepcopy(value)
+        elif target:
+            i, j = rng.randrange(len(target)), rng.randrange(len(target))
+            op = rng.randrange(4)
+            if op == 0:
+                del target[i]
+            elif op == 1:
+                target.insert(j, copy.deepcopy(target[i]))
+            elif op == 2:
+                target[i], target[j] = target[j], target[i]
+            else:
+                target[i] = copy.deepcopy(rng.choice(_DOC_VALUES))
+        else:
+            target.append(copy.deepcopy(rng.choice(_DOC_VALUES)))
+    return doc

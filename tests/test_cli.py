@@ -232,15 +232,6 @@ def test_simulate_golden_trace(tmp_path, birth_path, fixture_doc, renamed):
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN_TRACE_SHA256
 
 
-def test_simulate_writes_dot(birth_path, tmp_path):
-    dot = tmp_path / "model.dot"
-    result = invoke(["simulate", str(birth_path), "--seed", "42", "--dot", str(dot)])
-    assert result.exit_code == 0
-    text = dot.read_text(encoding="utf-8")
-    assert text.startswith("digraph")
-    assert "dep-bnd-mother" in text
-
-
 def test_simulate_trust_removal_denies(birth_path, tmp_path):
     trust = tmp_path / "trust.json"
     trust.write_text(
@@ -442,10 +433,9 @@ def test_deeply_nested_json_exits_two(birth_path, tmp_path, args, message):
     "args",
     [
         ["simulate", "--seed", "42", "--trace"],
-        ["simulate", "--seed", "42", "--dot"],
         ["export", "--view", "sd", "--out"],
     ],
-    ids=["trace", "dot", "out"],
+    ids=["trace", "out"],
 )
 def test_unwritable_output_exits_two(birth_path, tmp_path, args):
     target = tmp_path / "missing" / "out.txt"
@@ -515,11 +505,20 @@ def test_simulate_help_shows_option_help():
         "JSON trust override file.",
         "Message drop probability.",
         "Write the JSONL trace here.",
-        "Write the SD view as DOT here.",
         "JSON verb lexicon override.",
         "Run even when some flows stay unresolved.",
     ):
         assert text in result.stdout
+
+
+def test_simulate_has_no_dot_option(birth_path, tmp_path):
+    """``export --view sd --out`` writes the SD view; ``simulate`` has no second way."""
+    dot = tmp_path / "model.dot"
+    result = invoke(["simulate", str(birth_path), "--seed", "42", "--dot", str(dot)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("usage: ")
+    assert "--dot" in result.stderr.splitlines()[-1]
+    assert not dot.exists()
 
 
 def test_bare_command_prints_usage_and_exits_two():

@@ -375,9 +375,9 @@ RECORDS = [
         IssueBehavior,
         dict(
             flow="d", credential_type="BND", recipient="A", issue_task_id="t", gate_task_ids=("g",), copy_to="C",
-            copy_task_id="s", child_subject=False,
+            copy_task_id="s", subject=None,
         ),
-        {"child_subject": True},
+        {"subject": "child"},
         None,
     ),
     (RequestBehavior, dict(flow="d", credential_type="BND", issuer="B", await_task_id="w"), {"await_task_id": None}, None),

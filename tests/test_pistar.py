@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -61,6 +63,14 @@ def pointer_parent_resolves(doc, path: str) -> bool:
         else:
             return False
     return isinstance(node, (list, dict))
+
+
+def resolve_pointer(doc, path: str):
+    node = doc
+    for part in path.split("/")[1:]:
+        part = part.replace("~1", "/").replace("~0", "~")
+        node = node[int(part)] if isinstance(node, list) else node[part]
+    return node
 
 
 def test_fixture_parses_clean(birth_path):
@@ -198,11 +208,49 @@ def test_error_paths_point_into_the_document():
         assert pointer_parent_resolves(doc, error.path), error
 
 
+def test_pointer_tokens_escape_slash_and_tilde():
+    doc = minimal_doc(**{"a/b~c": 1})
+    doc["actors"][0]["customProperties"] = {"x/y": 3}
+    result = parse_doc(doc)
+    assert [(e.code, e.path) for e in result.errors] == [("E_SCHEMA", "/actors/0/customProperties/x~1y")]
+    assert [(w.code, w.path) for w in result.warnings] == [("W_UNKNOWN_KEY", "/a~1b~0c")]
+    assert resolve_pointer(doc, result.errors[0].path) == 3
+    assert resolve_pointer(doc, result.warnings[0].path) == 1
+
+
 def test_duplicate_ids_left_to_validation():
     doc = minimal_doc()
     doc["actors"][1]["nodes"].append({"id": "g", "text": "Again", "type": "istar.Goal"})
     result = parse_doc(doc)
     assert result.ok
+
+
+# What the reader said about each of 3,000 seeded edits of the fixture
+# (``helpers.mutate_document``): every error and warning as (path, code,
+# message) in order, and the serialized model when there is one.
+CORPUS_SIZE = 3000
+CORPUS_SHA256 = "02ab9f2de1d301dec803ff17d876a97ca9d079ad3499a0d458f257a95293f148"
+CORPUS_CODES = {"E_DANGLING": 3037, "E_SCHEMA": 1625, "E_UNKNOWN_TYPE": 853, "E_VERSION": 25, "W_UNKNOWN_KEY": 17}
+CORPUS_PARSED = 817
+
+
+def test_mutated_fixtures_keep_their_diagnostics(birth_path):
+    text = birth_path.read_text(encoding="utf-8")
+    digest = hashlib.sha256()
+    codes = Counter()
+    parsed = 0
+    for seed in range(CORPUS_SIZE):
+        result = parse_doc(helpers.mutate_document(json.loads(text), random.Random(seed)))
+        entry = [
+            [[e.path, e.code, e.message] for e in result.errors],
+            [[w.path, w.code, w.message] for w in result.warnings],
+            serialize_model(result.model) if result.ok else None,
+        ]
+        digest.update(json.dumps(entry).encode() + b"\n")
+        codes.update(e.code for e in result.errors + result.warnings)
+        parsed += result.ok
+    assert (dict(codes), parsed) == (CORPUS_CODES, CORPUS_PARSED)
+    assert digest.hexdigest() == CORPUS_SHA256
 
 
 def test_fixture_round_trip(birth_path):

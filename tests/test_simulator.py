@@ -192,7 +192,7 @@ def test_compiled_fixture_agents(birth_model):
     assert bnd_issue.gate_task_ids == ("midwife-check-id",)
     assert bnd_issue.copy_to == "Registrar"
     assert bnd_issue.copy_task_id == "midwife-send-copy"
-    assert bnd_issue.child_subject is True
+    assert bnd_issue.subject == "child"
 
     registrar_verifies = {b.flow: b for b in by_actor["Registrar"].verifies}
     assert registrar_verifies["dep-id-registrar"].check_task_ids == ("registrar-check-id",)
@@ -213,7 +213,7 @@ def test_compiled_fixture_agents(birth_model):
         "registrar-check-copy",
     )
     assert cert_issue.copy_to is None
-    assert cert_issue.child_subject is True
+    assert cert_issue.subject == "child"
 
     agency = by_actor["ID Agency"]
     assert agency.verifies == agency.issues == agency.requests == agency.answers == ()
@@ -349,6 +349,41 @@ def test_honest_run_reaches_quiescence_satisfied(birth_model):
     assert issue_types(trace) == [BND, CERT]
     assert set(trace.final_labels.values()) == {"Satisfied"}
     assert len(trace.final_labels) == 15
+
+
+def with_subject(model, dependency, subject):
+    """``model`` with the ``ssi.subject`` of ``dependency`` set to ``subject``, or removed for None."""
+    def annotate(dep):
+        annotations = {k: v for k, v in dep.annotations.items() if k != "ssi.subject"}
+        if subject is not None:
+            annotations["ssi.subject"] = subject
+        return dep.replace(annotations=annotations) if dep.id == dependency else dep
+
+    return model.replace(dependencies=tuple(annotate(d) for d in model.dependencies))
+
+
+def subject_did(name, seed=42):
+    return did_from_public_key(generate_keypair(subject_key_seed(seed, name)).public_key)
+
+
+def test_each_subject_name_gets_its_own_did(birth_model, monkeypatch):
+    calls = counted_calls(monkeypatch, simulator, "issue_credential")
+    agents, trace = run_fixture(with_subject(birth_model, "dep-cert-mother", "device"))
+    assert spec_of(agents, "Registrar").issues[0].subject == "device"
+    child, device = subject_did("child"), subject_did("device")
+    assert len({child, device, spec_of(agents, "Mother").did}) == 3
+    issued = {e["credentialType"]: e["subject"] for e in trace.events if e["kind"] == "Issue"}
+    assert issued == {BND: child, CERT: device}
+    claims = {args[4]: args[5]["subjectActor"] for args in calls}
+    assert claims == {MID: "Mother", BND: "child", CERT: "device"}
+    assert trace.final_labels == run_fixture(birth_model)[1].final_labels
+
+
+def test_an_unnamed_subject_is_the_holder(birth_model):
+    agents, trace = run_fixture(with_subject(birth_model, "dep-cert-mother", None))
+    assert spec_of(agents, "Registrar").issues[0].subject is None
+    issued = {e["credentialType"]: e["subject"] for e in trace.events if e["kind"] == "Issue"}
+    assert issued[CERT] == spec_of(agents, "Mother").did
 
 
 def test_honest_run_is_reproducible(birth_model):
