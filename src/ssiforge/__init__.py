@@ -44,9 +44,8 @@ from .overlay import (
 # commands never need them.
 _LAZY = {
     "credentials": (
+        "CHECK_ORDER",
         "Credential",
-        "CredentialCheck",
-        "DidDocument",
         "KeyPair",
         "Presentation",
         "SelfIssueError",
@@ -57,7 +56,6 @@ _LAZY = {
         "did_from_public_key",
         "generate_keypair",
         "issue_credential",
-        "verify_credential",
         "verify_presentation",
     ),
     "propagation": ("LabelState", "evaluate_goals", "root_goals"),

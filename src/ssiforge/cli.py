@@ -40,6 +40,7 @@ from .pistar import export_dot, parse_model
 # attribute access), so that validate, roles and export never load it.  A name
 # already set on the module (a wrapper, say) is kept.
 _SIMULATE_NAMES = (
+    "CHECK_ORDER",
     "did_from_public_key",
     "generate_keypair",
     "LabelState",
@@ -314,7 +315,7 @@ def cmd_simulate(
         label = trace.final_labels.get(goal.id, LabelState.UNKNOWN.value)
         all_satisfied = all_satisfied and label == LabelState.SATISFIED.value
         print(f"  {actor_id}: {goal.name}: {_styled(label, _LABEL_COLORS.get(label))}")
-    counts = {name: [0, 0] for name in ("integrity", "issuerSignature", "subjectBinding", "issuerTrusted")}
+    counts = {name: [0, 0] for name in CHECK_ORDER}
     for event in trace.events:
         if event["kind"] == "Verify":
             for name in counts:

@@ -5,11 +5,12 @@ credential is a canonically serialized claim payload, content-addressed by
 SHA-256 and signed by its issuer; a presentation wraps a credential together
 with a holder-signed proof of possession bound to a verifier-chosen nonce.
 
-Verification runs four independent checks, always in this order:
+Verification is one call, ``verify_presentation``, that runs four
+independent checks, always in this order:
 
 1. ``integrity``: the credential id equals the hash of its payload
 2. ``issuerSignature``: the issuer's signature verifies under the key the
-   directory holds for the issuer DID (an unregistered issuer fails here)
+   directory maps the issuer DID to (an unregistered issuer fails here)
 3. ``subjectBinding``: the holder proof verifies under the presenter's own
    DID key, the presenter is the credential's holder, and the nonce matches
    the one the verifier handed out
@@ -18,16 +19,15 @@ Verification runs four independent checks, always in this order:
 The first failing check names the failure reason; later checks still run so
 callers always see all four flags.
 
-``verify_credential`` and ``verify_presentation`` take an optional memo, a
-dict that one caller keeps for one run (the simulator keeps one per run):
-it maps an issuer signature check, keyed on the issuer key, the payload
-bytes recomputed from the credential and the signature, to its result.  A
-credential presented to several verifiers is then checked with Ed25519
-once.  This is sound because Ed25519 verification is a pure function of
-key, message and signature: the key holds exactly the bytes verified, so a
-credential with a changed claim or a foreign signature misses the memo even
-when its ``id`` is unchanged.  The holder proof is never memoized; each one
-signs a fresh nonce.
+``verify_presentation`` takes an optional memo, a dict that one caller keeps
+for one run (the simulator keeps one per run): it maps an issuer signature
+check, keyed on the issuer key, the payload bytes recomputed from the
+credential and the signature, to its result.  A credential presented to
+several verifiers is then checked with Ed25519 once.  This is sound because
+Ed25519 verification is a pure function of key, message and signature: the
+key holds exactly the bytes verified, so a credential with a changed claim
+or a foreign signature misses the memo even when its ``id`` is unchanged.
+The holder proof is never memoized; each one signs a fresh nonce.
 """
 
 from __future__ import annotations
@@ -97,11 +97,6 @@ class KeyPair(Record):
     public_key: bytes
     signing_key: Ed25519PrivateKey
     _hidden = frozenset({"signing_key"})
-
-
-class DidDocument(Record):
-    id: str
-    verification_key: bytes
 
 
 def generate_keypair(seed: bytes) -> KeyPair:
@@ -203,11 +198,6 @@ class Presentation(Record):
     holder_proof: bytes
 
 
-class CredentialCheck(Record):
-    integrity: bool
-    issuer_signature: bool
-
-
 class VerificationOutcome(Record):
     integrity: bool
     issuer_signature: bool
@@ -215,16 +205,18 @@ class VerificationOutcome(Record):
     issuer_trusted: bool
 
     @property
+    def flags(self) -> dict[str, bool]:
+        """Each check's result, by its name in ``CHECK_ORDER``."""
+        values = (self.integrity, self.issuer_signature, self.subject_binding, self.issuer_trusted)
+        return dict(zip(CHECK_ORDER, values))
+
+    @property
     def verdict(self) -> bool:
         return self.integrity and self.issuer_signature and self.subject_binding and self.issuer_trusted
 
     @property
     def fail_reason(self) -> str:
-        flags = (self.integrity, self.issuer_signature, self.subject_binding, self.issuer_trusted)
-        for name, ok in zip(CHECK_ORDER, flags):
-            if not ok:
-                return name
-        return ""
+        return next((name for name, ok in self.flags.items() if not ok), "")
 
 
 def credential_payload(
@@ -283,26 +275,6 @@ def issue_credential(
     )
 
 
-def verify_credential(
-    credential: Credential,
-    directory: Mapping[str, DidDocument],
-    memo: SignatureMemo | None = None,
-) -> CredentialCheck:
-    """Check a credential's integrity and issuer signature, the latter
-    through ``memo`` when one is given (see the module docstring)."""
-    raw = canonical_bytes(credential.payload())
-    integrity = hashlib.sha256(raw).hexdigest() == credential.id
-    issuer_doc = directory.get(credential.issuer)
-    if issuer_doc is None:
-        return CredentialCheck(integrity=integrity, issuer_signature=False)
-    if memo is None:
-        memo = {}
-    checked = (issuer_doc.verification_key, raw, credential.signature)
-    if checked not in memo:
-        memo[checked] = verify_signature(*checked)
-    return CredentialCheck(integrity=integrity, issuer_signature=memo[checked])
-
-
 def proof_message(credential_id: str, nonce: bytes) -> bytes:
     return credential_id.encode("utf-8") + nonce
 
@@ -325,7 +297,7 @@ def create_presentation(
 
 def verify_presentation(
     presentation: Presentation,
-    directory: Mapping[str, DidDocument],
+    directory: Mapping[str, bytes],
     trust: TrustRegistry,
     verifier: str,
     expected_nonce: bytes,
@@ -333,14 +305,19 @@ def verify_presentation(
 ) -> VerificationOutcome:
     """Run all four checks on a presentation.
 
-    The issuer key comes from the directory (issuers must be registered);
-    the holder proof is checked against the key embedded in the presenter's
-    own DID, since possession, not registration, is what it demonstrates.
-    ``memo`` is passed to :func:`verify_credential`; the holder proof is
-    always verified.
+    ``directory`` maps each registered issuer DID to its public key; the
+    issuer signature is checked through ``memo`` when one is given (see the
+    module docstring).  The holder proof is always verified, against the
+    key embedded in the presenter's own DID, since possession, not
+    registration, is what it demonstrates.
     """
     credential = presentation.credential
-    cred_check = verify_credential(credential, directory, memo)
+    raw = canonical_bytes(credential.payload())
+    memo = {} if memo is None else memo
+    issuer_key = directory.get(credential.issuer)
+    checked = (issuer_key, raw, credential.signature)
+    if issuer_key is not None and checked not in memo:
+        memo[checked] = verify_signature(*checked)
 
     try:
         presenter_key = decode_did(presentation.presenter)
@@ -351,15 +328,12 @@ def verify_presentation(
         )
     except ValueError:
         proof_ok = False
-    subject_binding = (
-        proof_ok
-        and presentation.presenter == credential.holder
-        and presentation.nonce == expected_nonce
-    )
 
     return VerificationOutcome(
-        integrity=cred_check.integrity,
-        issuer_signature=cred_check.issuer_signature,
-        subject_binding=subject_binding,
+        integrity=hashlib.sha256(raw).hexdigest() == credential.id,
+        issuer_signature=issuer_key is not None and memo[checked],
+        subject_binding=(
+            proof_ok and presentation.presenter == credential.holder and presentation.nonce == expected_nonce
+        ),
         issuer_trusted=trust.is_trusted(verifier, credential.type, credential.issuer),
     )

@@ -6,7 +6,11 @@ credential types, and task names carry the intent: a task whose (normalized)
 name starts with an issue verb and mentions a credential type marks its actor
 as that type's Issuer, provide verbs mark Holders, check verbs mark
 Verifiers.  An actor that receives a credential through an issuance also
-holds it, whether or not a task says so.
+holds it, whether or not a task says so.  A "send ... copy" task mails
+each issuance's digest to the actor it names; when it names several, to
+the one with the longest name.  Every name reading matches whole words of
+the normalized name: the alias "ID" is not in "valid", nor "Registrar 1"
+in "Registrar 12".
 
 Dependency annotations refine the picture:
 
@@ -141,25 +145,32 @@ class TrustRegistry(Record):
 
 
 class _SpellingIndex:
-    """The owners with a spelling inside a text, in the order they were given:
-    a character trie over the spellings, walked from each position of the text,
-    so the cost grows with the text's length, not with the number of spellings."""
+    """The owners with a spelling among the words of a text, in the order they
+    were given: a trie over the spellings' words, walked from each word of the
+    text, so a spelling counts only where it starts and ends on a word
+    boundary ("id" is not in "valid", "registrar 1" not in "registrar 12"),
+    and the cost grows with the text's length, not with the number of
+    spellings.  Spellings and texts are normalized names."""
 
     def __init__(self, owners: Iterable[tuple[str, Iterable[str]]]) -> None:
         self.root: dict = {}
         for position, (owner, spellings) in enumerate(owners):
-            for spelling in filter(None, spellings):  # an empty spelling names nothing
+            for spelling in spellings:
+                words = spelling.split()
+                if not words:  # an empty spelling names nothing
+                    continue
                 node = self.root
-                for char in spelling:
-                    node = node.setdefault(char, {})
+                for word in words:
+                    node = node.setdefault(word, {})
                 node.setdefault("", []).append((position, owner))  # key "": owners of spellings ending here
 
     def owners_in(self, text: str) -> list[str]:
+        words = text.split()
         found: set[tuple[int, str]] = set()
-        for start in range(len(text)):
+        for start in range(len(words)):
             node = self.root
-            for char in text[start:]:
-                node = node.get(char)
+            for word in words[start:]:
+                node = node.get(word)
                 if node is None:
                     break
                 if "" in node:
@@ -200,7 +211,7 @@ class CredentialCatalog:
         return self.canonical.get(normalize_name(dependum_name), dependum_name)
 
     def types_in(self, name_norm: str) -> list[str]:
-        """Types with a spelling inside the normalized name ``name_norm``, in catalog order."""
+        """Types with a spelling among the words of the normalized name ``name_norm``, in catalog order."""
         return self._index.owners_in(name_norm)
 
 
@@ -255,8 +266,11 @@ def _copy_readings(
 ) -> tuple[dict[Identifier, tuple[Identifier, Identifier]], set[tuple[Identifier, Identifier]]]:
     """Read the office-copy tasks: per actor, the target and task of its first
     "send ... copy" task that names another actor; and every (actor, task)
-    whose name has the word "copy"."""
-    names = _SpellingIndex((a.id, [normalize_name(a.name)]) for a in model.actors)
+    whose name has the word "copy".  A task naming several other actors
+    sends to the one with the longest name ("Registrar Office" over
+    "Registrar"), the first in actor order on a tie."""
+    name_of = {a.id: normalize_name(a.name) for a in model.actors}
+    names = _SpellingIndex((actor, [name]) for actor, name in name_of.items())
     targets: dict[Identifier, tuple[Identifier, Identifier]] = {}
     copy_tasks: set[tuple[Identifier, Identifier]] = set()
     for actor in model.actors:
@@ -269,9 +283,9 @@ def _copy_readings(
                 continue
             copy_tasks.add((actor.id, elem.id))
             if "send" in words and actor.id not in targets:
-                other = next((o for o in names.owners_in(norm) if o != actor.id), None)
-                if other is not None:
-                    targets[actor.id] = (other, elem.id)
+                others = [o for o in names.owners_in(norm) if o != actor.id]
+                if others:
+                    targets[actor.id] = (max(others, key=lambda o: len(name_of[o])), elem.id)
     return targets, copy_tasks
 
 

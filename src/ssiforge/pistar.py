@@ -214,10 +214,8 @@ def parse_model(data: bytes | str) -> ParseResult:
         between_actors = isinstance(kind, ActorLinkKind)
         refs, expected = (links, "not an actor id") if between_actors else (owner, "not an element id")
         src = r.resolve(refs, source, path, "source", expected)
-        if src is None:
-            continue
         dst = r.resolve(refs, target, path, "target", expected)
-        if dst is None:
+        if src is None or dst is None:
             continue
         if between_actors:
             actor_links.append(ActorLink(*fields))

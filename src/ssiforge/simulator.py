@@ -16,14 +16,14 @@ compiled from the derived credential flows:
   drops, or one that reaches a verification already resolved or not yet
   started, is never signed;
 - a verifier that issues nothing sends its proof requests at tick 0; it
-  runs the four cryptographic checks on each presentation, plus a digest
-  comparison against its record store when a "check ... copy" task exists,
-  then reports the verdict back to the presenter;
+  runs the four cryptographic checks on each presentation in one
+  ``credentials.verify_presentation`` call, plus a digest comparison
+  against its record store when a "check ... copy" task exists, then
+  reports the verdict back to the presenter;
 - each distinct issuer signature is verified with Ed25519 once per run: a
   credential presented to several verifiers reuses the first result,
   through a memo keyed on the bytes verified that the run keeps and drops
-  with itself (``credentials.verify_credential``); every holder proof is
-  verified;
+  with itself; every holder proof is verified;
 - a request or verification still unanswered after its last retry Denies
   the tasks waiting on it.
 
@@ -43,7 +43,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .credentials import (
     Credential,
-    DidDocument,
     KeyPair,
     Presentation,
     SignatureMemo,
@@ -426,7 +425,9 @@ class Trace(Record):
         return [head, *body, tail]
 
     def text(self) -> str:
-        return "\n".join(self.lines()) + "\n"
+        lines = self.lines()
+        lines.append("")  # the final newline, so the text is joined once, not copied again
+        return "\n".join(lines)
 
 
 class _RetryState:
@@ -472,7 +473,7 @@ class _Simulation:
         self.intercept = intercept
         self.prng = SplitMix64(config.seed)
         self.agents = {spec.actor: _AgentState(spec) for spec in agents}
-        self.directory = {spec.did: DidDocument(spec.did, spec.keys.public_key) for spec in agents}
+        self.directory = {spec.did: spec.keys.public_key for spec in agents}
         self.dep_by_id: dict[Identifier, Dependency] = {d.id: d for d in model.dependencies}
         self.subject_dids: dict[str, str] = {}
         self.verified: SignatureMemo = {}  # the run's issuer signature checks
@@ -692,11 +693,8 @@ class _Simulation:
             "credentialId": presentation.credential.id,
             "credentialType": behavior.credential_type,
             "flow": behavior.flow,
-            "integrity": outcome.integrity,
-            "issuerSignature": outcome.issuer_signature,
-            "issuerTrusted": outcome.issuer_trusted,
+            **outcome.flags,
             "presenter": msg.from_actor,
-            "subjectBinding": outcome.subject_binding,
             "verdict": overall,
             "verifier": agent.spec.actor,
         }

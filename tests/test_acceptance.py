@@ -20,7 +20,6 @@ from ssiforge.credentials import (
     issue_credential,
     verify_presentation,
 )
-from ssiforge.credentials import DidDocument
 from ssiforge.model import validate
 from ssiforge.overlay import (
     EvidenceKind,
@@ -189,7 +188,7 @@ def test_a_run_never_reuses_a_check_for_other_bytes(birth_model, tamper):
     assert honest["credentialId"] == event["credentialId"] == tampered[0].credential.id
 
     issuer = tampered[0].credential.issuer
-    directory = {issuer: DidDocument(issuer, generate_keypair(actor_key_seed(42, "ID Agency")).public_key)}
+    directory = {issuer: generate_keypair(actor_key_seed(42, "ID Agency")).public_key}
     trust = TrustRegistry({("Registrar", MID): frozenset({issuer})})
     fresh = verify_presentation(tampered[0], directory, trust, "Registrar", tampered[0].nonce)
     flags = ("integrity", "issuerSignature", "subjectBinding", "issuerTrusted")
@@ -260,7 +259,7 @@ def _honest_presentation(rng):
     credential = issue_credential(issuer, issuer_did, holder_did, holder_did, "Permit", claims, issued_at=rng.randrange(1000))
     nonce = rng.randbytes(16)
     presentation = create_presentation(holder, holder_did, credential, nonce)
-    directory = {issuer_did: DidDocument(id=issuer_did, verification_key=issuer.public_key)}
+    directory = {issuer_did: issuer.public_key}
     trust = TrustRegistry({("Gate", "Permit"): frozenset({issuer_did})})
     return presentation, directory, trust, nonce
 

@@ -7,8 +7,6 @@ import pytest
 import helpers
 from ssiforge.credentials import (
     Credential,
-    CredentialCheck,
-    DidDocument,
     KeyPair,
     Presentation,
     VerificationOutcome,
@@ -333,7 +331,6 @@ RECORDS = [
     ),
     (TrustRegistry, dict(accepted={("V", "BND"): frozenset({"did:sim:i"})}), {"accepted": {}}, None),
     (KeyPair, dict(public_key=_KEYS.public_key, signing_key=_KEYS.signing_key), {"public_key": b"\x01" * 32}, None),
-    (DidDocument, dict(id="did:sim:i", verification_key=b"key"), {"id": "did:sim:j"}, None),
     (
         Credential,
         dict(
@@ -349,7 +346,6 @@ RECORDS = [
         {"nonce": b"\x01" * 16},
         None,
     ),
-    (CredentialCheck, dict(integrity=True, issuer_signature=False), {"issuer_signature": True}, None),
     (
         VerificationOutcome,
         dict(integrity=True, issuer_signature=True, subject_binding=False, issuer_trusted=True),

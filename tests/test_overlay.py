@@ -76,34 +76,39 @@ def test_catalog_aliases(birth_model):
     assert catalog.types_in(normalize_name("File paperwork")) == []
 
 
-# Name fragments that stress substring matching: copy numbers that are
+# Name fragments that stress whole-word matching: copy numbers that are
 # prefixes of each other, an alias inside a longer word ("ID" in "valid"),
-# and the words of office-copy tasks, also inside longer words.
+# an actor name inside a longer one ("Registrar" in "Registrar Office"), and
+# the words of office-copy tasks, also inside longer words.
 NAME_FRAGMENTS = (
-    "BND 1", "BND 12", "Registrar 1", "Registrar 10", "Registrar", "ID", "valid",
+    "BND 1", "BND 12", "Registrar 1", "Registrar 10", "Registrar", "Registrar Office", "ID", "valid",
     "Mother's ID", "Midwife", "send", "copy", "resend", "copyist", "issue", "check", "of", "",
 )
 NAMES = st.one_of(st.sampled_from(NAME_FRAGMENTS), st.text(alphabet="abdiIDR 01'-", max_size=8))
 
 
+def has_words(text_norm, spelling_norm):
+    """Whether the normalized ``spelling_norm`` is a run of whole words of ``text_norm``."""
+    return bool(spelling_norm) and f" {spelling_norm} " in f" {text_norm} "
+
+
 def naive_mentioned_types(catalog, task_name):
     norm = normalize_name(task_name)
-    return [display for display, patterns in catalog.patterns.items() if any(p in norm for p in patterns)]
+    return [display for display, patterns in catalog.patterns.items() if any(has_words(norm, p) for p in patterns)]
 
 
 def naive_copy_targets(model):
-    """Office-copy keywords are whole words; actor names still match as substrings."""
+    """The longest other actor name among a send-copy task's words, the first on a tie."""
     actor_names = [(a.id, normalize_name(a.name)) for a in model.actors]
     targets = {}
     for actor in model.actors:
         for elem in actor.elements:
             norm = normalize_name(elem.name)
-            words = f" {norm} "
-            if elem.kind is ElementKind.TASK and " copy " in words and " send " in words and actor.id not in targets:
-                for other, other_name in actor_names:
-                    if other != actor.id and other_name and other_name in norm:
-                        targets[actor.id] = (other, elem.id)
-                        break
+            if elem.kind is ElementKind.TASK and has_words(norm, "copy") and has_words(norm, "send"):
+                named = [(other, name) for other, name in actor_names if other != actor.id and has_words(norm, name)]
+                if named and actor.id not in targets:
+                    longest = max(len(name) for _, name in named)
+                    targets[actor.id] = (next(other for other, name in named if len(name) == longest), elem.id)
     return targets
 
 
@@ -123,7 +128,12 @@ def naive_copy_targets(model):
     type_spellings=[],
     tasks=[(0, "Send copy of Midwife record to Registrar"), (1, "Send Registrar copy")],
 )
-def test_name_index_matches_naive_substring_search(actor_names, type_spellings, tasks):
+@example(
+    actor_names=["Midwife", "Registrar", "Registrar Office", "Registrar Offices"],
+    type_spellings=[],
+    tasks=[(0, "Send copy to Registrar Office"), (1, "Send copy to Registrar Offices or Midwife")],
+)
+def test_name_index_matches_naive_whole_word_search(actor_names, type_spellings, tasks):
     elements = [[] for _ in actor_names]
     for n, (owner, name) in enumerate(tasks):
         elements[owner % len(actor_names)].append(Element(f"t{n}", name, ElementKind.TASK))
@@ -197,6 +207,25 @@ def test_office_copy_send_needs_the_words_send_and_copy(birth_model):
     renamed = helpers.rename_element(birth_model, "midwife-send-copy", "Resend copyist note to Registrar")
     flow = flow_of(renamed, "dep-bnd-mother")
     assert (flow.copy_to, flow.copy_task) == (None, None)
+
+
+def test_an_alias_inside_a_longer_word_names_nothing(birth_model):
+    # The alias "ID" is in "valid", but not as a word.
+    aliased = annotate_dependency(birth_model, "dep-id-midwife", **{"ssi.alias": "ID"})
+    renamed = helpers.rename_element(aliased, "registrar-check-bnd", "Check valid BND")
+    tasks = {(a.actor, a.credential_type, a.role): a.tasks for a in infer_roles(renamed)}
+    assert tasks["Registrar", MID, SsiRole.VERIFIER] == ("registrar-check-id",)
+    assert tasks["Registrar", BND, SsiRole.VERIFIER] == ("registrar-check-bnd", "registrar-check-copy")
+
+
+def test_office_copy_goes_to_the_longest_actor_name(birth_model):
+    office = Actor("office", "Registrar Office")
+    model = helpers.rename_element(
+        birth_model.replace(actors=(*birth_model.actors, office)), "midwife-send-copy", "Send copy to Registrar Office"
+    )
+    flow = flow_of(model, "dep-bnd-mother")
+    assert (flow.copy_to, flow.copy_task) == ("office", "midwife-send-copy")
+    assert flow_of(birth_model, "dep-bnd-mother").copy_to == "Registrar"
 
 
 def test_issuance_receipt_grants_holder(birth_model):

@@ -159,6 +159,7 @@ def test_structural_errors(mutate, expected):
         ({"id": "l", "type": "istar.AndRefinementLink", "source": "zz", "target": "g"}, ("E_DANGLING", "/links/0/source")),
         ({"id": "l", "type": "istar.AndRefinementLink", "source": "u", "target": "g"}, ("E_DANGLING", "/links/0")),
         ({"id": "l", "type": "istar.IsALink", "source": "g", "target": "B"}, ("E_DANGLING", "/links/0/source")),
+        ({"id": "l", "type": "istar.AndRefinementLink", "source": "zz", "target": "yy"}, ("E_DANGLING", "/links/0/target")),
     ],
 )
 def test_link_errors(link, expected):
@@ -229,8 +230,8 @@ def test_duplicate_ids_left_to_validation():
 # (``helpers.mutate_document``): every error and warning as (path, code,
 # message) in order, and the serialized model when there is one.
 CORPUS_SIZE = 3000
-CORPUS_SHA256 = "02ab9f2de1d301dec803ff17d876a97ca9d079ad3499a0d458f257a95293f148"
-CORPUS_CODES = {"E_DANGLING": 3037, "E_SCHEMA": 1625, "E_UNKNOWN_TYPE": 853, "E_VERSION": 25, "W_UNKNOWN_KEY": 17}
+CORPUS_SHA256 = "cdc3a1ecdad0fbb749451c11600f92f99dfc23c20190d960dd23b44c0011592b"
+CORPUS_CODES = {"E_DANGLING": 3627, "E_SCHEMA": 1625, "E_UNKNOWN_TYPE": 853, "E_VERSION": 25, "W_UNKNOWN_KEY": 17}
 CORPUS_PARSED = 817
 
 

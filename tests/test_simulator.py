@@ -38,7 +38,7 @@ from ssiforge.overlay import (
     derive_flows,
 )
 from ssiforge.pistar import parse_model
-from ssiforge.propagation import LabelState
+from ssiforge.propagation import LabelState, root_goals
 from ssiforge.simulator import (
     BootstrapCredential,
     CompileError,
@@ -909,6 +909,41 @@ def test_scaled_copies_verify_five_signatures_each(birth_path, monkeypatch, copi
     _, trace = run_fixture(model, seed=1, config=SimConfig(seed=1))
     assert sum(e["kind"] == "Verify" for e in trace.events) == 3 * copies
     assert len(calls) == len(set(calls)) == 5 * copies
+
+
+def test_each_scaled_copy_sends_its_office_copy_to_its_own_registrar(birth_path):
+    # From 11 copies on, "Registrar 1" is a prefix of "Registrar 10", "11" and "12".
+    model = scaled_model(birth_path, 12)
+    flows = derive_flows(model, infer_roles(model))
+    targets = {f.sender: f.copy_to for f in flows if f.copy_to is not None}
+    assert targets == {f"Midwife-c{i}": f"Registrar-c{i}" for i in range(1, 13)}
+
+
+def copy_counts(model, trace, copy_of):
+    """The roles, flows, passing Verify events and Satisfied root goals of each copy."""
+    roles = infer_roles(model)
+    counts = Counter()
+    counts.update((copy_of(a.actor), "roles") for a in roles)
+    counts.update((copy_of(f.dependency), "flows") for f in derive_flows(model, roles))
+    counts.update((copy_of(e["flow"]), "verified") for e in trace.events if e["kind"] == "Verify" and e["verdict"])
+    counts.update(
+        (copy_of(goal.id), "satisfied") for _, goal in root_goals(model) if trace.final_labels[goal.id] == "Satisfied"
+    )
+    return counts
+
+
+@pytest.mark.parametrize("copies", [1, 11, 12])
+def test_k_copies_behave_as_k_fixtures(birth_path, birth_model, copies):
+    """Names that prefix each other ("Registrar 1", "Registrar 12") must not
+    mix copies up: each copy has the roles, flows and passing checks of the
+    fixture, and all its root goals end Satisfied."""
+    _, single = run_fixture(birth_model, seed=1)
+    one = copy_counts(birth_model, single, lambda _: 0)
+    assert one[0, "satisfied"] == len(root_goals(birth_model)) > 0
+    model = scaled_model(birth_path, copies)
+    _, trace = run_fixture(model, seed=1)
+    expected = Counter({(i, key): n for i in range(1, copies + 1) for (_, key), n in one.items()})
+    assert copy_counts(model, trace, load_scaled().copy_of) == expected
 
 
 def test_trace_text_equals_per_event_canonical_bytes(birth_path):
