@@ -229,6 +229,8 @@ class Model(Record):
     actor_links: tuple[ActorLink, ...] = ()
     metadata: Mapping[str, str] = {}
     _actors_by_id: dict[Identifier, Actor]
+    _goal_rules: tuple | None  # ``propagation.evaluate_goals``' rule list, built on its first call
+    _trace_routes: dict | None  # the simulator's encoded message summary parts, by route
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "actors", _tuple(self.actors))

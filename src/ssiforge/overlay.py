@@ -28,7 +28,7 @@ import re
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .model import ElementKind, Identifier, Model, Record, ValidationIssue
+from .model import ElementKind, Identifier, LinkKind, Model, Record, ValidationIssue
 
 _PUNCT = re.compile(r"[^a-z0-9 ]+")
 _SPACES = re.compile(r"\s+")
@@ -107,6 +107,15 @@ class CredentialFlow(Record):
     "send ... copy" task also mails the credential digest to ``copy_to``; a
     presentation whose verifier has a check task with the word "copy" sets
     ``require_copy``.
+
+    The rest is what the agents act on, set by kind.  An issuance's
+    ``issue_task`` turns Satisfied when the credential is issued, which
+    waits for every one of its ``gate_tasks``; the depender awaits the
+    credential on ``await_task``, its element of the dependency; and
+    ``subject`` is the ``ssi.subject`` annotation.  A presentation's
+    ``check_tasks`` take the label of its verification; its verdict labels
+    ``verdict_task``, the dependee's element of the dependency; and
+    ``purpose`` is the ``ssi.purpose`` annotation.
     """
 
     dependency: Identifier
@@ -118,6 +127,13 @@ class CredentialFlow(Record):
     copy_to: Identifier | None = None
     copy_task: Identifier | None = None
     require_copy: bool = False
+    issue_task: Identifier | None = None
+    gate_tasks: tuple[Identifier, ...] = ()
+    await_task: Identifier | None = None
+    subject: str | None = None
+    check_tasks: tuple[Identifier, ...] = ()
+    verdict_task: Identifier | None = None
+    purpose: str | None = None
 
 
 class TrustPolicyError(ValueError):
@@ -297,11 +313,22 @@ def derive_flows(model: Model, roles: Sequence[RoleAssignment]) -> tuple[Credent
     dependee that holds it facing a depender that verifies it makes it a
     presentation; anything left is recorded as a presentation with
     unresolved evidence, to be surfaced by :func:`lint_ssi`.  Evidence
-    elements come from the roles' tasks.
+    elements and the task ids the agents act on come from the roles' tasks
+    and the model's links, read here once.
     """
     catalog = CredentialCatalog(model)
     role_tasks = {(a.actor, a.credential_type, a.role): a.tasks for a in roles}
     copy_targets, copy_tasks = _copy_readings(model)
+    # An issuer's gates are all of its Verifier tasks, in element order, plus
+    # the sources of the needed-by links into the issue task.
+    verifier_tasks = {(a.actor, t) for a in roles if a.role is SsiRole.VERIFIER for t in a.tasks}
+    gates: dict[Identifier, tuple[Identifier, ...]] = {}
+    needed_by: dict[tuple[Identifier, Identifier], tuple[Identifier, ...]] = {}
+    for actor in model.actors:
+        gates[actor.id] = tuple(e.id for e in actor.elements if (actor.id, e.id) in verifier_tasks)
+        for link in actor.links:
+            if link.kind is LinkKind.NEEDED_BY:
+                needed_by[actor.id, link.target] = needed_by.get((actor.id, link.target), ()) + (link.source,)
     flows: list[CredentialFlow] = []
     for dep in model.dependencies:
         if dep.kind is not ElementKind.RESOURCE:
@@ -324,16 +351,16 @@ def derive_flows(model: Model, roles: Sequence[RoleAssignment]) -> tuple[Credent
             kind = FlowKind.PRESENTATION
             evidence = Evidence(EvidenceKind.UNRESOLVED)
         if kind is FlowKind.ISSUANCE:
+            issue_task = issuer[0] if issuer else None
             copy_to, copy_task = copy_targets.get(dep.dependee, (None, None))
-            require_copy = False
+            gate_tasks = gates.get(dep.dependee, ()) + needed_by.get((dep.dependee, issue_task), ())
+            wiring = dict(copy_to=copy_to, copy_task=copy_task, issue_task=issue_task, gate_tasks=gate_tasks,
+                          await_task=dep.depender_element, subject=dep.annotations.get("ssi.subject"))
         else:
-            copy_to = copy_task = None
-            require_copy = any((dep.depender, t) in copy_tasks for t in verifier or ())
-        flows.append(
-            CredentialFlow(
-                dep.id, kind, ctype, dep.dependee, dep.depender, evidence, copy_to, copy_task, require_copy
-            )
-        )
+            checks = verifier or ()
+            wiring = dict(require_copy=any((dep.depender, t) in copy_tasks for t in checks), check_tasks=checks,
+                          verdict_task=dep.dependee_element, purpose=dep.annotations.get("ssi.purpose"))
+        flows.append(CredentialFlow(dep.id, kind, ctype, dep.dependee, dep.depender, evidence, **wiring))
     return tuple(flows)
 
 
@@ -356,13 +383,27 @@ def lint_ssi(
             )
 
     override_types = {o.credential_type for o in overrides if o.action == "add"}
-    issuer_types = {a.credential_type for a in roles if a.role is SsiRole.ISSUER}
+    issuers: dict[str, list[Identifier]] = {}
+    task_types: dict[tuple[Identifier, Identifier], list[str]] = {}
+    for assignment in roles:
+        if assignment.role is SsiRole.ISSUER:
+            issuers.setdefault(assignment.credential_type, []).append(assignment.actor)
+        for task in assignment.tasks:
+            task_types.setdefault((assignment.actor, task), []).append(assignment.credential_type)
     presented = sorted({f.credential_type for f in flows if f.kind is FlowKind.PRESENTATION})
     for ctype in presented:
-        if ctype not in issuer_types and ctype not in override_types:
+        if ctype not in issuers and ctype not in override_types:
             findings.append(
                 ValidationIssue("W_NO_ISSUER", ctype, f"{ctype!r} is presented but nobody issues it")
             )
+        elif len(issuers.get(ctype, ())) > 1:
+            names, first = ", ".join(issuers[ctype]), issuers[ctype][0]
+            message = f"{ctype!r} has several issuers ({names}): bootstrap uses {first}'s, a wallet keeps one per type"
+            findings.append(ValidationIssue("W_MULTI_ISSUER", ctype, message))
+    for (_, task), types in task_types.items():
+        if len(types) > 1:
+            message = f"names the credential types {', '.join(map(repr, types))}, so it is read as one role for each"
+            findings.append(ValidationIssue("W_TASK_MULTI_TYPE", task, message))
 
     flow_targets = {(f.receiver, f.credential_type) for f in flows}
     for assignment in roles:

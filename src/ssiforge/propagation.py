@@ -19,8 +19,9 @@ element count + 2 sweeps):
    all are satisfied.
 
 The first applicable rule decides an element, once, before the passes;
-anything untouched stays Unknown.  The full table with worked cases lives
-in ``docs/goals.md``.
+anything untouched stays Unknown.  The rule list depends only on the model,
+so it is built once per model and each call only seeds and sweeps.  The
+full table with worked cases lives in ``docs/goals.md``.
 """
 
 from __future__ import annotations
@@ -128,16 +129,11 @@ def root_goals(model: Model) -> tuple[tuple[Identifier, Element], ...]:
     return tuple(out)
 
 
-def evaluate_goals(
-    model: Model,
-    task_outcomes: Mapping[Identifier, LabelState],
-) -> dict[Identifier, LabelState]:
-    """Propagate observed outcomes through the model; pure and deterministic.
-
-    Returns a label for every element of every actor.  Assumes a model that
-    passed validation; contribution cycles are evaluated best-effort within
-    the pass bound.
-    """
+def _rules_of(model: Model) -> tuple:
+    """Each element's rule, decided once per model in element order: the
+    combine function and the elements it reads.  Returns every element as
+    Unknown, the elements a seed labels (all but refined ones, whose seeds
+    are ignored), the rules and the pass bound."""
     order: list[Identifier] = []
     refines: dict[Identifier, tuple[LinkKind, list[Identifier]]] = {}
     contributions: dict[Identifier, list[tuple[ContributionLabel, Identifier]]] = {}
@@ -162,24 +158,40 @@ def evaluate_goals(
         if dep.depender_element is not None and dep.dependee_element is not None:
             dep_sources.setdefault(dep.depender_element, []).append(dep.dependee_element)
 
-    # Each element's rule, decided once in element order: the combine
-    # function and the elements it reads.  A seeded element keeps its label,
-    # so only the derived rules enter the passes.
-    labels: dict[Identifier, LabelState] = {e: LabelState.UNKNOWN for e in order}
     rules: list[tuple[Identifier, Callable[[list[LabelState]], LabelState], list[Identifier]]] = []
     for element in order:
         if element in refines:
             mode, children = refines[element]
             rules.append((element, combine_and if mode is LinkKind.AND_REFINEMENT else combine_or, children))
-        elif element in task_outcomes:
-            labels[element] = task_outcomes[element]
         elif element in quality and element in contributions:
             polarities, sources = zip(*contributions[element])
             rules.append((element, partial(_contribute, polarities), list(sources)))
         elif element in dep_sources:
             rules.append((element, combine_and, dep_sources[element]))
+    seedable = frozenset(e for e in order if e not in refines)
+    return dict.fromkeys(order, LabelState.UNKNOWN), seedable, rules, len(order) + 2
 
-    for _ in range(len(order) + 2):
+
+def evaluate_goals(
+    model: Model,
+    task_outcomes: Mapping[Identifier, LabelState],
+) -> dict[Identifier, LabelState]:
+    """Propagate observed outcomes through the model; pure and deterministic.
+
+    Returns a label for every element of every actor.  Assumes a model that
+    passed validation; contribution cycles are evaluated best-effort within
+    the pass bound.  The rule list is built on the first call for a model
+    and kept in it.
+    """
+    if model._goal_rules is None:
+        object.__setattr__(model, "_goal_rules", _rules_of(model))
+    unknown, seedable, all_rules, passes = model._goal_rules
+    # A seeded element keeps its label, so only the rules of unseeded elements enter the passes.
+    seeded = {element: label for element, label in task_outcomes.items() if element in seedable}
+    labels = {**unknown, **seeded}
+    rules = [rule for rule in all_rules if rule[0] not in seeded]
+
+    for _ in range(passes):
         changed = False
         for element, combine, sources in rules:
             new = combine([labels[s] for s in sources])

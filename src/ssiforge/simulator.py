@@ -1,8 +1,8 @@
 """Deterministic message-passing execution of a credential ecosystem.
 
 Each actor becomes an agent with an Ed25519 keypair (derived from the run
-seed and the actor id), a wallet, and a small set of reactive behaviors
-compiled from the derived credential flows:
+seed and the actor id), a wallet, and the derived credential flows it takes
+part in, which carry every task id it acts on:
 
 - the depender of an issuance asks for the credential at tick 0 and retries
   on a timer until it arrives or retries are exhausted;
@@ -46,6 +46,7 @@ from .credentials import (
     KeyPair,
     Presentation,
     SignatureMemo,
+    VerificationOutcome,
     canonical_text,
     create_presentation,
     did_from_public_key,
@@ -53,7 +54,7 @@ from .credentials import (
     issue_credential,
     verify_presentation,
 )
-from .model import Dependency, Identifier, LinkKind, Model, Record
+from .model import Identifier, Model, Record
 from .overlay import CredentialFlow, FlowKind, RoleAssignment, SsiRole, TrustRegistry
 from .propagation import LabelState, evaluate_goals
 
@@ -123,39 +124,6 @@ class SimConfig(Record):
         }
 
 
-class VerifyBehavior(Record):
-    """Run the checks of one presentation flow when the check tasks activate."""
-
-    flow: Identifier
-    credential_type: str
-    presenter: Identifier
-    check_task_ids: tuple[Identifier, ...]
-    require_copy: bool = False
-    purpose: str | None = None
-
-
-class IssueBehavior(Record):
-    """Answer issuance requests for one flow once every gate task is Satisfied."""
-
-    flow: Identifier
-    credential_type: str
-    recipient: Identifier
-    issue_task_id: Identifier | None
-    gate_task_ids: tuple[Identifier, ...]
-    copy_to: Identifier | None = None
-    copy_task_id: Identifier | None = None
-    subject: str | None = None  # the ``ssi.subject`` annotation; None: the holder is the subject
-
-
-class RequestBehavior(Record):
-    """Kick off one issuance flow at tick 0 and await the credential."""
-
-    flow: Identifier
-    credential_type: str
-    issuer: Identifier
-    await_task_id: Identifier | None
-
-
 class BootstrapCredential(Record):
     credential_type: str
     issuer: Identifier
@@ -167,9 +135,9 @@ class AgentSpec(Record):
     did: str
     keys: KeyPair
     wallet: tuple[Credential, ...]
-    verifies: tuple[VerifyBehavior, ...]
-    issues: tuple[IssueBehavior, ...]
-    requests: tuple[RequestBehavior, ...]
+    verifies: tuple[CredentialFlow, ...]  # the presentations it receives
+    issues: tuple[CredentialFlow, ...]  # the issuances it sends
+    requests: tuple[CredentialFlow, ...]  # the issuances it receives
     answers: tuple[str, ...]  # the credential types it answers proof requests for
     trust: TrustRegistry
     prelabeled: tuple[Identifier, ...] = ()
@@ -225,83 +193,34 @@ def compile_agents(
 ) -> tuple[AgentSpec, ...]:
     """Turn actors plus derived flows into ready-to-run agent specs.
 
-    Every task id comes from the roles' tasks and the flows; no name is read
+    Binds each actor's keys, DID and wallet, and hands it the flows it acts
+    on; every task id comes from the flows, so no name or element is read
     here.  Raises :class:`CompileError` when a flow references an actor that
     lacks the role the flow requires (issuer for issuances, holder and
     verifier for presentations).
     """
     role_tasks = {(a.actor, a.credential_type, a.role): a.tasks for a in roles}
-    actors = {actor.id: actor for actor in model.actors}
     keys = {actor.id: generate_keypair(actor_key_seed(seed, actor.id)) for actor in model.actors}
-    dids = {actor.id: did_from_public_key(keys[actor.id].public_key) for actor in model.actors}
-    dep_by_id = {d.id: d for d in model.dependencies}
-
-    # An issuer's gates are all of its Verifier-role tasks, in element order.
-    verifier_tasks = {(a.actor, t) for a in roles if a.role is SsiRole.VERIFIER for t in a.tasks}
-    check_tasks = {
-        actor.id: tuple(e.id for e in actor.elements if (actor.id, e.id) in verifier_tasks) for actor in model.actors
-    }
-
-    verify_behaviors: dict[Identifier, list[VerifyBehavior]] = {a.id: [] for a in model.actors}
-    issue_behaviors: dict[Identifier, list[IssueBehavior]] = {a.id: [] for a in model.actors}
-    request_behaviors: dict[Identifier, list[RequestBehavior]] = {a.id: [] for a in model.actors}
-    answer_types: dict[Identifier, list[str]] = {a.id: [] for a in model.actors}
+    dids = {actor_id: did_from_public_key(pair.public_key) for actor_id, pair in keys.items()}
+    verifies, issues, requests, answers, wallets, prelabeled = ({a: [] for a in keys} for _ in range(6))
 
     for flow in flows:
-        dep = dep_by_id[flow.dependency]
         if flow.kind is FlowKind.ISSUANCE:
-            issuer_tasks = role_tasks.get((flow.sender, flow.credential_type, SsiRole.ISSUER))
-            if issuer_tasks is None:
+            if (flow.sender, flow.credential_type, SsiRole.ISSUER) not in role_tasks:
                 raise CompileError(f"{flow.sender!r} is not an issuer of {flow.credential_type!r}")
-            issue_task = issuer_tasks[0] if issuer_tasks else None
-            needed = tuple(
-                l.source
-                for l in actors[flow.sender].links
-                if l.kind is LinkKind.NEEDED_BY and l.target == issue_task
-            )
-            issue_behaviors[flow.sender].append(
-                IssueBehavior(
-                    flow=flow.dependency,
-                    credential_type=flow.credential_type,
-                    recipient=flow.receiver,
-                    issue_task_id=issue_task,
-                    gate_task_ids=check_tasks[flow.sender] + needed,
-                    copy_to=flow.copy_to,
-                    copy_task_id=flow.copy_task,
-                    subject=dep.annotations.get("ssi.subject"),
-                )
-            )
-            request_behaviors[flow.receiver].append(
-                RequestBehavior(
-                    flow=flow.dependency,
-                    credential_type=flow.credential_type,
-                    issuer=flow.sender,
-                    await_task_id=dep.depender_element,
-                )
-            )
+            issues[flow.sender].append(flow)
+            requests[flow.receiver].append(flow)
         else:
-            checks = role_tasks.get((flow.receiver, flow.credential_type, SsiRole.VERIFIER))
-            if checks is None:
+            if (flow.receiver, flow.credential_type, SsiRole.VERIFIER) not in role_tasks:
                 raise CompileError(f"{flow.receiver!r} is not a verifier of {flow.credential_type!r}")
             if (flow.sender, flow.credential_type, SsiRole.HOLDER) not in role_tasks:
                 raise CompileError(f"{flow.sender!r} is not a holder of {flow.credential_type!r}")
-            verify_behaviors[flow.receiver].append(
-                VerifyBehavior(
-                    flow=flow.dependency,
-                    credential_type=flow.credential_type,
-                    presenter=flow.sender,
-                    check_task_ids=checks,
-                    require_copy=flow.require_copy,
-                    purpose=dep.annotations.get("ssi.purpose"),
-                )
-            )
-            if flow.credential_type not in answer_types[flow.sender]:
-                answer_types[flow.sender].append(flow.credential_type)
+            verifies[flow.receiver].append(flow)
+            if flow.credential_type not in answers[flow.sender]:
+                answers[flow.sender].append(flow.credential_type)
 
-    wallets: dict[Identifier, list[Credential]] = {a.id: [] for a in model.actors}
-    prelabeled: dict[Identifier, list[Identifier]] = {a.id: [] for a in model.actors}
     for entry in bootstrap:
-        if entry.issuer not in actors or entry.holder not in actors:
+        if entry.issuer not in keys or entry.holder not in keys:
             raise CompileError(f"bootstrap references unknown actor {entry.issuer!r} or {entry.holder!r}")
         credential = issue_credential(
             keys[entry.issuer],
@@ -323,10 +242,10 @@ def compile_agents(
             did=dids[actor.id],
             keys=keys[actor.id],
             wallet=tuple(wallets[actor.id]),
-            verifies=tuple(verify_behaviors[actor.id]),
-            issues=tuple(issue_behaviors[actor.id]),
-            requests=tuple(request_behaviors[actor.id]),
-            answers=tuple(answer_types[actor.id]),
+            verifies=tuple(verifies[actor.id]),
+            issues=tuple(issues[actor.id]),
+            requests=tuple(requests[actor.id]),
+            answers=tuple(answers[actor.id]),
             trust=trust,
             prelabeled=tuple(prelabeled[actor.id]),
         )
@@ -349,45 +268,115 @@ class Message(Record):
     copy_task: Identifier | None = None
 
 
-def _summarize(msg: Message) -> tuple[dict, str]:
+def _route_parts(route: tuple) -> tuple[str, str, str]:
+    """The summary parts a message's route fixes, encoded for ``_summarize``'s template."""
+    kind, flow, credential_type, sender, receiver, purpose = route
+    return (
+        '"credentialType":' + encode_basestring(credential_type),
+        f',"flow":{"null" if flow is None else encode_basestring(flow)},"from":{encode_basestring(sender)}',
+        ("" if purpose is None else ',"purpose":' + encode_basestring(purpose))
+        + f',"to":{encode_basestring(receiver)},"type":{encode_basestring(kind)}',
+    )
+
+
+def _summarize(msg: Message, routes: dict) -> tuple[dict, str]:
     """A message's trace summary and its canonical JSON.
 
     The JSON is written from a fixed template, keys in canonical (sorted)
     order, rather than by sorting the dict: it equals
-    ``canonical_text(summary)``.
+    ``canonical_text(summary)``.  The parts a message's route fixes (its
+    kind, flow, credential type, sender, receiver and purpose) are encoded
+    the first time the route is taken and kept in ``routes``; the credential
+    id, digest, nonce and verdict are encoded for each message.
     """
+    route = (msg.kind, msg.flow, msg.credential_type, msg.from_actor, msg.to_actor, msg.purpose)
+    parts = routes.get(route)
+    if parts is None:
+        parts = routes[route] = _route_parts(route)
+    credential_type, flow_from, purpose_to_type = parts
     presentation = msg.presentation
     if presentation is not None:
         credential_id, nonce = presentation.credential.id, presentation.nonce
     else:
         credential_id, nonce = (msg.credential.id if msg.credential is not None else None), msg.nonce
     summary: dict = {}
-    parts = []
+    line = "{"
     if credential_id is not None:
         summary["credentialId"] = credential_id
-        parts.append('"credentialId":' + encode_basestring(credential_id))
+        line += '"credentialId":' + encode_basestring(credential_id) + ","
     summary["credentialType"] = msg.credential_type
-    parts.append('"credentialType":' + encode_basestring(msg.credential_type))
+    line += credential_type
     if msg.digest is not None:
         summary["digest"] = msg.digest
-        parts.append('"digest":' + encode_basestring(msg.digest))
+        line += ',"digest":' + encode_basestring(msg.digest)
     summary["flow"] = msg.flow
-    parts.append('"flow":' + ("null" if msg.flow is None else encode_basestring(msg.flow)))
     summary["from"] = msg.from_actor
-    parts.append('"from":' + encode_basestring(msg.from_actor))
+    line += flow_from
     if nonce is not None:
-        summary["nonce"] = nonce.hex()
-        parts.append('"nonce":' + encode_basestring(summary["nonce"]))
+        summary["nonce"] = hexed = nonce.hex()
+        line += ',"nonce":"' + hexed + '"'  # hex digits need no escaping
     if msg.purpose is not None:
         summary["purpose"] = msg.purpose
-        parts.append('"purpose":' + encode_basestring(msg.purpose))
     summary["to"] = msg.to_actor
     summary["type"] = msg.kind
-    parts.append(f'"to":{encode_basestring(msg.to_actor)},"type":{encode_basestring(msg.kind)}')
+    line += purpose_to_type
     if msg.verdict is not None:
         summary["verdict"] = msg.verdict
-        parts.append('"verdict":true' if msg.verdict else '"verdict":false')
-    return summary, "{" + ",".join(parts) + "}"
+        line += ',"verdict":true' if msg.verdict else ',"verdict":false'
+    return summary, line + "}"
+
+
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _issue_event(seq: int, tick: int, flow: CredentialFlow, credential: Credential) -> tuple[dict, str]:
+    """The Issue event of ``credential`` on ``flow`` and its canonical JSON, written from a fixed template."""
+    event = {
+        "kind": "Issue", "seq": seq, "tick": tick, "credentialId": credential.id,
+        "credentialType": flow.credential_type, "flow": flow.dependency, "holder": flow.receiver,
+        "issuer": flow.sender, "subject": credential.subject,
+    }
+    line = (
+        f'{{"credentialId":{encode_basestring(credential.id)},'
+        f'"credentialType":{encode_basestring(flow.credential_type)},"flow":{encode_basestring(flow.dependency)},'
+        f'"holder":{encode_basestring(flow.receiver)},"issuer":{encode_basestring(flow.sender)},"kind":"Issue",'
+        f'"seq":{seq},"subject":{encode_basestring(credential.subject)},"tick":{tick}}}'
+    )
+    return event, line
+
+
+def _verify_event(
+    seq: int, tick: int, flow: CredentialFlow, presenter: Identifier, credential_id: str,
+    outcome: VerificationOutcome, copy_ok: bool | None,
+) -> tuple[dict, str, bool]:
+    """The Verify event of a presentation on ``flow`` to its receiver, its
+    canonical JSON written from a fixed template, and its verdict: the four
+    checks, and the office copy when ``copy_ok`` is not None."""
+    verdict = outcome.verdict and copy_ok is not False
+    fail_reason = outcome.fail_reason or ("officeCopy" if copy_ok is False else "")
+    flags = outcome.flags
+    event = {
+        "kind": "Verify", "seq": seq, "tick": tick, "credentialId": credential_id,
+        "credentialType": flow.credential_type, "flow": flow.dependency, **flags, "presenter": presenter,
+        "verdict": verdict, "verifier": flow.receiver,
+    }
+    if copy_ok is not None:
+        event["copyOk"] = copy_ok
+    if fail_reason:
+        event["failReason"] = fail_reason
+    line = (
+        ("{" if copy_ok is None else f'{{"copyOk":{_JSON_BOOL[copy_ok]},')
+        + f'"credentialId":{encode_basestring(credential_id)},'
+        f'"credentialType":{encode_basestring(flow.credential_type)},'
+        + (f'"failReason":{encode_basestring(fail_reason)},' if fail_reason else "")
+        + f'"flow":{encode_basestring(flow.dependency)},"integrity":{_JSON_BOOL[flags["integrity"]]},'
+        f'"issuerSignature":{_JSON_BOOL[flags["issuerSignature"]]},'
+        f'"issuerTrusted":{_JSON_BOOL[flags["issuerTrusted"]]},'
+        f'"kind":"Verify","presenter":{encode_basestring(presenter)},"seq":{seq},'
+        f'"subjectBinding":{_JSON_BOOL[flags["subjectBinding"]]},"tick":{tick},"verdict":{_JSON_BOOL[verdict]},'
+        f'"verifier":{encode_basestring(flow.receiver)}}}'
+    )
+    return event, line, verdict
 
 
 def _goal_update(seq: int, tick: int, element: Identifier, label: str) -> tuple[dict, str]:
@@ -434,11 +423,9 @@ class _RetryState:
     """A verification or an issuance request: sent, then resent on a timer
     until it resolves; when the retries run out, ``tasks`` are Denied."""
 
-    def __init__(
-        self, actor: Identifier, behavior: VerifyBehavior | RequestBehavior, tasks: tuple[Identifier | None, ...]
-    ) -> None:
+    def __init__(self, actor: Identifier, flow: CredentialFlow, tasks: tuple[Identifier | None, ...]) -> None:
         self.actor = actor
-        self.behavior = behavior
+        self.flow = flow  # a presentation to verify, or an issuance to request
         self.tasks = tasks
         self.nonce: bytes | None = None  # a verification's latest nonce; None until it starts
         self.attempt = 0
@@ -453,9 +440,9 @@ class _AgentState:
             self.wallet[credential.type] = credential
         self.record_store: dict[str, list[str]] = {}
         self.deferred: list[Message] = []
-        self.verifications = {b.flow: _RetryState(spec.actor, b, b.check_task_ids) for b in spec.verifies}
-        self.requests = {b.flow: _RetryState(spec.actor, b, (b.await_task_id,)) for b in spec.requests}
-        self.issue_by_flow: dict[Identifier, IssueBehavior] = {b.flow: b for b in spec.issues}
+        self.verifications = {f.dependency: _RetryState(spec.actor, f, f.check_tasks) for f in spec.verifies}
+        self.requests = {f.dependency: _RetryState(spec.actor, f, (f.await_task,)) for f in spec.requests}
+        self.issue_by_flow: dict[Identifier, CredentialFlow] = {f.dependency: f for f in spec.issues}
         self.pending_issue: dict[Identifier, str] = {}
         self.issued: dict[Identifier, Credential] = {}
 
@@ -474,7 +461,13 @@ class _Simulation:
         self.prng = SplitMix64(config.seed)
         self.agents = {spec.actor: _AgentState(spec) for spec in agents}
         self.directory = {spec.did: spec.keys.public_key for spec in agents}
-        self.dep_by_id: dict[Identifier, Dependency] = {d.id: d for d in model.dependencies}
+        # The element a verdict on each presentation labels.
+        self.verdict_tasks = {f.dependency: f.verdict_task for spec in agents for f in spec.verifies}
+        # The summary parts of each route the simulator sends on, kept with the
+        # model: a route is fixed by the flows, so every run of the model reuses them.
+        if model._trace_routes is None:
+            object.__setattr__(model, "_trace_routes", {})
+        self.routes = model._trace_routes
         self.subject_dids: dict[str, str] = {}
         self.verified: SignatureMemo = {}  # the run's issuer signature checks
         self.labels: dict[Identifier, LabelState] = {}
@@ -491,11 +484,10 @@ class _Simulation:
         heapq.heappush(self.heap, (tick, self.order, entry))
         self.order += 1
 
-    def _event(self, kind: str, **fields) -> None:
-        record = {"kind": kind, "seq": self.seq, "tick": self.tick}
-        record.update(fields)
-        self.events.append(record)
-        self.event_lines.append(canonical_text(record))
+    def _record(self, event: dict, line: str) -> None:
+        """Record an event; ``line`` is its canonical JSON."""
+        self.events.append(event)
+        self.event_lines.append(line)
         self.seq += 1
 
     def _message_event(self, kind: str, summary: dict, encoded: str) -> None:
@@ -506,7 +498,7 @@ class _Simulation:
         self.seq += 1
 
     def _send(self, msg: Message) -> None:
-        summary, encoded = _summarize(msg)
+        summary, encoded = _summarize(msg, self.routes)
         self._message_event("Send", summary, encoded)
         latency = self.config.latency_between(msg.from_actor, msg.to_actor)
         self._push(self.tick + latency, ("deliver", msg, summary, encoded))
@@ -518,12 +510,9 @@ class _Simulation:
         if current is label or current is LabelState.DENIED:
             return
         self.labels[element_id] = label
-        event, line = _goal_update(self.seq, self.tick, element_id, label.value)
-        self.events.append(event)
-        self.event_lines.append(line)
-        self.seq += 1
+        self._record(*_goal_update(self.seq, self.tick, element_id, label.value))
 
-    # -- behavior activation ----------------------------------------------
+    # -- flow activation --------------------------------------------------
 
     def _subject_did(self, subject: str | None, holder_did: str) -> str:
         if subject is None:
@@ -536,85 +525,76 @@ class _Simulation:
     def _send_attempt(self, state: _RetryState) -> None:
         """Send a proof request (with a fresh nonce) or an issuance request,
         and arm the retry timer."""
-        behavior = state.behavior
-        if isinstance(behavior, VerifyBehavior):
+        flow = state.flow
+        if flow.kind is FlowKind.PRESENTATION:
             state.nonce = self.prng.next_nonce()
             msg = Message(
                 kind="ProofRequest",
-                flow=behavior.flow,
-                credential_type=behavior.credential_type,
+                flow=flow.dependency,
+                credential_type=flow.credential_type,
                 from_actor=state.actor,
-                to_actor=behavior.presenter,
+                to_actor=flow.sender,
                 nonce=state.nonce,
-                purpose=behavior.purpose,
+                purpose=flow.purpose,
             )
         else:
             msg = Message(
                 kind="IssuanceRequest",
-                flow=behavior.flow,
-                credential_type=behavior.credential_type,
+                flow=flow.dependency,
+                credential_type=flow.credential_type,
                 from_actor=state.actor,
-                to_actor=behavior.issuer,
+                to_actor=flow.sender,
             )
         self._send(msg)
         self._push(self.tick + self.config.retry_timeout, ("timer", state))
 
-    def _send_credential(self, agent: _AgentState, behavior: IssueBehavior, credential: Credential) -> None:
+    def _send_credential(self, agent: _AgentState, flow: CredentialFlow, credential: Credential) -> None:
         self._send(
             Message(
                 kind="CredentialIssuance",
-                flow=behavior.flow,
-                credential_type=behavior.credential_type,
+                flow=flow.dependency,
+                credential_type=flow.credential_type,
                 from_actor=agent.spec.actor,
-                to_actor=behavior.recipient,
+                to_actor=flow.receiver,
                 credential=credential,
             )
         )
 
     def _try_issue(self, agent: _AgentState) -> None:
         for flow_id in list(agent.pending_issue):
-            behavior = agent.issue_by_flow[flow_id]
-            if any(self.labels.get(t) is not LabelState.SATISFIED for t in behavior.gate_task_ids):
+            flow = agent.issue_by_flow[flow_id]
+            if any(self.labels.get(t) is not LabelState.SATISFIED for t in flow.gate_tasks):
                 continue
-            recipient = self.agents[behavior.recipient]
-            holder_did = recipient.spec.did
+            holder_did = self.agents[flow.receiver].spec.did
             credential = issue_credential(
                 agent.spec.keys,
                 agent.spec.did,
-                self._subject_did(behavior.subject, holder_did),
+                self._subject_did(flow.subject, holder_did),
                 holder_did,
-                behavior.credential_type,
-                _claims_for(behavior.credential_type, agent.spec.actor, behavior.recipient, behavior.subject),
+                flow.credential_type,
+                _claims_for(flow.credential_type, agent.spec.actor, flow.receiver, flow.subject),
                 issued_at=self.tick,
             )
             agent.issued[flow_id] = credential
             del agent.pending_issue[flow_id]
-            self._event(
-                "Issue",
-                credentialId=credential.id,
-                credentialType=behavior.credential_type,
-                flow=flow_id,
-                holder=behavior.recipient,
-                issuer=agent.spec.actor,
-                subject=credential.subject,
-            )
-            self._set_label(behavior.issue_task_id, LabelState.SATISFIED)
-            self._send_credential(agent, behavior, credential)
-            if behavior.copy_to is not None:
+            self._record(*_issue_event(self.seq, self.tick, flow, credential))
+            self._set_label(flow.issue_task, LabelState.SATISFIED)
+            self._send_credential(agent, flow, credential)
+            if flow.copy_to is not None:
                 self._send(
                     Message(
                         kind="RecordCopy",
                         flow=flow_id,
-                        credential_type=behavior.credential_type,
+                        credential_type=flow.credential_type,
                         from_actor=agent.spec.actor,
-                        to_actor=behavior.copy_to,
+                        to_actor=flow.copy_to,
                         digest=credential.id,
-                        copy_task=behavior.copy_task_id,
+                        copy_task=flow.copy_task,
                     )
                 )
 
-    def _activate_gates(self, agent: _AgentState, behavior: IssueBehavior) -> None:
-        unsatisfied = {t for t in behavior.gate_task_ids if self.labels.get(t) is not LabelState.SATISFIED}
+    def _activate_gates(self, agent: _AgentState, flow: CredentialFlow) -> None:
+        unsatisfied = {t for t in flow.gate_tasks if self.labels.get(t) is not LabelState.SATISFIED}
         for state in agent.verifications.values():
             if state.nonce is None and set(state.tasks) & unsatisfied:
                 self._send_attempt(state)
@@ -622,14 +602,14 @@ class _Simulation:
     # -- message handlers -------------------------------------------------
 
     def _on_issuance_request(self, agent: _AgentState, msg: Message) -> None:
-        behavior = agent.issue_by_flow.get(msg.flow)
-        if behavior is None or behavior.recipient != msg.from_actor:
+        flow = agent.issue_by_flow.get(msg.flow)
+        if flow is None or flow.receiver != msg.from_actor:
             return
         if msg.flow in agent.issued:
-            self._send_credential(agent, behavior, agent.issued[msg.flow])
+            self._send_credential(agent, flow, agent.issued[msg.flow])
             return
         agent.pending_issue.setdefault(msg.flow, msg.from_actor)
-        self._activate_gates(agent, behavior)
+        self._activate_gates(agent, flow)
         self._try_issue(agent)
 
     def _on_proof_request(self, agent: _AgentState, msg: Message) -> None:
@@ -672,7 +652,7 @@ class _Simulation:
         state = agent.verifications.get(msg.flow)
         if state is None or state.resolved or state.nonce is None:
             return
-        behavior = state.behavior
+        flow = state.flow
         presentation = msg.presentation
         if presentation is None:
             presentation = self._holder_proof(msg)
@@ -685,24 +665,12 @@ class _Simulation:
             memo=self.verified,
         )
         copy_ok: bool | None = None
-        if behavior.require_copy:
-            copy_ok = presentation.credential.id in agent.record_store.get(behavior.credential_type, [])
-        overall = outcome.verdict and copy_ok is not False
-        fail_reason = outcome.fail_reason or ("officeCopy" if copy_ok is False else "")
-        record = {
-            "credentialId": presentation.credential.id,
-            "credentialType": behavior.credential_type,
-            "flow": behavior.flow,
-            **outcome.flags,
-            "presenter": msg.from_actor,
-            "verdict": overall,
-            "verifier": agent.spec.actor,
-        }
-        if copy_ok is not None:
-            record["copyOk"] = copy_ok
-        if fail_reason:
-            record["failReason"] = fail_reason
-        self._event("Verify", **record)
+        if flow.require_copy:
+            copy_ok = presentation.credential.id in agent.record_store.get(flow.credential_type, [])
+        event, line, overall = _verify_event(
+            self.seq, self.tick, flow, msg.from_actor, presentation.credential.id, outcome, copy_ok
+        )
+        self._record(event, line)
         state.resolved = True
         label = LabelState.SATISFIED if overall else LabelState.DENIED
         for task_id in state.tasks:
@@ -711,7 +679,7 @@ class _Simulation:
             Message(
                 kind="PresentationVerdict",
                 flow=msg.flow,
-                credential_type=behavior.credential_type,
+                credential_type=flow.credential_type,
                 from_actor=agent.spec.actor,
                 to_actor=msg.from_actor,
                 verdict=overall,
@@ -720,9 +688,7 @@ class _Simulation:
         self._try_issue(agent)
 
     def _on_presentation_verdict(self, agent: _AgentState, msg: Message) -> None:
-        dep = self.dep_by_id.get(msg.flow)
-        if dep is not None:
-            self._set_label(dep.dependee_element, LabelState.SATISFIED if msg.verdict else LabelState.DENIED)
+        self._set_label(self.verdict_tasks.get(msg.flow), LabelState.SATISFIED if msg.verdict else LabelState.DENIED)
 
     def _on_credential_issuance(self, agent: _AgentState, msg: Message) -> None:
         credential = msg.credential
@@ -730,7 +696,7 @@ class _Simulation:
         state = agent.requests.get(msg.flow)
         if state is not None and not state.resolved:
             state.resolved = True
-            self._set_label(state.behavior.await_task_id, LabelState.SATISFIED)
+            self._set_label(state.flow.await_task, LabelState.SATISFIED)
         still_deferred: list[Message] = []
         for deferred in agent.deferred:
             if deferred.credential_type == credential.type:
@@ -783,18 +749,19 @@ class _Simulation:
                 self._send_attempt(state)
 
         termination = "quiescence"
-        while self.heap:
-            tick, _, entry = heapq.heappop(self.heap)
-            if tick > self.config.max_ticks:
+        heap, max_ticks, drop_probability = self.heap, self.config.max_ticks, self.config.drop_probability
+        while heap:
+            tick, _, entry = heapq.heappop(heap)
+            if tick > max_ticks:
                 termination = "timeout"
-                self.tick = self.config.max_ticks
+                self.tick = max_ticks
                 break
             self.tick = tick
             if entry[0] == "timer":
                 self._on_timer(entry[1])
                 continue
             _, msg, summary, encoded = entry
-            dropped = self.prng.next_float() < self.config.drop_probability
+            dropped = self.prng.next_float() < drop_probability
             if not dropped and self.intercept is not None:
                 if msg.kind == "ProofPresentation" and msg.presentation is None:
                     # The hook sees the presentation, its holder proof signed.
@@ -804,7 +771,7 @@ class _Simulation:
                     dropped = True
                 elif replacement is not msg:
                     msg = replacement
-                    summary, encoded = _summarize(msg)
+                    summary, encoded = _summarize(msg, {})  # a replacement's route is not kept
             # A copy, so that no two events share one summary dict.
             self._message_event("Drop" if dropped else "Deliver", dict(summary), encoded)
             if dropped:

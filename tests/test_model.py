@@ -44,12 +44,9 @@ from ssiforge.pistar import ParseError, ParseResult
 from ssiforge.simulator import (
     AgentSpec,
     BootstrapCredential,
-    IssueBehavior,
     Message,
-    RequestBehavior,
     SimConfig,
     Trace,
-    VerifyBehavior,
 )
 
 
@@ -318,9 +315,10 @@ RECORDS = [
         CredentialFlow,
         dict(
             dependency="d", kind=FlowKind.ISSUANCE, credential_type="BND", sender="B", receiver="A",
-            evidence=_EVIDENCE, copy_to=None, copy_task=None, require_copy=False,
+            evidence=_EVIDENCE, copy_to=None, copy_task=None, require_copy=False, issue_task="t", gate_tasks=("g",),
+            await_task="w", subject=None, check_tasks=(), verdict_task="v", purpose="p",
         ),
-        {"require_copy": True},
+        {"subject": "child"},
         None,
     ),
     (
@@ -361,22 +359,6 @@ RECORDS = [
         {"seed": 8},
         {"drop_probability": 1.5},
     ),
-    (
-        VerifyBehavior,
-        dict(flow="d", credential_type="BND", presenter="A", check_task_ids=("t",), require_copy=True, purpose="p"),
-        {"purpose": None},
-        None,
-    ),
-    (
-        IssueBehavior,
-        dict(
-            flow="d", credential_type="BND", recipient="A", issue_task_id="t", gate_task_ids=("g",), copy_to="C",
-            copy_task_id="s", subject=None,
-        ),
-        {"subject": "child"},
-        None,
-    ),
-    (RequestBehavior, dict(flow="d", credential_type="BND", issuer="B", await_task_id="w"), {"await_task_id": None}, None),
     (BootstrapCredential, dict(credential_type="ID", issuer="B", holder="A"), {"holder": "C"}, None),
     (
         AgentSpec,

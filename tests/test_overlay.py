@@ -25,6 +25,7 @@ from ssiforge.overlay import (
 )
 from ssiforge.overlay import _copy_readings
 from ssiforge.pistar import parse_model
+from ssiforge.simulator import derive_bootstrap
 
 BND = "Birth Notification Document"
 MID = "Mother's ID"
@@ -239,16 +240,23 @@ def test_fixture_flows(birth_model):
     flows = derive_flows(birth_model, roles)
     assert flows == (
         CredentialFlow("dep-id-midwife", FlowKind.PRESENTATION, MID, "Mother", "Midwife",
-                       Evidence(EvidenceKind.VERB, "mother-present-id")),
+                       Evidence(EvidenceKind.VERB, "mother-present-id"),
+                       check_tasks=("midwife-check-id",), verdict_task="mother-present-id"),
         CredentialFlow("dep-bnd-mother", FlowKind.ISSUANCE, BND, "Midwife", "Mother",
                        Evidence(EvidenceKind.VERB, "midwife-issue-bnd"),
-                       copy_to="Registrar", copy_task="midwife-send-copy"),
+                       copy_to="Registrar", copy_task="midwife-send-copy", issue_task="midwife-issue-bnd",
+                       gate_tasks=("midwife-check-id",), await_task="mother-obtain-bnd", subject="child"),
         CredentialFlow("dep-id-registrar", FlowKind.PRESENTATION, MID, "Mother", "Registrar",
-                       Evidence(EvidenceKind.VERB, "mother-present-id")),
+                       Evidence(EvidenceKind.VERB, "mother-present-id"),
+                       check_tasks=("registrar-check-id",), verdict_task="mother-present-id",
+                       purpose="entitlement"),
         CredentialFlow("dep-bnd-registrar", FlowKind.PRESENTATION, BND, "Mother", "Registrar",
-                       Evidence(EvidenceKind.VERB, "mother-present-bnd"), require_copy=True),
+                       Evidence(EvidenceKind.VERB, "mother-present-bnd"), require_copy=True,
+                       check_tasks=("registrar-check-bnd", "registrar-check-copy"), verdict_task="mother-present-bnd"),
         CredentialFlow("dep-cert-mother", FlowKind.ISSUANCE, CERT, "Registrar", "Mother",
-                       Evidence(EvidenceKind.VERB, "registrar-issue-cert")),
+                       Evidence(EvidenceKind.VERB, "registrar-issue-cert"), issue_task="registrar-issue-cert",
+                       gate_tasks=("registrar-check-id", "registrar-check-bnd", "registrar-check-copy"),
+                       await_task="mother-obtain-cert", subject="child"),
     )
 
 
@@ -337,6 +345,33 @@ def test_orphan_verifier_warns(birth_model):
     flows = derive_flows(trimmed, roles)
     warnings = lint_ssi(trimmed, roles, flows)
     assert ("W_ORPHAN_VERIFIER", "Midwife") in [(w.code, w.offending_id) for w in warnings]
+
+
+def test_a_task_naming_two_types_warns(birth_model):
+    # The task takes the Verifier role of both types, so it becomes a check
+    # task of both presentations to the Registrar.
+    renamed = helpers.rename_element(birth_model, "registrar-check-bnd", "Check BND and Mother's ID")
+    roles = infer_roles(renamed)
+    flows = derive_flows(renamed, roles)
+    assert "registrar-check-bnd" in flow_of(renamed, "dep-id-registrar").check_tasks
+    warnings = lint_ssi(renamed, roles, flows)
+    assert [(w.code, w.offending_id) for w in warnings] == [("W_TASK_MULTI_TYPE", "registrar-check-bnd")]
+    assert f"{BND!r}, {MID!r}" in warnings[0].message
+
+
+def test_a_presented_type_with_several_issuers_warns(birth_model):
+    midwife = birth_model.actor("Midwife")
+    extra = Element("midwife-issue-id", "Issue Mother's ID", ElementKind.TASK)
+    model = birth_model.replace(
+        actors=tuple(a.replace(elements=(*a.elements, extra)) if a is midwife else a for a in birth_model.actors)
+    )
+    roles = infer_roles(model)
+    flows = derive_flows(model, roles)
+    # The bootstrap silently takes the first issuer, and a wallet keeps one credential per type.
+    assert [(b.credential_type, b.issuer) for b in derive_bootstrap(model, roles, flows)] == [(MID, "ID Agency")]
+    warnings = lint_ssi(model, roles, flows)
+    assert [(w.code, w.offending_id) for w in warnings] == [("W_MULTI_ISSUER", MID)]
+    assert "(ID Agency, Midwife)" in warnings[0].message
 
 
 def fixture_dids(model):

@@ -277,10 +277,10 @@ def test_contribution_cycle_ends_where_the_pass_bound_stops_it(extra, expected):
     assert (labels["q1"], labels["q2"]) == (expected, expected)
 
 
-def test_cross_actor_dependency_cycle_ends_where_the_pass_bound_stops_it():
-    # a.ta depends on b.tb, b.tb depends on a.qa, and ta breaks qa while the
-    # seeded sa makes it: ta, qa and tb flip on every pass.
-    model = Model(
+def cross_actor_dependency_cycle():
+    """a.ta depends on b.tb, b.tb depends on a.qa, and ta breaks qa while the
+    seeded sa makes it: ta, qa and tb flip on every pass."""
+    return Model(
         (
             _actor(
                 "a",
@@ -297,9 +297,43 @@ def test_cross_actor_dependency_cycle_ends_where_the_pass_bound_stops_it():
             Dependency("d2", "Item", ElementKind.RESOURCE, "b", "a", "tb", "qa"),
         ),
     )
+
+
+def test_cross_actor_dependency_cycle_ends_where_the_pass_bound_stops_it():
+    model = cross_actor_dependency_cycle()
     assert validate(model).errors == ()
     assert evaluate_goals(model, {"sa": S}) == {"ta": S, "qa": U, "sa": S, "tb": U}
     assert evaluate_goals(model, {"sa": D}) == {"ta": D, "qa": U, "sa": D, "tb": U}
+
+
+def test_one_model_keeps_one_rule_list_across_outcome_maps():
+    """The rule list is built on a model's first evaluation and reused by
+    the next ones: a sequence of outcome maps on one model gives the labels
+    of a fresh copy, and of the oracle on acyclic models, also where seeds
+    replace rules, and the non-settling cycles keep their pinned labels."""
+    pinned = [
+        (flipping_quality_cycle(), [({"s": S}, {"q1": S, "q2": S}), ({"s": D}, None), ({"s": S}, {"q1": S})]),
+        (flipping_quality_cycle((_quality("unrelated"),)), [({"s": S}, {"q1": U, "q2": U}), ({"q1": S}, None)]),
+        (cross_actor_dependency_cycle(), [({"sa": S}, {"ta": S, "qa": U, "tb": U}), ({"sa": D}, {"ta": D})]),
+    ]
+    for model, runs in pinned:
+        assert model._goal_rules is None
+        for outcomes, expected in runs:
+            labels = evaluate_goals(model, outcomes)
+            fresh = model.replace()
+            assert fresh._goal_rules is None
+            assert labels == evaluate_goals(fresh, outcomes)
+            assert expected is None or {e: labels[e] for e in expected} == expected
+        assert model._goal_rules is not None
+    for seed in range(40):
+        rng = random.Random(seed)
+        model = helpers.make_random_model(rng)
+        rules = None
+        for outcomes in ({}, *(helpers.random_outcomes(rng, model) for _ in range(4))):
+            labels = evaluate_goals(model, outcomes)
+            rules = rules or model._goal_rules
+            assert model._goal_rules is rules
+            assert labels == evaluate_goals(model.replace(), outcomes) == helpers.label_oracle(model, outcomes), seed
 
 
 def test_matches_brute_force_oracle_on_small_sample():

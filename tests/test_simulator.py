@@ -16,6 +16,7 @@ from ssiforge.credentials import (
     CHECK_ORDER,
     Credential,
     Presentation,
+    VerificationOutcome,
     canonical_bytes,
     canonical_text,
     create_presentation,
@@ -45,7 +46,6 @@ from ssiforge.simulator import (
     Message,
     SimConfig,
     SplitMix64,
-    VerifyBehavior,
     actor_key_seed,
     compile_agents,
     derive_bootstrap,
@@ -163,12 +163,12 @@ def test_bootstrap_skips_unknown_or_self_issuers():
 
 
 def test_compiled_fixture_agents(birth_model):
-    _, _, agents = fixture_agents(birth_model)
+    _, flows, agents = fixture_agents(birth_model)
     assert [a.actor for a in agents] == ["Mother", "Midwife", "Registrar", "ID Agency"]
     by_actor = {a.actor: a for a in agents}
 
     mother = by_actor["Mother"]
-    assert [b.flow for b in mother.requests] == [
+    assert [f.dependency for f in mother.requests] == [
         "dep-bnd-mother",
         "dep-cert-mother",
     ]
@@ -177,43 +177,13 @@ def test_compiled_fixture_agents(birth_model):
     assert mother.wallet[0].issuer == by_actor["ID Agency"].did
     assert mother.prelabeled == ()
 
-    midwife_verifies = by_actor["Midwife"].verifies
-    assert midwife_verifies == (
-        VerifyBehavior(
-            flow="dep-id-midwife",
-            credential_type=MID,
-            presenter="Mother",
-            check_task_ids=("midwife-check-id",),
-        ),
-    )
-    bnd_issue = by_actor["Midwife"].issues[0]
-    assert bnd_issue.flow == "dep-bnd-mother"
-    assert bnd_issue.issue_task_id == "midwife-issue-bnd"
-    assert bnd_issue.gate_task_ids == ("midwife-check-id",)
-    assert bnd_issue.copy_to == "Registrar"
-    assert bnd_issue.copy_task_id == "midwife-send-copy"
-    assert bnd_issue.subject == "child"
-
-    registrar_verifies = {b.flow: b for b in by_actor["Registrar"].verifies}
-    assert registrar_verifies["dep-id-registrar"].check_task_ids == ("registrar-check-id",)
-    assert registrar_verifies["dep-id-registrar"].require_copy is False
-    assert registrar_verifies["dep-id-registrar"].purpose == "entitlement"
-    assert registrar_verifies["dep-bnd-registrar"].check_task_ids == (
-        "registrar-check-bnd",
-        "registrar-check-copy",
-    )
-    assert registrar_verifies["dep-bnd-registrar"].require_copy is True
-
-    cert_issue = by_actor["Registrar"].issues[0]
-    assert cert_issue.flow == "dep-cert-mother"
-    assert cert_issue.issue_task_id == "registrar-issue-cert"
-    assert cert_issue.gate_task_ids == (
-        "registrar-check-id",
-        "registrar-check-bnd",
-        "registrar-check-copy",
-    )
-    assert cert_issue.copy_to is None
-    assert cert_issue.subject == "child"
+    # Each agent acts on the flows it takes part in, as derive_flows wired them.
+    assert by_actor["Midwife"].verifies == (flows[0],)
+    assert by_actor["Midwife"].issues == (flows[1],)
+    assert by_actor["Registrar"].verifies == (flows[2], flows[3])
+    assert by_actor["Registrar"].issues == (flows[4],)
+    assert mother.requests == (flows[1], flows[4])
+    assert mother.verifies == mother.issues == ()
 
     agency = by_actor["ID Agency"]
     assert agency.verifies == agency.issues == agency.requests == agency.answers == ()
@@ -285,8 +255,8 @@ def test_prefix_verb_task_takes_only_its_role_class(birth_model):
     lexicon = VerbLexicon(issue_verbs=frozenset({"issue", "check in"}))
     _, _, agents = fixture_agents(model, lexicon=lexicon)
     bnd_issue = spec_of(agents, "Midwife").issues[0]
-    assert bnd_issue.issue_task_id == "midwife-issue-bnd"
-    assert bnd_issue.gate_task_ids == ("midwife-check-id",)
+    assert bnd_issue.issue_task == "midwife-issue-bnd"
+    assert bnd_issue.gate_tasks == ("midwife-check-id",)
     trace = run(model, agents, SimConfig(seed=42))
     assert set(trace.final_labels.values()) == {"Satisfied"}
 
@@ -749,9 +719,90 @@ def summary_oracle(msg: Message) -> dict:
 
 @given(messages())
 def test_summary_template_is_canonical_json(msg):
-    summary, encoded = simulator._summarize(msg)
+    summary, encoded = simulator._summarize(msg, {})
     assert summary == summary_oracle(msg)
     assert encoded == canonical_text(summary)
+
+
+@given(messages(), st.lists(messages(), min_size=1, max_size=6))
+def test_route_table_keeps_only_what_a_route_fixes(first, others):
+    """Messages that share a route but differ in nonce, credential,
+    presentation, verdict or digest are summarized through one table, after
+    the first message filled the route's entry: each summary still equals the
+    oracle, so no part of a message outside its route is kept."""
+    route = dict(
+        kind=first.kind, flow=first.flow, credential_type=first.credential_type, from_actor=first.from_actor,
+        to_actor=first.to_actor, purpose=first.purpose,
+    )
+    routes: dict = {}
+    for msg in (first, *(other.replace(**route) for other in others)):
+        summary, encoded = simulator._summarize(msg, routes)
+        assert summary == summary_oracle(msg)
+        assert encoded == canonical_text(summary)
+    assert len(routes) == 1
+
+
+def test_runs_of_one_model_share_its_route_table(birth_model):
+    """The route table is kept with the model: a later run of the same model
+    reuses the parts an earlier run encoded and writes the same bytes as a
+    fresh model, a copy of the model starts without a table, and a replaced
+    message's route is not kept."""
+    assert birth_model.replace()._trace_routes is None
+    _, first = run_fixture(birth_model.replace(), seed=3, config=SimConfig(seed=3, drop_probability=0.3))
+    model = birth_model.replace()
+    run_fixture(model, seed=5, config=SimConfig(seed=5, drop_probability=0.3))
+    routes = dict(model._trace_routes)
+    assert routes
+    _, again = run_fixture(model, seed=3, config=SimConfig(seed=3, drop_probability=0.3))
+    assert again.text() == first.text()
+    assert all(model._trace_routes[route] is parts for route, parts in routes.items())
+    assert model.replace()._trace_routes is None
+    _, hooked = run_fixture(model, seed=3, intercept=rewriting_intercept())
+    assert not any(route[5] and route[5].startswith("rewritten") for route in model._trace_routes)
+    assert any("rewritten" in e["message"].get("purpose", "") for e in hooked.events if e["kind"] == "Deliver")
+
+
+def flows_of(kind):
+    return st.builds(
+        CredentialFlow, TRICKY_TEXT, st.just(kind), TRICKY_TEXT, TRICKY_TEXT, TRICKY_TEXT,
+        st.just(Evidence(EvidenceKind.VERB)),
+    )
+
+
+@given(st.integers(0, 10**6), st.integers(0, 10**6), flows_of(FlowKind.ISSUANCE), TRICKY_TEXT, TRICKY_TEXT)
+def test_issue_template_is_canonical_json(seq, tick, flow, credential_id, subject):
+    credential = credential_with_id(credential_id).replace(subject=subject)
+    event, line = simulator._issue_event(seq, tick, flow, credential)
+    assert event == {
+        "kind": "Issue", "seq": seq, "tick": tick, "credentialId": credential_id,
+        "credentialType": flow.credential_type, "flow": flow.dependency, "holder": flow.receiver,
+        "issuer": flow.sender, "subject": subject,
+    }
+    assert line == canonical_text(event)
+
+
+@given(
+    st.integers(0, 10**6), st.integers(0, 10**6), flows_of(FlowKind.PRESENTATION), TRICKY_TEXT, TRICKY_TEXT,
+    st.builds(VerificationOutcome, st.booleans(), st.booleans(), st.booleans(), st.booleans()),
+    optional(st.booleans()),
+)
+def test_verify_template_is_canonical_json(seq, tick, flow, presenter, credential_id, outcome, copy_ok):
+    event, line, verdict = simulator._verify_event(seq, tick, flow, presenter, credential_id, outcome, copy_ok)
+    flags = dict(zip(CHECK_ORDER, (outcome.integrity, outcome.issuer_signature, outcome.subject_binding,
+                                   outcome.issuer_trusted)))
+    assert verdict == (all(flags.values()) and copy_ok is not False)
+    expected = {
+        "kind": "Verify", "seq": seq, "tick": tick, "credentialId": credential_id,
+        "credentialType": flow.credential_type, "flow": flow.dependency, **flags, "presenter": presenter,
+        "verdict": verdict, "verifier": flow.receiver,
+    }
+    if copy_ok is not None:
+        expected["copyOk"] = copy_ok
+    failed = [name for name, ok in flags.items() if not ok] + (["officeCopy"] if copy_ok is False else [])
+    if failed:
+        expected["failReason"] = failed[0]
+    assert event == expected
+    assert line == canonical_text(event)
 
 
 @given(
