@@ -11,9 +11,10 @@ independent checks, always in this order:
 1. ``integrity``: the credential id equals the hash of its payload
 2. ``issuerSignature``: the issuer's signature verifies under the key the
    directory maps the issuer DID to (an unregistered issuer fails here)
-3. ``subjectBinding``: the holder proof verifies under the presenter's own
-   DID key, the presenter is the credential's holder, and the nonce matches
-   the one the verifier handed out
+3. ``subjectBinding``: the presenter is the credential's holder, the nonce
+   matches the one the verifier handed out, and, tested only if both hold,
+   so that neither failure costs an Ed25519 call, the holder proof verifies
+   under the presenter's own DID key
 4. ``issuerTrusted``: the issuer DID is in the verifier's accepted set
 
 The first failing check names the failure reason; later checks still run so
@@ -245,6 +246,14 @@ def _check_claims(claims: Mapping[str, str]) -> None:
             raise ValueError(f"claim {key!r} must map to a string")
 
 
+def mint_credential(
+    issuer_did: str, subject_did: str, holder_did: str, credential_type: str, claims: Mapping[str, str], issued_at: int
+) -> Credential:
+    """The credential ``issue_credential`` creates, with an empty signature, for
+    a caller that signs it, through ``issue_credential``, only if it is read."""
+    return _credential(None, issuer_did, subject_did, holder_did, credential_type, claims, issued_at)
+
+
 def issue_credential(
     issuer_keys: KeyPair,
     issuer_did: str,
@@ -258,6 +267,10 @@ def issue_credential(
 
     Issuing to oneself is rejected: possession proofs would be vacuous.
     """
+    return _credential(issuer_keys, issuer_did, subject_did, holder_did, credential_type, claims, issued_at)
+
+
+def _credential(issuer_keys: KeyPair | None, issuer_did, subject_did, holder_did, credential_type, claims, issued_at):
     if holder_did == issuer_did:
         raise SelfIssueError(f"issuer {issuer_did} cannot hold its own credential")
     _check_claims(claims)
@@ -271,7 +284,7 @@ def issue_credential(
         holder=holder_did,
         claims=dict(claims),
         issued_at=issued_at,
-        signature=issuer_keys.signing_key.sign(raw),
+        signature=b"" if issuer_keys is None else issuer_keys.signing_key.sign(raw),
     )
 
 
@@ -307,7 +320,8 @@ def verify_presentation(
 
     ``directory`` maps each registered issuer DID to its public key; the
     issuer signature is checked through ``memo`` when one is given (see the
-    module docstring).  The holder proof is always verified, against the
+    module docstring).  The holder proof, verified only when the presenter
+    is the holder and the nonce is ``expected_nonce``, is checked against the
     key embedded in the presenter's own DID, since possession, not
     registration, is what it demonstrates.
     """
@@ -319,21 +333,16 @@ def verify_presentation(
     if issuer_key is not None and checked not in memo:
         memo[checked] = verify_signature(*checked)
 
+    bound = presentation.presenter == credential.holder and presentation.nonce == expected_nonce
     try:
-        presenter_key = decode_did(presentation.presenter)
-        proof_ok = verify_signature(
-            presenter_key,
-            proof_message(credential.id, presentation.nonce),
-            presentation.holder_proof,
-        )
+        proof = proof_message(credential.id, presentation.nonce)
+        bound = bound and verify_signature(decode_did(presentation.presenter), proof, presentation.holder_proof)
     except ValueError:
-        proof_ok = False
+        bound = False
 
     return VerificationOutcome(
         integrity=hashlib.sha256(raw).hexdigest() == credential.id,
         issuer_signature=issuer_key is not None and memo[checked],
-        subject_binding=(
-            proof_ok and presentation.presenter == credential.holder and presentation.nonce == expected_nonce
-        ),
+        subject_binding=bound,
         issuer_trusted=trust.is_trusted(verifier, credential.type, credential.issuer),
     )

@@ -12,9 +12,9 @@ part in, which carry every task id it acts on:
   digest to the named actor;
 - a holder answers proof requests from its wallet, deferring the answer
   until the credential arrives if it must; its proof is signed only when a
-  verifier (or an ``intercept``) reads it, so a presentation the network
-  drops, or one that reaches a verification already resolved or not yet
-  started, is never signed;
+  verification in progress reads it on its current nonce (or an
+  ``intercept`` reads it), and a credential issued in the run is signed by
+  its issuer only when first read, so an unread one is never signed;
 - a verifier that issues nothing sends its proof requests at tick 0; it
   runs the four cryptographic checks on each presentation in one
   ``credentials.verify_presentation`` call, plus a digest comparison
@@ -23,7 +23,7 @@ part in, which carry every task id it acts on:
 - each distinct issuer signature is verified with Ed25519 once per run: a
   credential presented to several verifiers reuses the first result,
   through a memo keyed on the bytes verified that the run keeps and drops
-  with itself; every holder proof is verified;
+  with itself; a holder proof answering a superseded nonce is not verified;
 - a request or verification still unanswered after its last retry Denies
   the tasks waiting on it.
 
@@ -52,6 +52,7 @@ from .credentials import (
     did_from_public_key,
     generate_keypair,
     issue_credential,
+    mint_credential,
     verify_presentation,
 )
 from .model import Identifier, Model, Record
@@ -470,6 +471,9 @@ class _Simulation:
         self.routes = model._trace_routes
         self.subject_dids: dict[str, str] = {}
         self.verified: SignatureMemo = {}  # the run's issuer signature checks
+        # By object identity, each credential the run minted (held, so no other takes
+        # its identity), its issuer's keys, and the signed credential once read.
+        self.minted: dict[int, list] = {}
         self.labels: dict[Identifier, LabelState] = {}
         self.events: list[dict] = []
         self.event_lines: list[str] = []  # each event's canonical JSON, encoded as it is recorded
@@ -566,8 +570,7 @@ class _Simulation:
             if any(self.labels.get(t) is not LabelState.SATISFIED for t in flow.gate_tasks):
                 continue
             holder_did = self.agents[flow.receiver].spec.did
-            credential = issue_credential(
-                agent.spec.keys,
+            credential = mint_credential(
                 agent.spec.did,
                 self._subject_did(flow.subject, holder_did),
                 holder_did,
@@ -575,6 +578,7 @@ class _Simulation:
                 _claims_for(flow.credential_type, agent.spec.actor, flow.receiver, flow.subject),
                 issued_at=self.tick,
             )
+            self.minted[id(credential)] = [credential, agent.spec.keys, None]
             agent.issued[flow_id] = credential
             del agent.pending_issue[flow_id]
             self._record(*_issue_event(self.seq, self.tick, flow, credential))
@@ -635,18 +639,33 @@ class _Simulation:
             )
         )
 
-    def _holder_proof(self, msg: Message) -> Presentation:
-        """The presentation ``_answer_proof`` sent, with its holder proof signed.
+    def _signed(self, credential: Credential) -> Credential:
+        """``credential`` with its issuer signature: one the run minted is signed
+        once, when first read; any other, such as an ``intercept``'s, is as it is."""
+        entry = self.minted.get(id(credential))
+        if entry is None:
+            return credential
+        c, keys, signed = entry
+        if signed is None:
+            signed = entry[2] = issue_credential(keys, c.issuer, c.subject, c.holder, c.type, c.claims, c.issued_at)
+        return signed
 
-        A proof is signed only where it is read: by a verification in
-        progress (``_on_proof_presentation``), or before an ``intercept``
-        sees the message (``run``).  Ed25519 signatures are
-        deterministic, so signing late gives the bytes signing at send would
-        have, and the summary, which holds only the credential id and the
-        nonce, is the same.
+    def _holder_proof(self, msg: Message, signed: bool = True) -> Presentation:
+        """The presentation ``_answer_proof`` sent, its credential signed and,
+        when ``signed``, its holder proof signed.
+
+        Both are signed only where they are read: by a verification in
+        progress (``_on_proof_presentation``), the proof only on its current
+        nonce, or before an ``intercept`` sees the message (``run``).  Ed25519
+        signatures are deterministic, so signing late gives the bytes signing
+        at issue or send would have, and the summary, which holds only the
+        credential id and the nonce, is the same.
         """
         holder = self.agents[msg.from_actor].spec
-        return create_presentation(holder.keys, holder.did, msg.credential, msg.nonce)
+        credential = self._signed(msg.credential)
+        if not signed:
+            return Presentation(credential=credential, presenter=holder.did, nonce=msg.nonce, holder_proof=b"")
+        return create_presentation(holder.keys, holder.did, credential, msg.nonce)
 
     def _on_proof_presentation(self, agent: _AgentState, msg: Message) -> None:
         state = agent.verifications.get(msg.flow)
@@ -655,7 +674,7 @@ class _Simulation:
         flow = state.flow
         presentation = msg.presentation
         if presentation is None:
-            presentation = self._holder_proof(msg)
+            presentation = self._holder_proof(msg, signed=msg.nonce == state.nonce)
         outcome = verify_presentation(
             presentation,
             self.directory,
@@ -763,9 +782,11 @@ class _Simulation:
             _, msg, summary, encoded = entry
             dropped = self.prng.next_float() < drop_probability
             if not dropped and self.intercept is not None:
+                # The hook sees every credential and holder proof signed.
                 if msg.kind == "ProofPresentation" and msg.presentation is None:
-                    # The hook sees the presentation, its holder proof signed.
                     msg = msg.replace(nonce=None, credential=None, presentation=self._holder_proof(msg))
+                elif msg.kind == "CredentialIssuance":
+                    msg = msg.replace(credential=self._signed(msg.credential))
                 replacement = self.intercept(msg, self.tick)
                 if replacement is None:
                     dropped = True
@@ -799,12 +820,12 @@ def run(
 ) -> Trace:
     """Execute the compiled agents until quiescence or the tick bound.
 
-    A holder proof is signed only when a verification in progress reads it,
+    A holder proof is signed only when a verification in progress reads it
+    on its current nonce, a credential issued in the run when first read,
     and each distinct issuer signature is verified once; the memo of those
     checks lives in the run and goes with it.  ``intercept`` is a
-    test-harness hook: it sees every message at delivery time, a
-    presentation with its holder proof signed, and may substitute it or
-    return None to force a drop.
+    test-harness hook: it sees every message at delivery time, signed, and
+    may return None to force a drop or a substitute, which the run never signs.
     """
     return _Simulation(model, agents, config, intercept).run()
 

@@ -1,6 +1,6 @@
 """Shared test machinery: an independent propagation oracle, a random model
-generator, DOT scanners, single-bit mutators, a runner for the CLI, and a
-mutator of piStar documents.
+generator, DOT scanners, single-bit mutators, a runner for the CLI, a
+mutator of piStar documents, and a reference presentation check.
 
 The oracle deliberately recomputes every label from the previous full
 assignment (Jacobi style) while the library updates in place, so agreement
@@ -14,11 +14,13 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import io
 import random
 import re
 
 from ssiforge.cli import main
+from ssiforge.credentials import VerificationOutcome, canonical_bytes, decode_did, proof_message, verify_signature
 from ssiforge.model import (
     Actor,
     ActorKind,
@@ -414,3 +416,29 @@ def mutate_document(doc, rng: random.Random):
         else:
             target.append(copy.deepcopy(rng.choice(_DOC_VALUES)))
     return doc
+
+
+def verify_presentation_reference(presentation, directory, trust, verifier: str, expected_nonce: bytes):
+    """The four checks with every Ed25519 verification always made: the
+    holder proof is verified whatever the presenter and the nonce, and no
+    check is memoized.  ``verify_presentation`` must give the same flags."""
+    credential = presentation.credential
+    raw = canonical_bytes(credential.payload())
+    issuer_key = directory.get(credential.issuer)
+    try:
+        presenter_key = decode_did(presentation.presenter)
+        proof_ok = verify_signature(
+            presenter_key,
+            proof_message(credential.id, presentation.nonce),
+            presentation.holder_proof,
+        )
+    except ValueError:
+        proof_ok = False
+    return VerificationOutcome(
+        integrity=hashlib.sha256(raw).hexdigest() == credential.id,
+        issuer_signature=issuer_key is not None and verify_signature(issuer_key, raw, credential.signature),
+        subject_binding=(
+            proof_ok and presentation.presenter == credential.holder and presentation.nonce == expected_nonce
+        ),
+        issuer_trusted=trust.is_trusted(verifier, credential.type, credential.issuer),
+    )

@@ -18,6 +18,7 @@ from ssiforge.credentials import (
     did_from_public_key,
     generate_keypair,
     issue_credential,
+    mint_credential,
     verify_presentation,
 )
 from ssiforge.model import validate
@@ -196,6 +197,41 @@ def test_a_run_never_reuses_a_check_for_other_bytes(birth_model, tamper):
         fresh.integrity, fresh.issuer_signature, fresh.subject_binding, fresh.issuer_trusted
     )
     assert not fresh.verdict
+
+
+def _unsigned_copy(credential):
+    return credential
+
+
+def _foreign_signed_copy(credential):
+    mallory = generate_keypair(b"\x99" * 32)
+    return credential.replace(signature=mallory.signing_key.sign(canonical_bytes(credential.payload())))
+
+
+@pytest.mark.parametrize("sign", [_unsigned_copy, _foreign_signed_copy], ids=["empty-signature", "foreign-signature"])
+def test_a_run_never_signs_a_credential_an_intercept_returned(birth_model, sign):
+    """The run signs the credentials it minted when they are first read.  A
+    claim-mutated copy that an intercept puts in a ``CredentialIssuance``,
+    its id recomputed so that integrity holds, keeps the signature it came
+    with, and the Registrar finds no issuer signature on it."""
+    copies = []
+
+    def intercept(msg, tick):
+        if msg.kind == "CredentialIssuance" and msg.credential_type == BND:
+            honest = msg.credential
+            claims = dict(honest.claims, subjectActor="changeling")
+            minted = mint_credential(honest.issuer, honest.subject, honest.holder, honest.type, claims, honest.issued_at)
+            copies.append(sign(minted))
+            return msg.replace(credential=copies[-1])
+        return msg
+
+    trace = simulate_fixture(birth_model, intercept=intercept)
+    assert len(copies) == 1
+    event = next(e for e in trace.events if e["kind"] == "Verify" and e["flow"] == "dep-bnd-registrar")
+    assert event["credentialId"] == copies[0].id
+    assert event["integrity"] is True and event["issuerSignature"] is False
+    assert event["failReason"] == "issuerSignature"
+    assert trace.final_labels["mother-goal"] == "Denied"
 
 
 def test_untrusted_issuer_blocks_the_certificate(birth_path, tmp_path):

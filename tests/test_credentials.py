@@ -1,10 +1,12 @@
 import hashlib
 import itertools
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+import helpers
 import ssiforge.credentials as credentials
 
 from ssiforge.credentials import (
@@ -370,6 +372,56 @@ def test_stale_nonce_fails_binding():
     outcome = verify_presentation(stale, directory, trust, "Gate", nonce)
     assert (outcome.integrity, outcome.issuer_signature, outcome.subject_binding, outcome.issuer_trusted) == (
         True, True, False, True,
+    )
+
+
+# A DID whose key part is not base58: "0" is no base58 digit.
+UNDECODABLE_DID = "did:sim:0Il"
+
+
+@given(
+    holder_decodes=st.booleans(),
+    presenter=st.sampled_from(("holder", "mallory", "undecodable", "no DID")),
+    nonce=st.sampled_from(("expected", "stale")),
+    proof=st.sampled_from(("holder", "mallory", "corrupted", "empty")),
+    bit=st.integers(0, 511),
+    stale_nonce=st.binary(min_size=NONCE_LENGTH, max_size=NONCE_LENGTH).filter(lambda n: n != bytes(NONCE_LENGTH)),
+)
+def test_short_circuit_gives_the_always_verify_flags(holder_decodes, presenter, nonce, proof, bit, stale_nonce):
+    """``verify_presentation`` equals the reference that always verifies the
+    holder proof, and verifies no holder proof when the presenter is not
+    the holder or the nonce is not the expected one."""
+    issuer, holder, _, directory, trust, expected = lifecycle()
+    mallory = generate_keypair(bytes([0x33]) * 32)
+    issuer_did = next(iter(directory))
+    holder_did = did_from_public_key(holder.public_key) if holder_decodes else UNDECODABLE_DID
+    credential = issue_credential(issuer, issuer_did, holder_did, holder_did, "Permit", {"zone": "3"}, issued_at=1)
+    presenter_did = {
+        "holder": holder_did,
+        "mallory": did_from_public_key(mallory.public_key),
+        "undecodable": UNDECODABLE_DID,
+        "no DID": "zz",
+    }[presenter]
+    presented_nonce = expected if nonce == "expected" else stale_nonce
+    message = proof_message(credential.id, presented_nonce)
+    honest = holder.signing_key.sign(message)
+    holder_proof = {
+        "holder": honest,
+        "mallory": mallory.signing_key.sign(message),
+        "corrupted": honest[: bit // 8] + bytes([honest[bit // 8] ^ 1 << bit % 8]) + honest[bit // 8 + 1:],
+        "empty": b"",
+    }[proof]
+    presentation = credentials.Presentation(credential, presenter_did, presented_nonce, holder_proof)
+
+    with mock.patch.object(credentials, "verify_signature", wraps=credentials.verify_signature) as spy:
+        outcome = verify_presentation(presentation, directory, trust, "Gate", expected)
+    assert outcome == helpers.verify_presentation_reference(presentation, directory, trust, "Gate", expected)
+    # The holder proof is read only when the presenter is the holder, the nonce is expected and the DID decodes.
+    read = presenter_did == credential.holder and presented_nonce == expected and holder_decodes
+    proof_checks = [c.args for c in spy.call_args_list if c.args[1] == message]
+    assert proof_checks == ([(holder.public_key, message, holder_proof)] if read else [])
+    assert outcome.subject_binding == (
+        presenter == "holder" and nonce == "expected" and holder_decodes and proof == "holder"
     )
 
 

@@ -337,14 +337,17 @@ def subject_did(name, seed=42):
 
 
 def test_each_subject_name_gets_its_own_did(birth_model, monkeypatch):
-    calls = counted_calls(monkeypatch, simulator, "issue_credential")
+    # The Mother's ID is issued signed at compile time; the run mints the others.
+    signed = counted_calls(monkeypatch, simulator, "issue_credential")
+    minted = counted_calls(monkeypatch, simulator, "mint_credential")
     agents, trace = run_fixture(with_subject(birth_model, "dep-cert-mother", "device"))
     assert spec_of(agents, "Registrar").issues[0].subject == "device"
     child, device = subject_did("child"), subject_did("device")
     assert len({child, device, spec_of(agents, "Mother").did}) == 3
     issued = {e["credentialType"]: e["subject"] for e in trace.events if e["kind"] == "Issue"}
     assert issued == {BND: child, CERT: device}
-    claims = {args[4]: args[5]["subjectActor"] for args in calls}
+    claims = {args[3]: args[4]["subjectActor"] for args in minted}
+    claims.update((args[4], args[5]["subjectActor"]) for args in signed)
     assert claims == {MID: "Mother", BND: "child", CERT: "device"}
     assert trace.final_labels == run_fixture(birth_model)[1].final_labels
 
@@ -907,22 +910,43 @@ def test_nothing_is_signed_when_every_message_drops(birth_model, monkeypatch):
     assert calls == []
 
 
+def verified_presentations(trace) -> list[tuple[str, str, str]]:
+    """Per Verify event, in order: the credential id and nonce of the
+    presentation it checks, and the nonce of the latest proof request on its
+    flow, the verification's current nonce."""
+    current: dict[str, str] = {}
+    out = []
+    for before, event in zip(trace.events, trace.events[1:]):
+        if event["kind"] == "Send" and event["message"]["type"] == "ProofRequest":
+            current[event["message"]["flow"]] = event["message"]["nonce"]
+        if event["kind"] == "Verify":
+            # The Deliver of the presentation is the event just before its Verify.
+            assert before["kind"] == "Deliver" and before["message"]["type"] == "ProofPresentation"
+            out.append((before["message"]["credentialId"], before["message"]["nonce"], current[event["flow"]]))
+    return out
+
+
 def test_each_read_presentation_is_signed_once(birth_model, monkeypatch):
     """A holder proof is signed only when it is read: by a verification in
-    progress, or by an intercept, which sees every delivered presentation
-    signed.  A dropped presentation, or one that reaches a verification
-    already resolved, costs no signature."""
+    progress, when the presentation answers its current nonce, or by an
+    intercept, which sees every delivered presentation signed.  A dropped
+    presentation, one that reaches a verification already resolved, or one
+    answering a superseded nonce costs no signature."""
     calls = counted_calls(monkeypatch, simulator, "create_presentation")
-    dropped = unread = 0
+    dropped = unread = stale = 0
     for seed in range(1, 12):
         config = SimConfig(seed=seed, drop_probability=0.3)
         calls.clear()
         _, trace = run_fixture(birth_model, seed=seed, config=config)
         kinds = Counter((e["kind"], e["message"]["type"]) for e in trace.events if "message" in e)
-        verifies = sum(e["kind"] == "Verify" for e in trace.events)
-        assert len(calls) == verifies, seed
+        verified = verified_presentations(trace)
+        current = [(credential_id, nonce) for credential_id, nonce, latest in verified if nonce == latest]
+        assert [(args[2].id, args[3].hex()) for args in calls] == current, seed
+        binding = [e["subjectBinding"] for e in trace.events if e["kind"] == "Verify"]
+        assert [nonce == latest for _, nonce, latest in verified] == binding, seed
         dropped += kinds["Drop", "ProofPresentation"]
-        unread += kinds["Deliver", "ProofPresentation"] - verifies
+        unread += kinds["Deliver", "ProofPresentation"] - len(verified)
+        stale += len(verified) - len(current)
 
         calls.clear()
         seen = []
@@ -937,7 +961,35 @@ def test_each_read_presentation_is_signed_once(birth_model, monkeypatch):
         delivered = sum(e["kind"] == "Deliver" and e["message"]["type"] == "ProofPresentation" for e in hooked.events)
         assert len(calls) == len(seen) == delivered, seed
         assert all(isinstance(proof, bytes) and len(proof) == 64 for proof in seen), seed
-    assert dropped > 0 and unread > 0
+    assert dropped > 0 and unread > 0 and stale > 0
+
+
+def test_a_credential_is_signed_when_first_read(birth_model, monkeypatch):
+    """The run signs the Birth Notification Document, which the Registrar
+    verifies, and not the birth certificate, which nobody reads.  An
+    intercept reads every credential issued, so under the identity intercept
+    both are signed, and the trace is the same."""
+    _, _, agents = fixture_agents(birth_model, seed=42)
+    calls = counted_calls(monkeypatch, simulator, "issue_credential")
+    trace = run(birth_model, agents, SimConfig(seed=42))
+    assert issue_types(trace) == [BND, CERT]
+    assert [args[4] for args in calls] == [BND]
+
+    calls.clear()
+    issued = []
+
+    def identity(msg, tick):
+        if msg.kind == "CredentialIssuance":
+            issued.append(msg.credential)
+        return msg
+
+    hooked = run(birth_model, agents, SimConfig(seed=42), intercept=identity)
+    assert hooked.text() == trace.text()
+    assert [args[4] for args in calls] == [c.type for c in issued] == [BND, CERT]
+    midwife, registrar = spec_of(agents, "Midwife"), spec_of(agents, "Registrar")
+    for credential, issuer in zip(issued, (midwife, registrar)):
+        payload = canonical_bytes(credential.payload())
+        assert credential.signature == issuer.keys.signing_key.sign(payload)
 
 
 def test_fixture_verifies_each_distinct_signature_once(birth_model, monkeypatch):
