@@ -20,29 +20,29 @@ from .model import (
     validate,
 )
 from .pistar import ParseError, ParseResult, export_dot, parse_model, serialize_model
-from .overlay import (
-    CredentialFlow,
-    Evidence,
-    EvidenceKind,
-    FlowKind,
-    RoleAssignment,
-    SsiRole,
-    TrustOverride,
-    TrustPolicyError,
-    TrustRegistry,
-    VerbLexicon,
-    DEFAULT_LEXICON,
-    build_trust_registry,
-    derive_flows,
-    infer_roles,
-    lint_ssi,
-    normalize_name,
-    trust_noops,
-)
-# The credential and simulation layers, and with them ``cryptography``, load
-# on first use: ``import ssiforge`` and the validate, roles and export
-# commands never need them.
+# The layers above the model and the parser load on first use, the credential
+# layer with ``cryptography``: ``import ssiforge`` loads none of them, and each
+# ``ssiforge`` command binds from this table only the layers it runs.
 _LAZY = {
+    "overlay": (
+        "CredentialFlow",
+        "Evidence",
+        "EvidenceKind",
+        "FlowKind",
+        "RoleAssignment",
+        "SsiRole",
+        "TrustOverride",
+        "TrustPolicyError",
+        "TrustRegistry",
+        "VerbLexicon",
+        "DEFAULT_LEXICON",
+        "build_trust_registry",
+        "derive_flows",
+        "infer_roles",
+        "lint_ssi",
+        "normalize_name",
+        "trust_noops",
+    ),
     "credentials": (
         "CHECK_ORDER",
         "Credential",

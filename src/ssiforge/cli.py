@@ -21,38 +21,7 @@ from pathlib import Path
 import ssiforge
 
 from .model import validate as validate_model
-from .overlay import (
-    DEFAULT_LEXICON,
-    SsiRole,
-    TrustOverride,
-    TrustPolicyError,
-    VerbLexicon,
-    build_trust_registry,
-    derive_flows,
-    infer_roles,
-    lint_ssi,
-    trust_noops,
-)
 from .pistar import export_dot, parse_model
-
-# What only ``simulate`` uses, and with it ``cryptography``: bound as module
-# globals from the package's lazy names on the first ``simulate`` (or on first
-# attribute access), so that validate, roles and export never load it.  A name
-# already set on the module (a wrapper, say) is kept.
-_SIMULATE_NAMES = (
-    "CHECK_ORDER",
-    "did_from_public_key",
-    "generate_keypair",
-    "LabelState",
-    "root_goals",
-    "CompileError",
-    "SimConfig",
-    "actor_key_seed",
-    "compile_agents",
-    "derive_bootstrap",
-    "run",
-    "write_trace",
-)
 
 # ANSI foreground colour codes.
 _RED, _GREEN, _YELLOW = 31, 32, 33
@@ -61,15 +30,23 @@ _LEXICON_KEYS = {"issueVerbs": "issue_verbs", "provideVerbs": "provide_verbs", "
 _TRUST_KEYS = {"verifier", "credentialType", "issuerDid", "action"}
 
 
-def _load_simulation() -> None:
-    for name in _SIMULATE_NAMES:
-        globals().setdefault(name, getattr(ssiforge, name))
+def _bind(*layers: str) -> None:
+    """Bind the names of ``layers``, each a key of ``ssiforge._LAZY``, as module globals.
+
+    A command binds the layers it runs beyond the model and the parser, so
+    that validate and export load neither the overlay nor ``cryptography``.
+    A name already set on the module (a wrapper, say) is kept.
+    """
+    for layer in layers:
+        for name in ssiforge._LAZY[layer]:
+            globals().setdefault(name, getattr(ssiforge, name))
 
 
 def __getattr__(name: str):
-    if name not in _SIMULATE_NAMES:
+    """Resolve one of the package's lazily loaded names by binding its whole layer."""
+    if name not in ssiforge._LAZY_MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load_simulation()
+    _bind(ssiforge._LAZY_MODULE_OF[name])
     return globals()[name]
 
 
@@ -207,6 +184,7 @@ def cmd_validate(path: str, fmt: str) -> None:
 
 def cmd_roles(path: str, lexicon_path: str | None, fmt: str, strict: bool) -> None:
     """Show inferred credential roles and flows."""
+    _bind("overlay")
     result = _load_model(path)
     roles = infer_roles(result.model, _load_lexicon(lexicon_path))
     flows = derive_flows(result.model, roles)
@@ -264,7 +242,7 @@ def cmd_simulate(
     allow_ambiguous: bool,
 ) -> None:
     """Run the credential lifecycle and report goal satisfaction."""
-    _load_simulation()
+    _bind("overlay", "credentials", "propagation", "simulator")
     result = _load_model(path)
     model = result.model
     report = validate_model(model)

@@ -530,7 +530,12 @@ def test_bare_command_prints_usage_and_exits_two():
 
 # -- lazy loading ---------------------------------------------------------
 
-LAZY_MODULES = ("cryptography", "ssiforge.credentials", "ssiforge.simulator")
+# The layers above the model and the parser: each command loads the ones it
+# runs and no others, so validate and export compile and run neither the
+# overlay nor the credential layer, and roles runs only the overlay.
+LAZY_MODULES = (
+    "ssiforge.overlay", "ssiforge.credentials", "ssiforge.propagation", "ssiforge.simulator", "cryptography"
+)
 # No command loads these: records are plain slotted classes, and importing
 # ``dataclasses`` (with ``inspect``) would add about 10 ms to every start-up;
 # the simulator logs nothing, and ``logging`` would add 6-8 ms to ``simulate``.
@@ -546,9 +551,8 @@ print(",".join(m for m in {modules!r} if m in sys.modules), file=sys.stderr)
 """
 
 
-def stderr_of_fresh_run(script, birth_path, args):
-    """Run ``script`` in a fresh interpreter with argv ``COMMAND FIXTURE OPTIONS...``."""
-    argv = [args[0], str(birth_path), *args[1:]]
+def stderr_of_fresh_run(script, *argv):
+    """Run ``script`` in a fresh interpreter with ``argv``."""
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(Path(ssiforge.__file__).parent.parent)},
@@ -559,16 +563,28 @@ def stderr_of_fresh_run(script, birth_path, args):
 @pytest.mark.parametrize(
     "args, loaded",
     [
-        (["validate"], False),
-        (["roles"], False),
-        (["export", "--view", "sd"], False),
-        (["simulate", "--seed", "42"], True),
+        (["validate"], ()),
+        (["roles"], ("ssiforge.overlay",)),
+        (["export", "--view", "sd"], ()),
+        (["simulate", "--seed", "42"], LAZY_MODULES),
     ],
     ids=["validate", "roles", "export", "simulate"],
 )
 def test_only_simulate_loads_the_credential_layer(birth_path, args, loaded):
-    stderr = stderr_of_fresh_run(LOADED_AFTER.format(modules=LAZY_MODULES + UNUSED_MODULES), birth_path, args)
-    assert stderr.strip().split(",") == (list(LAZY_MODULES) if loaded else [""])
+    script = LOADED_AFTER.format(modules=LAZY_MODULES + UNUSED_MODULES)
+    stderr = stderr_of_fresh_run(script, args[0], str(birth_path), *args[1:])
+    assert stderr.strip().split(",") == (list(loaded) or [""])
+
+
+IMPORTED_BY_PACKAGE = """
+import sys
+import ssiforge
+print(",".join(m for m in sorted(sys.modules) if m.startswith(("ssiforge.", "cryptography"))), file=sys.stderr)
+"""
+
+
+def test_importing_the_package_loads_only_the_model_and_parser():
+    assert stderr_of_fresh_run(IMPORTED_BY_PACKAGE).strip() == "ssiforge.model,ssiforge.pistar"
 
 
 THIRD_PARTY_AFTER = """
@@ -591,7 +607,8 @@ CRYPTOGRAPHY_MODULES = {"cryptography", "_cffi_backend", "_openssl"}
     ids=["validate", "roles", "export", "simulate"],
 )
 def test_commands_load_only_stdlib_and_their_dependencies(birth_path, args):
-    loaded = set(stderr_of_fresh_run(THIRD_PARTY_AFTER, birth_path, args).strip().split(",")) - {""}
+    stderr = stderr_of_fresh_run(THIRD_PARTY_AFTER, args[0], str(birth_path), *args[1:])
+    loaded = set(stderr.strip().split(",")) - {""}
     if args[0] == "simulate":
         assert "cryptography" in loaded and loaded <= CRYPTOGRAPHY_MODULES, loaded
     else:
@@ -603,8 +620,9 @@ def test_package_names_all_resolve():
         assert getattr(ssiforge, name) is not None, name
 
 
-# The stage functions that bench/cli_child.py wraps on ssiforge.cli for simulate,
-# in the order simulate calls them.
+# The stage functions that bench/cli_child.py wraps on ssiforge.cli, in the
+# order each command calls them.
+ROLES_STAGES = ("parse_model", "infer_roles", "derive_flows", "lint_ssi")
 SIMULATE_STAGES = (
     "parse_model",
     "validate_model",
@@ -620,7 +638,14 @@ SIMULATE_STAGES = (
 )
 
 
-def test_simulate_calls_the_functions_set_on_the_module(birth_path, birth_model, tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "args, stages",
+    [(["roles"], ROLES_STAGES), (["simulate", "--seed", "42", "--trace", "run.jsonl"], SIMULATE_STAGES)],
+    ids=["roles", "simulate"],
+)
+def test_commands_call_the_functions_set_on_the_module(
+    birth_path, birth_model, tmp_path, monkeypatch, args, stages
+):
     calls = []
 
     def spy(name):
@@ -632,14 +657,14 @@ def test_simulate_calls_the_functions_set_on_the_module(birth_path, birth_model,
 
         return wrapper
 
-    for name in SIMULATE_STAGES:
+    for name in stages:
         monkeypatch.setattr(cli, name, spy(name))
-    trace_path = tmp_path / "run.jsonl"
-    result = invoke(["simulate", str(birth_path), "--seed", "42", "--trace", str(trace_path)])
+    monkeypatch.chdir(tmp_path)
+    result = invoke([args[0], str(birth_path), *args[1:]])
     assert result.exit_code == 0
     keygens = len(birth_model.actors)  # one key pair per actor
-    assert calls == [name for name in SIMULATE_STAGES for _ in range(keygens if name == "generate_keypair" else 1)]
-    assert trace_path.exists()
+    assert calls == [name for name in stages for _ in range(keygens if name == "generate_keypair" else 1)]
+    assert args[0] == "roles" or (tmp_path / "run.jsonl").exists()
 
 
 def test_readme_library_example_prints_satisfied(monkeypatch, capsys):
