@@ -8,7 +8,8 @@ as that type's Issuer, provide verbs mark Holders, check verbs mark
 Verifiers.  An actor that receives a credential through an issuance also
 holds it, whether or not a task says so.  A "send ... copy" task mails
 each issuance's digest to the actor it names; when it names several, to
-the one with the longest name.  Every name reading matches whole words of
+the one with the longest name, and ``lint_ssi`` warns when two longest
+names tie.  Every name reading matches whole words of
 the normalized name: the alias "ID" is not in "valid", nor "Registrar 1"
 in "Registrar 12".
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 import enum
 import re
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import ElementKind, Identifier, LinkKind, Model, Record, ValidationIssue
 
@@ -277,6 +278,21 @@ def infer_roles(model: Model, lexicon: VerbLexicon = DEFAULT_LEXICON) -> tuple[R
     return tuple(assignments)
 
 
+def _copy_candidates(model: Model) -> Callable[[Identifier, str], list[Identifier]]:
+    """The reader of a copy task's target: from the task's actor and
+    normalized name, the other actors it names with the longest name, in
+    actor order."""
+    name_of = {a.id: normalize_name(a.name) for a in model.actors}
+    names = _SpellingIndex((actor, [name]) for actor, name in name_of.items())
+
+    def candidates(sender: Identifier, task_norm: str) -> list[Identifier]:
+        others = [o for o in names.owners_in(task_norm) if o != sender]
+        longest = max((len(name_of[o]) for o in others), default=0)
+        return [o for o in others if len(name_of[o]) == longest]
+
+    return candidates
+
+
 def _copy_readings(
     model: Model,
 ) -> tuple[dict[Identifier, tuple[Identifier, Identifier]], set[tuple[Identifier, Identifier]]]:
@@ -285,8 +301,7 @@ def _copy_readings(
     whose name has the word "copy".  A task naming several other actors
     sends to the one with the longest name ("Registrar Office" over
     "Registrar"), the first in actor order on a tie."""
-    name_of = {a.id: normalize_name(a.name) for a in model.actors}
-    names = _SpellingIndex((actor, [name]) for actor, name in name_of.items())
+    copy_candidates = _copy_candidates(model)
     targets: dict[Identifier, tuple[Identifier, Identifier]] = {}
     copy_tasks: set[tuple[Identifier, Identifier]] = set()
     for actor in model.actors:
@@ -299,9 +314,9 @@ def _copy_readings(
                 continue
             copy_tasks.add((actor.id, elem.id))
             if "send" in words and actor.id not in targets:
-                others = [o for o in names.owners_in(norm) if o != actor.id]
-                if others:
-                    targets[actor.id] = (max(others, key=lambda o: len(name_of[o])), elem.id)
+                candidates = copy_candidates(actor.id, norm)
+                if candidates:
+                    targets[actor.id] = (candidates[0], elem.id)
     return targets, copy_tasks
 
 
@@ -404,6 +419,18 @@ def lint_ssi(
         if len(types) > 1:
             message = f"names the credential types {', '.join(map(repr, types))}, so it is read as one role for each"
             findings.append(ValidationIssue("W_TASK_MULTI_TYPE", task, message))
+
+    # Only the copy tasks the flows carry are read again, for a tie between their longest actor names.
+    copy_reads = sorted({(f.sender, f.copy_task, f.copy_to) for f in flows if f.copy_task is not None})
+    copy_candidates = _copy_candidates(model)
+    for sender, task, picked in copy_reads:
+        element = model.actor(sender).element(task)
+        if element is None:  # the task of a second actor with ``sender``'s id; the model fails validation
+            continue
+        candidates = copy_candidates(sender, normalize_name(element.name))
+        if len(candidates) > 1:
+            message = f"names {', '.join(candidates)}, whose names are equally long: the copy goes to {picked}"
+            findings.append(ValidationIssue("W_COPY_AMBIGUOUS", task, message))
 
     flow_targets = {(f.receiver, f.credential_type) for f in flows}
     for assignment in roles:

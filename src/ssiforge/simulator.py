@@ -31,15 +31,17 @@ Task labels move as the run progresses (Denied is terminal), and the final
 labels come from propagating them through the goal model.  Time is a tick
 counter driven by a single delivery queue; randomness (message drops, nonce
 bytes) comes from one SplitMix64 stream, so a (model, agents, config)
-triple always reproduces the same trace, byte for byte.
+triple always reproduces the same trace, byte for byte.  Each event is
+encoded once, when it happens, into the canonical JSON line a trace keeps.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import json
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from json.encoder import encode_basestring
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .credentials import (
     Credential,
@@ -280,15 +282,14 @@ def _route_parts(route: tuple) -> tuple[str, str, str]:
     )
 
 
-def _summarize(msg: Message, routes: dict) -> tuple[dict, str]:
-    """A message's trace summary and its canonical JSON.
+def _summarize(msg: Message, routes: dict) -> str:
+    """A message's trace summary, as canonical JSON written from a fixed
+    template, keys in canonical (sorted) order.
 
-    The JSON is written from a fixed template, keys in canonical (sorted)
-    order, rather than by sorting the dict: it equals
-    ``canonical_text(summary)``.  The parts a message's route fixes (its
-    kind, flow, credential type, sender, receiver and purpose) are encoded
-    the first time the route is taken and kept in ``routes``; the credential
-    id, digest, nonce and verdict are encoded for each message.
+    The parts a message's route fixes (its kind, flow, credential type,
+    sender, receiver and purpose) are encoded the first time the route is
+    taken and kept in ``routes``; the credential id, digest, nonce and
+    verdict are encoded for each message.
     """
     route = (msg.kind, msg.flow, msg.credential_type, msg.from_actor, msg.to_actor, msg.purpose)
     parts = routes.get(route)
@@ -300,72 +301,45 @@ def _summarize(msg: Message, routes: dict) -> tuple[dict, str]:
         credential_id, nonce = presentation.credential.id, presentation.nonce
     else:
         credential_id, nonce = (msg.credential.id if msg.credential is not None else None), msg.nonce
-    summary: dict = {}
     line = "{"
     if credential_id is not None:
-        summary["credentialId"] = credential_id
         line += '"credentialId":' + encode_basestring(credential_id) + ","
-    summary["credentialType"] = msg.credential_type
     line += credential_type
     if msg.digest is not None:
-        summary["digest"] = msg.digest
         line += ',"digest":' + encode_basestring(msg.digest)
-    summary["flow"] = msg.flow
-    summary["from"] = msg.from_actor
     line += flow_from
     if nonce is not None:
-        summary["nonce"] = hexed = nonce.hex()
-        line += ',"nonce":"' + hexed + '"'  # hex digits need no escaping
-    if msg.purpose is not None:
-        summary["purpose"] = msg.purpose
-    summary["to"] = msg.to_actor
-    summary["type"] = msg.kind
+        line += ',"nonce":"' + nonce.hex() + '"'  # hex digits need no escaping
     line += purpose_to_type
     if msg.verdict is not None:
-        summary["verdict"] = msg.verdict
         line += ',"verdict":true' if msg.verdict else ',"verdict":false'
-    return summary, line + "}"
+    return line + "}"
 
 
 _JSON_BOOL = {True: "true", False: "false"}
 
 
-def _issue_event(seq: int, tick: int, flow: CredentialFlow, credential: Credential) -> tuple[dict, str]:
-    """The Issue event of ``credential`` on ``flow`` and its canonical JSON, written from a fixed template."""
-    event = {
-        "kind": "Issue", "seq": seq, "tick": tick, "credentialId": credential.id,
-        "credentialType": flow.credential_type, "flow": flow.dependency, "holder": flow.receiver,
-        "issuer": flow.sender, "subject": credential.subject,
-    }
-    line = (
+def _issue_event(seq: int, tick: int, flow: CredentialFlow, credential: Credential) -> str:
+    """The Issue event of ``credential`` on ``flow``, as canonical JSON written from a fixed template."""
+    return (
         f'{{"credentialId":{encode_basestring(credential.id)},'
         f'"credentialType":{encode_basestring(flow.credential_type)},"flow":{encode_basestring(flow.dependency)},'
         f'"holder":{encode_basestring(flow.receiver)},"issuer":{encode_basestring(flow.sender)},"kind":"Issue",'
         f'"seq":{seq},"subject":{encode_basestring(credential.subject)},"tick":{tick}}}'
     )
-    return event, line
 
 
 def _verify_event(
     seq: int, tick: int, flow: CredentialFlow, presenter: Identifier, credential_id: str,
     outcome: VerificationOutcome, copy_ok: bool | None,
-) -> tuple[dict, str, bool]:
-    """The Verify event of a presentation on ``flow`` to its receiver, its
+) -> tuple[str, bool]:
+    """The Verify event of a presentation on ``flow`` to its receiver, as
     canonical JSON written from a fixed template, and its verdict: the four
     checks, and the office copy when ``copy_ok`` is not None."""
     verdict = outcome.verdict and copy_ok is not False
     fail_reason = outcome.fail_reason or ("officeCopy" if copy_ok is False else "")
     flags = outcome.flags
-    event = {
-        "kind": "Verify", "seq": seq, "tick": tick, "credentialId": credential_id,
-        "credentialType": flow.credential_type, "flow": flow.dependency, **flags, "presenter": presenter,
-        "verdict": verdict, "verifier": flow.receiver,
-    }
-    if copy_ok is not None:
-        event["copyOk"] = copy_ok
-    if fail_reason:
-        event["failReason"] = fail_reason
-    line = (
+    return (
         ("{" if copy_ok is None else f'{{"copyOk":{_JSON_BOOL[copy_ok]},')
         + f'"credentialId":{encode_basestring(credential_id)},'
         f'"credentialType":{encode_basestring(flow.credential_type)},'
@@ -376,43 +350,56 @@ def _verify_event(
         f'"kind":"Verify","presenter":{encode_basestring(presenter)},"seq":{seq},'
         f'"subjectBinding":{_JSON_BOOL[flags["subjectBinding"]]},"tick":{tick},"verdict":{_JSON_BOOL[verdict]},'
         f'"verifier":{encode_basestring(flow.receiver)}}}'
-    )
-    return event, line, verdict
+    ), verdict
 
 
-def _goal_update(seq: int, tick: int, element: Identifier, label: str) -> tuple[dict, str]:
-    """A GoalUpdate event and its canonical JSON, written from a fixed template."""
-    event = {"kind": "GoalUpdate", "seq": seq, "tick": tick, "element": element, "label": label}
-    line = (
+def _goal_update(seq: int, tick: int, element: Identifier, label: str) -> str:
+    """A GoalUpdate event, as canonical JSON written from a fixed template."""
+    return (
         f'{{"element":{encode_basestring(element)},"kind":"GoalUpdate",'
         f'"label":{encode_basestring(label)},"seq":{seq},"tick":{tick}}}'
     )
-    return event, line
+
+
+class _Events(Sequence):
+    """A trace's events, each parsed from its line when it is read: an index
+    or a slice gives new dicts, and nothing parsed is kept."""
+
+    __slots__ = ("_lines",)
+
+    def __init__(self, lines: Sequence[str]) -> None:
+        self._lines = lines
+
+    def __len__(self) -> int:
+        return len(self._lines)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [json.loads(line) for line in self._lines[index]]
+        return json.loads(self._lines[index])
+
+    def __iter__(self):
+        return map(json.loads, self._lines)
 
 
 class Trace(Record):
+    """A run's outcome; each event is held only as its canonical JSON line."""
+
     config: Mapping[str, object]
-    events: tuple[Mapping[str, object], ...]
+    event_lines: tuple[str, ...]
     final_labels: Mapping[Identifier, str]
     termination: str
     final_tick: int
-    # The events' lines as the run recorded them.  Not an init field, so a
-    # trace built by hand or by ``replace`` encodes its events.
-    _recorded: tuple[str, ...] | None
+
+    @property
+    def events(self) -> _Events:
+        """The events as dicts, parsed from ``event_lines`` each time one is read."""
+        return _Events(self.event_lines)
 
     def lines(self) -> list[str]:
-        head = canonical_text({"config": dict(self.config)})
-        body = self._recorded
-        if body is None:
-            body = [canonical_text(e if isinstance(e, dict) else dict(e)) for e in self.events]
-        tail = canonical_text(
-            {
-                "finalLabels": dict(self.final_labels),
-                "finalTick": self.final_tick,
-                "termination": self.termination,
-            }
-        )
-        return [head, *body, tail]
+        head = {"config": dict(self.config)}
+        tail = {"finalLabels": dict(self.final_labels), "finalTick": self.final_tick, "termination": self.termination}
+        return [canonical_text(head), *self.event_lines, canonical_text(tail)]
 
     def text(self) -> str:
         lines = self.lines()
@@ -475,7 +462,6 @@ class _Simulation:
         # its identity), its issuer's keys, and the signed credential once read.
         self.minted: dict[int, list] = {}
         self.labels: dict[Identifier, LabelState] = {}
-        self.events: list[dict] = []
         self.event_lines: list[str] = []  # each event's canonical JSON, encoded as it is recorded
         self.heap: list[tuple[int, int, tuple]] = []
         self.order = 0
@@ -488,24 +474,21 @@ class _Simulation:
         heapq.heappush(self.heap, (tick, self.order, entry))
         self.order += 1
 
-    def _record(self, event: dict, line: str) -> None:
+    def _record(self, line: str) -> None:
         """Record an event; ``line`` is its canonical JSON."""
-        self.events.append(event)
         self.event_lines.append(line)
         self.seq += 1
 
-    def _message_event(self, kind: str, summary: dict, encoded: str) -> None:
-        """Record a Send, Deliver or Drop; ``encoded`` is ``summary``'s canonical JSON."""
-        self.events.append({"kind": kind, "seq": self.seq, "tick": self.tick, "message": summary})
+    def _message_event(self, kind: str, encoded: str) -> None:
+        """Record a Send, Deliver or Drop; ``encoded`` is the message summary's canonical JSON."""
         # The keys in canonical (sorted) order; kind needs no escaping.
-        self.event_lines.append(f'{{"kind":"{kind}","message":{encoded},"seq":{self.seq},"tick":{self.tick}}}')
-        self.seq += 1
+        self._record(f'{{"kind":"{kind}","message":{encoded},"seq":{self.seq},"tick":{self.tick}}}')
 
     def _send(self, msg: Message) -> None:
-        summary, encoded = _summarize(msg, self.routes)
-        self._message_event("Send", summary, encoded)
+        encoded = _summarize(msg, self.routes)
+        self._message_event("Send", encoded)
         latency = self.config.latency_between(msg.from_actor, msg.to_actor)
-        self._push(self.tick + latency, ("deliver", msg, summary, encoded))
+        self._push(self.tick + latency, ("deliver", msg, encoded))
 
     def _set_label(self, element_id: Identifier | None, label: LabelState) -> None:
         if element_id is None:
@@ -514,7 +497,7 @@ class _Simulation:
         if current is label or current is LabelState.DENIED:
             return
         self.labels[element_id] = label
-        self._record(*_goal_update(self.seq, self.tick, element_id, label.value))
+        self._record(_goal_update(self.seq, self.tick, element_id, label.value))
 
     # -- flow activation --------------------------------------------------
 
@@ -581,7 +564,7 @@ class _Simulation:
             self.minted[id(credential)] = [credential, agent.spec.keys, None]
             agent.issued[flow_id] = credential
             del agent.pending_issue[flow_id]
-            self._record(*_issue_event(self.seq, self.tick, flow, credential))
+            self._record(_issue_event(self.seq, self.tick, flow, credential))
             self._set_label(flow.issue_task, LabelState.SATISFIED)
             self._send_credential(agent, flow, credential)
             if flow.copy_to is not None:
@@ -686,10 +669,10 @@ class _Simulation:
         copy_ok: bool | None = None
         if flow.require_copy:
             copy_ok = presentation.credential.id in agent.record_store.get(flow.credential_type, [])
-        event, line, overall = _verify_event(
+        line, overall = _verify_event(
             self.seq, self.tick, flow, msg.from_actor, presentation.credential.id, outcome, copy_ok
         )
-        self._record(event, line)
+        self._record(line)
         state.resolved = True
         label = LabelState.SATISFIED if overall else LabelState.DENIED
         for task_id in state.tasks:
@@ -779,7 +762,7 @@ class _Simulation:
             if entry[0] == "timer":
                 self._on_timer(entry[1])
                 continue
-            _, msg, summary, encoded = entry
+            _, msg, encoded = entry
             dropped = self.prng.next_float() < drop_probability
             if not dropped and self.intercept is not None:
                 # The hook sees every credential and holder proof signed.
@@ -792,24 +775,21 @@ class _Simulation:
                     dropped = True
                 elif replacement is not msg:
                     msg = replacement
-                    summary, encoded = _summarize(msg, {})  # a replacement's route is not kept
-            # A copy, so that no two events share one summary dict.
-            self._message_event("Drop" if dropped else "Deliver", dict(summary), encoded)
+                    encoded = _summarize(msg, {})  # a replacement's route is not kept
+            self._message_event("Drop" if dropped else "Deliver", encoded)
             if dropped:
                 continue
             handler = self._HANDLERS[msg.kind]
             handler(self, self.agents[msg.to_actor], msg)
 
         final = evaluate_goals(self.model, self.labels)
-        trace = Trace(
+        return Trace(
             config=self.config.as_trace_dict(),
-            events=tuple(self.events),
+            event_lines=tuple(self.event_lines),
             final_labels={k: v.value for k, v in sorted(final.items())},
             termination=termination,
             final_tick=self.tick,
         )
-        object.__setattr__(trace, "_recorded", tuple(self.event_lines))
-        return trace
 
 
 def run(

@@ -381,7 +381,7 @@ RECORDS = [
     (
         Trace,
         dict(
-            config={"seed": 1}, events=({"kind": "Start", "tick": 0},), final_labels={"g": "Satisfied"},
+            config={"seed": 1}, event_lines=('{"kind":"Start","tick":0}',), final_labels={"g": "Satisfied"},
             termination="quiescence", final_tick=3,
         ),
         {"final_tick": 4},

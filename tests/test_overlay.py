@@ -229,6 +229,37 @@ def test_office_copy_goes_to_the_longest_actor_name(birth_model):
     assert flow_of(birth_model, "dep-bnd-mother").copy_to == "Registrar"
 
 
+def test_a_copy_task_naming_two_longest_names_warns(birth_model):
+    """A tie between the longest actor names a send-copy task names is
+    warned, naming every candidate and the one picked; a longer unique name
+    is no tie."""
+    def lint_copy(model):
+        roles = infer_roles(model)
+        return [w for w in lint_ssi(model, roles, derive_flows(model, roles)) if w.code == "W_COPY_AMBIGUOUS"]
+
+    archive = Actor("archive", "Archivist")  # as long as "Registrar"
+    with_archive = birth_model.replace(actors=(*birth_model.actors, archive))
+    tied = helpers.rename_element(with_archive, "midwife-send-copy", "Send copy to Archivist or Registrar")
+    assert flow_of(tied, "dep-bnd-mother").copy_to == "Registrar"  # the first in actor order
+    [warning] = lint_copy(tied)
+    assert warning.offending_id == "midwife-send-copy"
+    assert "Registrar, archive" in warning.message and warning.message.endswith("goes to Registrar")
+
+    office = Actor("office", "Registrar Office")
+    longer = helpers.rename_element(
+        tied.replace(actors=(*tied.actors, office)), "midwife-send-copy", "Send copy to Registrar Office or Archivist"
+    )
+    assert flow_of(longer, "dep-bnd-mother").copy_to == "office"
+    assert lint_copy(longer) == [] == lint_copy(birth_model)
+
+    # In a model that fails validation, the copy task may belong to a second actor with a duplicate id.
+    second = Actor("Midwife", "Midwife", elements=(Element("dup-send-copy", "Send copy to Registrar", ElementKind.TASK),))
+    renamed = helpers.rename_element(birth_model, "midwife-send-copy", "File note")
+    duplicated = renamed.replace(actors=(*renamed.actors, second))
+    assert flow_of(duplicated, "dep-bnd-mother").copy_task == "dup-send-copy"
+    assert lint_copy(duplicated) == []
+
+
 def test_issuance_receipt_grants_holder(birth_model):
     roles = infer_roles(birth_model)
     # No Mother task starts with a provide verb for the certificate.

@@ -3,8 +3,8 @@ import importlib.util
 import itertools
 import json
 from collections import Counter
+from collections.abc import Sequence
 from pathlib import Path
-from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
@@ -46,6 +46,7 @@ from ssiforge.simulator import (
     Message,
     SimConfig,
     SplitMix64,
+    Trace,
     actor_key_seed,
     compile_agents,
     derive_bootstrap,
@@ -722,8 +723,8 @@ def summary_oracle(msg: Message) -> dict:
 
 @given(messages())
 def test_summary_template_is_canonical_json(msg):
-    summary, encoded = simulator._summarize(msg, {})
-    assert summary == summary_oracle(msg)
+    encoded, summary = simulator._summarize(msg, {}), summary_oracle(msg)
+    assert json.loads(encoded) == summary
     assert encoded == canonical_text(summary)
 
 
@@ -739,8 +740,8 @@ def test_route_table_keeps_only_what_a_route_fixes(first, others):
     )
     routes: dict = {}
     for msg in (first, *(other.replace(**route) for other in others)):
-        summary, encoded = simulator._summarize(msg, routes)
-        assert summary == summary_oracle(msg)
+        encoded, summary = simulator._summarize(msg, routes), summary_oracle(msg)
+        assert json.loads(encoded) == summary
         assert encoded == canonical_text(summary)
     assert len(routes) == 1
 
@@ -775,12 +776,13 @@ def flows_of(kind):
 @given(st.integers(0, 10**6), st.integers(0, 10**6), flows_of(FlowKind.ISSUANCE), TRICKY_TEXT, TRICKY_TEXT)
 def test_issue_template_is_canonical_json(seq, tick, flow, credential_id, subject):
     credential = credential_with_id(credential_id).replace(subject=subject)
-    event, line = simulator._issue_event(seq, tick, flow, credential)
-    assert event == {
+    line = simulator._issue_event(seq, tick, flow, credential)
+    event = {
         "kind": "Issue", "seq": seq, "tick": tick, "credentialId": credential_id,
         "credentialType": flow.credential_type, "flow": flow.dependency, "holder": flow.receiver,
         "issuer": flow.sender, "subject": subject,
     }
+    assert json.loads(line) == event
     assert line == canonical_text(event)
 
 
@@ -790,7 +792,7 @@ def test_issue_template_is_canonical_json(seq, tick, flow, credential_id, subjec
     optional(st.booleans()),
 )
 def test_verify_template_is_canonical_json(seq, tick, flow, presenter, credential_id, outcome, copy_ok):
-    event, line, verdict = simulator._verify_event(seq, tick, flow, presenter, credential_id, outcome, copy_ok)
+    line, verdict = simulator._verify_event(seq, tick, flow, presenter, credential_id, outcome, copy_ok)
     flags = dict(zip(CHECK_ORDER, (outcome.integrity, outcome.issuer_signature, outcome.subject_binding,
                                    outcome.issuer_trusted)))
     assert verdict == (all(flags.values()) and copy_ok is not False)
@@ -804,8 +806,8 @@ def test_verify_template_is_canonical_json(seq, tick, flow, presenter, credentia
     failed = [name for name, ok in flags.items() if not ok] + (["officeCopy"] if copy_ok is False else [])
     if failed:
         expected["failReason"] = failed[0]
-    assert event == expected
-    assert line == canonical_text(event)
+    assert json.loads(line) == expected
+    assert line == canonical_text(expected)
 
 
 @given(
@@ -813,8 +815,9 @@ def test_verify_template_is_canonical_json(seq, tick, flow, presenter, credentia
     st.sampled_from([label.value for label in LabelState]) | TRICKY_TEXT,
 )
 def test_goal_update_template_is_canonical_json(seq, tick, element, label):
-    event, line = simulator._goal_update(seq, tick, element, label)
-    assert event == {"kind": "GoalUpdate", "seq": seq, "tick": tick, "element": element, "label": label}
+    line = simulator._goal_update(seq, tick, element, label)
+    event = {"kind": "GoalUpdate", "seq": seq, "tick": tick, "element": element, "label": label}
+    assert json.loads(line) == event
     assert line == canonical_text(event)
 
 
@@ -830,6 +833,35 @@ def test_trace_lines_are_canonical_json(birth_model):
     assert tail["finalLabels"] == dict(trace.final_labels)
     assert len(lines) == len(trace.events) + 2
     assert trace.text() == "\n".join(lines) + "\n"
+
+
+def test_events_parse_a_line_each_time_they_are_read(birth_model):
+    """``Trace.events`` is a read-only view of the event lines: each read
+    parses the lines it reads into new dicts, so editing one changes no
+    other read and no byte of the trace."""
+    _, trace = run_fixture(birth_model, config=SimConfig(seed=42, drop_probability=0.3))
+    lines, text = trace.lines(), trace.text()
+    events = trace.events
+    assert isinstance(events, Sequence)
+    assert len(events) == len(lines) - 2 == len(trace.event_lines) > 3
+    for i in range(len(events)):
+        assert events[i] == json.loads(lines[i + 1])
+    assert events[-1] == json.loads(lines[-2]) and events[-len(events)] == json.loads(lines[1])
+    assert events[2:5] == [json.loads(line) for line in lines[3:6]]
+    assert events[::-2] == [json.loads(line) for line in lines[-2:0:-2]]
+    assert list(events) == [json.loads(line) for line in lines[1:-1]]
+    with pytest.raises(IndexError):
+        events[len(events)]
+    with pytest.raises(TypeError):
+        events[0] = {}
+
+    read = [events[0], events[-1], events[:2][1], next(iter(events))]
+    assert read[0] is not events[0] and read[0] is not read[3]
+    for event in read:
+        event["kind"], event["tick"] = "Edited", -1
+    assert events[0] == json.loads(lines[1]) != read[0]
+    assert events[1] == json.loads(lines[2]) and events[-1] == json.loads(lines[-2])
+    assert trace.text() == text
 
 
 def load_scaled():
@@ -1055,26 +1087,17 @@ def test_trace_text_equals_per_event_canonical_bytes(birth_path):
     _, trace = run_fixture(model, seed=7, config=config)
     assert Counter(e["kind"] for e in trace.events)["Drop"] > 0
     assert trace.text().encode("utf-8") == per_event_oracle(trace)
-    read_only = trace.replace(events=tuple(MappingProxyType(e) for e in trace.events))
-    assert read_only.text() == trace.text()
+    # A trace built by hand is given its lines, and writes them as they are.
+    by_hand = Trace(
+        dict(trace.config), trace.lines()[1:-1], dict(trace.final_labels), trace.termination, trace.final_tick
+    )
+    assert by_hand.text() == trace.text()
 
     # Replaced messages are summarized and encoded again at delivery.
     _, hooked = run_fixture(model, seed=7, config=config, intercept=rewriting_intercept())
     delivered = [e["message"] for e in hooked.events if e["kind"] == "Deliver"]
     assert any("rewritten" in m.get("purpose", "") for m in delivered)
     assert hooked.text().encode("utf-8") == per_event_oracle(hooked)
-
-
-def test_replaced_trace_serializes_its_own_events(birth_model):
-    _, trace = run_fixture(birth_model, config=SimConfig(seed=42, drop_probability=0.3))
-    altered = tuple(
-        dict(e, tick=e["tick"] + 1, message=dict(e["message"], to="Nobody")) if "message" in e else dict(e, tick=0)
-        for e in trace.events
-    )
-    replaced = trace.replace(events=altered)
-    assert replaced.lines()[1:-1] == [canonical_bytes(e).decode("utf-8") for e in altered]
-    assert replaced.text().encode("utf-8") == per_event_oracle(replaced) != trace.text().encode("utf-8")
-    assert replaced.lines()[0] == trace.lines()[0] and replaced.lines()[-1] == trace.lines()[-1]
 
 
 def test_write_trace_round_trips(birth_model, tmp_path):
