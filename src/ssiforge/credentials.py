@@ -28,7 +28,8 @@ several verifiers is then checked with Ed25519 once.  This is sound because
 Ed25519 verification is a pure function of key, message and signature: the
 key holds exactly the bytes verified, so a credential with a changed claim
 or a foreign signature misses the memo even when its ``id`` is unchanged.
-The holder proof is never memoized; each one signs a fresh nonce.
+The memo also maps each presenter DID to its key (None if undecodable); the
+holder proof is never memoized, since each one signs a fresh nonce.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ KEY_CACHE_SIZE = 1024
 
 CHECK_ORDER = ("integrity", "issuerSignature", "subjectBinding", "issuerTrusted")
 
-# Issuer signature checks already run: (issuer key, payload bytes, signature) -> valid.
-SignatureMemo = dict[tuple[bytes, bytes, bytes], bool]
+# Results of pure checks: (issuer key, payload bytes, signature) -> valid, presenter DID -> its key or None.
+VerificationMemo = dict[tuple[bytes, bytes, bytes] | str, bool | bytes | None]
 
 
 class SelfIssueError(ValueError):
@@ -314,16 +315,16 @@ def verify_presentation(
     trust: TrustRegistry,
     verifier: str,
     expected_nonce: bytes,
-    memo: SignatureMemo | None = None,
+    memo: VerificationMemo | None = None,
 ) -> VerificationOutcome:
     """Run all four checks on a presentation.
 
     ``directory`` maps each registered issuer DID to its public key; the
-    issuer signature is checked through ``memo`` when one is given (see the
-    module docstring).  The holder proof, verified only when the presenter
-    is the holder and the nonce is ``expected_nonce``, is checked against the
-    key embedded in the presenter's own DID, since possession, not
-    registration, is what it demonstrates.
+    issuer signature and the presenter DID go through ``memo`` when one is
+    given (see the module docstring).  The holder proof, verified only when
+    the presenter is the holder and the nonce is ``expected_nonce``, is
+    checked against the key embedded in the presenter's own DID, since
+    possession, not registration, is what it demonstrates.
     """
     credential = presentation.credential
     raw = canonical_bytes(credential.payload())
@@ -333,12 +334,16 @@ def verify_presentation(
     if issuer_key is not None and checked not in memo:
         memo[checked] = verify_signature(*checked)
 
-    bound = presentation.presenter == credential.holder and presentation.nonce == expected_nonce
-    try:
-        proof = proof_message(credential.id, presentation.nonce)
-        bound = bound and verify_signature(decode_did(presentation.presenter), proof, presentation.holder_proof)
-    except ValueError:
-        bound = False
+    presenter = presentation.presenter
+    bound = presenter == credential.holder and presentation.nonce == expected_nonce
+    if bound and presenter not in memo:
+        try:
+            memo[presenter] = decode_did(presenter)
+        except ValueError:
+            memo[presenter] = None  # an undecodable DID binds nothing
+    proof = proof_message(credential.id, presentation.nonce)
+    presenter_key = memo[presenter] if bound else None
+    bound = presenter_key is not None and verify_signature(presenter_key, proof, presentation.holder_proof)
 
     return VerificationOutcome(
         integrity=hashlib.sha256(raw).hexdigest() == credential.id,

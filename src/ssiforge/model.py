@@ -231,6 +231,7 @@ class Model(Record):
     _actors_by_id: dict[Identifier, Actor]
     _goal_rules: tuple | None  # ``propagation.evaluate_goals``' rule list, built on its first call
     _trace_routes: dict | None  # the simulator's encoded message summary parts, by route
+    _overlay_names: object | None  # ``overlay._Names``, the overlay's reading of the names, built on first use
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "actors", _tuple(self.actors))

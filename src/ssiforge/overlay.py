@@ -26,19 +26,22 @@ from __future__ import annotations
 
 import enum
 import re
-from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .model import ElementKind, Identifier, LinkKind, Model, Record, ValidationIssue
 
 _PUNCT = re.compile(r"[^a-z0-9 ]+")
-_SPACES = re.compile(r"\s+")
 
 
 def normalize_name(text: str) -> str:
     """Lowercase, strip punctuation, collapse whitespace."""
-    lowered = _PUNCT.sub("", text.lower().replace("-", " "))
-    return _SPACES.sub(" ", lowered).strip()
+    return " ".join(_PUNCT.sub("", text.lower().replace("-", " ")).split())
+
+
+class SsiRole(enum.Enum):
+    ISSUER = "Issuer"
+    HOLDER = "Holder"
+    VERIFIER = "Verifier"
 
 
 class VerbLexicon(Record):
@@ -47,6 +50,7 @@ class VerbLexicon(Record):
     issue_verbs: frozenset[str] = frozenset({"issue"})
     provide_verbs: frozenset[str] = frozenset({"provide", "present"})
     check_verbs: frozenset[str] = frozenset({"check", "verify"})
+    _verbs: dict[str, list[tuple[str, SsiRole]]]  # by first word: (verb + " ", its role), issue verbs first
 
     def __post_init__(self) -> None:
         groups = (self.issue_verbs, self.provide_verbs, self.check_verbs)
@@ -59,15 +63,13 @@ class VerbLexicon(Record):
         object.__setattr__(self, "issue_verbs", normalized[0])
         object.__setattr__(self, "provide_verbs", normalized[1])
         object.__setattr__(self, "check_verbs", normalized[2])
+        object.__setattr__(self, "_verbs", {})
+        for verbs, role in zip(normalized, (SsiRole.ISSUER, SsiRole.HOLDER, SsiRole.VERIFIER)):
+            for verb in verbs:
+                self._verbs.setdefault(verb.split(" ", 1)[0], []).append((verb + " ", role))
 
 
 DEFAULT_LEXICON = VerbLexicon()
-
-
-class SsiRole(enum.Enum):
-    ISSUER = "Issuer"
-    HOLDER = "Holder"
-    VERIFIER = "Verifier"
 
 
 class RoleAssignment(Record):
@@ -182,16 +184,15 @@ class _SpellingIndex:
                 node.setdefault("", []).append((position, owner))  # key "": owners of spellings ending here
 
     def owners_in(self, text: str) -> list[str]:
-        words = text.split()
+        root, words = self.root, text.split()
         found: set[tuple[int, str]] = set()
-        for start in range(len(words)):
-            node = self.root
-            for word in words[start:]:
-                node = node.get(word)
-                if node is None:
-                    break
+        for start, word in enumerate(words):
+            node, end = root.get(word), start + 1
+            while node is not None:
                 if "" in node:
                     found.update(node[""])
+                node = node.get(words[end]) if end < len(words) else None
+                end += 1
         return [owner for _, owner in sorted(found)]
 
 
@@ -216,10 +217,7 @@ class CredentialCatalog:
         self.patterns: dict[str, list[str]] = {}
         for norm, display in self.canonical.items():
             self.patterns.setdefault(display, []).append(norm)
-
-    @cached_property
-    def _index(self) -> _SpellingIndex:
-        return _SpellingIndex(self.patterns.items())
+        self._index = _SpellingIndex(self.patterns.items())
 
     def resolve(self, dependum_name: str) -> str:
         known = self.dependum_types.get(dependum_name)
@@ -235,14 +233,40 @@ class CredentialCatalog:
 def _verb_class(name_norm: str, lexicon: VerbLexicon) -> SsiRole | None:
     # Verbs match whole words: "checkout bnd" does not start with "check".
     words = name_norm + " "
-    for verbs, role in (
-        (lexicon.issue_verbs, SsiRole.ISSUER),
-        (lexicon.provide_verbs, SsiRole.HOLDER),
-        (lexicon.check_verbs, SsiRole.VERIFIER),
-    ):
-        if any(words.startswith(v + " ") for v in verbs):
+    for verb, role in lexicon._verbs.get(name_norm.split(" ", 1)[0], ()):
+        if words.startswith(verb):
             return role
     return None
+
+
+class _Names:
+    """What the overlay reads from a model's names, read on first use and
+    kept with the model: each task's normalized name, the credential
+    catalog, and the actors by normalized name, for the copy tasks."""
+
+    __slots__ = ("tasks", "catalog", "actor_names", "actor_index")
+
+    def __init__(self, model: Model) -> None:
+        task = ElementKind.TASK
+        # ((actor, task), normalized name) of every task, in element order.
+        self.tasks = tuple(
+            ((a.id, e.id), normalize_name(e.name)) for a in model.actors for e in a.elements if e.kind is task
+        )
+        self.catalog = CredentialCatalog(model)
+        self.actor_names = {a.id: normalize_name(a.name) for a in model.actors}
+        self.actor_index = _SpellingIndex((actor, [name]) for actor, name in self.actor_names.items())
+
+    @staticmethod
+    def of(model: Model) -> _Names:
+        if model._overlay_names is None:
+            object.__setattr__(model, "_overlay_names", _Names(model))
+        return model._overlay_names
+
+    def copy_candidates(self, sender: Identifier, task_norm: str) -> list[Identifier]:
+        """The other actors a copy task of ``sender`` names with the longest name, in actor order."""
+        others = [o for o in self.actor_index.owners_in(task_norm) if o != sender]
+        longest = max((len(self.actor_names[o]) for o in others), default=0)
+        return [o for o in others if len(self.actor_names[o]) == longest]
 
 
 def infer_roles(model: Model, lexicon: VerbLexicon = DEFAULT_LEXICON) -> tuple[RoleAssignment, ...]:
@@ -251,24 +275,20 @@ def infer_roles(model: Model, lexicon: VerbLexicon = DEFAULT_LEXICON) -> tuple[R
     Deterministic and total: unknown verbs simply contribute nothing.  The
     result is deduplicated and sorted by (actor, credential type, role).
     """
-    catalog = CredentialCatalog(model)
+    names = _Names.of(model)
     found: dict[tuple[Identifier, str, SsiRole], list[Identifier]] = {}
-    for actor in model.actors:
-        for elem in actor.elements:
-            if elem.kind is not ElementKind.TASK:
-                continue
-            norm = normalize_name(elem.name)
-            role = _verb_class(norm, lexicon)
-            if role is None:
-                continue
-            for ctype in catalog.types_in(norm):
-                found.setdefault((actor.id, ctype, role), []).append(elem.id)
+    for (actor, task), norm in names.tasks:
+        role = _verb_class(norm, lexicon)
+        if role is None:
+            continue
+        for ctype in names.catalog.types_in(norm):
+            found.setdefault((actor, ctype, role), []).append(task)
 
     # Receiving an issuance makes the depender a holder even without a task.
     for dep in model.dependencies:
         if dep.kind is not ElementKind.RESOURCE:
             continue
-        ctype = catalog.resolve(dep.name)
+        ctype = names.catalog.resolve(dep.name)
         forced = dep.annotations.get("ssi")
         if forced == "issue" or (dep.dependee, ctype, SsiRole.ISSUER) in found:
             found.setdefault((dep.depender, ctype, SsiRole.HOLDER), [])
@@ -276,21 +296,6 @@ def infer_roles(model: Model, lexicon: VerbLexicon = DEFAULT_LEXICON) -> tuple[R
     assignments = [RoleAssignment(actor, ctype, role, tuple(tasks)) for (actor, ctype, role), tasks in found.items()]
     assignments.sort(key=lambda a: (a.actor, a.credential_type, a.role.value))
     return tuple(assignments)
-
-
-def _copy_candidates(model: Model) -> Callable[[Identifier, str], list[Identifier]]:
-    """The reader of a copy task's target: from the task's actor and
-    normalized name, the other actors it names with the longest name, in
-    actor order."""
-    name_of = {a.id: normalize_name(a.name) for a in model.actors}
-    names = _SpellingIndex((actor, [name]) for actor, name in name_of.items())
-
-    def candidates(sender: Identifier, task_norm: str) -> list[Identifier]:
-        others = [o for o in names.owners_in(task_norm) if o != sender]
-        longest = max((len(name_of[o]) for o in others), default=0)
-        return [o for o in others if len(name_of[o]) == longest]
-
-    return candidates
 
 
 def _copy_readings(
@@ -301,22 +306,18 @@ def _copy_readings(
     whose name has the word "copy".  A task naming several other actors
     sends to the one with the longest name ("Registrar Office" over
     "Registrar"), the first in actor order on a tie."""
-    copy_candidates = _copy_candidates(model)
+    names = _Names.of(model)
     targets: dict[Identifier, tuple[Identifier, Identifier]] = {}
     copy_tasks: set[tuple[Identifier, Identifier]] = set()
-    for actor in model.actors:
-        for elem in actor.elements:
-            if elem.kind is not ElementKind.TASK:
-                continue
-            norm = normalize_name(elem.name)
-            words = norm.split()  # whole words, as for verbs: "copyright" is no "copy"
-            if "copy" not in words:
-                continue
-            copy_tasks.add((actor.id, elem.id))
-            if "send" in words and actor.id not in targets:
-                candidates = copy_candidates(actor.id, norm)
-                if candidates:
-                    targets[actor.id] = (candidates[0], elem.id)
+    for (actor, task), norm in names.tasks:
+        words = norm.split()  # whole words, as for verbs: "copyright" is no "copy"
+        if "copy" not in words:
+            continue
+        copy_tasks.add((actor, task))
+        if "send" in words and actor not in targets:
+            candidates = names.copy_candidates(actor, norm)
+            if candidates:
+                targets[actor] = (candidates[0], task)
     return targets, copy_tasks
 
 
@@ -331,7 +332,7 @@ def derive_flows(model: Model, roles: Sequence[RoleAssignment]) -> tuple[Credent
     elements and the task ids the agents act on come from the roles' tasks
     and the model's links, read here once.
     """
-    catalog = CredentialCatalog(model)
+    catalog = _Names.of(model).catalog
     role_tasks = {(a.actor, a.credential_type, a.role): a.tasks for a in roles}
     copy_targets, copy_tasks = _copy_readings(model)
     # An issuer's gates are all of its Verifier tasks, in element order, plus
@@ -422,12 +423,13 @@ def lint_ssi(
 
     # Only the copy tasks the flows carry are read again, for a tie between their longest actor names.
     copy_reads = sorted({(f.sender, f.copy_task, f.copy_to) for f in flows if f.copy_task is not None})
-    copy_candidates = _copy_candidates(model)
+    names = _Names.of(model)
+    task_names = dict(reversed(names.tasks)) if copy_reads else {}  # the first of duplicate ids wins
     for sender, task, picked in copy_reads:
-        element = model.actor(sender).element(task)
-        if element is None:  # the task of a second actor with ``sender``'s id; the model fails validation
+        norm = task_names.get((sender, task))
+        if norm is None:  # a flow built by hand may name a task the model lacks
             continue
-        candidates = copy_candidates(sender, normalize_name(element.name))
+        candidates = names.copy_candidates(sender, norm)
         if len(candidates) > 1:
             message = f"names {', '.join(candidates)}, whose names are equally long: the copy goes to {picked}"
             findings.append(ValidationIssue("W_COPY_AMBIGUOUS", task, message))

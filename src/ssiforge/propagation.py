@@ -49,6 +49,8 @@ class LabelState(enum.Enum):
     PARTIALLY_DENIED = "PartiallyDenied"
 
 
+# Read once: on Python 3.11 a member read off its enum costs about four plain class attribute reads.
+_UNKNOWN, _SATISFIED, _DENIED = LabelState.UNKNOWN, LabelState.SATISFIED, LabelState.DENIED
 _POSITIVE = {LabelState.SATISFIED, LabelState.PARTIALLY_SATISFIED}
 _NEGATIVE = {LabelState.DENIED, LabelState.PARTIALLY_DENIED}
 
@@ -97,19 +99,19 @@ def _contribute(polarities: tuple[ContributionLabel, ...], sources: list[LabelSt
 
 
 def combine_and(children: list[LabelState]) -> LabelState:
-    if any(c is LabelState.DENIED for c in children):
-        return LabelState.DENIED
-    if children and all(c is LabelState.SATISFIED for c in children):
-        return LabelState.SATISFIED
-    return LabelState.UNKNOWN
+    if any(c is _DENIED for c in children):
+        return _DENIED
+    if children and all(c is _SATISFIED for c in children):
+        return _SATISFIED
+    return _UNKNOWN
 
 
 def combine_or(children: list[LabelState]) -> LabelState:
-    if any(c is LabelState.SATISFIED for c in children):
-        return LabelState.SATISFIED
-    if children and all(c is LabelState.DENIED for c in children):
-        return LabelState.DENIED
-    return LabelState.UNKNOWN
+    if any(c is _SATISFIED for c in children):
+        return _SATISFIED
+    if children and all(c is _DENIED for c in children):
+        return _DENIED
+    return _UNKNOWN
 
 
 def root_goals(model: Model) -> tuple[tuple[Identifier, Element], ...]:
@@ -169,7 +171,7 @@ def _rules_of(model: Model) -> tuple:
         elif element in dep_sources:
             rules.append((element, combine_and, dep_sources[element]))
     seedable = frozenset(e for e in order if e not in refines)
-    return dict.fromkeys(order, LabelState.UNKNOWN), seedable, rules, len(order) + 2
+    return dict.fromkeys(order, _UNKNOWN), seedable, rules, len(order) + 2
 
 
 def evaluate_goals(

@@ -23,7 +23,8 @@ part in, which carry every task id it acts on:
 - each distinct issuer signature is verified with Ed25519 once per run: a
   credential presented to several verifiers reuses the first result,
   through a memo keyed on the bytes verified that the run keeps and drops
-  with itself; a holder proof answering a superseded nonce is not verified;
+  with itself, which also holds the key each presenter DID decodes to; a
+  holder proof answering a superseded nonce is not verified;
 - a request or verification still unanswered after its last retry Denies
   the tasks waiting on it.
 
@@ -32,13 +33,15 @@ labels come from propagating them through the goal model.  Time is a tick
 counter driven by a single delivery queue; randomness (message drops, nonce
 bytes) comes from one SplitMix64 stream, so a (model, agents, config)
 triple always reproduces the same trace, byte for byte.  Each event is
-encoded once, when it happens, into the canonical JSON line a trace keeps.
+encoded once, when it happens, into the canonical JSON line a trace keeps,
+where the run appends it; its ``seq`` is its index among those lines.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import json
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from json.encoder import encode_basestring
@@ -47,7 +50,7 @@ from .credentials import (
     Credential,
     KeyPair,
     Presentation,
-    SignatureMemo,
+    VerificationMemo,
     VerificationOutcome,
     canonical_text,
     create_presentation,
@@ -62,6 +65,10 @@ from .overlay import CredentialFlow, FlowKind, RoleAssignment, SsiRole, TrustReg
 from .propagation import LabelState, evaluate_goals
 
 _MASK64 = (1 << 64) - 1
+
+# The labels a run sets and their texts, read once: on Python 3.11 enum member and ``.value`` reads are slow.
+_SATISFIED, _DENIED = LabelState.SATISFIED, LabelState.DENIED
+_SATISFIED_TEXT, _DENIED_TEXT = _SATISFIED.value, _DENIED.value
 
 
 class SplitMix64:
@@ -111,9 +118,6 @@ class SimConfig(Record):
             raise ValueError("latencies must be non-negative")
         if self.max_retries < 0 or self.retry_timeout <= 0 or self.max_ticks <= 0:
             raise ValueError("retry and tick bounds must be positive")
-
-    def latency_between(self, sender: Identifier, receiver: Identifier) -> int:
-        return self.latency.get((sender, receiver), self.default_latency)
 
     def as_trace_dict(self) -> dict:
         return {
@@ -338,17 +342,16 @@ def _verify_event(
     checks, and the office copy when ``copy_ok`` is not None."""
     verdict = outcome.verdict and copy_ok is not False
     fail_reason = outcome.fail_reason or ("officeCopy" if copy_ok is False else "")
-    flags = outcome.flags
     return (
         ("{" if copy_ok is None else f'{{"copyOk":{_JSON_BOOL[copy_ok]},')
         + f'"credentialId":{encode_basestring(credential_id)},'
         f'"credentialType":{encode_basestring(flow.credential_type)},'
         + (f'"failReason":{encode_basestring(fail_reason)},' if fail_reason else "")
-        + f'"flow":{encode_basestring(flow.dependency)},"integrity":{_JSON_BOOL[flags["integrity"]]},'
-        f'"issuerSignature":{_JSON_BOOL[flags["issuerSignature"]]},'
-        f'"issuerTrusted":{_JSON_BOOL[flags["issuerTrusted"]]},'
+        + f'"flow":{encode_basestring(flow.dependency)},"integrity":{_JSON_BOOL[outcome.integrity]},'
+        f'"issuerSignature":{_JSON_BOOL[outcome.issuer_signature]},'
+        f'"issuerTrusted":{_JSON_BOOL[outcome.issuer_trusted]},'
         f'"kind":"Verify","presenter":{encode_basestring(presenter)},"seq":{seq},'
-        f'"subjectBinding":{_JSON_BOOL[flags["subjectBinding"]]},"tick":{tick},"verdict":{_JSON_BOOL[verdict]},'
+        f'"subjectBinding":{_JSON_BOOL[outcome.subject_binding]},"tick":{tick},"verdict":{_JSON_BOOL[verdict]},'
         f'"verifier":{encode_basestring(flow.receiver)}}}'
     ), verdict
 
@@ -457,47 +460,39 @@ class _Simulation:
             object.__setattr__(model, "_trace_routes", {})
         self.routes = model._trace_routes
         self.subject_dids: dict[str, str] = {}
-        self.verified: SignatureMemo = {}  # the run's issuer signature checks
+        self.verified: VerificationMemo = {}  # the run's issuer signature checks and presenter DID keys
         # By object identity, each credential the run minted (held, so no other takes
         # its identity), its issuer's keys, and the signed credential once read.
         self.minted: dict[int, list] = {}
         self.labels: dict[Identifier, LabelState] = {}
-        self.event_lines: list[str] = []  # each event's canonical JSON, encoded as it is recorded
+        # Each event's canonical JSON, encoded as it is recorded; an event's seq is its index.
+        self.event_lines: list[str] = []
         self.heap: list[tuple[int, int, tuple]] = []
-        self.order = 0
-        self.seq = 0
+        self.order = itertools.count()  # orders the heap's entries of one tick as they were pushed
         self.tick = 0
 
     # -- event plumbing ---------------------------------------------------
 
-    def _push(self, tick: int, entry: tuple) -> None:
-        heapq.heappush(self.heap, (tick, self.order, entry))
-        self.order += 1
-
-    def _record(self, line: str) -> None:
-        """Record an event; ``line`` is its canonical JSON."""
-        self.event_lines.append(line)
-        self.seq += 1
-
-    def _message_event(self, kind: str, encoded: str) -> None:
-        """Record a Send, Deliver or Drop; ``encoded`` is the message summary's canonical JSON."""
-        # The keys in canonical (sorted) order; kind needs no escaping.
-        self._record(f'{{"kind":"{kind}","message":{encoded},"seq":{self.seq},"tick":{self.tick}}}')
-
     def _send(self, msg: Message) -> None:
+        """Record the Send of ``msg`` and schedule its delivery after its route's latency."""
         encoded = _summarize(msg, self.routes)
-        self._message_event("Send", encoded)
-        latency = self.config.latency_between(msg.from_actor, msg.to_actor)
-        self._push(self.tick + latency, ("deliver", msg, encoded))
+        lines, tick, config = self.event_lines, self.tick, self.config
+        # The keys in canonical (sorted) order.
+        lines.append(f'{{"kind":"Send","message":{encoded},"seq":{len(lines)},"tick":{tick}}}')
+        tick += config.latency.get((msg.from_actor, msg.to_actor), config.default_latency)
+        heapq.heappush(self.heap, (tick, next(self.order), ("deliver", msg, encoded)))
 
-    def _set_label(self, element_id: Identifier | None, label: LabelState) -> None:
+    def _set_label(self, element_id: Identifier | None, satisfied: bool) -> None:
+        """Label ``element_id`` Satisfied or Denied, unless it is None, has that label or is Denied."""
         if element_id is None:
             return
-        current = self.labels.get(element_id, LabelState.UNKNOWN)
-        if current is label or current is LabelState.DENIED:
+        label = _SATISFIED if satisfied else _DENIED
+        current = self.labels.get(element_id)
+        if current is label or current is _DENIED:
             return
         self.labels[element_id] = label
-        self._record(_goal_update(self.seq, self.tick, element_id, label.value))
+        lines = self.event_lines
+        lines.append(_goal_update(len(lines), self.tick, element_id, _SATISFIED_TEXT if satisfied else _DENIED_TEXT))
 
     # -- flow activation --------------------------------------------------
 
@@ -513,27 +508,21 @@ class _Simulation:
         """Send a proof request (with a fresh nonce) or an issuance request,
         and arm the retry timer."""
         flow = state.flow
-        if flow.kind is FlowKind.PRESENTATION:
+        proof = flow.kind is FlowKind.PRESENTATION
+        if proof:
             state.nonce = self.prng.next_nonce()
-            msg = Message(
-                kind="ProofRequest",
+        self._send(
+            Message(
+                kind="ProofRequest" if proof else "IssuanceRequest",
                 flow=flow.dependency,
                 credential_type=flow.credential_type,
                 from_actor=state.actor,
                 to_actor=flow.sender,
                 nonce=state.nonce,
-                purpose=flow.purpose,
+                purpose=flow.purpose if proof else None,
             )
-        else:
-            msg = Message(
-                kind="IssuanceRequest",
-                flow=flow.dependency,
-                credential_type=flow.credential_type,
-                from_actor=state.actor,
-                to_actor=flow.sender,
-            )
-        self._send(msg)
-        self._push(self.tick + self.config.retry_timeout, ("timer", state))
+        )
+        heapq.heappush(self.heap, (self.tick + self.config.retry_timeout, next(self.order), ("timer", state)))
 
     def _send_credential(self, agent: _AgentState, flow: CredentialFlow, credential: Credential) -> None:
         self._send(
@@ -550,7 +539,7 @@ class _Simulation:
     def _try_issue(self, agent: _AgentState) -> None:
         for flow_id in list(agent.pending_issue):
             flow = agent.issue_by_flow[flow_id]
-            if any(self.labels.get(t) is not LabelState.SATISFIED for t in flow.gate_tasks):
+            if any(self.labels.get(t) is not _SATISFIED for t in flow.gate_tasks):
                 continue
             holder_did = self.agents[flow.receiver].spec.did
             credential = mint_credential(
@@ -564,8 +553,8 @@ class _Simulation:
             self.minted[id(credential)] = [credential, agent.spec.keys, None]
             agent.issued[flow_id] = credential
             del agent.pending_issue[flow_id]
-            self._record(_issue_event(self.seq, self.tick, flow, credential))
-            self._set_label(flow.issue_task, LabelState.SATISFIED)
+            self.event_lines.append(_issue_event(len(self.event_lines), self.tick, flow, credential))
+            self._set_label(flow.issue_task, True)
             self._send_credential(agent, flow, credential)
             if flow.copy_to is not None:
                 self._send(
@@ -581,7 +570,7 @@ class _Simulation:
                 )
 
     def _activate_gates(self, agent: _AgentState, flow: CredentialFlow) -> None:
-        unsatisfied = {t for t in flow.gate_tasks if self.labels.get(t) is not LabelState.SATISFIED}
+        unsatisfied = {t for t in flow.gate_tasks if self.labels.get(t) is not _SATISFIED}
         for state in agent.verifications.values():
             if state.nonce is None and set(state.tasks) & unsatisfied:
                 self._send_attempt(state)
@@ -670,13 +659,12 @@ class _Simulation:
         if flow.require_copy:
             copy_ok = presentation.credential.id in agent.record_store.get(flow.credential_type, [])
         line, overall = _verify_event(
-            self.seq, self.tick, flow, msg.from_actor, presentation.credential.id, outcome, copy_ok
+            len(self.event_lines), self.tick, flow, msg.from_actor, presentation.credential.id, outcome, copy_ok
         )
-        self._record(line)
+        self.event_lines.append(line)
         state.resolved = True
-        label = LabelState.SATISFIED if overall else LabelState.DENIED
         for task_id in state.tasks:
-            self._set_label(task_id, label)
+            self._set_label(task_id, overall)
         self._send(
             Message(
                 kind="PresentationVerdict",
@@ -690,7 +678,7 @@ class _Simulation:
         self._try_issue(agent)
 
     def _on_presentation_verdict(self, agent: _AgentState, msg: Message) -> None:
-        self._set_label(self.verdict_tasks.get(msg.flow), LabelState.SATISFIED if msg.verdict else LabelState.DENIED)
+        self._set_label(self.verdict_tasks.get(msg.flow), msg.verdict)
 
     def _on_credential_issuance(self, agent: _AgentState, msg: Message) -> None:
         credential = msg.credential
@@ -698,7 +686,7 @@ class _Simulation:
         state = agent.requests.get(msg.flow)
         if state is not None and not state.resolved:
             state.resolved = True
-            self._set_label(state.flow.await_task, LabelState.SATISFIED)
+            self._set_label(state.flow.await_task, True)
         still_deferred: list[Message] = []
         for deferred in agent.deferred:
             if deferred.credential_type == credential.type:
@@ -709,7 +697,7 @@ class _Simulation:
 
     def _on_record_copy(self, agent: _AgentState, msg: Message) -> None:
         agent.record_store.setdefault(msg.credential_type, []).append(msg.digest)
-        self._set_label(msg.copy_task, LabelState.SATISFIED)
+        self._set_label(msg.copy_task, True)
 
     _HANDLERS = {
         "IssuanceRequest": _on_issuance_request,
@@ -731,14 +719,14 @@ class _Simulation:
         else:
             state.resolved = True
             for task_id in state.tasks:
-                self._set_label(task_id, LabelState.DENIED)
+                self._set_label(task_id, False)
 
     # -- main loop --------------------------------------------------------
 
     def run(self) -> Trace:
         for agent in self.agents.values():
             for task_id in agent.spec.prelabeled:
-                self._set_label(task_id, LabelState.SATISFIED)
+                self._set_label(task_id, True)
         for agent in self.agents.values():
             # Every check task of an issuing agent gates its issuances, so
             # those verifications wait for a request; the checks of an agent
@@ -751,7 +739,8 @@ class _Simulation:
                 self._send_attempt(state)
 
         termination = "quiescence"
-        heap, max_ticks, drop_probability = self.heap, self.config.max_ticks, self.config.drop_probability
+        heap, lines = self.heap, self.event_lines
+        max_ticks, drop_probability = self.config.max_ticks, self.config.drop_probability
         while heap:
             tick, _, entry = heapq.heappop(heap)
             if tick > max_ticks:
@@ -776,7 +765,8 @@ class _Simulation:
                 elif replacement is not msg:
                     msg = replacement
                     encoded = _summarize(msg, {})  # a replacement's route is not kept
-            self._message_event("Drop" if dropped else "Deliver", encoded)
+            kind = "Drop" if dropped else "Deliver"
+            lines.append(f'{{"kind":"{kind}","message":{encoded},"seq":{len(lines)},"tick":{tick}}}')
             if dropped:
                 continue
             handler = self._HANDLERS[msg.kind]
@@ -785,8 +775,8 @@ class _Simulation:
         final = evaluate_goals(self.model, self.labels)
         return Trace(
             config=self.config.as_trace_dict(),
-            event_lines=tuple(self.event_lines),
-            final_labels={k: v.value for k, v in sorted(final.items())},
+            event_lines=tuple(lines),
+            final_labels={k: v._value_ for k, v in sorted(final.items())},  # ``_value_`` skips a descriptor
             termination=termination,
             final_tick=self.tick,
         )

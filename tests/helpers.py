@@ -15,9 +15,12 @@ import contextlib
 import copy
 import dataclasses
 import hashlib
+import importlib.util
 import io
+import json
 import random
 import re
+from pathlib import Path
 
 from ssiforge.cli import main
 from ssiforge.credentials import VerificationOutcome, canonical_bytes, decode_did, proof_message, verify_signature
@@ -35,6 +38,7 @@ from ssiforge.model import (
     Model,
     REFINEMENT_KINDS,
 )
+from ssiforge.pistar import parse_model
 from ssiforge.propagation import LabelState
 
 U = LabelState.UNKNOWN
@@ -442,3 +446,18 @@ def verify_presentation_reference(presentation, directory, trust, verifier: str,
         ),
         issuer_trusted=trust.is_trusted(verifier, credential.type, credential.issuer),
     )
+
+
+def load_scaled():
+    """``bench/scaled.py``, the generator of the benchmark's multi-copy fixtures."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "scaled.py"
+    spec = importlib.util.spec_from_file_location("scaled", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def scaled_model(birth_path, copies):
+    """The fixture at ``birth_path`` copied ``copies`` times, as the benchmark scales it."""
+    doc = load_scaled().scale_document(json.loads(birth_path.read_text(encoding="utf-8")), copies)
+    return parse_model(json.dumps(doc).encode("utf-8")).model

@@ -335,7 +335,10 @@ def test_memo_gives_the_flags_of_a_memo_free_check(monkeypatch):
         memoized = verify_presentation(tampered, directory, trust, "Gate", nonce, memo=memo)
         assert memoized == verify_presentation(tampered, directory, trust, "Gate", nonce)
         assert not memoized.verdict
-    assert sorted(memo.values()) == [False, False, True]
+    # Three issuer signature checks, and the presenter's key, decoded once.
+    assert sorted(v for k, v in memo.items() if isinstance(k, tuple)) == [False, False, True]
+    presenter = presentation.presenter
+    assert {k: v for k, v in memo.items() if isinstance(k, str)} == {presenter: decode_did(presenter)}
 
     # Again: the issuer signature comes from the memo, the holder proof is verified.
     calls = []
@@ -350,7 +353,8 @@ def test_memo_skips_unregistered_issuers():
     memo = {}
     outcome = verify_presentation(presentation, {}, trust, "Gate", nonce, memo=memo)
     assert outcome == verify_presentation(presentation, {}, trust, "Gate", nonce)
-    assert not outcome.issuer_signature and memo == {}
+    # No issuer signature check is kept; the memo holds only the presenter's decoded key.
+    assert not outcome.issuer_signature and memo == {presentation.presenter: decode_did(presentation.presenter)}
 
 
 def test_wrong_presenter_fails_binding():
@@ -390,7 +394,8 @@ UNDECODABLE_DID = "did:sim:0Il"
 def test_short_circuit_gives_the_always_verify_flags(holder_decodes, presenter, nonce, proof, bit, stale_nonce):
     """``verify_presentation`` equals the reference that always verifies the
     holder proof, and verifies no holder proof when the presenter is not
-    the holder or the nonce is not the expected one."""
+    the holder or the nonce is not the expected one; also through a memo
+    that already holds the holder's DID key and the issuer signature check."""
     issuer, holder, _, directory, trust, expected = lifecycle()
     mallory = generate_keypair(bytes([0x33]) * 32)
     issuer_did = next(iter(directory))
@@ -413,16 +418,30 @@ def test_short_circuit_gives_the_always_verify_flags(holder_decodes, presenter, 
     }[proof]
     presentation = credentials.Presentation(credential, presenter_did, presented_nonce, holder_proof)
 
-    with mock.patch.object(credentials, "verify_signature", wraps=credentials.verify_signature) as spy:
-        outcome = verify_presentation(presentation, directory, trust, "Gate", expected)
-    assert outcome == helpers.verify_presentation_reference(presentation, directory, trust, "Gate", expected)
+    # A memo that has verified an honest presentation of the credential: its issuer signature check and
+    # the holder's DID, decoded or not, are memo hits.
+    memo = {}
+    honest_proof = holder.signing_key.sign(proof_message(credential.id, expected))
+    warm = credentials.Presentation(credential, holder_did, expected, honest_proof)
+    assert verify_presentation(warm, directory, trust, "Gate", expected, memo=memo).subject_binding == holder_decodes
+    issuer_check = (directory[issuer_did], canonical_bytes(credential.payload()), credential.signature)
+    assert set(memo) == {holder_did, issuer_check}
+
+    reference = helpers.verify_presentation_reference(presentation, directory, trust, "Gate", expected)
     # The holder proof is read only when the presenter is the holder, the nonce is expected and the DID decodes.
     read = presenter_did == credential.holder and presented_nonce == expected and holder_decodes
-    proof_checks = [c.args for c in spy.call_args_list if c.args[1] == message]
-    assert proof_checks == ([(holder.public_key, message, holder_proof)] if read else [])
-    assert outcome.subject_binding == (
-        presenter == "holder" and nonce == "expected" and holder_decodes and proof == "holder"
-    )
+    for run_memo in (None, memo):
+        with mock.patch.object(credentials, "verify_signature", wraps=credentials.verify_signature) as spy, \
+                mock.patch.object(credentials, "decode_did", wraps=credentials.decode_did) as decode:
+            outcome = verify_presentation(presentation, directory, trust, "Gate", expected, memo=run_memo)
+        assert outcome == reference
+        proof_checks = [c.args for c in spy.call_args_list if c.args[1] == message]
+        assert proof_checks == ([(holder.public_key, message, holder_proof)] if read else [])
+        assert outcome.subject_binding == (
+            presenter == "holder" and nonce == "expected" and holder_decodes and proof == "holder"
+        )
+        if run_memo is not None:  # nothing is decoded or checked again
+            assert decode.call_args_list == [] and len(spy.call_args_list) == len(proof_checks)
 
 
 def test_untrusted_issuer_fails_last_check():

@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, strategies as st
 
 import helpers
+import ssiforge.overlay as overlay
 from ssiforge.model import Actor, Dependency, Element, ElementKind, Model
 from ssiforge.overlay import (
     CredentialCatalog,
@@ -258,6 +261,39 @@ def test_a_copy_task_naming_two_longest_names_warns(birth_model):
     duplicated = renamed.replace(actors=(*renamed.actors, second))
     assert flow_of(duplicated, "dep-bnd-mother").copy_task == "dup-send-copy"
     assert lint_copy(duplicated) == []
+
+
+def test_each_name_is_read_once_per_model(birth_path, monkeypatch):
+    """``infer_roles``, ``derive_flows`` and ``lint_ssi`` normalize each
+    actor, task, dependum and alias name of a model at most once between
+    them; ``infer_roles`` with another lexicon, multi-word verbs included,
+    normalizes none again and gives what it gives on a freshly parsed model."""
+    model = helpers.scaled_model(birth_path, 4)
+    # "check bnd" has two words; a name starting with "issue birth" starts with the issue verb "issue" too.
+    lexicon = VerbLexicon(
+        issue_verbs=frozenset({"issue"}),
+        provide_verbs=frozenset({"present mothers id", "obtain"}),
+        check_verbs=frozenset({"check bnd", "issue birth"}),
+    )
+    calls = Counter()
+    monkeypatch.setattr(overlay, "normalize_name", lambda text: calls.update([text]) or normalize_name(text))
+    roles = infer_roles(model)
+    lint_ssi(model, roles, derive_flows(model, roles))
+    names = Counter(a.name for a in model.actors)
+    names.update(e.name for a in model.actors for e in a.elements if e.kind is ElementKind.TASK)
+    names.update(d.name for d in model.dependencies)
+    names.update(alias for d in model.dependencies for alias in d.annotations.get("ssi.alias", "").split(","))
+    assert calls and not calls - names  # no name is normalized more often than it occurs
+
+    read = Counter(calls)
+    custom = infer_roles(model, lexicon)
+    assert calls == read
+    assert custom == infer_roles(helpers.scaled_model(birth_path, 4), lexicon)
+    tasks = {(a.actor, a.role): a.tasks for a in custom if a.credential_type.startswith("Birth Notification")}
+    assert tasks[("Registrar-c1", SsiRole.VERIFIER)] == ("registrar-check-bnd-c1", "registrar-check-copy-c1")
+    assert tasks[("Mother-c1", SsiRole.HOLDER)] == ("mother-obtain-bnd-c1",)
+    assert RoleAssignment("Registrar-c1", "Birth Certificate 1", SsiRole.ISSUER, ("registrar-issue-cert-c1",)) in custom
+    assert all(a.role is not SsiRole.VERIFIER for a in custom if a.credential_type.startswith("Birth Certificate"))
 
 
 def test_issuance_receipt_grants_holder(birth_model):

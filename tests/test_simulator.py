@@ -1,10 +1,8 @@
 import hashlib
-import importlib.util
 import itertools
 import json
 from collections import Counter
 from collections.abc import Sequence
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -38,7 +36,6 @@ from ssiforge.overlay import (
     infer_roles,
     derive_flows,
 )
-from ssiforge.pistar import parse_model
 from ssiforge.propagation import LabelState, root_goals
 from ssiforge.simulator import (
     BootstrapCredential,
@@ -92,9 +89,8 @@ def test_key_seeds_are_plain_hashes():
 
 
 def test_config_defaults_and_latency():
+    # How a run applies the latencies is pinned by ``test_fixture_lossy_trace_is_pinned``.
     config = SimConfig(seed=5, latency={("A", "B"): 4})
-    assert config.latency_between("A", "B") == 4
-    assert config.latency_between("B", "A") == 1
     assert config.as_trace_dict() == {
         "defaultLatency": 1,
         "dropProbability": 0.0,
@@ -864,22 +860,8 @@ def test_events_parse_a_line_each_time_they_are_read(birth_model):
     assert trace.text() == text
 
 
-def load_scaled():
-    """``bench/scaled.py``, the generator of the benchmark's multi-copy fixtures."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "scaled.py"
-    spec = importlib.util.spec_from_file_location("scaled", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 # sha256 of the 3-copy scaled fixture's trace at seed 7, drop 0.3: a run with drops.
 SCALED_LOSSY_TRACE_SHA256 = "f657090a4dceaacbdc7bb1b7cafd775f3ec661e638273a35bef334c84caf7a11"
-
-
-def scaled_model(birth_path, copies):
-    doc = load_scaled().scale_document(json.loads(birth_path.read_text(encoding="utf-8")), copies)
-    return parse_model(json.dumps(doc).encode("utf-8")).model
 
 
 def per_event_oracle(trace) -> bytes:
@@ -910,17 +892,38 @@ def rewriting_intercept():
 
 
 def test_scaled_lossy_trace_is_pinned(birth_path):
-    _, trace = run_fixture(scaled_model(birth_path, 3), seed=7, config=SimConfig(seed=7, drop_probability=0.3))
+    _, trace = run_fixture(helpers.scaled_model(birth_path, 3), seed=7, config=SimConfig(seed=7, drop_probability=0.3))
     assert hashlib.sha256(trace.text().encode("utf-8")).hexdigest() == SCALED_LOSSY_TRACE_SHA256
 
 
-# sha256 of the fixture's trace at seed 7, drop 0.3: a run that drops a presentation.
-FIXTURE_LOSSY_TRACE_SHA256 = "1055e9f1703bdcfe874c2fe0b8a1b42e3eb2ff3474ac10e90f1e96739b1d9042"
+# sha256 of the fixture's trace at seed 7, drop 0.3: a run that drops a presentation; and of the same
+# run with a latency of 3 ticks from the Mother to the Registrar and of 2 from the Midwife to the Mother.
+FIXTURE_LOSSY_TRACES = [
+    (SimConfig(seed=7, drop_probability=0.3), "1055e9f1703bdcfe874c2fe0b8a1b42e3eb2ff3474ac10e90f1e96739b1d9042"),
+    (
+        SimConfig(seed=7, drop_probability=0.3, latency={("Mother", "Registrar"): 3, ("Midwife", "Mother"): 2}),
+        "bf7eec51ab8d8372b3278739c38b46e356a3aca7b09df13f15efc417fbb4285f",
+    ),
+]
 
 
-def test_fixture_lossy_trace_is_pinned(birth_model):
-    _, trace = run_fixture(birth_model, seed=7, config=SimConfig(seed=7, drop_probability=0.3))
-    assert hashlib.sha256(trace.text().encode("utf-8")).hexdigest() == FIXTURE_LOSSY_TRACE_SHA256
+@pytest.mark.parametrize("config,sha256", FIXTURE_LOSSY_TRACES, ids=["default-latency", "pair-latency"])
+def test_fixture_lossy_trace_is_pinned(birth_model, config, sha256):
+    _, trace = run_fixture(birth_model, seed=7, config=config)
+    assert hashlib.sha256(trace.text().encode("utf-8")).hexdigest() == sha256
+    # Each message is delivered or dropped after its route's latency, the default on a route the config does
+    # not name; identical messages share a route, so they settle in the order they were sent.
+    sent: dict[bytes, list[int]] = {}
+    delays = set()
+    for event in trace.events:
+        if event["kind"] == "Send":
+            sent.setdefault(canonical_bytes(event["message"]), []).append(event["tick"])
+        elif event["kind"] in ("Deliver", "Drop"):
+            message = event["message"]
+            delay = event["tick"] - sent[canonical_bytes(message)].pop(0)
+            assert delay == config.latency.get((message["from"], message["to"]), config.default_latency)
+            delays.add(delay)
+    assert delays == {*config.latency.values(), config.default_latency}
 
 
 def counted_calls(monkeypatch, module, name) -> list:
@@ -1039,7 +1042,7 @@ def test_fixture_verifies_each_distinct_signature_once(birth_model, monkeypatch)
 
 @pytest.mark.parametrize("copies", range(1, 11))
 def test_scaled_copies_verify_five_signatures_each(birth_path, monkeypatch, copies):
-    model = scaled_model(birth_path, copies)
+    model = helpers.scaled_model(birth_path, copies)
     calls = counted_calls(monkeypatch, credentials, "verify_signature")
     _, trace = run_fixture(model, seed=1, config=SimConfig(seed=1))
     assert sum(e["kind"] == "Verify" for e in trace.events) == 3 * copies
@@ -1048,7 +1051,7 @@ def test_scaled_copies_verify_five_signatures_each(birth_path, monkeypatch, copi
 
 def test_each_scaled_copy_sends_its_office_copy_to_its_own_registrar(birth_path):
     # From 11 copies on, "Registrar 1" is a prefix of "Registrar 10", "11" and "12".
-    model = scaled_model(birth_path, 12)
+    model = helpers.scaled_model(birth_path, 12)
     flows = derive_flows(model, infer_roles(model))
     targets = {f.sender: f.copy_to for f in flows if f.copy_to is not None}
     assert targets == {f"Midwife-c{i}": f"Registrar-c{i}" for i in range(1, 13)}
@@ -1075,14 +1078,14 @@ def test_k_copies_behave_as_k_fixtures(birth_path, birth_model, copies):
     _, single = run_fixture(birth_model, seed=1)
     one = copy_counts(birth_model, single, lambda _: 0)
     assert one[0, "satisfied"] == len(root_goals(birth_model)) > 0
-    model = scaled_model(birth_path, copies)
+    model = helpers.scaled_model(birth_path, copies)
     _, trace = run_fixture(model, seed=1)
     expected = Counter({(i, key): n for i in range(1, copies + 1) for (_, key), n in one.items()})
-    assert copy_counts(model, trace, load_scaled().copy_of) == expected
+    assert copy_counts(model, trace, helpers.load_scaled().copy_of) == expected
 
 
 def test_trace_text_equals_per_event_canonical_bytes(birth_path):
-    model = scaled_model(birth_path, 3)
+    model = helpers.scaled_model(birth_path, 3)
     config = SimConfig(seed=7, drop_probability=0.3)
     _, trace = run_fixture(model, seed=7, config=config)
     assert Counter(e["kind"] for e in trace.events)["Drop"] > 0
