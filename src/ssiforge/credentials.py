@@ -20,14 +20,20 @@ independent checks, always in this order:
 The first failing check names the failure reason; later checks still run so
 callers always see all four flags.
 
-``verify_presentation`` takes an optional memo, a dict that one caller keeps
-for one run (the simulator keeps one per run): it maps an issuer signature
-check, keyed on the issuer key, the payload bytes recomputed from the
-credential and the signature, to its result.  A credential presented to
-several verifiers is then checked with Ed25519 once.  This is sound because
-Ed25519 verification is a pure function of key, message and signature: the
-key holds exactly the bytes verified, so a credential with a changed claim
-or a foreign signature misses the memo even when its ``id`` is unchanged.
+A credential carries the canonical bytes of its payload: the issuer hands
+over the bytes it hashed and signed, and a credential made any other way,
+``replace`` included, encodes them when they are first read.  They cannot
+go stale: every field is immutable, the claims too, which are read-only.
+``verify_presentation`` hashes the integrity check from those bytes.
+
+It also takes an optional memo, a dict that one caller keeps for one run
+(the simulator keeps one per run): it maps an issuer signature check, keyed
+on the issuer key, the payload bytes the credential carries and the
+signature, to its result.  A credential presented to several verifiers is
+then checked with Ed25519 once.  This is sound because Ed25519 verification
+is a pure function of key, message and signature: the key holds exactly
+the bytes verified, so a credential with a changed claim or a foreign
+signature misses the memo even when its ``id`` is unchanged.
 The memo also maps each presenter DID to its key (None if undecodable); the
 holder proof is never memoized, since each one signs a fresh nonce.
 """
@@ -179,6 +185,22 @@ def canonical_bytes(value) -> bytes:
     return canonical_text(value).encode("utf-8")
 
 
+class _Claims(dict):
+    """A credential's claims: a dict that refuses every change, so the
+    payload bytes its credential carries stay the bytes of its payload.
+    It compares, prints, copies and pickles as the dict it holds."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a credential's claims are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self) -> tuple:
+        return _Claims, (dict(self),)
+
+
 class Credential(Record):
     id: str
     type: str
@@ -188,9 +210,22 @@ class Credential(Record):
     claims: Mapping[str, str]
     issued_at: int
     signature: bytes
+    _payload_bytes: bytes | None  # ``canonical_bytes(self.payload())``, from the issuer or encoded on first read
+
+    def __post_init__(self) -> None:
+        if self.claims.__class__ is not _Claims:  # a read-only copy; one already read-only is shared
+            object.__setattr__(self, "claims", _Claims(self.claims))
 
     def payload(self) -> dict:
         return credential_payload(self.type, self.issuer, self.subject, self.holder, self.claims, self.issued_at)
+
+    def payload_bytes(self) -> bytes:
+        """The canonical bytes of ``payload()``, encoded at most once per credential."""
+        raw = self._payload_bytes
+        if raw is None:
+            raw = canonical_bytes(self.payload())
+            object.__setattr__(self, "_payload_bytes", raw)
+        return raw
 
 
 class Presentation(Record):
@@ -277,16 +312,18 @@ def _credential(issuer_keys: KeyPair | None, issuer_did, subject_did, holder_did
     _check_claims(claims)
     payload = credential_payload(credential_type, issuer_did, subject_did, holder_did, claims, issued_at)
     raw = canonical_bytes(payload)
-    return Credential(
+    credential = Credential(
         id=hashlib.sha256(raw).hexdigest(),
         type=credential_type,
         issuer=issuer_did,
         subject=subject_did,
         holder=holder_did,
-        claims=dict(claims),
+        claims=claims,
         issued_at=issued_at,
         signature=b"" if issuer_keys is None else issuer_keys.signing_key.sign(raw),
     )
+    object.__setattr__(credential, "_payload_bytes", raw)
+    return credential
 
 
 def proof_message(credential_id: str, nonce: bytes) -> bytes:
@@ -327,7 +364,7 @@ def verify_presentation(
     possession, not registration, is what it demonstrates.
     """
     credential = presentation.credential
-    raw = canonical_bytes(credential.payload())
+    raw = credential.payload_bytes()
     memo = {} if memo is None else memo
     issuer_key = directory.get(credential.issuer)
     checked = (issuer_key, raw, credential.signature)

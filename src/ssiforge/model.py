@@ -24,7 +24,7 @@ W_MULTI_PARENT             element that refines more than one parent
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 Identifier = str
 
@@ -63,9 +63,6 @@ class ActorLinkKind(enum.Enum):
 
 
 REFINEMENT_KINDS = frozenset({LinkKind.AND_REFINEMENT, LinkKind.OR_REFINEMENT})
-
-# Allowed target kinds for a refinement link.
-_REFINABLE = frozenset({ElementKind.GOAL, ElementKind.TASK})
 
 
 def _tuple(items: Iterable) -> tuple:
@@ -255,43 +252,40 @@ class ValidationReport(Record):
     warnings: tuple[ValidationIssue, ...] = ()
 
 
-def _all_ids(model: Model) -> list[Identifier]:
-    ids: list[Identifier] = []
-    for actor in model.actors:
-        ids.append(actor.id)
-        ids.extend(e.id for e in actor.elements)
-        ids.extend(l.id for l in actor.links)
-    ids.extend(d.id for d in model.dependencies)
-    ids.extend(l.id for l in model.actor_links)
-    return ids
-
-
 def validate(model: Model) -> ValidationReport:
     """Check structural rules; pure, never raises, deterministic output order.
 
     Findings are sorted by (offending id, code).  Running validate twice on
-    the same model yields equal reports.
+    the same model yields equal reports.  Each actor's links are read once.
     """
     errors: list[ValidationIssue] = []
     warnings: list[ValidationIssue] = []
-
     seen: set[Identifier] = set()
-    for node_id in _all_ids(model):
+
+    def unique(node_id: Identifier) -> None:
         if node_id in seen:
             errors.append(ValidationIssue("E_ID_DUP", node_id, f"identifier {node_id!r} is not unique"))
         seen.add(node_id)
 
+    # Read once: on Python 3.11 an enum member read is a descriptor call.
+    and_refinement, or_refinement = LinkKind.AND_REFINEMENT, LinkKind.OR_REFINEMENT
     for actor in model.actors:
+        unique(actor.id)
         if not actor.name:
             warnings.append(ValidationIssue("W_EMPTY_NAME", actor.id, "actor has an empty name"))
-        local = {e.id: e for e in actor.elements}
+        local: dict[Identifier, Element] = {}
         for elem in actor.elements:
+            unique(elem.id)
+            local[elem.id] = elem
             if not elem.name:
                 warnings.append(ValidationIssue("W_EMPTY_NAME", elem.id, "element has an empty name"))
 
-        refine_parents: dict[Identifier, set[LinkKind]] = {}
-        child_parent_count: dict[Identifier, int] = {}
+        first_kinds: dict[Identifier, LinkKind] = {}  # each parent's first refinement kind
+        mixed: dict[Identifier, None] = {}  # the parents refined by both kinds, in order
+        children: dict[Identifier, list[Identifier]] = {}  # the refinement edges: child ids by parent
+        parent_counts: dict[Identifier, int] = {}  # each child's number of refinement edges
         for link in actor.links:
+            unique(link.id)
             src = local.get(link.source)
             dst = local.get(link.target)
             if src is None or dst is None:
@@ -303,39 +297,42 @@ def validate(model: Model) -> ValidationReport:
                     )
                 )
                 continue
-            if link.kind in REFINEMENT_KINDS:
-                if dst.kind not in _REFINABLE:
+            kind = link.kind
+            if kind is and_refinement or kind is or_refinement:
+                if dst.kind is not ElementKind.GOAL and dst.kind is not ElementKind.TASK:
                     errors.append(
                         ValidationIssue("E_LINK_KIND", link.id, f"refinement target must be a goal or task, got {dst.kind.value}")
                     )
-                refine_parents.setdefault(link.target, set()).add(link.kind)
-                child_parent_count[link.source] = child_parent_count.get(link.source, 0) + 1
-            elif link.kind is LinkKind.CONTRIBUTION:
+                if first_kinds.setdefault(link.target, kind) is not kind:
+                    mixed[link.target] = None
+                children.setdefault(link.target, []).append(link.source)
+                parent_counts[link.source] = parent_counts.get(link.source, 0) + 1
+            elif kind is LinkKind.CONTRIBUTION:
                 if dst.kind is not ElementKind.QUALITY:
                     errors.append(ValidationIssue("E_LINK_KIND", link.id, "contribution target must be a quality"))
                 if link.contribution is None:
                     errors.append(ValidationIssue("E_LINK_KIND", link.id, "contribution link carries no label"))
-            elif link.kind is LinkKind.QUALIFICATION:
+            elif kind is LinkKind.QUALIFICATION:
                 if src.kind is not ElementKind.QUALITY:
                     errors.append(ValidationIssue("E_LINK_KIND", link.id, "qualification source must be a quality"))
-            elif link.kind is LinkKind.NEEDED_BY:
+            elif kind is LinkKind.NEEDED_BY:
                 if src.kind is not ElementKind.RESOURCE or dst.kind is not ElementKind.TASK:
                     errors.append(ValidationIssue("E_LINK_KIND", link.id, "needed-by joins a resource to a task"))
 
-        for parent, kinds in refine_parents.items():
-            if len(kinds) > 1:
-                errors.append(ValidationIssue("E_REFINE_MIXED", parent, "element mixes And and Or refinements"))
-        for child, count in child_parent_count.items():
+        for parent in mixed:
+            errors.append(ValidationIssue("E_REFINE_MIXED", parent, "element mixes And and Or refinements"))
+        for child, count in parent_counts.items():
             if count > 1:
                 warnings.append(ValidationIssue("W_MULTI_PARENT", child, "element refines more than one parent"))
 
-        cyclic = _refinement_cycle_members(actor)
+        cyclic = _refinement_cycle_members(children, parent_counts)
         if cyclic:
             errors.append(
                 ValidationIssue("E_REFINE_CYCLE", min(cyclic), f"refinement cycle inside actor {actor.id!r}")
             )
 
     for dep in model.dependencies:
+        unique(dep.id)
         if not dep.name:
             warnings.append(ValidationIssue("W_EMPTY_NAME", dep.id, "dependum has an empty name"))
         if dep.depender == dep.dependee:
@@ -353,6 +350,7 @@ def validate(model: Model) -> ValidationReport:
                 )
 
     for link in model.actor_links:
+        unique(link.id)
         if model.actor(link.source) is None or model.actor(link.target) is None:
             errors.append(ValidationIssue("E_REF_DANGLING", link.id, "actor link endpoint is not an actor"))
         elif link.source == link.target:
@@ -363,28 +361,24 @@ def validate(model: Model) -> ValidationReport:
     return ValidationReport(errors=tuple(errors), warnings=tuple(warnings))
 
 
-def _refinement_cycle_members(actor: Actor) -> set[Identifier]:
-    """Elements left with unresolved refinement edges after peeling leaves."""
-    local = {e.id for e in actor.elements}
-    edges = [
-        (l.source, l.target)
-        for l in actor.links
-        if l.kind in REFINEMENT_KINDS and l.source in local and l.target in local
-    ]
-    outdeg: dict[Identifier, int] = {e: 0 for e in local}
-    incoming: dict[Identifier, list[Identifier]] = {e: [] for e in local}
-    for src, dst in edges:
-        outdeg[src] += 1
-        incoming[src]  # keep key
-        incoming[dst].append(src)
-    queue = [e for e in sorted(local) if outdeg[e] == 0]
-    removed: set[Identifier] = set()
+def _refinement_cycle_members(
+    children: dict[Identifier, list[Identifier]], parent_counts: dict[Identifier, int]
+) -> Sequence[Identifier]:
+    """The elements left with refinement edges after peeling off, again and
+    again, those that refine nothing: the members of refinement cycles and
+    the chains of children refining into them.  The set does not depend on
+    the peeling order.
+
+    ``children`` are an actor's refinement edges between its own elements,
+    child ids by parent; ``parent_counts`` each child's number of them.
+    """
+    queue = [parent for parent in children if parent not in parent_counts]
+    if len(queue) == len(children):  # no parent refines anything, so every child peels off
+        return ()
+    left = dict(parent_counts)
     while queue:
-        node = queue.pop()
-        removed.add(node)
-        for src in incoming[node]:
-            outdeg[src] -= 1
-            if outdeg[src] == 0 and src not in removed:
-                queue.append(src)
-    participants = {e for e in local if e not in removed and outdeg[e] > 0}
-    return participants
+        for child in children.get(queue.pop(), ()):
+            left[child] -= 1
+            if not left[child]:
+                queue.append(child)
+    return [element for element, count in left.items() if count]

@@ -44,6 +44,10 @@ class SsiRole(enum.Enum):
     VERIFIER = "Verifier"
 
 
+# Each role's place in the order of their names, as ``infer_roles`` sorts them.
+_ROLE_ORDER = {role: rank for rank, role in enumerate(sorted(SsiRole, key=lambda r: r.value))}
+
+
 class VerbLexicon(Record):
     """Leading task-name words that signal credential handling intent."""
 
@@ -185,15 +189,17 @@ class _SpellingIndex:
 
     def owners_in(self, text: str) -> list[str]:
         root, words = self.root, text.split()
-        found: set[tuple[int, str]] = set()
+        found: set[tuple[int, str]] | None = None
         for start, word in enumerate(words):
             node, end = root.get(word), start + 1
             while node is not None:
                 if "" in node:
+                    if found is None:
+                        found = set()
                     found.update(node[""])
                 node = node.get(words[end]) if end < len(words) else None
                 end += 1
-        return [owner for _, owner in sorted(found)]
+        return [] if found is None else [owner for _, owner in sorted(found)]
 
 
 class CredentialCatalog:
@@ -294,7 +300,7 @@ def infer_roles(model: Model, lexicon: VerbLexicon = DEFAULT_LEXICON) -> tuple[R
             found.setdefault((dep.depender, ctype, SsiRole.HOLDER), [])
 
     assignments = [RoleAssignment(actor, ctype, role, tuple(tasks)) for (actor, ctype, role), tasks in found.items()]
-    assignments.sort(key=lambda a: (a.actor, a.credential_type, a.role.value))
+    assignments.sort(key=lambda a: (a.actor, a.credential_type, _ROLE_ORDER[a.role]))
     return tuple(assignments)
 
 
@@ -336,15 +342,15 @@ def derive_flows(model: Model, roles: Sequence[RoleAssignment]) -> tuple[Credent
     role_tasks = {(a.actor, a.credential_type, a.role): a.tasks for a in roles}
     copy_targets, copy_tasks = _copy_readings(model)
     # An issuer's gates are all of its Verifier tasks, in element order, plus
-    # the sources of the needed-by links into the issue task.
+    # the sources of the needed-by links into the issue task, in link order.
     verifier_tasks = {(a.actor, t) for a in roles if a.role is SsiRole.VERIFIER for t in a.tasks}
     gates: dict[Identifier, tuple[Identifier, ...]] = {}
-    needed_by: dict[tuple[Identifier, Identifier], tuple[Identifier, ...]] = {}
+    needed_by: dict[tuple[Identifier, Identifier], list[Identifier]] = {}
     for actor in model.actors:
         gates[actor.id] = tuple(e.id for e in actor.elements if (actor.id, e.id) in verifier_tasks)
         for link in actor.links:
             if link.kind is LinkKind.NEEDED_BY:
-                needed_by[actor.id, link.target] = needed_by.get((actor.id, link.target), ()) + (link.source,)
+                needed_by.setdefault((actor.id, link.target), []).append(link.source)
     flows: list[CredentialFlow] = []
     for dep in model.dependencies:
         if dep.kind is not ElementKind.RESOURCE:
@@ -369,14 +375,20 @@ def derive_flows(model: Model, roles: Sequence[RoleAssignment]) -> tuple[Credent
         if kind is FlowKind.ISSUANCE:
             issue_task = issuer[0] if issuer else None
             copy_to, copy_task = copy_targets.get(dep.dependee, (None, None))
-            gate_tasks = gates.get(dep.dependee, ()) + needed_by.get((dep.dependee, issue_task), ())
-            wiring = dict(copy_to=copy_to, copy_task=copy_task, issue_task=issue_task, gate_tasks=gate_tasks,
-                          await_task=dep.depender_element, subject=dep.annotations.get("ssi.subject"))
+            gate_tasks = gates.get(dep.dependee, ()) + tuple(needed_by.get((dep.dependee, issue_task), ()))
+            flow = CredentialFlow(
+                dep.id, kind, ctype, dep.dependee, dep.depender, evidence, copy_to=copy_to, copy_task=copy_task,
+                issue_task=issue_task, gate_tasks=gate_tasks, await_task=dep.depender_element,
+                subject=dep.annotations.get("ssi.subject"),
+            )
         else:
             checks = verifier or ()
-            wiring = dict(require_copy=any((dep.depender, t) in copy_tasks for t in checks), check_tasks=checks,
-                          verdict_task=dep.dependee_element, purpose=dep.annotations.get("ssi.purpose"))
-        flows.append(CredentialFlow(dep.id, kind, ctype, dep.dependee, dep.depender, evidence, **wiring))
+            flow = CredentialFlow(
+                dep.id, kind, ctype, dep.dependee, dep.depender, evidence,
+                require_copy=any((dep.depender, t) in copy_tasks for t in checks), check_tasks=checks,
+                verdict_task=dep.dependee_element, purpose=dep.annotations.get("ssi.purpose"),
+            )
+        flows.append(flow)
     return tuple(flows)
 
 

@@ -204,27 +204,31 @@ def compile_agents(
     on; every task id comes from the flows, so no name or element is read
     here.  Raises :class:`CompileError` when a flow references an actor that
     lacks the role the flow requires (issuer for issuances, holder and
-    verifier for presentations).
+    verifier for presentations) or that the model lacks.
     """
     role_tasks = {(a.actor, a.credential_type, a.role): a.tasks for a in roles}
     keys = {actor.id: generate_keypair(actor_key_seed(seed, actor.id)) for actor in model.actors}
     dids = {actor_id: did_from_public_key(pair.public_key) for actor_id, pair in keys.items()}
-    verifies, issues, requests, answers, wallets, prelabeled = ({a: [] for a in keys} for _ in range(6))
+    # Lists by actor id; an actor with nothing to list is in no table.
+    verifies, issues, requests, answers, wallets, prelabeled = ({} for _ in range(6))
 
     for flow in flows:
         if flow.kind is FlowKind.ISSUANCE:
             if (flow.sender, flow.credential_type, SsiRole.ISSUER) not in role_tasks:
                 raise CompileError(f"{flow.sender!r} is not an issuer of {flow.credential_type!r}")
-            issues[flow.sender].append(flow)
-            requests[flow.receiver].append(flow)
+            issues.setdefault(flow.sender, []).append(flow)
+            requests.setdefault(flow.receiver, []).append(flow)
         else:
             if (flow.receiver, flow.credential_type, SsiRole.VERIFIER) not in role_tasks:
                 raise CompileError(f"{flow.receiver!r} is not a verifier of {flow.credential_type!r}")
             if (flow.sender, flow.credential_type, SsiRole.HOLDER) not in role_tasks:
                 raise CompileError(f"{flow.sender!r} is not a holder of {flow.credential_type!r}")
-            verifies[flow.receiver].append(flow)
-            if flow.credential_type not in answers[flow.sender]:
-                answers[flow.sender].append(flow.credential_type)
+            verifies.setdefault(flow.receiver, []).append(flow)
+            types = answers.setdefault(flow.sender, [])
+            if flow.credential_type not in types:
+                types.append(flow.credential_type)
+        if flow.sender not in keys or flow.receiver not in keys:
+            raise CompileError(f"flow {flow.dependency!r} joins an actor the model lacks")
 
     for entry in bootstrap:
         if entry.issuer not in keys or entry.holder not in keys:
@@ -238,23 +242,23 @@ def compile_agents(
             _claims_for(entry.credential_type, entry.issuer, entry.holder, None),
             issued_at=0,
         )
-        wallets[entry.holder].append(credential)
+        wallets.setdefault(entry.holder, []).append(credential)
         issuer_tasks = role_tasks.get((entry.issuer, entry.credential_type, SsiRole.ISSUER))
         if issuer_tasks:
-            prelabeled[entry.issuer].append(issuer_tasks[0])
+            prelabeled.setdefault(entry.issuer, []).append(issuer_tasks[0])
 
     return tuple(
         AgentSpec(
             actor=actor.id,
             did=dids[actor.id],
             keys=keys[actor.id],
-            wallet=tuple(wallets[actor.id]),
-            verifies=tuple(verifies[actor.id]),
-            issues=tuple(issues[actor.id]),
-            requests=tuple(requests[actor.id]),
-            answers=tuple(answers[actor.id]),
+            wallet=tuple(wallets.get(actor.id, ())),
+            verifies=tuple(verifies.get(actor.id, ())),
+            issues=tuple(issues.get(actor.id, ())),
+            requests=tuple(requests.get(actor.id, ())),
+            answers=tuple(answers.get(actor.id, ())),
             trust=trust,
-            prelabeled=tuple(prelabeled[actor.id]),
+            prelabeled=tuple(prelabeled.get(actor.id, ())),
         )
         for actor in model.actors
     )
@@ -341,7 +345,7 @@ def _verify_event(
     canonical JSON written from a fixed template, and its verdict: the four
     checks, and the office copy when ``copy_ok`` is not None."""
     verdict = outcome.verdict and copy_ok is not False
-    fail_reason = outcome.fail_reason or ("officeCopy" if copy_ok is False else "")
+    fail_reason = "" if verdict else outcome.fail_reason or "officeCopy"  # ``fail_reason`` builds ``flags``
     return (
         ("{" if copy_ok is None else f'{{"copyOk":{_JSON_BOOL[copy_ok]},')
         + f'"credentialId":{encode_basestring(credential_id)},'

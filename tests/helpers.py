@@ -1,6 +1,8 @@
-"""Shared test machinery: an independent propagation oracle, a random model
-generator, DOT scanners, single-bit mutators, a runner for the CLI, a
-mutator of piStar documents, and a reference presentation check.
+"""Shared test machinery: an independent propagation oracle, a reference
+``validate``, a random model generator and a breaker of its models, DOT
+scanners, single-bit mutators, a fixture variant with needed-by links, a
+runner for the CLI, a mutator of piStar documents, and a reference
+presentation check.
 
 The oracle deliberately recomputes every label from the previous full
 assignment (Jacobi style) while the library updates in place, so agreement
@@ -33,10 +35,13 @@ from ssiforge.model import (
     Dependency,
     Element,
     ElementKind,
+    Identifier,
     InternalLink,
     LinkKind,
     Model,
     REFINEMENT_KINDS,
+    ValidationIssue,
+    ValidationReport,
 )
 from ssiforge.pistar import parse_model
 from ssiforge.propagation import LabelState
@@ -231,6 +236,180 @@ def make_random_model(rng: random.Random, max_elements: int = 10) -> Model:
     return Model(tuple(actors), tuple(deps), tuple(actor_links), metadata)
 
 
+def _oracle_ids(model: Model) -> list[Identifier]:
+    ids: list[Identifier] = []
+    for actor in model.actors:
+        ids.append(actor.id)
+        ids.extend(e.id for e in actor.elements)
+        ids.extend(l.id for l in actor.links)
+    ids.extend(d.id for d in model.dependencies)
+    ids.extend(l.id for l in model.actor_links)
+    return ids
+
+
+def validate_oracle(model: Model) -> ValidationReport:
+    """A reference ``model.validate``, written the plain way: it lists every
+    id before it checks one, and finds refinement cycles by scanning each
+    actor's elements and links again, peeling from every element.
+    ``validate`` must give the same report, findings in the same order."""
+    errors: list[ValidationIssue] = []
+    warnings: list[ValidationIssue] = []
+
+    seen: set[Identifier] = set()
+    for node_id in _oracle_ids(model):
+        if node_id in seen:
+            errors.append(ValidationIssue("E_ID_DUP", node_id, f"identifier {node_id!r} is not unique"))
+        seen.add(node_id)
+
+    for actor in model.actors:
+        if not actor.name:
+            warnings.append(ValidationIssue("W_EMPTY_NAME", actor.id, "actor has an empty name"))
+        local = {e.id: e for e in actor.elements}
+        for elem in actor.elements:
+            if not elem.name:
+                warnings.append(ValidationIssue("W_EMPTY_NAME", elem.id, "element has an empty name"))
+
+        refine_parents: dict[Identifier, set[LinkKind]] = {}
+        child_parent_count: dict[Identifier, int] = {}
+        for link in actor.links:
+            src = local.get(link.source)
+            dst = local.get(link.target)
+            if src is None or dst is None:
+                errors.append(
+                    ValidationIssue(
+                        "E_REF_DANGLING",
+                        link.id,
+                        f"link endpoint outside actor {actor.id!r}",
+                    )
+                )
+                continue
+            if link.kind in REFINEMENT_KINDS:
+                if dst.kind not in (ElementKind.GOAL, ElementKind.TASK):
+                    errors.append(
+                        ValidationIssue("E_LINK_KIND", link.id, f"refinement target must be a goal or task, got {dst.kind.value}")
+                    )
+                refine_parents.setdefault(link.target, set()).add(link.kind)
+                child_parent_count[link.source] = child_parent_count.get(link.source, 0) + 1
+            elif link.kind is LinkKind.CONTRIBUTION:
+                if dst.kind is not ElementKind.QUALITY:
+                    errors.append(ValidationIssue("E_LINK_KIND", link.id, "contribution target must be a quality"))
+                if link.contribution is None:
+                    errors.append(ValidationIssue("E_LINK_KIND", link.id, "contribution link carries no label"))
+            elif link.kind is LinkKind.QUALIFICATION:
+                if src.kind is not ElementKind.QUALITY:
+                    errors.append(ValidationIssue("E_LINK_KIND", link.id, "qualification source must be a quality"))
+            elif link.kind is LinkKind.NEEDED_BY:
+                if src.kind is not ElementKind.RESOURCE or dst.kind is not ElementKind.TASK:
+                    errors.append(ValidationIssue("E_LINK_KIND", link.id, "needed-by joins a resource to a task"))
+
+        for parent, kinds in refine_parents.items():
+            if len(kinds) > 1:
+                errors.append(ValidationIssue("E_REFINE_MIXED", parent, "element mixes And and Or refinements"))
+        for child, count in child_parent_count.items():
+            if count > 1:
+                warnings.append(ValidationIssue("W_MULTI_PARENT", child, "element refines more than one parent"))
+
+        cyclic = _oracle_cycle_members(actor)
+        if cyclic:
+            errors.append(
+                ValidationIssue("E_REFINE_CYCLE", min(cyclic), f"refinement cycle inside actor {actor.id!r}")
+            )
+
+    for dep in model.dependencies:
+        if not dep.name:
+            warnings.append(ValidationIssue("W_EMPTY_NAME", dep.id, "dependum has an empty name"))
+        if dep.depender == dep.dependee:
+            errors.append(ValidationIssue("E_DEP_SELF", dep.id, "actor depends on itself"))
+        for side, actor_id, element_id in (
+            ("depender", dep.depender, dep.depender_element),
+            ("dependee", dep.dependee, dep.dependee_element),
+        ):
+            actor = model.actor(actor_id)
+            if actor is None:
+                errors.append(ValidationIssue("E_REF_DANGLING", dep.id, f"{side} {actor_id!r} is not an actor"))
+            elif element_id is not None and actor.element(element_id) is None:
+                errors.append(
+                    ValidationIssue("E_REF_DANGLING", dep.id, f"{side} element {element_id!r} not owned by {actor_id!r}")
+                )
+
+    for link in model.actor_links:
+        if model.actor(link.source) is None or model.actor(link.target) is None:
+            errors.append(ValidationIssue("E_REF_DANGLING", link.id, "actor link endpoint is not an actor"))
+        elif link.source == link.target:
+            errors.append(ValidationIssue("E_LINK_KIND", link.id, "actor link endpoints must differ"))
+
+    errors.sort(key=lambda i: (i.offending_id, i.code))
+    warnings.sort(key=lambda i: (i.offending_id, i.code))
+    return ValidationReport(errors=tuple(errors), warnings=tuple(warnings))
+
+
+def _oracle_cycle_members(actor: Actor) -> set[Identifier]:
+    """Elements left with unresolved refinement edges after peeling leaves."""
+    local = {e.id for e in actor.elements}
+    edges = [
+        (l.source, l.target)
+        for l in actor.links
+        if l.kind in REFINEMENT_KINDS and l.source in local and l.target in local
+    ]
+    outdeg: dict[Identifier, int] = {e: 0 for e in local}
+    incoming: dict[Identifier, list[Identifier]] = {e: [] for e in local}
+    for src, dst in edges:
+        outdeg[src] += 1
+        incoming[src]  # keep key
+        incoming[dst].append(src)
+    queue = [e for e in sorted(local) if outdeg[e] == 0]
+    removed: set[Identifier] = set()
+    while queue:
+        node = queue.pop()
+        removed.add(node)
+        for src in incoming[node]:
+            outdeg[src] -= 1
+            if outdeg[src] == 0 and src not in removed:
+                queue.append(src)
+    participants = {e for e in local if e not in removed and outdeg[e] > 0}
+    return participants
+
+
+def break_model(model: Model, rng: random.Random) -> Model:
+    """``model`` with one to four structural faults of the kinds ``validate``
+    reports: refinement links among an actor's own elements (cycles, chains
+    of children refining into them, mixed And and Or, several parents), a
+    link of any kind between any two ids, one from another actor or none,
+    a copy of an element under an id another node has, or an element with
+    an empty name or another kind."""
+    actors = list(model.actors)
+    elements = [e.id for a in actors for e in a.elements] + ["zz"]
+    refinements = (LinkKind.AND_REFINEMENT, LinkKind.OR_REFINEMENT)
+    for fault in range(rng.randint(1, 4)):
+        i = rng.randrange(len(actors))
+        actor = actors[i]
+        own, links = [e.id for e in actor.elements], list(actor.links)
+        op = rng.randrange(4)
+        if op == 0:
+            for n in range(rng.randint(1, 5)):
+                links.append(InternalLink(f"r{fault}-{n}", rng.choice(refinements), rng.choice(own), rng.choice(own)))
+        elif op == 1:
+            label = rng.choice((None, *ContributionLabel))
+            source, target = rng.choice(elements), rng.choice(elements)
+            links.append(InternalLink(f"k{fault}", rng.choice(tuple(LinkKind)), source, target, label))
+        elif op == 2:
+            nodes = [actor.id, *own, *(l.id for l in links), *(d.id for d in model.dependencies)]
+            taken = rng.choice(nodes)
+            j = rng.randrange(len(actor.elements))
+            renamed = actor.elements[j].replace(id=taken)
+            actor = actor.replace(elements=actor.elements[:j] + (renamed,) + actor.elements[j:])
+        else:
+            j = rng.randrange(len(actor.elements))
+            element = actor.elements[j]
+            if rng.random() < 0.3:
+                element = element.replace(name="")
+            else:
+                element = element.replace(kind=rng.choice(tuple(ElementKind)))
+            actor = actor.replace(elements=actor.elements[:j] + (element,) + actor.elements[j + 1:])
+        actors[i] = actor.replace(links=tuple(links))
+    return model.replace(actors=tuple(actors))
+
+
 def random_outcomes(rng: random.Random, model: Model) -> dict:
     out = {}
     for actor in model.actors:
@@ -306,6 +485,32 @@ def rename_element(model: Model, element_id: str, new_name: str) -> Model:
         for actor in model.actors
     )
     return model.replace(actors=actors)
+
+
+def licensed_registrar_model(model: Model, seal: bool = False) -> Model:
+    """The fixture with the Registrar licensed: the ID Agency issues it a
+    Registrar Licence, which it awaits on a resource element needed by its
+    task that issues the birth certificate.  With ``seal``, a Registrar Seal
+    element, which nothing issues, is needed by that task too, through a
+    link placed before the licence's though the element comes after it."""
+    needs = [InternalLink("needed-licence", LinkKind.NEEDED_BY, "registrar-licence", "registrar-issue-cert")]
+    extra = [Element("registrar-licence", "Registrar Licence", ElementKind.RESOURCE)]
+    if seal:
+        needs.insert(0, InternalLink("needed-seal", LinkKind.NEEDED_BY, "registrar-seal", "registrar-issue-cert"))
+        extra.append(Element("registrar-seal", "Registrar Seal", ElementKind.RESOURCE))
+    actors = []
+    for actor in model.actors:
+        if actor.id == "Registrar":
+            actor = actor.replace(elements=actor.elements + tuple(extra), links=actor.links + tuple(needs))
+        elif actor.id == "ID Agency":
+            issue = Element("agency-issue-licence", "Issue Registrar Licence", ElementKind.TASK)
+            actor = actor.replace(elements=actor.elements + (issue,))
+        actors.append(actor)
+    licence = Dependency(
+        "dep-licence-registrar", "Registrar Licence", ElementKind.RESOURCE, "Registrar", "ID Agency",
+        "registrar-licence", "agency-issue-licence",
+    )
+    return model.replace(actors=tuple(actors), dependencies=model.dependencies + (licence,))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import itertools
 import json
+import pickle
 from unittest import mock
 
 import pytest
@@ -205,6 +207,59 @@ def test_frozen_credential_vector(vectors):
     assert credential.signature.hex() == spec["signature"]
     assert canonical_bytes(credential.payload()).decode() == spec["canonicalPayload"]
     assert credential.id == hashlib.sha256(spec["canonicalPayload"].encode()).hexdigest()
+
+
+def test_a_credential_carries_its_payload_bytes(vectors):
+    """The issuer hands its credential the bytes it hashed and signed; a
+    copy made with ``replace`` encodes its own when they are first read."""
+    spec = vectors["credential"]
+    issuer = generate_keypair(bytes.fromhex(spec["issuerSeed"]))
+    credential = issue_credential(
+        issuer, spec["issuer"], spec["subject"], spec["holder"], spec["type"], spec["claims"], spec["issuedAt"]
+    )
+    assert credential._payload_bytes is not None  # handed over, not encoded again
+    assert credential.payload_bytes() == spec["canonicalPayload"].encode("utf-8")
+    assert credential.payload_bytes() == canonical_bytes(credential.payload())
+
+    moved = credential.replace(claims={**spec["claims"], "place": "Ward 4"})
+    assert moved._payload_bytes is None
+    assert moved.payload_bytes() == canonical_bytes(moved.payload()) != credential.payload_bytes()
+    assert credential.replace(issued_at=8).payload_bytes() == canonical_bytes({**credential.payload(), "issuedAt": 8})
+
+
+def test_claims_are_read_only(vectors):
+    spec = vectors["credential"]
+    issuer = generate_keypair(bytes.fromhex(spec["issuerSeed"]))
+    credential = issue_credential(
+        issuer, spec["issuer"], spec["subject"], spec["holder"], spec["type"], spec["claims"], spec["issuedAt"]
+    )
+    made = credentials.Credential(
+        credential.id, credential.type, credential.issuer, credential.subject, credential.holder,
+        dict(spec["claims"]), credential.issued_at, credential.signature,
+    )
+    assert made == credential
+    copies = (copy.copy(credential.claims), pickle.loads(pickle.dumps(made.claims)))
+    for claims in (credential.claims, made.claims, *copies):
+        with pytest.raises(TypeError):
+            claims["place"] = "Ward 4"
+        with pytest.raises(TypeError):
+            del claims["place"]
+        with pytest.raises(TypeError):
+            claims.update(place="Ward 4")
+        for change in ("clear", "popitem"):
+            with pytest.raises(TypeError):
+                getattr(claims, change)()
+        with pytest.raises(TypeError):
+            claims.pop("place")
+        with pytest.raises(TypeError):
+            claims.setdefault("x", "y")
+        with pytest.raises(TypeError):
+            claims |= {"place": "Ward 4"}
+        # It still compares, prints and copies as the dict it holds.
+        assert claims == spec["claims"] and repr(claims) == repr(spec["claims"])
+        assert dict(claims) == copy.deepcopy(claims) == spec["claims"]
+    assert credential.payload_bytes() == spec["canonicalPayload"].encode("utf-8")
+    assert pickle.loads(pickle.dumps(credential)) == credential
 
 
 def test_frozen_presentation_vector(vectors):

@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import random
 
@@ -40,7 +41,7 @@ from ssiforge.overlay import (
     TrustRegistry,
     VerbLexicon,
 )
-from ssiforge.pistar import ParseError, ParseResult
+from ssiforge.pistar import ParseError, ParseResult, parse_model
 from ssiforge.simulator import (
     AgentSpec,
     BootstrapCredential,
@@ -251,6 +252,114 @@ def test_generated_models_validate_clean():
         model = helpers.make_random_model(rng)
         report = validate(model)
         assert report.errors == (), (seed, report.errors)
+
+
+def test_cycle_reports_the_least_element_refining_into_it():
+    """A chain of children refining into a cycle is left over by the peeling
+    like the cycle itself, so the least of them all is reported, here the
+    chain's first child, not a cycle member."""
+    model = Model(
+        (
+            actor(
+                "a",
+                [goal("c1"), goal("c2"), goal("b"), task("a0"), task("z")],
+                [
+                    InternalLink("l1", LinkKind.AND_REFINEMENT, "c1", "c2"),
+                    InternalLink("l2", LinkKind.AND_REFINEMENT, "c2", "c1"),
+                    InternalLink("l3", LinkKind.AND_REFINEMENT, "b", "c1"),
+                    InternalLink("l4", LinkKind.AND_REFINEMENT, "a0", "b"),
+                    InternalLink("l5", LinkKind.AND_REFINEMENT, "z", "c2"),
+                ],
+            ),
+        )
+    )
+    report = validate(model)
+    assert [c for c in codes(report) if c[0] == "E_REFINE_CYCLE"] == [("E_REFINE_CYCLE", "a0")]
+    assert report == helpers.validate_oracle(model)
+
+
+def test_validate_agrees_with_its_oracle_on_hand_made_faults():
+    models = [
+        # Duplicate ids: actor, element, link and dependency ids colliding across kinds and actors.
+        Model(
+            (
+                actor("a", [goal("g"), task("g")], [InternalLink("a", LinkKind.AND_REFINEMENT, "g", "g")]),
+                actor("b", [goal("g")]),
+            ),
+            (Dependency("b", "X", ElementKind.RESOURCE, "a", "b"),),
+        ),
+        # Endpoints outside the actor: another actor's element and a missing one.
+        Model(
+            (
+                actor("a", [goal("g")], [InternalLink("l1", LinkKind.AND_REFINEMENT, "t", "g")]),
+                actor("b", [task("t")], [InternalLink("l2", LinkKind.NEEDED_BY, "nope", "t")]),
+            )
+        ),
+        # Mixed And and Or refinement, and an element refining several parents.
+        Model(
+            (
+                actor(
+                    "a",
+                    [goal("g"), goal("h"), task("t1"), task("t2")],
+                    [
+                        InternalLink("l1", LinkKind.AND_REFINEMENT, "t1", "g"),
+                        InternalLink("l2", LinkKind.OR_REFINEMENT, "t2", "g"),
+                        InternalLink("l3", LinkKind.OR_REFINEMENT, "t1", "h"),
+                    ],
+                ),
+            )
+        ),
+        # Two actors, each with a cycle and chains into it, and a self-refinement.
+        Model(
+            tuple(
+                actor(
+                    name,
+                    [goal(f"{name}1"), goal(f"{name}2"), task(f"{name}0"), task(f"{name}3")],
+                    [
+                        InternalLink(f"{name}l1", LinkKind.OR_REFINEMENT, f"{name}1", f"{name}2"),
+                        InternalLink(f"{name}l2", LinkKind.OR_REFINEMENT, f"{name}2", f"{name}1"),
+                        InternalLink(f"{name}l3", LinkKind.OR_REFINEMENT, f"{name}0", f"{name}3"),
+                        InternalLink(f"{name}l4", LinkKind.OR_REFINEMENT, f"{name}3", f"{name}3"),
+                    ],
+                )
+                for name in ("q", "p")
+            )
+        ),
+    ]
+    found = set()
+    for model in models:
+        report = validate(model)
+        assert report == helpers.validate_oracle(model)
+        found.update(i.code for i in report.errors + report.warnings)
+    assert {"E_ID_DUP", "E_REF_DANGLING", "E_REFINE_MIXED", "W_MULTI_PARENT", "E_REFINE_CYCLE"} <= found
+
+
+def test_validate_agrees_with_its_oracle_on_broken_random_models():
+    found = set()
+    for seed in range(400):
+        rng = random.Random(seed)
+        model = helpers.make_random_model(rng)
+        assert validate(model) == helpers.validate_oracle(model), seed
+        broken = helpers.break_model(model, rng)
+        report = validate(broken)
+        assert report == helpers.validate_oracle(broken), seed
+        found.update(i.code for i in report.errors + report.warnings)
+    assert set(found) == {
+        "E_ID_DUP", "E_REF_DANGLING", "E_LINK_KIND", "E_REFINE_CYCLE", "E_REFINE_MIXED", "W_EMPTY_NAME",
+        "W_MULTI_PARENT",
+    }, found
+
+
+def test_validate_agrees_with_its_oracle_on_mutated_fixtures(birth_path):
+    text = birth_path.read_text(encoding="utf-8")
+    checked = 0
+    for seed in range(3000):
+        doc = helpers.mutate_document(json.loads(text), random.Random(seed))
+        result = parse_model(json.dumps(doc))
+        if result.ok:
+            assert validate(result.model) == helpers.validate_oracle(result.model), seed
+            checked += 1
+    assert checked > 500
 
 
 def test_model_lookups(birth_model):

@@ -327,6 +327,24 @@ def test_fixture_flows(birth_model):
     )
 
 
+def test_needed_by_sources_end_the_gate_tasks_in_link_order(birth_model):
+    model = helpers.licensed_registrar_model(birth_model)
+    roles = infer_roles(model)
+    flows = {f.dependency: f for f in derive_flows(model, roles)}
+    licence = flows["dep-licence-registrar"]
+    assert (licence.kind, licence.sender, licence.receiver) == (FlowKind.ISSUANCE, "ID Agency", "Registrar")
+    assert (licence.issue_task, licence.await_task, licence.gate_tasks) == (
+        "agency-issue-licence", "registrar-licence", (),
+    )
+    checks = ("registrar-check-id", "registrar-check-bnd", "registrar-check-copy")
+    assert flows["dep-cert-mother"].gate_tasks == (*checks, "registrar-licence")
+    assert lint_ssi(model, roles, tuple(flows.values())) == ()
+
+    sealed = helpers.licensed_registrar_model(birth_model, seal=True)
+    cert = next(f for f in derive_flows(sealed, infer_roles(sealed)) if f.dependency == "dep-cert-mother")
+    assert cert.gate_tasks == (*checks, "registrar-seal", "registrar-licence")
+
+
 def test_annotation_overrides_verb_classification(birth_model):
     forced = annotate_dependency(birth_model, "dep-bnd-mother", **{"ssi": "present"})
     roles = infer_roles(forced)

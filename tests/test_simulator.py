@@ -627,6 +627,41 @@ def test_lost_issuance_is_retried(birth_model):
     assert trace.final_tick == 20
 
 
+def test_an_issuance_waits_for_the_resources_its_task_needs(birth_model):
+    model = helpers.licensed_registrar_model(birth_model)
+    _, trace = run_fixture(model)
+    events = list(trace.events)
+    licensed = next(
+        e["seq"] for e in events
+        if e["kind"] == "GoalUpdate" and e["element"] == "registrar-licence" and e["label"] == "Satisfied"
+    )
+    issued = next(e["seq"] for e in events if e["kind"] == "Issue" and e["flow"] == "dep-cert-mother")
+    assert licensed < issued
+    assert set(trace.final_labels.values()) == {"Satisfied"}
+
+
+def test_a_lost_licence_keeps_the_certificate_unissued(birth_model):
+    model = helpers.licensed_registrar_model(birth_model)
+
+    def intercept(msg, tick):
+        if msg.kind == "CredentialIssuance" and msg.flow == "dep-licence-registrar":
+            return None
+        return msg
+
+    _, trace = run_fixture(model, intercept=intercept)
+    dropped = [
+        e for e in trace.events
+        if e["kind"] == "Drop" and e["message"]["type"] == "CredentialIssuance"
+        and e["message"]["flow"] == "dep-licence-registrar"
+    ]
+    assert len(dropped) == 1 + SimConfig().max_retries  # the first send and one resend per retried request
+    assert issue_types(trace) == ["Registrar Licence", BND]  # issued once; no certificate
+    assert trace.final_labels["registrar-licence"] == "Denied"
+    assert trace.final_labels["registrar-check-bnd"] == "Satisfied"
+    assert trace.final_labels["mother-obtain-cert"] == "Denied"
+    assert trace.termination == "quiescence"
+
+
 def test_starved_verifier_gives_up(birth_model):
     def intercept(msg, tick):
         if msg.kind == "ProofPresentation" and msg.flow == "dep-id-midwife":
@@ -1025,6 +1060,41 @@ def test_a_credential_is_signed_when_first_read(birth_model, monkeypatch):
     for credential, issuer in zip(issued, (midwife, registrar)):
         payload = canonical_bytes(credential.payload())
         assert credential.signature == issuer.keys.signing_key.sign(payload)
+
+
+def test_every_credential_a_run_builds_carries_its_payload_bytes(birth_model, monkeypatch):
+    """Bootstrap, minted and signed credentials carry the bytes their issuer
+    encoded; an equal copy an intercept rebuilds with ``replace`` encodes its
+    own when the verifier reads them, and the run is the one without it."""
+    built = []
+    for name in ("issue_credential", "mint_credential"):
+        real = getattr(simulator, name)
+
+        def building(*args, _real=real, **kwargs):
+            built.append(_real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(simulator, name, building)
+    rebuilt = []
+
+    def intercept(msg, tick):
+        if msg.kind == "ProofPresentation" and msg.flow == "dep-bnd-registrar":
+            credential = msg.presentation.credential
+            rebuilt.append(credential.replace(claims=dict(credential.claims)))
+            return msg.replace(presentation=msg.presentation.replace(credential=rebuilt[-1]))
+        return msg
+
+    _, trace = run_fixture(birth_model, intercept=intercept)
+    # The bootstrap ID, the minted BND and certificate, and both signed when the intercept reads them.
+    assert sorted(c.type for c in built) == sorted([MID, BND, BND, CERT, CERT])
+    for credential in built:
+        assert credential._payload_bytes is not None
+        assert credential.payload_bytes() == canonical_bytes(credential.payload())
+    (credential,) = rebuilt
+    assert credential._payload_bytes == canonical_bytes(credential.payload())  # encoded when verified
+    (signed_bnd,) = [c for c in built if c.type == BND and c.signature]
+    assert credential is not signed_bnd and credential == signed_bnd
+    assert trace.text() == run_fixture(birth_model)[1].text()
 
 
 def test_fixture_verifies_each_distinct_signature_once(birth_model, monkeypatch):
