@@ -3,7 +3,7 @@
 Exit codes across all commands: 0 success, 1 semantic failure (validation
 errors, unsatisfied root goals, strict-mode warnings, bad trust data), 2
 unusable input or output (unreadable file, unparseable document, bad
-flags, an output file that cannot be written).  With
+flags, an output file or a stdout that cannot be written).  With
 ``--format json`` stdout carries exactly one JSON document; diagnostics go
 to stderr.  Labels and markers are styled with ANSI colours only when stdout
 is a terminal and ``SSIFORGE_NO_COLOR`` is unset.
@@ -360,7 +360,17 @@ def _parser(prog_name: str | None) -> argparse.ArgumentParser:
 def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
     """Goal-model driven credential ecosystem toolkit."""
     options = vars(_parser(prog_name).parse_args(args))
-    options.pop("command")(**options)
+    try:
+        try:
+            options.pop("command")(**options)
+        finally:
+            sys.stdout.flush()  # a command that exits has written all it writes
+    except BrokenPipeError as exc:
+        # The interpreter flushes stdout again on exit: let that write go nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        _fail(f"cannot write <stdout>: {exc}", 2)
 
 
 if __name__ == "__main__":

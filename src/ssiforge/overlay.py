@@ -248,9 +248,9 @@ def _verb_class(name_norm: str, lexicon: VerbLexicon) -> SsiRole | None:
 class _Names:
     """What the overlay reads from a model's names, read on first use and
     kept with the model: each task's normalized name, the credential
-    catalog, and the actors by normalized name, for the copy tasks."""
+    catalog, and the office-copy tasks."""
 
-    __slots__ = ("tasks", "catalog", "actor_names", "actor_index")
+    __slots__ = ("tasks", "catalog", "copy_sends", "copy_tasks")
 
     def __init__(self, model: Model) -> None:
         task = ElementKind.TASK
@@ -259,20 +259,28 @@ class _Names:
             ((a.id, e.id), normalize_name(e.name)) for a in model.actors for e in a.elements if e.kind is task
         )
         self.catalog = CredentialCatalog(model)
-        self.actor_names = {a.id: normalize_name(a.name) for a in model.actors}
-        self.actor_index = _SpellingIndex((actor, [name]) for actor, name in self.actor_names.items())
+        actor_names = {a.id: normalize_name(a.name) for a in model.actors}
+        actor_index = _SpellingIndex((actor, [name]) for actor, name in actor_names.items())
+        # Per actor, its first "send ... copy" task that names another actor, and the other actors
+        # it names with the longest name, in actor order: the copy goes to the first.
+        self.copy_sends: dict[Identifier, tuple[Identifier, list[Identifier]]] = {}
+        self.copy_tasks: set[tuple[Identifier, Identifier]] = set()  # every (actor, task) named with "copy"
+        for (actor, task_id), norm in self.tasks:
+            words = norm.split()  # whole words, as for verbs: "copyright" is no "copy"
+            if "copy" not in words:
+                continue
+            self.copy_tasks.add((actor, task_id))
+            if "send" in words and actor not in self.copy_sends:
+                others = [o for o in actor_index.owners_in(norm) if o != actor]
+                if others:
+                    longest = max(len(actor_names[o]) for o in others)
+                    self.copy_sends[actor] = (task_id, [o for o in others if len(actor_names[o]) == longest])
 
     @staticmethod
     def of(model: Model) -> _Names:
         if model._overlay_names is None:
             object.__setattr__(model, "_overlay_names", _Names(model))
         return model._overlay_names
-
-    def copy_candidates(self, sender: Identifier, task_norm: str) -> list[Identifier]:
-        """The other actors a copy task of ``sender`` names with the longest name, in actor order."""
-        others = [o for o in self.actor_index.owners_in(task_norm) if o != sender]
-        longest = max((len(self.actor_names[o]) for o in others), default=0)
-        return [o for o in others if len(self.actor_names[o]) == longest]
 
 
 def infer_roles(model: Model, lexicon: VerbLexicon = DEFAULT_LEXICON) -> tuple[RoleAssignment, ...]:
@@ -304,29 +312,6 @@ def infer_roles(model: Model, lexicon: VerbLexicon = DEFAULT_LEXICON) -> tuple[R
     return tuple(assignments)
 
 
-def _copy_readings(
-    model: Model,
-) -> tuple[dict[Identifier, tuple[Identifier, Identifier]], set[tuple[Identifier, Identifier]]]:
-    """Read the office-copy tasks: per actor, the target and task of its first
-    "send ... copy" task that names another actor; and every (actor, task)
-    whose name has the word "copy".  A task naming several other actors
-    sends to the one with the longest name ("Registrar Office" over
-    "Registrar"), the first in actor order on a tie."""
-    names = _Names.of(model)
-    targets: dict[Identifier, tuple[Identifier, Identifier]] = {}
-    copy_tasks: set[tuple[Identifier, Identifier]] = set()
-    for (actor, task), norm in names.tasks:
-        words = norm.split()  # whole words, as for verbs: "copyright" is no "copy"
-        if "copy" not in words:
-            continue
-        copy_tasks.add((actor, task))
-        if "send" in words and actor not in targets:
-            candidates = names.copy_candidates(actor, norm)
-            if candidates:
-                targets[actor] = (candidates[0], task)
-    return targets, copy_tasks
-
-
 def derive_flows(model: Model, roles: Sequence[RoleAssignment]) -> tuple[CredentialFlow, ...]:
     """Classify each resource dependency as an issuance or a presentation.
 
@@ -338,9 +323,9 @@ def derive_flows(model: Model, roles: Sequence[RoleAssignment]) -> tuple[Credent
     elements and the task ids the agents act on come from the roles' tasks
     and the model's links, read here once.
     """
-    catalog = _Names.of(model).catalog
+    names = _Names.of(model)
+    catalog, copy_sends, copy_tasks = names.catalog, names.copy_sends, names.copy_tasks
     role_tasks = {(a.actor, a.credential_type, a.role): a.tasks for a in roles}
-    copy_targets, copy_tasks = _copy_readings(model)
     # An issuer's gates are all of its Verifier tasks, in element order, plus
     # the sources of the needed-by links into the issue task, in link order.
     verifier_tasks = {(a.actor, t) for a in roles if a.role is SsiRole.VERIFIER for t in a.tasks}
@@ -374,11 +359,11 @@ def derive_flows(model: Model, roles: Sequence[RoleAssignment]) -> tuple[Credent
             evidence = Evidence(EvidenceKind.UNRESOLVED)
         if kind is FlowKind.ISSUANCE:
             issue_task = issuer[0] if issuer else None
-            copy_to, copy_task = copy_targets.get(dep.dependee, (None, None))
+            copy_task, copy_candidates = copy_sends.get(dep.dependee, (None, (None,)))  # sent to the first
             gate_tasks = gates.get(dep.dependee, ()) + tuple(needed_by.get((dep.dependee, issue_task), ()))
             flow = CredentialFlow(
-                dep.id, kind, ctype, dep.dependee, dep.depender, evidence, copy_to=copy_to, copy_task=copy_task,
-                issue_task=issue_task, gate_tasks=gate_tasks, await_task=dep.depender_element,
+                dep.id, kind, ctype, dep.dependee, dep.depender, evidence, copy_to=copy_candidates[0],
+                copy_task=copy_task, issue_task=issue_task, gate_tasks=gate_tasks, await_task=dep.depender_element,
                 subject=dep.annotations.get("ssi.subject"),
             )
         else:
@@ -433,16 +418,11 @@ def lint_ssi(
             message = f"names the credential types {', '.join(map(repr, types))}, so it is read as one role for each"
             findings.append(ValidationIssue("W_TASK_MULTI_TYPE", task, message))
 
-    # Only the copy tasks the flows carry are read again, for a tie between their longest actor names.
-    copy_reads = sorted({(f.sender, f.copy_task, f.copy_to) for f in flows if f.copy_task is not None})
-    names = _Names.of(model)
-    task_names = dict(reversed(names.tasks)) if copy_reads else {}  # the first of duplicate ids wins
-    for sender, task, picked in copy_reads:
-        norm = task_names.get((sender, task))
-        if norm is None:  # a flow built by hand may name a task the model lacks
-            continue
-        candidates = names.copy_candidates(sender, norm)
-        if len(candidates) > 1:
+    # A tie between the longest actor names of a copy task the flows carry, as the names were read.
+    copy_sends = _Names.of(model).copy_sends
+    for sender, task, picked in sorted({(f.sender, f.copy_task, f.copy_to) for f in flows if f.copy_task is not None}):
+        read_task, candidates = copy_sends.get(sender, (None, ()))
+        if read_task == task and len(candidates) > 1:
             message = f"names {', '.join(candidates)}, whose names are equally long: the copy goes to {picked}"
             findings.append(ValidationIssue("W_COPY_AMBIGUOUS", task, message))
 

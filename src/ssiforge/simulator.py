@@ -279,46 +279,25 @@ class Message(Record):
     copy_task: Identifier | None = None
 
 
-def _route_parts(route: tuple) -> tuple[str, str, str]:
-    """The summary parts a message's route fixes, encoded for ``_summarize``'s template."""
-    kind, flow, credential_type, sender, receiver, purpose = route
-    return (
-        '"credentialType":' + encode_basestring(credential_type),
-        f',"flow":{"null" if flow is None else encode_basestring(flow)},"from":{encode_basestring(sender)}',
-        ("" if purpose is None else ',"purpose":' + encode_basestring(purpose))
-        + f',"to":{encode_basestring(receiver)},"type":{encode_basestring(kind)}',
-    )
-
-
-def _summarize(msg: Message, routes: dict) -> str:
+def _summarize(msg: Message) -> str:
     """A message's trace summary, as canonical JSON written from a fixed
-    template, keys in canonical (sorted) order.
-
-    The parts a message's route fixes (its kind, flow, credential type,
-    sender, receiver and purpose) are encoded the first time the route is
-    taken and kept in ``routes``; the credential id, digest, nonce and
-    verdict are encoded for each message.
-    """
-    route = (msg.kind, msg.flow, msg.credential_type, msg.from_actor, msg.to_actor, msg.purpose)
-    parts = routes.get(route)
-    if parts is None:
-        parts = routes[route] = _route_parts(route)
-    credential_type, flow_from, purpose_to_type = parts
+    template, keys in canonical (sorted) order."""
     presentation = msg.presentation
     if presentation is not None:
         credential_id, nonce = presentation.credential.id, presentation.nonce
     else:
         credential_id, nonce = (msg.credential.id if msg.credential is not None else None), msg.nonce
-    line = "{"
-    if credential_id is not None:
-        line += '"credentialId":' + encode_basestring(credential_id) + ","
-    line += credential_type
+    line = "{" if credential_id is None else '{"credentialId":' + encode_basestring(credential_id) + ","
+    line += '"credentialType":' + encode_basestring(msg.credential_type)
     if msg.digest is not None:
         line += ',"digest":' + encode_basestring(msg.digest)
-    line += flow_from
+    flow = msg.flow
+    line += f',"flow":{"null" if flow is None else encode_basestring(flow)},"from":{encode_basestring(msg.from_actor)}'
     if nonce is not None:
         line += ',"nonce":"' + nonce.hex() + '"'  # hex digits need no escaping
-    line += purpose_to_type
+    if msg.purpose is not None:
+        line += ',"purpose":' + encode_basestring(msg.purpose)
+    line += f',"to":{encode_basestring(msg.to_actor)},"type":{encode_basestring(msg.kind)}'
     if msg.verdict is not None:
         line += ',"verdict":true' if msg.verdict else ',"verdict":false'
     return line + "}"
@@ -458,11 +437,6 @@ class _Simulation:
         self.directory = {spec.did: spec.keys.public_key for spec in agents}
         # The element a verdict on each presentation labels.
         self.verdict_tasks = {f.dependency: f.verdict_task for spec in agents for f in spec.verifies}
-        # The summary parts of each route the simulator sends on, kept with the
-        # model: a route is fixed by the flows, so every run of the model reuses them.
-        if model._trace_routes is None:
-            object.__setattr__(model, "_trace_routes", {})
-        self.routes = model._trace_routes
         self.subject_dids: dict[str, str] = {}
         self.verified: VerificationMemo = {}  # the run's issuer signature checks and presenter DID keys
         # By object identity, each credential the run minted (held, so no other takes
@@ -479,7 +453,7 @@ class _Simulation:
 
     def _send(self, msg: Message) -> None:
         """Record the Send of ``msg`` and schedule its delivery after its route's latency."""
-        encoded = _summarize(msg, self.routes)
+        encoded = _summarize(msg)
         lines, tick, config = self.event_lines, self.tick, self.config
         # The keys in canonical (sorted) order.
         lines.append(f'{{"kind":"Send","message":{encoded},"seq":{len(lines)},"tick":{tick}}}')
@@ -768,7 +742,7 @@ class _Simulation:
                     dropped = True
                 elif replacement is not msg:
                     msg = replacement
-                    encoded = _summarize(msg, {})  # a replacement's route is not kept
+                    encoded = _summarize(msg)
             kind = "Drop" if dropped else "Deliver"
             lines.append(f'{{"kind":"{kind}","message":{encoded},"seq":{len(lines)},"tick":{tick}}}')
             if dropped:

@@ -155,6 +155,31 @@ def test_roles_strict_flag(tmp_path, birth_path, fixture_doc):
     assert "WARN W_FLOW_AMBIGUOUS dep-bnd-mother:" in result.stdout
 
 
+def test_roles_warns_when_a_copy_task_names_two_equally_long_actors(tmp_path, fixture_doc):
+    fixture_doc["actors"].append(
+        {"id": "Archivist", "text": "Archivist", "type": "istar.Actor", "x": 0, "y": 0, "nodes": []}
+    )
+    rename_node(fixture_doc, "midwife-send-copy", "Send copy to Archivist or Registrar")
+    path = write_doc(tmp_path, fixture_doc)
+    warning = (
+        "midwife-send-copy: names Registrar, Archivist, whose names are equally long: the copy goes to Registrar"
+    )
+    strict = invoke(["roles", path, "--strict"])
+    assert strict.exit_code == 1
+    assert f"WARN W_COPY_AMBIGUOUS {warning}\n" in strict.stdout
+    listed = invoke(["roles", path, "--format", "json"])
+    assert listed.exit_code == 0
+    subject, message = warning.split(": ", 1)
+    assert json.loads(listed.stdout)["warnings"] == [
+        {"code": "W_COPY_AMBIGUOUS", "message": message, "subject": subject}
+    ]
+    trace = tmp_path / "run.jsonl"
+    assert invoke(["simulate", path, "--seed", "42", "--trace", str(trace)]).exit_code == 0
+    events = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()[1:-1]]
+    copies = [e["message"] for e in events if e["kind"] == "Deliver" and e["message"]["type"] == "RecordCopy"]
+    assert copies and all(m["from"] == "Midwife" and m["to"] == "Registrar" for m in copies)
+
+
 def test_roles_custom_lexicon(tmp_path, fixture_doc):
     rename_node(fixture_doc, "midwife-issue-bnd", "Draw Up BND")
     model_path = write_doc(tmp_path, fixture_doc)
@@ -574,6 +599,30 @@ def test_only_simulate_loads_the_credential_layer(birth_path, args, loaded):
     script = LOADED_AFTER.format(modules=LAZY_MODULES + UNUSED_MODULES)
     stderr = stderr_of_fresh_run(script, args[0], str(birth_path), *args[1:])
     assert stderr.strip().split(",") == (list(loaded) or [""])
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "args", [["validate"], ["roles"], ["export", "--view", "sd"], ["simulate", "--seed", "42"]],
+    ids=["validate", "roles", "export", "simulate"],
+)
+def test_a_stdout_nobody_reads_exits_two(birth_path, args, buffered):
+    """A command whose stdout pipe has no reader reports it on one line and
+    exits 2, in a fresh interpreter, whether stdout is buffered or not."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ssiforge.__file__).parent.parent)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ssiforge.cli", args[0], str(birth_path), *args[1:]],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "cannot write <stdout>: [Errno 32] Broken pipe\n")
 
 
 IMPORTED_BY_PACKAGE = """

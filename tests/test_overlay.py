@@ -26,7 +26,7 @@ from ssiforge.overlay import (
     normalize_name,
     trust_noops,
 )
-from ssiforge.overlay import _copy_readings
+from ssiforge.overlay import _Names
 from ssiforge.pistar import parse_model
 from ssiforge.simulator import derive_bootstrap
 
@@ -102,7 +102,9 @@ def naive_mentioned_types(catalog, task_name):
 
 
 def naive_copy_targets(model):
-    """The longest other actor name among a send-copy task's words, the first on a tie."""
+    """Per actor, its first send-copy task that names another actor, and every
+    other actor it names with the longest name, in actor order: the copy goes
+    to the first."""
     actor_names = [(a.id, normalize_name(a.name)) for a in model.actors]
     targets = {}
     for actor in model.actors:
@@ -112,7 +114,7 @@ def naive_copy_targets(model):
                 named = [(other, name) for other, name in actor_names if other != actor.id and has_words(norm, name)]
                 if named and actor.id not in targets:
                     longest = max(len(name) for _, name in named)
-                    targets[actor.id] = (next(other for other, name in named if len(name) == longest), elem.id)
+                    targets[actor.id] = (elem.id, [other for other, name in named if len(name) == longest])
     return targets
 
 
@@ -137,6 +139,11 @@ def naive_copy_targets(model):
     type_spellings=[],
     tasks=[(0, "Send copy to Registrar Office"), (1, "Send copy to Registrar Offices or Midwife")],
 )
+@example(
+    actor_names=["Midwife", "Archivist", "Registrar", "Mother"],
+    type_spellings=[],
+    tasks=[(0, "Send copy to Registrar, Mother or Archivist"), (0, "Send copy to Mother")],
+)
 def test_name_index_matches_naive_whole_word_search(actor_names, type_spellings, tasks):
     elements = [[] for _ in actor_names]
     for n, (owner, name) in enumerate(tasks):
@@ -151,7 +158,7 @@ def test_name_index_matches_naive_whole_word_search(actor_names, type_spellings,
     catalog = CredentialCatalog(model)
     for _, name in tasks:
         assert catalog.types_in(normalize_name(name)) == naive_mentioned_types(catalog, name)
-    assert _copy_readings(model)[0] == naive_copy_targets(model)
+    assert _Names(model).copy_sends == naive_copy_targets(model)
 
 
 def test_fixture_role_map(birth_model):
@@ -266,8 +273,9 @@ def test_a_copy_task_naming_two_longest_names_warns(birth_model):
 def test_each_name_is_read_once_per_model(birth_path, monkeypatch):
     """``infer_roles``, ``derive_flows`` and ``lint_ssi`` normalize each
     actor, task, dependum and alias name of a model at most once between
-    them; ``infer_roles`` with another lexicon, multi-word verbs included,
-    normalizes none again and gives what it gives on a freshly parsed model."""
+    them, and ``lint_ssi`` searches no name again; ``infer_roles`` with
+    another lexicon, multi-word verbs included, normalizes none again and
+    gives what it gives on a freshly parsed model."""
     model = helpers.scaled_model(birth_path, 4)
     # "check bnd" has two words; a name starting with "issue birth" starts with the issue verb "issue" too.
     lexicon = VerbLexicon(
@@ -278,7 +286,15 @@ def test_each_name_is_read_once_per_model(birth_path, monkeypatch):
     calls = Counter()
     monkeypatch.setattr(overlay, "normalize_name", lambda text: calls.update([text]) or normalize_name(text))
     roles = infer_roles(model)
-    lint_ssi(model, roles, derive_flows(model, roles))
+    flows = derive_flows(model, roles)
+    searched = Counter()
+    owners_in = overlay._SpellingIndex.owners_in
+    monkeypatch.setattr(
+        overlay._SpellingIndex, "owners_in", lambda index, text: searched.update([text]) or owners_in(index, text)
+    )
+    lint_ssi(model, roles, flows)
+    assert not searched  # ``lint_ssi`` reads the office-copy ties recorded with the names
+    assert {f.copy_task for f in flows if f.copy_task} == {f"midwife-send-copy-c{i}" for i in range(1, 5)}
     names = Counter(a.name for a in model.actors)
     names.update(e.name for a in model.actors for e in a.elements if e.kind is ElementKind.TASK)
     names.update(d.name for d in model.dependencies)

@@ -754,47 +754,27 @@ def summary_oracle(msg: Message) -> dict:
 
 @given(messages())
 def test_summary_template_is_canonical_json(msg):
-    encoded, summary = simulator._summarize(msg, {}), summary_oracle(msg)
+    encoded, summary = simulator._summarize(msg), summary_oracle(msg)
     assert json.loads(encoded) == summary
     assert encoded == canonical_text(summary)
 
 
-@given(messages(), st.lists(messages(), min_size=1, max_size=6))
-def test_route_table_keeps_only_what_a_route_fixes(first, others):
-    """Messages that share a route but differ in nonce, credential,
-    presentation, verdict or digest are summarized through one table, after
-    the first message filled the route's entry: each summary still equals the
-    oracle, so no part of a message outside its route is kept."""
-    route = dict(
-        kind=first.kind, flow=first.flow, credential_type=first.credential_type, from_actor=first.from_actor,
-        to_actor=first.to_actor, purpose=first.purpose,
-    )
-    routes: dict = {}
-    for msg in (first, *(other.replace(**route) for other in others)):
-        encoded, summary = simulator._summarize(msg, routes), summary_oracle(msg)
-        assert json.loads(encoded) == summary
-        assert encoded == canonical_text(summary)
-    assert len(routes) == 1
-
-
-def test_runs_of_one_model_share_its_route_table(birth_model):
-    """The route table is kept with the model: a later run of the same model
-    reuses the parts an earlier run encoded and writes the same bytes as a
-    fresh model, a copy of the model starts without a table, and a replaced
-    message's route is not kept."""
-    assert birth_model.replace()._trace_routes is None
-    _, first = run_fixture(birth_model.replace(), seed=3, config=SimConfig(seed=3, drop_probability=0.3))
-    model = birth_model.replace()
-    run_fixture(model, seed=5, config=SimConfig(seed=5, drop_probability=0.3))
-    routes = dict(model._trace_routes)
-    assert routes
-    _, again = run_fixture(model, seed=3, config=SimConfig(seed=3, drop_probability=0.3))
-    assert again.text() == first.text()
-    assert all(model._trace_routes[route] is parts for route, parts in routes.items())
-    assert model.replace()._trace_routes is None
-    _, hooked = run_fixture(model, seed=3, intercept=rewriting_intercept())
-    assert not any(route[5] and route[5].startswith("rewritten") for route in model._trace_routes)
-    assert any("rewritten" in e["message"].get("purpose", "") for e in hooked.events if e["kind"] == "Deliver")
+def test_a_reused_model_runs_as_a_fresh_one(birth_path):
+    """Runs of one model, across seeds, drops and an intercept, write run by
+    run the bytes that a freshly parsed model writes for the same run:
+    whatever a run leaves on the model changes no later run."""
+    model = helpers.scaled_model(birth_path, 2)
+    runs = [(3, 0.3, None), (5, 0.3, None), (3, 0.0, rewriting_intercept), (3, 0.3, None), (42, 0.0, None),
+            (5, 0.3, rewriting_intercept)]
+    for seed, drop, hook in runs:
+        config = SimConfig(seed=seed, drop_probability=drop)
+        reused, fresh = (
+            run_fixture(m, seed=seed, config=config, intercept=hook and hook())[1]
+            for m in (model, helpers.scaled_model(birth_path, 2))
+        )
+        assert reused.text() == fresh.text()
+        if hook is not None:
+            assert any("rewritten" in e["message"].get("purpose", "") for e in reused.events if e["kind"] == "Deliver")
 
 
 def flows_of(kind):
