@@ -36,12 +36,12 @@ _LAZY = {
         "TrustRegistry",
         "VerbLexicon",
         "DEFAULT_LEXICON",
+        "apply_trust_overrides",
         "build_trust_registry",
         "derive_flows",
         "infer_roles",
         "lint_ssi",
         "normalize_name",
-        "trust_noops",
     ),
     "credentials": (
         "CHECK_ORDER",

@@ -254,7 +254,7 @@ def cmd_simulate(
     overrides = _load_overrides(trust_path)
     roles = infer_roles(model, lexicon)
     flows = derive_flows(model, roles)
-    warnings = lint_ssi(model, roles, flows, overrides)
+    warnings = lint_ssi(model, roles, flows)
     ambiguous = [w for w in warnings if w.code == "W_FLOW_AMBIGUOUS"]
     if ambiguous and not allow_ambiguous:
         for w in ambiguous:
@@ -266,8 +266,8 @@ def cmd_simulate(
         for actor in model.actors
     }
     try:
-        registry = build_trust_registry(roles, flows, did_of, overrides)
-        for w in trust_noops(roles, flows, did_of, overrides):
+        registry, noops = apply_trust_overrides(build_trust_registry(roles, flows, did_of), overrides)
+        for w in noops:
             print(f"WARN {w.code} {w.offending_id}: {w.message}", file=sys.stderr)
         agents = compile_agents(
             model,

@@ -5,8 +5,11 @@ overlay reads those roles out of the rationale.  Resource dependums name
 credential types, and task names carry the intent: a task whose (normalized)
 name starts with an issue verb and mentions a credential type marks its actor
 as that type's Issuer, provide verbs mark Holders, check verbs mark
-Verifiers.  An actor that receives a credential through an issuance also
-holds it, whether or not a task says so.  A "send ... copy" task mails
+Verifiers.  One rule decides which resource dependencies are issuances,
+for the flows and the roles alike: an ``ssi`` annotation of ``issue`` or
+``present`` decides outright, else a dependee that issues the type makes
+one.  An actor that receives a credential through an issuance also holds
+it, whether or not a task says so.  A "send ... copy" task mails
 each issuance's digest to the actor it names; when it names several, to
 the one with the longest name, and ``lint_ssi`` warns when two longest
 names tie.  Every name reading matches whole words of
@@ -20,6 +23,11 @@ Dependency annotations refine the picture:
 - ``ssi.subject``: names a non-actor subject (the fixture's is ``child``);
   each distinct name gets its own subject DID, else the holder is the subject
 - ``ssi.purpose``: free-form note carried through to proof requests
+
+``build_trust_registry`` gives the default trust policy, in which a
+verifier accepts the model's issuers of the type, and
+``apply_trust_overrides`` adjusts it and reports the overrides that change
+nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import enum
 import re
 from typing import Iterable, Mapping, Sequence
 
-from .model import ElementKind, Identifier, LinkKind, Model, Record, ValidationIssue
+from .model import Dependency, ElementKind, Identifier, LinkKind, Model, Record, ValidationIssue
 
 _PUNCT = re.compile(r"[^a-z0-9 ]+")
 
@@ -203,19 +211,21 @@ class _SpellingIndex:
 
 
 class CredentialCatalog:
-    """Credential types named by resource dependums, with alias spellings."""
+    """Credential types named by resource dependums, with alias spellings, and
+    each resource dependency with its type, in model order."""
 
     def __init__(self, model: Model) -> None:
         self.canonical: dict[str, str] = {}  # normalized spelling -> display name
-        self.dependum_types: dict[str, str] = {}  # resource dependum name -> its type, as resolve() gives it
+        self.resources: list[tuple[Dependency, str]] = []
         for dep in model.dependencies:
             if dep.kind is not ElementKind.RESOURCE:
                 continue
             norm = normalize_name(dep.name)
-            if not norm:
-                self.dependum_types[dep.name] = dep.name
+            if not norm:  # a name with no letter or digit is a type of its own, with no alias
+                self.resources.append((dep, dep.name))
                 continue
-            display = self.dependum_types[dep.name] = self.canonical.setdefault(norm, dep.name)
+            display = self.canonical.setdefault(norm, dep.name)
+            self.resources.append((dep, display))
             for alias in dep.annotations.get("ssi.alias", "").split(","):
                 alias_norm = normalize_name(alias)
                 if alias_norm:
@@ -224,12 +234,6 @@ class CredentialCatalog:
         for norm, display in self.canonical.items():
             self.patterns.setdefault(display, []).append(norm)
         self._index = _SpellingIndex(self.patterns.items())
-
-    def resolve(self, dependum_name: str) -> str:
-        known = self.dependum_types.get(dependum_name)
-        if known is not None:
-            return known
-        return self.canonical.get(normalize_name(dependum_name), dependum_name)
 
     def types_in(self, name_norm: str) -> list[str]:
         """Types with a spelling among the words of the normalized name ``name_norm``, in catalog order."""
@@ -283,6 +287,14 @@ class _Names:
         return model._overlay_names
 
 
+def _is_issuance(forced: str | None, dependee_issues: bool) -> bool:
+    """The issuance rule, which ``infer_roles`` and ``derive_flows`` both read:
+    a resource dependency's ``ssi`` annotation ``forced`` of ``issue`` or
+    ``present`` decides outright; else it is an issuance if its dependee
+    issues its type."""
+    return forced == "issue" if forced in ("issue", "present") else dependee_issues
+
+
 def infer_roles(model: Model, lexicon: VerbLexicon = DEFAULT_LEXICON) -> tuple[RoleAssignment, ...]:
     """Derive Issuer/Holder/Verifier assignments from task names and issuances.
 
@@ -299,12 +311,8 @@ def infer_roles(model: Model, lexicon: VerbLexicon = DEFAULT_LEXICON) -> tuple[R
             found.setdefault((actor, ctype, role), []).append(task)
 
     # Receiving an issuance makes the depender a holder even without a task.
-    for dep in model.dependencies:
-        if dep.kind is not ElementKind.RESOURCE:
-            continue
-        ctype = names.catalog.resolve(dep.name)
-        forced = dep.annotations.get("ssi")
-        if forced == "issue" or (dep.dependee, ctype, SsiRole.ISSUER) in found:
+    for dep, ctype in names.catalog.resources:
+        if _is_issuance(dep.annotations.get("ssi"), (dep.dependee, ctype, SsiRole.ISSUER) in found):
             found.setdefault((dep.depender, ctype, SsiRole.HOLDER), [])
 
     assignments = [RoleAssignment(actor, ctype, role, tuple(tasks)) for (actor, ctype, role), tasks in found.items()]
@@ -315,16 +323,17 @@ def infer_roles(model: Model, lexicon: VerbLexicon = DEFAULT_LEXICON) -> tuple[R
 def derive_flows(model: Model, roles: Sequence[RoleAssignment]) -> tuple[CredentialFlow, ...]:
     """Classify each resource dependency as an issuance or a presentation.
 
-    Precedence per dependency: an ``ssi`` annotation wins outright; else a
-    dependee that issues the dependum type makes it an issuance; else a
-    dependee that holds it facing a depender that verifies it makes it a
-    presentation; anything left is recorded as a presentation with
-    unresolved evidence, to be surfaced by :func:`lint_ssi`.  Evidence
+    The issuance rule decides each issuance, as it decides
+    holder-by-issuance in :func:`infer_roles`: an ``ssi`` annotation wins
+    outright, else a dependee that issues the dependum type makes it one.
+    The rest are presentations: with verb evidence where the dependee holds
+    the type and the depender verifies it, else with unresolved evidence,
+    to be surfaced by :func:`lint_ssi`.  Evidence
     elements and the task ids the agents act on come from the roles' tasks
     and the model's links, read here once.
     """
     names = _Names.of(model)
-    catalog, copy_sends, copy_tasks = names.catalog, names.copy_sends, names.copy_tasks
+    copy_sends, copy_tasks = names.copy_sends, names.copy_tasks
     role_tasks = {(a.actor, a.credential_type, a.role): a.tasks for a in roles}
     # An issuer's gates are all of its Verifier tasks, in element order, plus
     # the sources of the needed-by links into the issue task, in link order.
@@ -337,39 +346,33 @@ def derive_flows(model: Model, roles: Sequence[RoleAssignment]) -> tuple[Credent
             if link.kind is LinkKind.NEEDED_BY:
                 needed_by.setdefault((actor.id, link.target), []).append(link.source)
     flows: list[CredentialFlow] = []
-    for dep in model.dependencies:
-        if dep.kind is not ElementKind.RESOURCE:
-            continue
-        ctype = catalog.resolve(dep.name)
+    for dep, ctype in names.catalog.resources:
         forced = dep.annotations.get("ssi")
         issuer = role_tasks.get((dep.dependee, ctype, SsiRole.ISSUER))
         holder = role_tasks.get((dep.dependee, ctype, SsiRole.HOLDER))
         verifier = role_tasks.get((dep.depender, ctype, SsiRole.VERIFIER))
+        issuance = _is_issuance(forced, issuer is not None)
         if forced in ("issue", "present"):
-            kind = FlowKind.ISSUANCE if forced == "issue" else FlowKind.PRESENTATION
             evidence = Evidence(EvidenceKind.ANNOTATION)
-        elif issuer is not None:
-            kind = FlowKind.ISSUANCE
+        elif issuance:
             evidence = Evidence(EvidenceKind.VERB, issuer[0] if issuer else None)
         elif holder is not None and verifier is not None:
-            kind = FlowKind.PRESENTATION
             evidence = Evidence(EvidenceKind.VERB, holder[0] if holder else verifier[0] if verifier else None)
         else:
-            kind = FlowKind.PRESENTATION
             evidence = Evidence(EvidenceKind.UNRESOLVED)
-        if kind is FlowKind.ISSUANCE:
+        if issuance:
             issue_task = issuer[0] if issuer else None
             copy_task, copy_candidates = copy_sends.get(dep.dependee, (None, (None,)))  # sent to the first
             gate_tasks = gates.get(dep.dependee, ()) + tuple(needed_by.get((dep.dependee, issue_task), ()))
             flow = CredentialFlow(
-                dep.id, kind, ctype, dep.dependee, dep.depender, evidence, copy_to=copy_candidates[0],
+                dep.id, FlowKind.ISSUANCE, ctype, dep.dependee, dep.depender, evidence, copy_to=copy_candidates[0],
                 copy_task=copy_task, issue_task=issue_task, gate_tasks=gate_tasks, await_task=dep.depender_element,
                 subject=dep.annotations.get("ssi.subject"),
             )
         else:
             checks = verifier or ()
             flow = CredentialFlow(
-                dep.id, kind, ctype, dep.dependee, dep.depender, evidence,
+                dep.id, FlowKind.PRESENTATION, ctype, dep.dependee, dep.depender, evidence,
                 require_copy=any((dep.depender, t) in copy_tasks for t in checks), check_tasks=checks,
                 verdict_task=dep.dependee_element, purpose=dep.annotations.get("ssi.purpose"),
             )
@@ -378,10 +381,7 @@ def derive_flows(model: Model, roles: Sequence[RoleAssignment]) -> tuple[Credent
 
 
 def lint_ssi(
-    model: Model,
-    roles: Sequence[RoleAssignment],
-    flows: Sequence[CredentialFlow],
-    overrides: Iterable[TrustOverride] = (),
+    model: Model, roles: Sequence[RoleAssignment], flows: Sequence[CredentialFlow]
 ) -> tuple[ValidationIssue, ...]:
     """Surface overlay blind spots; returns warnings only, sorted (code, subject)."""
     findings: list[ValidationIssue] = []
@@ -395,7 +395,6 @@ def lint_ssi(
                 )
             )
 
-    override_types = {o.credential_type for o in overrides if o.action == "add"}
     issuers: dict[str, list[Identifier]] = {}
     task_types: dict[tuple[Identifier, Identifier], list[str]] = {}
     for assignment in roles:
@@ -405,11 +404,11 @@ def lint_ssi(
             task_types.setdefault((assignment.actor, task), []).append(assignment.credential_type)
     presented = sorted({f.credential_type for f in flows if f.kind is FlowKind.PRESENTATION})
     for ctype in presented:
-        if ctype not in issuers and ctype not in override_types:
+        if ctype not in issuers:
             findings.append(
                 ValidationIssue("W_NO_ISSUER", ctype, f"{ctype!r} is presented but nobody issues it")
             )
-        elif len(issuers.get(ctype, ())) > 1:
+        elif len(issuers[ctype]) > 1:
             names, first = ", ".join(issuers[ctype]), issuers[ctype][0]
             message = f"{ctype!r} has several issuers ({names}): bootstrap uses {first}'s, a wallet keeps one per type"
             findings.append(ValidationIssue("W_MULTI_ISSUER", ctype, message))
@@ -442,17 +441,12 @@ def lint_ssi(
 
 
 def build_trust_registry(
-    roles: Sequence[RoleAssignment],
-    flows: Sequence[CredentialFlow],
-    did_of: Mapping[Identifier, str],
-    overrides: Iterable[TrustOverride] = (),
+    roles: Sequence[RoleAssignment], flows: Sequence[CredentialFlow], did_of: Mapping[Identifier, str]
 ) -> TrustRegistry:
-    """Assemble per-verifier accepted-issuer sets.
+    """Assemble the default per-verifier accepted-issuer sets.
 
-    Default policy: a verifier of T accepts exactly the DIDs of the model's
-    issuers of T.  Overrides then add or remove specific DIDs, which is how
-    issuers outside the model enter.  An override naming a pair that is not
-    a Verifier assignment raises :class:`TrustPolicyError`.
+    A verifier of T accepts exactly the DIDs of the model's issuers of T;
+    :func:`apply_trust_overrides` then adjusts them.
     """
     for flow in flows:
         if flow.kind is FlowKind.ISSUANCE and flow.sender not in did_of:
@@ -466,55 +460,35 @@ def build_trust_registry(
             issuers_by_type.setdefault(assignment.credential_type, []).append(assignment.actor)
         elif assignment.role is SsiRole.VERIFIER:
             verifier_pairs.add((assignment.actor, assignment.credential_type))
-
-    accepted: dict[tuple[Identifier, str], set[str]] = {
-        pair: {did_of[a] for a in issuers_by_type.get(pair[1], [])} for pair in sorted(verifier_pairs)
-    }
-    _apply_overrides(accepted, overrides)
-    return TrustRegistry({pair: frozenset(dids) for pair, dids in accepted.items()})
+    return TrustRegistry(
+        {pair: frozenset(did_of[a] for a in issuers_by_type.get(pair[1], ())) for pair in sorted(verifier_pairs)}
+    )
 
 
-def trust_noops(
-    roles: Sequence[RoleAssignment],
-    flows: Sequence[CredentialFlow],
-    did_of: Mapping[Identifier, str],
-    overrides: Iterable[TrustOverride],
-) -> tuple[ValidationIssue, ...]:
-    """A ``W_TRUST_NOOP`` warning for each override that changes nothing.
+def apply_trust_overrides(
+    registry: TrustRegistry, overrides: Iterable[TrustOverride]
+) -> tuple[TrustRegistry, tuple[ValidationIssue, ...]]:
+    """Apply ``overrides`` to ``registry`` in order, in one pass.
 
-    Overrides apply in order, as in :func:`build_trust_registry`: one that
-    removes a DID its pair does not accept, or adds one it already accepts,
-    is a no-op.  DIDs depend on the seed, so such an override is usually a
-    policy written for another seed.
+    Each adds or removes one DID of one (verifier, credential type) pair,
+    which is how issuers outside the model enter.  Returns the new registry
+    and a ``W_TRUST_NOOP`` warning for each override that changes nothing:
+    one that removes a DID its pair does not accept, or adds one it already
+    accepts.  DIDs depend on the seed, so such an override is usually a
+    policy written for another seed.  An override naming a pair that is not
+    a Verifier assignment raises :class:`TrustPolicyError`.
     """
-    defaults = build_trust_registry(roles, flows, did_of).accepted
-    return tuple(_apply_overrides({pair: set(dids) for pair, dids in defaults.items()}, overrides))
-
-
-def _apply_overrides(
-    accepted: dict[tuple[Identifier, str], set[str]], overrides: Iterable[TrustOverride]
-) -> list[ValidationIssue]:
-    """Apply ``overrides`` to ``accepted`` in order; return a warning for each no-op."""
+    accepted = dict(registry.accepted)
     noops = []
     for override in overrides:
-        pair = (override.verifier, override.credential_type)
-        if pair not in accepted:
-            raise TrustPolicyError(
-                f"{override.verifier!r} holds no Verifier role for {override.credential_type!r}"
-            )
-        dids = accepted[pair]
-        if (override.issuer_did in dids) == (override.action == "add"):
-            state = "already accepts" if override.action == "add" else "does not accept"
-            noops.append(
-                ValidationIssue(
-                    "W_TRUST_NOOP",
-                    override.verifier,
-                    f"{override.action} of {override.issuer_did} for {override.credential_type!r} changes "
-                    f"nothing: the verifier {state} it",
-                )
-            )
-        if override.action == "add":
-            dids.add(override.issuer_did)
-        else:
-            dids.discard(override.issuer_did)
-    return noops
+        verifier, ctype, did = override.verifier, override.credential_type, override.issuer_did
+        add = override.action == "add"
+        if (verifier, ctype) not in accepted:
+            raise TrustPolicyError(f"{verifier!r} holds no Verifier role for {ctype!r}")
+        dids = accepted[verifier, ctype]
+        if (did in dids) == add:
+            state = "already accepts" if add else "does not accept"
+            message = f"{override.action} of {did} for {ctype!r} changes nothing: the verifier {state} it"
+            noops.append(ValidationIssue("W_TRUST_NOOP", verifier, message))
+        accepted[verifier, ctype] = dids | {did} if add else dids - {did}
+    return TrustRegistry(accepted), tuple(noops)

@@ -417,7 +417,7 @@ class _AgentState:
         self.verifications = {f.dependency: _RetryState(spec.actor, f, f.check_tasks) for f in spec.verifies}
         self.requests = {f.dependency: _RetryState(spec.actor, f, (f.await_task,)) for f in spec.requests}
         self.issue_by_flow: dict[Identifier, CredentialFlow] = {f.dependency: f for f in spec.issues}
-        self.pending_issue: dict[Identifier, str] = {}
+        self.pending_issue: dict[Identifier, None] = {}  # the requested flow ids, in request order
         self.issued: dict[Identifier, Credential] = {}
 
 
@@ -562,7 +562,7 @@ class _Simulation:
         if msg.flow in agent.issued:
             self._send_credential(agent, flow, agent.issued[msg.flow])
             return
-        agent.pending_issue.setdefault(msg.flow, msg.from_actor)
+        agent.pending_issue[msg.flow] = None
         self._activate_gates(agent, flow)
         self._try_issue(agent)
 

@@ -9,6 +9,7 @@ import pytest
 
 import ssiforge
 import ssiforge.cli as cli
+import ssiforge.overlay as overlay
 from helpers import invoke
 from ssiforge.credentials import did_from_public_key, generate_keypair
 from ssiforge.pistar import export_dot, parse_model
@@ -307,6 +308,30 @@ def test_simulate_warns_on_a_trust_override_that_changes_nothing(birth_path, tmp
     )
     assert result.stderr.splitlines() == ([warning] if warns else [])
     assert ("Denied" in result.stdout) == (exit_code == 1)
+
+
+def test_simulate_builds_one_trust_registry(birth_path, tmp_path, monkeypatch):
+    # The README's distrust file at seed 43, where no verifier holds the seed-42 Midwife DID: the default
+    # registry is built once, by the command or inside the overlay, and its one no-op warned once.
+    calls = []
+    real = cli.build_trust_registry
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (cli, overlay):
+        monkeypatch.setattr(module, "build_trust_registry", counted)
+    trust = tmp_path / "trust.json"
+    entry = {"verifier": "Registrar", "credentialType": BND, "issuerDid": midwife_did(42), "action": "remove"}
+    trust.write_text(json.dumps([entry]), encoding="utf-8")
+    result = invoke(["simulate", str(birth_path), "--seed", "43", "--trust", str(trust)])
+    assert result.exit_code == 0
+    assert len(calls) == 1
+    assert [line for line in result.stderr.splitlines() if line.startswith("WARN W_TRUST_NOOP Registrar:")] == [
+        f"WARN W_TRUST_NOOP Registrar: remove of {midwife_did(42)} for {BND!r} changes nothing: the verifier "
+        "does not accept it"
+    ]
 
 
 def test_simulate_malformed_trust_file_exits_two(birth_path, tmp_path):

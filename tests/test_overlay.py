@@ -19,12 +19,12 @@ from ssiforge.overlay import (
     TrustPolicyError,
     TrustRegistry,
     VerbLexicon,
+    apply_trust_overrides,
     build_trust_registry,
     derive_flows,
     infer_roles,
     lint_ssi,
     normalize_name,
-    trust_noops,
 )
 from ssiforge.overlay import _Names
 from ssiforge.pistar import parse_model
@@ -70,11 +70,20 @@ def test_lexicon_normalizes_verbs():
 
 
 def test_catalog_aliases(birth_model):
+    # Each resource dependency is recorded once with its type, in model order: a dependum spelled as a
+    # type's alias or normalized name is of that type, and one that no type spells is a type of its own.
+    respelled = {"dep-id-registrar": "mothers-ID", "dep-bnd-registrar": "bnd", "dep-cert-mother": "Unheard Of"}
+    deps = tuple(d.replace(name=respelled.get(d.id, d.name)) for d in birth_model.dependencies)
+    catalog = CredentialCatalog(birth_model.replace(dependencies=deps))
+    assert [(dep.id, ctype) for dep, ctype in catalog.resources] == [
+        ("dep-id-midwife", MID),
+        ("dep-bnd-mother", BND),
+        ("dep-id-registrar", MID),
+        ("dep-bnd-registrar", BND),
+        ("dep-cert-mother", "Unheard Of"),
+    ]
+    assert all(dep is model_dep for (dep, _), model_dep in zip(catalog.resources, deps))
     catalog = CredentialCatalog(birth_model)
-    assert catalog.resolve("BND") == BND
-    assert catalog.resolve("bnd") == BND
-    assert catalog.resolve(BND) == BND
-    assert catalog.resolve("Unheard Of") == "Unheard Of"
     assert catalog.types_in(normalize_name("Check BND against Office Copy")) == [BND]
     assert catalog.types_in(normalize_name("Issue Mother's ID Credential")) == [MID]
     assert catalog.types_in(normalize_name("File paperwork")) == []
@@ -381,6 +390,21 @@ def test_issue_annotation_grants_holder(birth_model):
     assert RoleAssignment("Midwife", MID, SsiRole.HOLDER) in infer_roles(forced)
 
 
+FIXTURE_RESOURCES = ("dep-id-midwife", "dep-bnd-mother", "dep-id-registrar", "dep-bnd-registrar", "dep-cert-mother")
+
+
+@pytest.mark.parametrize("forced", ["issue", "present"])
+@pytest.mark.parametrize("dependency", FIXTURE_RESOURCES)
+def test_a_holder_without_tasks_receives_an_issuance(birth_model, dependency, forced):
+    # One rule decides an issuance for the roles and the flows: an ``ssi`` of ``present`` on an
+    # issuance by verb gives its depender no Holder role, as it gives no issuance flow.
+    model = annotate_dependency(birth_model, dependency, ssi=forced)
+    roles = infer_roles(model)
+    issued = {(f.receiver, f.credential_type) for f in derive_flows(model, roles) if f.kind is FlowKind.ISSUANCE}
+    untasked = {(a.actor, a.credential_type) for a in roles if a.role is SsiRole.HOLDER and not a.tasks}
+    assert untasked <= issued
+
+
 def test_check_task_is_fallback_evidence():
     doc = {
         "istar": "2.0",
@@ -428,14 +452,6 @@ def test_renamed_issue_task_leaves_one_ambiguous_flow(birth_model):
         ("W_FLOW_AMBIGUOUS", "dep-bnd-mother"),
         ("W_NO_ISSUER", BND),
     ]
-
-
-def test_add_override_silences_missing_issuer(birth_model):
-    renamed = helpers.rename_element(birth_model, "midwife-issue-bnd", "Arrange BND")
-    roles = infer_roles(renamed)
-    flows = derive_flows(renamed, roles)
-    warnings = lint_ssi(renamed, roles, flows, overrides=(TrustOverride("Registrar", BND, "did:sim:x"),))
-    assert [w.code for w in warnings] == ["W_FLOW_AMBIGUOUS"]
 
 
 def test_orphan_verifier_warns(birth_model):
@@ -497,27 +513,29 @@ def test_overrides_add_and_remove(birth_model):
     roles = infer_roles(birth_model)
     flows = derive_flows(birth_model, roles)
     dids = fixture_dids(birth_model)
-    registry = build_trust_registry(
-        roles,
-        flows,
-        dids,
-        overrides=(
+    defaults = build_trust_registry(roles, flows, dids)
+    registry, noops = apply_trust_overrides(
+        defaults,
+        (
             TrustOverride("Registrar", BND, "did:sim:external"),
             TrustOverride("Registrar", MID, dids["ID Agency"], action="remove"),
         ),
     )
-    assert registry.accepted[("Registrar", BND)] == frozenset({dids["Midwife"], "did:sim:external"})
-    assert registry.accepted[("Registrar", MID)] == frozenset()
+    assert registry.accepted == {
+        ("Midwife", MID): frozenset({dids["ID Agency"]}),
+        ("Registrar", BND): frozenset({dids["Midwife"], "did:sim:external"}),
+        ("Registrar", MID): frozenset(),
+    }
+    assert noops == ()
+    assert defaults == build_trust_registry(roles, flows, dids)  # the default registry is left as it was
 
 
 def test_override_requires_verifier_role(birth_model):
     roles = infer_roles(birth_model)
     flows = derive_flows(birth_model, roles)
+    defaults = build_trust_registry(roles, flows, fixture_dids(birth_model))
     with pytest.raises(TrustPolicyError) as err:
-        build_trust_registry(
-            roles, flows, fixture_dids(birth_model),
-            overrides=(TrustOverride("Mother", BND, "did:sim:x"),),
-        )
+        apply_trust_overrides(defaults, (TrustOverride("Mother", BND, "did:sim:x"),))
     assert err.value.code == "E_TRUST_NOT_VERIFIER"
 
 
@@ -546,11 +564,21 @@ def test_trust_noops_follow_override_order(birth_model):
     roles = infer_roles(birth_model)
     flows = derive_flows(birth_model, roles)
     did_of = {a.id: f"did:sim:{a.id}" for a in birth_model.actors}
+    defaults = build_trust_registry(roles, flows, did_of)
     remove = TrustOverride("Registrar", BND, "did:sim:Midwife", "remove")
     add = TrustOverride("Registrar", BND, "did:sim:Midwife")
-    assert trust_noops(roles, flows, did_of, []) == ()
-    assert trust_noops(roles, flows, did_of, [remove, add]) == ()
-    codes = [w.code for w in trust_noops(roles, flows, did_of, [remove, remove, add, add])]
-    assert codes == ["W_TRUST_NOOP", "W_TRUST_NOOP"]
+    assert apply_trust_overrides(defaults, []) == (defaults, ())
+    assert apply_trust_overrides(defaults, [remove, add]) == (defaults, ())
+    registry, noops = apply_trust_overrides(defaults, [remove, remove, add, add])
+    assert registry == defaults
+    assert [(w.code, w.offending_id) for w in noops] == [("W_TRUST_NOOP", "Registrar")] * 2
+    assert noops[0].message == (
+        f"remove of did:sim:Midwife for {BND!r} changes nothing: the verifier does not accept it"
+    )
+    assert noops[1].message.endswith("the verifier already accepts it")
+    registry, noops = apply_trust_overrides(defaults, [add, remove, remove])
+    assert not registry.is_trusted("Registrar", BND, "did:sim:Midwife")
+    states = [w.message.rsplit(": ", 1)[1] for w in noops]
+    assert states == ["the verifier already accepts it", "the verifier does not accept it"]
     with pytest.raises(TrustPolicyError):
-        trust_noops(roles, flows, did_of, [TrustOverride("Mother", BND, "did:sim:x")])
+        apply_trust_overrides(defaults, [remove, TrustOverride("Mother", BND, "did:sim:x")])

@@ -32,6 +32,7 @@ from ssiforge.overlay import (
     SsiRole,
     TrustOverride,
     VerbLexicon,
+    apply_trust_overrides,
     build_trust_registry,
     infer_roles,
     derive_flows,
@@ -129,7 +130,7 @@ def fixture_agents(model, seed=42, overrides=(), lexicon=DEFAULT_LEXICON):
     flows = derive_flows(model, roles)
     keys = {a.id: generate_keypair(actor_key_seed(seed, a.id)) for a in model.actors}
     dids = {aid: did_from_public_key(k.public_key) for aid, k in keys.items()}
-    trust = build_trust_registry(roles, flows, dids, overrides)
+    trust, _ = apply_trust_overrides(build_trust_registry(roles, flows, dids), overrides)
     bootstrap = derive_bootstrap(model, roles, flows)
     agents = compile_agents(model, roles, flows, trust, bootstrap, seed=seed)
     return roles, flows, agents
@@ -674,6 +675,32 @@ def test_starved_verifier_gives_up(birth_model):
     assert trace.final_labels["mother-goal"] == "Denied"
     assert trace.termination == "quiescence"
     assert trace.final_tick == 41
+
+
+def test_single_lost_deliveries_that_deny_a_root_are_pinned(birth_model):
+    """A known defect, pinned so that it cannot grow unnoticed: losing one
+    delivery of the seed-42 run can leave a root goal un-Satisfied despite
+    the retries.  Losing delivery 0, 2, 5 or 8 delays the Mother's BND and a
+    superseded BND request is answered; losing 9 loses the office copy, sent
+    once; losing 12 loses the BND verdict, sent once."""
+    agents, _ = run_fixture(birth_model)
+    roots = [goal.id for _, goal in root_goals(birth_model)]
+    unsatisfied = {}
+    for lost in range(40):
+        seen = itertools.count()
+        trace = run(birth_model, agents, SimConfig(seed=42), lambda msg, tick: None if next(seen) == lost else msg)
+        left = tuple(goal for goal in roots if trace.final_labels[goal] != LabelState.SATISFIED.value)
+        if left:
+            unsatisfied[lost] = left
+    # ROADMAP item 1's fix must empty this map.
+    assert unsatisfied == {
+        0: ("mother-goal", "registrar-goal"),
+        2: ("mother-goal", "registrar-goal"),
+        5: ("mother-goal", "registrar-goal"),
+        8: ("mother-goal", "registrar-goal"),
+        9: ("mother-goal", "midwife-goal", "registrar-goal"),
+        12: ("mother-goal",),
+    }
 
 
 def test_events_do_not_share_message_summaries(birth_model):
