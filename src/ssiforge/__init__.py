@@ -56,6 +56,7 @@ _LAZY = {
         "did_from_public_key",
         "generate_keypair",
         "issue_credential",
+        "mint_credential",
         "verify_presentation",
     ),
     "propagation": ("LabelState", "evaluate_goals", "root_goals"),

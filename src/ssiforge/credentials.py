@@ -20,9 +20,10 @@ independent checks, always in this order:
 The first failing check names the failure reason; later checks still run so
 callers always see all four flags.
 
-A credential carries the canonical bytes of its payload: the issuer hands
-over the bytes it hashed and signed, and a credential made any other way,
-``replace`` included, encodes them when they are first read.  They cannot
+A credential carries the canonical bytes of its payload: ``mint_credential``
+hands over the bytes it hashed, ``issue_credential`` signs those bytes and
+hands them on, and a credential made any other way, ``replace`` included,
+encodes them when they are first read.  They cannot
 go stale: every field is immutable, the claims too, which are read-only.
 ``verify_presentation`` hashes the integrity check from those bytes.
 
@@ -285,28 +286,11 @@ def _check_claims(claims: Mapping[str, str]) -> None:
 def mint_credential(
     issuer_did: str, subject_did: str, holder_did: str, credential_type: str, claims: Mapping[str, str], issued_at: int
 ) -> Credential:
-    """The credential ``issue_credential`` creates, with an empty signature, for
-    a caller that signs it, through ``issue_credential``, only if it is read."""
-    return _credential(None, issuer_did, subject_did, holder_did, credential_type, claims, issued_at)
+    """A content-addressed credential with an empty signature, carrying the
+    bytes it hashed; ``issue_credential`` signs it.
 
-
-def issue_credential(
-    issuer_keys: KeyPair,
-    issuer_did: str,
-    subject_did: str,
-    holder_did: str,
-    credential_type: str,
-    claims: Mapping[str, str],
-    issued_at: int,
-) -> Credential:
-    """Create a content-addressed, issuer-signed credential.
-
-    Issuing to oneself is rejected: possession proofs would be vacuous.
+    Minting for oneself is rejected: possession proofs would be vacuous.
     """
-    return _credential(issuer_keys, issuer_did, subject_did, holder_did, credential_type, claims, issued_at)
-
-
-def _credential(issuer_keys: KeyPair | None, issuer_did, subject_did, holder_did, credential_type, claims, issued_at):
     if holder_did == issuer_did:
         raise SelfIssueError(f"issuer {issuer_did} cannot hold its own credential")
     _check_claims(claims)
@@ -320,10 +304,19 @@ def _credential(issuer_keys: KeyPair | None, issuer_did, subject_did, holder_did
         holder=holder_did,
         claims=claims,
         issued_at=issued_at,
-        signature=b"" if issuer_keys is None else issuer_keys.signing_key.sign(raw),
+        signature=b"",
     )
     object.__setattr__(credential, "_payload_bytes", raw)
     return credential
+
+
+def issue_credential(issuer_keys: KeyPair, credential: Credential) -> Credential:
+    """``credential`` signed by ``issuer_keys``: the same id and payload bytes,
+    and the issuer signature of those bytes."""
+    raw = credential.payload_bytes()
+    signed = credential.replace(signature=issuer_keys.signing_key.sign(raw))
+    object.__setattr__(signed, "_payload_bytes", raw)
+    return signed
 
 
 def proof_message(credential_id: str, nonce: bytes) -> bytes:

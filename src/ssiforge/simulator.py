@@ -28,6 +28,13 @@ part in, which carry every task id it acts on:
 - a request or verification still unanswered after its last retry Denies
   the tasks waiting on it.
 
+Each delivered message is matched to its flow in one place, the run loop,
+by one rule (``_Simulation._DELIVERY``): requests and verdicts travel from
+a flow's receiver to its sender, issuances and presentations from its
+sender to its receiver, and an office copy from an issuance's sender to
+its ``copy_to``.  The handler of the agent addressed acts on the matched
+flow; a message off its flow is delivered and ignored.
+
 Task labels move as the run progresses (Denied is terminal), and the final
 labels come from propagating them through the goal model.  Time is a tick
 counter driven by a single delivery queue; randomness (message drops, nonce
@@ -45,6 +52,7 @@ import itertools
 import json
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from json.encoder import encode_basestring
+from operator import attrgetter
 
 from .credentials import (
     Credential,
@@ -145,7 +153,6 @@ class AgentSpec(Record):
     verifies: tuple[CredentialFlow, ...]  # the presentations it receives
     issues: tuple[CredentialFlow, ...]  # the issuances it sends
     requests: tuple[CredentialFlow, ...]  # the issuances it receives
-    answers: tuple[str, ...]  # the credential types it answers proof requests for
     trust: TrustRegistry
     prelabeled: tuple[Identifier, ...] = ()
 
@@ -210,7 +217,7 @@ def compile_agents(
     keys = {actor.id: generate_keypair(actor_key_seed(seed, actor.id)) for actor in model.actors}
     dids = {actor_id: did_from_public_key(pair.public_key) for actor_id, pair in keys.items()}
     # Lists by actor id; an actor with nothing to list is in no table.
-    verifies, issues, requests, answers, wallets, prelabeled = ({} for _ in range(6))
+    verifies, issues, requests, wallets, prelabeled = ({} for _ in range(5))
 
     for flow in flows:
         if flow.kind is FlowKind.ISSUANCE:
@@ -224,23 +231,17 @@ def compile_agents(
             if (flow.sender, flow.credential_type, SsiRole.HOLDER) not in role_tasks:
                 raise CompileError(f"{flow.sender!r} is not a holder of {flow.credential_type!r}")
             verifies.setdefault(flow.receiver, []).append(flow)
-            types = answers.setdefault(flow.sender, [])
-            if flow.credential_type not in types:
-                types.append(flow.credential_type)
         if flow.sender not in keys or flow.receiver not in keys:
             raise CompileError(f"flow {flow.dependency!r} joins an actor the model lacks")
 
     for entry in bootstrap:
         if entry.issuer not in keys or entry.holder not in keys:
             raise CompileError(f"bootstrap references unknown actor {entry.issuer!r} or {entry.holder!r}")
+        holder_did = dids[entry.holder]
+        claims = _claims_for(entry.credential_type, entry.issuer, entry.holder, None)
         credential = issue_credential(
             keys[entry.issuer],
-            dids[entry.issuer],
-            dids[entry.holder],
-            dids[entry.holder],
-            entry.credential_type,
-            _claims_for(entry.credential_type, entry.issuer, entry.holder, None),
-            issued_at=0,
+            mint_credential(dids[entry.issuer], holder_did, holder_did, entry.credential_type, claims, issued_at=0),
         )
         wallets.setdefault(entry.holder, []).append(credential)
         issuer_tasks = role_tasks.get((entry.issuer, entry.credential_type, SsiRole.ISSUER))
@@ -256,7 +257,6 @@ def compile_agents(
             verifies=tuple(verifies.get(actor.id, ())),
             issues=tuple(issues.get(actor.id, ())),
             requests=tuple(requests.get(actor.id, ())),
-            answers=tuple(answers.get(actor.id, ())),
             trust=trust,
             prelabeled=tuple(prelabeled.get(actor.id, ())),
         )
@@ -276,7 +276,6 @@ class Message(Record):
     verdict: bool | None = None
     digest: str | None = None
     purpose: str | None = None
-    copy_task: Identifier | None = None
 
 
 def _summarize(msg: Message) -> str:
@@ -394,11 +393,11 @@ class Trace(Record):
 
 
 class _RetryState:
-    """A verification or an issuance request: sent, then resent on a timer
-    until it resolves; when the retries run out, ``tasks`` are Denied."""
+    """A verification or an issuance request, which the receiver of ``flow``
+    sends, then resends on a timer until it resolves; when the retries run
+    out, ``tasks`` are Denied."""
 
-    def __init__(self, actor: Identifier, flow: CredentialFlow, tasks: tuple[Identifier | None, ...]) -> None:
-        self.actor = actor
+    def __init__(self, flow: CredentialFlow, tasks: tuple[Identifier | None, ...]) -> None:
         self.flow = flow  # a presentation to verify, or an issuance to request
         self.tasks = tasks
         self.nonce: bytes | None = None  # a verification's latest nonce; None until it starts
@@ -413,11 +412,10 @@ class _AgentState:
         for credential in spec.wallet:
             self.wallet[credential.type] = credential
         self.record_store: dict[str, list[str]] = {}
-        self.deferred: list[Message] = []
-        self.verifications = {f.dependency: _RetryState(spec.actor, f, f.check_tasks) for f in spec.verifies}
-        self.requests = {f.dependency: _RetryState(spec.actor, f, (f.await_task,)) for f in spec.requests}
-        self.issue_by_flow: dict[Identifier, CredentialFlow] = {f.dependency: f for f in spec.issues}
-        self.pending_issue: dict[Identifier, None] = {}  # the requested flow ids, in request order
+        self.deferred: list[tuple[CredentialFlow, bytes | None]] = []  # proof requests waiting for a credential
+        self.verifications = {f.dependency: _RetryState(f, f.check_tasks) for f in spec.verifies}
+        self.requests = {f.dependency: _RetryState(f, (f.await_task,)) for f in spec.requests}
+        self.pending_issue: dict[Identifier, CredentialFlow] = {}  # the requested flows, in request order
         self.issued: dict[Identifier, Credential] = {}
 
 
@@ -435,8 +433,8 @@ class _Simulation:
         self.prng = SplitMix64(config.seed)
         self.agents = {spec.actor: _AgentState(spec) for spec in agents}
         self.directory = {spec.did: spec.keys.public_key for spec in agents}
-        # The element a verdict on each presentation labels.
-        self.verdict_tasks = {f.dependency: f.verdict_task for spec in agents for f in spec.verifies}
+        # Every flow by its dependency id: each issuance its sender issues, each presentation its receiver verifies.
+        self.flows = {f.dependency: f for spec in agents for f in (*spec.issues, *spec.verifies)}
         self.subject_dids: dict[str, str] = {}
         self.verified: VerificationMemo = {}  # the run's issuer signature checks and presenter DID keys
         # By object identity, each credential the run minted (held, so no other takes
@@ -494,7 +492,7 @@ class _Simulation:
                 kind="ProofRequest" if proof else "IssuanceRequest",
                 flow=flow.dependency,
                 credential_type=flow.credential_type,
-                from_actor=state.actor,
+                from_actor=flow.receiver,
                 to_actor=flow.sender,
                 nonce=state.nonce,
                 purpose=flow.purpose if proof else None,
@@ -502,21 +500,20 @@ class _Simulation:
         )
         heapq.heappush(self.heap, (self.tick + self.config.retry_timeout, next(self.order), ("timer", state)))
 
-    def _send_credential(self, agent: _AgentState, flow: CredentialFlow, credential: Credential) -> None:
+    def _send_credential(self, flow: CredentialFlow, credential: Credential) -> None:
         self._send(
             Message(
                 kind="CredentialIssuance",
                 flow=flow.dependency,
                 credential_type=flow.credential_type,
-                from_actor=agent.spec.actor,
+                from_actor=flow.sender,
                 to_actor=flow.receiver,
                 credential=credential,
             )
         )
 
     def _try_issue(self, agent: _AgentState) -> None:
-        for flow_id in list(agent.pending_issue):
-            flow = agent.issue_by_flow[flow_id]
+        for flow in list(agent.pending_issue.values()):
             if any(self.labels.get(t) is not _SATISFIED for t in flow.gate_tasks):
                 continue
             holder_did = self.agents[flow.receiver].spec.did
@@ -529,21 +526,20 @@ class _Simulation:
                 issued_at=self.tick,
             )
             self.minted[id(credential)] = [credential, agent.spec.keys, None]
-            agent.issued[flow_id] = credential
-            del agent.pending_issue[flow_id]
+            agent.issued[flow.dependency] = credential
+            del agent.pending_issue[flow.dependency]
             self.event_lines.append(_issue_event(len(self.event_lines), self.tick, flow, credential))
             self._set_label(flow.issue_task, True)
-            self._send_credential(agent, flow, credential)
+            self._send_credential(flow, credential)
             if flow.copy_to is not None:
                 self._send(
                     Message(
                         kind="RecordCopy",
-                        flow=flow_id,
+                        flow=flow.dependency,
                         credential_type=flow.credential_type,
-                        from_actor=agent.spec.actor,
+                        from_actor=flow.sender,
                         to_actor=flow.copy_to,
                         digest=credential.id,
-                        copy_task=flow.copy_task,
                     )
                 )
 
@@ -554,37 +550,35 @@ class _Simulation:
                 self._send_attempt(state)
 
     # -- message handlers -------------------------------------------------
+    # Each takes the agent ``msg`` is delivered to and the flow that the
+    # delivery rule (``_DELIVERY``) matched ``msg`` to.
 
-    def _on_issuance_request(self, agent: _AgentState, msg: Message) -> None:
-        flow = agent.issue_by_flow.get(msg.flow)
-        if flow is None or flow.receiver != msg.from_actor:
-            return
-        if msg.flow in agent.issued:
-            self._send_credential(agent, flow, agent.issued[msg.flow])
-            return
-        agent.pending_issue[msg.flow] = None
-        self._activate_gates(agent, flow)
-        self._try_issue(agent)
+    def _on_issuance_request(self, agent: _AgentState, flow: CredentialFlow, msg: Message) -> None:
+        credential = agent.issued.get(flow.dependency)
+        if credential is not None:
+            self._send_credential(flow, credential)
+        else:
+            agent.pending_issue[flow.dependency] = flow
+            self._activate_gates(agent, flow)
+            self._try_issue(agent)
 
-    def _on_proof_request(self, agent: _AgentState, msg: Message) -> None:
-        if msg.credential_type not in agent.spec.answers:
-            return
-        credential = agent.wallet.get(msg.credential_type)
+    def _on_proof_request(self, agent: _AgentState, flow: CredentialFlow, msg: Message) -> None:
+        credential = agent.wallet.get(flow.credential_type)
         if credential is None:
-            agent.deferred.append(msg)
-            return
-        self._answer_proof(agent, msg, credential)
+            agent.deferred.append((flow, msg.nonce))
+        else:
+            self._answer_proof(flow, msg.nonce, credential)
 
-    def _answer_proof(self, agent: _AgentState, msg: Message, credential: Credential) -> None:
+    def _answer_proof(self, flow: CredentialFlow, nonce: bytes | None, credential: Credential) -> None:
         # The credential and nonce to present; ``_holder_proof`` signs the proof when it is read.
         self._send(
             Message(
                 kind="ProofPresentation",
-                flow=msg.flow,
-                credential_type=msg.credential_type,
-                from_actor=agent.spec.actor,
-                to_actor=msg.from_actor,
-                nonce=msg.nonce,
+                flow=flow.dependency,
+                credential_type=flow.credential_type,
+                from_actor=flow.sender,
+                to_actor=flow.receiver,
+                nonce=nonce,
                 credential=credential,
             )
         )
@@ -597,7 +591,7 @@ class _Simulation:
             return credential
         c, keys, signed = entry
         if signed is None:
-            signed = entry[2] = issue_credential(keys, c.issuer, c.subject, c.holder, c.type, c.claims, c.issued_at)
+            signed = entry[2] = issue_credential(keys, c)
         return signed
 
     def _holder_proof(self, msg: Message, signed: bool = True) -> Presentation:
@@ -617,11 +611,10 @@ class _Simulation:
             return Presentation(credential=credential, presenter=holder.did, nonce=msg.nonce, holder_proof=b"")
         return create_presentation(holder.keys, holder.did, credential, msg.nonce)
 
-    def _on_proof_presentation(self, agent: _AgentState, msg: Message) -> None:
-        state = agent.verifications.get(msg.flow)
-        if state is None or state.resolved or state.nonce is None:
+    def _on_proof_presentation(self, agent: _AgentState, flow: CredentialFlow, msg: Message) -> None:
+        state = agent.verifications[flow.dependency]
+        if state.resolved or state.nonce is None:  # answered already, or never asked
             return
-        flow = state.flow
         presentation = msg.presentation
         if presentation is None:
             presentation = self._holder_proof(msg, signed=msg.nonce == state.nonce)
@@ -629,7 +622,7 @@ class _Simulation:
             presentation,
             self.directory,
             agent.spec.trust,
-            verifier=agent.spec.actor,
+            verifier=flow.receiver,
             expected_nonce=state.nonce,
             memo=self.verified,
         )
@@ -637,7 +630,7 @@ class _Simulation:
         if flow.require_copy:
             copy_ok = presentation.credential.id in agent.record_store.get(flow.credential_type, [])
         line, overall = _verify_event(
-            len(self.event_lines), self.tick, flow, msg.from_actor, presentation.credential.id, outcome, copy_ok
+            len(self.event_lines), self.tick, flow, flow.sender, presentation.credential.id, outcome, copy_ok
         )
         self.event_lines.append(line)
         state.resolved = True
@@ -646,44 +639,46 @@ class _Simulation:
         self._send(
             Message(
                 kind="PresentationVerdict",
-                flow=msg.flow,
+                flow=flow.dependency,
                 credential_type=flow.credential_type,
-                from_actor=agent.spec.actor,
-                to_actor=msg.from_actor,
+                from_actor=flow.receiver,
+                to_actor=flow.sender,
                 verdict=overall,
             )
         )
         self._try_issue(agent)
 
-    def _on_presentation_verdict(self, agent: _AgentState, msg: Message) -> None:
-        self._set_label(self.verdict_tasks.get(msg.flow), msg.verdict)
+    def _on_presentation_verdict(self, agent: _AgentState, flow: CredentialFlow, msg: Message) -> None:
+        self._set_label(flow.verdict_task, msg.verdict)
 
-    def _on_credential_issuance(self, agent: _AgentState, msg: Message) -> None:
+    def _on_credential_issuance(self, agent: _AgentState, flow: CredentialFlow, msg: Message) -> None:
         credential = msg.credential
         agent.wallet[credential.type] = credential
-        state = agent.requests.get(msg.flow)
-        if state is not None and not state.resolved:
+        state = agent.requests[flow.dependency]
+        if not state.resolved:
             state.resolved = True
-            self._set_label(state.flow.await_task, True)
-        still_deferred: list[Message] = []
+            self._set_label(flow.await_task, True)
+        still_deferred = []
         for deferred in agent.deferred:
-            if deferred.credential_type == credential.type:
-                self._answer_proof(agent, deferred, credential)
+            if deferred[0].credential_type == credential.type:
+                self._answer_proof(*deferred, credential)
             else:
                 still_deferred.append(deferred)
         agent.deferred = still_deferred
 
-    def _on_record_copy(self, agent: _AgentState, msg: Message) -> None:
-        agent.record_store.setdefault(msg.credential_type, []).append(msg.digest)
-        self._set_label(msg.copy_task, True)
+    def _on_record_copy(self, agent: _AgentState, flow: CredentialFlow, msg: Message) -> None:
+        agent.record_store.setdefault(flow.credential_type, []).append(msg.digest)
+        self._set_label(flow.copy_task, True)
 
-    _HANDLERS = {
-        "IssuanceRequest": _on_issuance_request,
-        "ProofRequest": _on_proof_request,
-        "ProofPresentation": _on_proof_presentation,
-        "PresentationVerdict": _on_presentation_verdict,
-        "CredentialIssuance": _on_credential_issuance,
-        "RecordCopy": _on_record_copy,
+    # The delivery rule: for each message kind, the kind of flow it travels
+    # on, the ends of that flow that receive and send it, and its handler.
+    _DELIVERY = {
+        "IssuanceRequest": (FlowKind.ISSUANCE, attrgetter("sender", "receiver"), _on_issuance_request),
+        "CredentialIssuance": (FlowKind.ISSUANCE, attrgetter("receiver", "sender"), _on_credential_issuance),
+        "RecordCopy": (FlowKind.ISSUANCE, attrgetter("copy_to", "sender"), _on_record_copy),
+        "ProofRequest": (FlowKind.PRESENTATION, attrgetter("sender", "receiver"), _on_proof_request),
+        "ProofPresentation": (FlowKind.PRESENTATION, attrgetter("receiver", "sender"), _on_proof_presentation),
+        "PresentationVerdict": (FlowKind.PRESENTATION, attrgetter("sender", "receiver"), _on_presentation_verdict),
     }
 
     # -- timers -----------------------------------------------------------
@@ -717,7 +712,7 @@ class _Simulation:
                 self._send_attempt(state)
 
         termination = "quiescence"
-        heap, lines = self.heap, self.event_lines
+        heap, lines, flows, delivery = self.heap, self.event_lines, self.flows, self._DELIVERY
         max_ticks, drop_probability = self.config.max_ticks, self.config.drop_probability
         while heap:
             tick, _, entry = heapq.heappop(heap)
@@ -747,8 +742,12 @@ class _Simulation:
             lines.append(f'{{"kind":"{kind}","message":{encoded},"seq":{len(lines)},"tick":{tick}}}')
             if dropped:
                 continue
-            handler = self._HANDLERS[msg.kind]
-            handler(self, self.agents[msg.to_actor], msg)
+            # The one place a delivered message is matched to its flow; one off its flow is ignored.
+            flow, rule = flows.get(msg.flow), delivery.get(msg.kind)
+            if flow is not None and rule is not None:
+                flow_kind, ends, handler = rule
+                if flow.kind is flow_kind and ends(flow) == (msg.to_actor, msg.from_actor):
+                    handler(self, self.agents[msg.to_actor], flow, msg)
 
         final = evaluate_goals(self.model, self.labels)
         return Trace(
@@ -773,7 +772,9 @@ def run(
     and each distinct issuer signature is verified once; the memo of those
     checks lives in the run and goes with it.  ``intercept`` is a
     test-harness hook: it sees every message at delivery time, signed, and
-    may return None to force a drop or a substitute, which the run never signs.
+    may return None to force a drop or a substitute, which the run never
+    signs.  A substitute off its flow (another flow kind, or ends other than
+    the ones its kind travels between) is delivered and ignored.
     """
     return _Simulation(model, agents, config, intercept).run()
 

@@ -292,7 +292,9 @@ def _honest_presentation(rng):
         "".join(rng.choices(string.ascii_lowercase, k=8)): "".join(rng.choices(string.printable[:95], k=12))
         for _ in range(size)
     }
-    credential = issue_credential(issuer, issuer_did, holder_did, holder_did, "Permit", claims, issued_at=rng.randrange(1000))
+    credential = issue_credential(
+        issuer, mint_credential(issuer_did, holder_did, holder_did, "Permit", claims, issued_at=rng.randrange(1000))
+    )
     nonce = rng.randbytes(16)
     presentation = create_presentation(holder, holder_did, credential, nonce)
     directory = {issuer_did: issuer.public_key}

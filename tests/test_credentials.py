@@ -25,6 +25,7 @@ from ssiforge.credentials import (
     did_from_public_key,
     generate_keypair,
     issue_credential,
+    mint_credential,
     proof_message,
     verify_presentation,
     verify_signature,
@@ -201,7 +202,7 @@ def test_frozen_credential_vector(vectors):
     assert holder_did == spec["holder"]
 
     credential = issue_credential(
-        issuer, issuer_did, spec["subject"], holder_did, spec["type"], spec["claims"], spec["issuedAt"]
+        issuer, mint_credential(issuer_did, spec["subject"], holder_did, spec["type"], spec["claims"], spec["issuedAt"])
     )
     assert credential.id == spec["id"]
     assert credential.signature.hex() == spec["signature"]
@@ -215,7 +216,10 @@ def test_a_credential_carries_its_payload_bytes(vectors):
     spec = vectors["credential"]
     issuer = generate_keypair(bytes.fromhex(spec["issuerSeed"]))
     credential = issue_credential(
-        issuer, spec["issuer"], spec["subject"], spec["holder"], spec["type"], spec["claims"], spec["issuedAt"]
+        issuer,
+        mint_credential(
+            spec["issuer"], spec["subject"], spec["holder"], spec["type"], spec["claims"], spec["issuedAt"]
+        ),
     )
     assert credential._payload_bytes is not None  # handed over, not encoded again
     assert credential.payload_bytes() == spec["canonicalPayload"].encode("utf-8")
@@ -231,7 +235,10 @@ def test_claims_are_read_only(vectors):
     spec = vectors["credential"]
     issuer = generate_keypair(bytes.fromhex(spec["issuerSeed"]))
     credential = issue_credential(
-        issuer, spec["issuer"], spec["subject"], spec["holder"], spec["type"], spec["claims"], spec["issuedAt"]
+        issuer,
+        mint_credential(
+            spec["issuer"], spec["subject"], spec["holder"], spec["type"], spec["claims"], spec["issuedAt"]
+        ),
     )
     made = credentials.Credential(
         credential.id, credential.type, credential.issuer, credential.subject, credential.holder,
@@ -269,7 +276,7 @@ def test_frozen_presentation_vector(vectors):
     holder = generate_keypair(bytes.fromhex(spec["holderSeed"]))
     issuer_did, holder_did = spec["issuer"], spec["holder"]
     credential = issue_credential(
-        issuer, issuer_did, spec["subject"], holder_did, spec["type"], spec["claims"], spec["issuedAt"]
+        issuer, mint_credential(issuer_did, spec["subject"], holder_did, spec["type"], spec["claims"], spec["issuedAt"])
     )
     nonce = bytes.fromhex(pspec["nonce"])
     presentation = create_presentation(holder, holder_did, credential, nonce)
@@ -289,7 +296,7 @@ def lifecycle(claims=None, trust_issuers=None):
     issuer_did = did_from_public_key(issuer.public_key)
     holder_did = did_from_public_key(holder.public_key)
     credential = issue_credential(
-        issuer, issuer_did, holder_did, holder_did, "Permit", claims or {"zone": "3"}, issued_at=1
+        issuer, mint_credential(issuer_did, holder_did, holder_did, "Permit", claims or {"zone": "3"}, issued_at=1)
     )
     nonce = bytes(NONCE_LENGTH)
     presentation = create_presentation(holder, holder_did, credential, nonce)
@@ -311,7 +318,7 @@ def test_self_issue_rejected():
     issuer = generate_keypair(bytes([0x11]) * 32)
     did = did_from_public_key(issuer.public_key)
     with pytest.raises(SelfIssueError):
-        issue_credential(issuer, did, did, did, "Permit", {}, issued_at=0)
+        issue_credential(issuer, mint_credential(did, did, did, "Permit", {}, issued_at=0))
 
 
 def test_claims_must_be_string_pairs():
@@ -319,9 +326,9 @@ def test_claims_must_be_string_pairs():
     issuer_did = did_from_public_key(issuer.public_key)
     holder_did = did_from_public_key(generate_keypair(bytes([0x22]) * 32).public_key)
     with pytest.raises(ValueError):
-        issue_credential(issuer, issuer_did, holder_did, holder_did, "Permit", {"n": 3}, issued_at=0)
+        issue_credential(issuer, mint_credential(issuer_did, holder_did, holder_did, "Permit", {"n": 3}, 0))
     with pytest.raises(ValueError):
-        issue_credential(issuer, issuer_did, holder_did, holder_did, "Permit", {"": "x"}, issued_at=0)
+        issue_credential(issuer, mint_credential(issuer_did, holder_did, holder_did, "Permit", {"": "x"}, 0))
 
 
 def test_claims_are_copied():
@@ -329,7 +336,7 @@ def test_claims_are_copied():
     issuer_did = did_from_public_key(issuer.public_key)
     holder_did = did_from_public_key(generate_keypair(bytes([0x22]) * 32).public_key)
     claims = {"zone": "3"}
-    credential = issue_credential(issuer, issuer_did, holder_did, holder_did, "Permit", claims, issued_at=0)
+    credential = issue_credential(issuer, mint_credential(issuer_did, holder_did, holder_did, "Permit", claims, 0))
     claims["zone"] = "9"
     assert credential.claims == {"zone": "3"}
 
@@ -455,7 +462,9 @@ def test_short_circuit_gives_the_always_verify_flags(holder_decodes, presenter, 
     mallory = generate_keypair(bytes([0x33]) * 32)
     issuer_did = next(iter(directory))
     holder_did = did_from_public_key(holder.public_key) if holder_decodes else UNDECODABLE_DID
-    credential = issue_credential(issuer, issuer_did, holder_did, holder_did, "Permit", {"zone": "3"}, issued_at=1)
+    credential = issue_credential(
+        issuer, mint_credential(issuer_did, holder_did, holder_did, "Permit", {"zone": "3"}, issued_at=1)
+    )
     presenter_did = {
         "holder": holder_did,
         "mallory": did_from_public_key(mallory.public_key),

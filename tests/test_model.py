@@ -473,16 +473,16 @@ RECORDS = [
         AgentSpec,
         dict(
             actor="A", did="did:sim:a", keys=_KEYS, wallet=(_CREDENTIAL,), verifies=(), issues=(), requests=(),
-            answers=("BND",), trust=_REGISTRY, prelabeled=(),
+            trust=_REGISTRY, prelabeled=("t",),
         ),
-        {"answers": ()},
+        {"prelabeled": ()},
         None,
     ),
     (
         Message,
         dict(
             kind="Present", flow="d", credential_type="BND", from_actor="A", to_actor="B", nonce=bytes(16),
-            credential=None, presentation=None, verdict=None, digest="ab", purpose="p", copy_task=None,
+            credential=None, presentation=None, verdict=None, digest="ab", purpose="p",
         ),
         {"purpose": "rewritten"},
         None,

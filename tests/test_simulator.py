@@ -170,7 +170,6 @@ def test_compiled_fixture_agents(birth_model):
         "dep-bnd-mother",
         "dep-cert-mother",
     ]
-    assert mother.answers == (MID, BND)
     assert [c.type for c in mother.wallet] == [MID]
     assert mother.wallet[0].issuer == by_actor["ID Agency"].did
     assert mother.prelabeled == ()
@@ -184,7 +183,7 @@ def test_compiled_fixture_agents(birth_model):
     assert mother.verifies == mother.issues == ()
 
     agency = by_actor["ID Agency"]
-    assert agency.verifies == agency.issues == agency.requests == agency.answers == ()
+    assert agency.verifies == agency.issues == agency.requests == ()
     assert agency.prelabeled == ("agency-issue-id",)
 
 
@@ -345,7 +344,7 @@ def test_each_subject_name_gets_its_own_did(birth_model, monkeypatch):
     issued = {e["credentialType"]: e["subject"] for e in trace.events if e["kind"] == "Issue"}
     assert issued == {BND: child, CERT: device}
     claims = {args[3]: args[4]["subjectActor"] for args in minted}
-    claims.update((args[4], args[5]["subjectActor"]) for args in signed)
+    claims.update((args[1].type, args[1].claims["subjectActor"]) for args in signed)
     assert claims == {MID: "Mother", BND: "child", CERT: "device"}
     assert trace.final_labels == run_fixture(birth_model)[1].final_labels
 
@@ -719,6 +718,158 @@ def test_identity_intercept_changes_nothing(birth_model):
     assert plain.text() == hooked.text()
 
 
+# -- the delivery rule ----------------------------------------------------
+
+
+def counting_handlers(monkeypatch) -> list:
+    """Record the kind of each delivered message that the delivery rule hands to its handler."""
+    handled: list = []
+
+    def counting(handler):
+        def wrapper(sim, agent, flow, msg):
+            handled.append(msg.kind)
+            return handler(sim, agent, flow, msg)
+
+        return wrapper
+
+    rules = {kind: (*rule[:2], counting(rule[2])) for kind, rule in simulator._Simulation._DELIVERY.items()}
+    monkeypatch.setattr(simulator._Simulation, "_DELIVERY", rules)
+    return handled
+
+
+def run_with_state(model, intercept, monkeypatch):
+    """The fixture run under ``intercept``, its labels, and each agent's wallet, record store and verifications."""
+    sims = []
+    real = simulator._Simulation.run
+
+    def keeping(sim):
+        sims.append(sim)
+        return real(sim)
+
+    monkeypatch.setattr(simulator._Simulation, "run", keeping)
+    _, trace = run_fixture(model, intercept=intercept)
+    sim = sims.pop()
+    state = {
+        actor: (
+            {ctype: c.id for ctype, c in agent.wallet.items()},
+            agent.record_store,
+            {dep: (v.resolved, v.nonce) for dep, v in agent.verifications.items()},
+        )
+        for actor, agent in sim.agents.items()
+    }
+    return trace, sim.labels, state
+
+
+def first_of(kind, rewrite):
+    """An intercept that passes ``rewrite`` the first delivered ``kind`` message and returns what it gives."""
+    seen = []
+
+    def intercept(msg, tick):
+        if msg.kind == kind and not seen:
+            seen.append(msg)
+            return rewrite(msg)
+        return msg
+
+    return intercept
+
+
+def assert_delivered_and_ignored(model, kind, rewrite, monkeypatch):
+    """The first ``kind`` message, rewritten, is delivered and ignored: the run
+    equals the one that drops it, labels, wallets, record stores and
+    verifications alike, but for the Deliver line.  Returns the run and the
+    summary its Deliver line holds."""
+    handled = counting_handlers(monkeypatch)
+    ignored, labels, state = run_with_state(model, first_of(kind, rewrite), monkeypatch)
+    delivered = sum(e["kind"] == "Deliver" for e in ignored.events)
+    assert len(handled) == delivered - 1
+    dropped, dropped_labels, dropped_state = run_with_state(model, first_of(kind, lambda msg: None), monkeypatch)
+    assert (labels, state) == (dropped_labels, dropped_state)
+    assert ignored.final_labels == dropped.final_labels and ignored.termination == dropped.termination
+    changed = [(a, b) for a, b in zip(ignored.event_lines, dropped.event_lines) if a != b]
+    assert len(ignored.event_lines) == len(dropped.event_lines) and len(changed) == 1
+    deliver, drop = (json.loads(line) for line in changed[0])
+    assert (deliver["kind"], drop["kind"], drop["message"]["type"]) == ("Deliver", "Drop", kind)
+    return ignored, deliver["message"]
+
+
+FOREIGN_MESSAGES = [
+    ("PresentationVerdict", lambda msg: msg.replace(to_actor="Registrar")),
+    ("CredentialIssuance", lambda msg: msg.replace(to_actor="Registrar")),
+    ("ProofRequest", lambda msg: msg.replace(flow="dep-cert-mother", from_actor="Mother", to_actor="Registrar")),
+    ("RecordCopy", lambda msg: msg.replace(to_actor="Mother")),
+    ("RecordCopy", lambda msg: msg.replace(flow="dep-cert-mother")),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,rewrite", FOREIGN_MESSAGES,
+    ids=["verdict-to-registrar", "issuance-to-registrar", "request-on-issuance", "copy-to-mother", "copy-on-cert"],
+)
+def test_a_message_off_its_flow_is_delivered_and_ignored(birth_model, monkeypatch, kind, rewrite):
+    """A message counts only on its flow, between the ends the delivery rule
+    gives its kind: a verdict or an issuance sent to an actor other than the
+    flow's, a proof request moved onto an issuance flow, even between that
+    flow's ends, or an office copy sent to an actor other than its flow's
+    ``copy_to`` or on a flow that mails none, is delivered and ignored.  The
+    honest copy still labels the Midwife's copy task when it arrives.
+
+    A message on its own flow is still taken as it comes: the forged verdict
+    of ROADMAP item 12, the real verifier's verdict rewritten to true, stays
+    open until verdicts carry a MAC."""
+    _, message = assert_delivered_and_ignored(birth_model, kind, rewrite, monkeypatch)
+    assert message["type"] == kind
+    if kind == "RecordCopy":
+        _, honest = run_fixture(birth_model)
+        events = list(honest.events)
+        at = next(i for i, e in enumerate(events) if e["kind"] == "Deliver" and e["message"]["type"] == kind)
+        assert (events[at + 1]["kind"], events[at + 1]["element"]) == ("GoalUpdate", "midwife-send-copy")
+        assert "midwife-send-copy" not in {e.get("element") for e in honest.events if e["seq"] < at}
+
+
+def test_a_copy_addressed_to_no_actor_is_delivered_and_ignored(birth_model, monkeypatch):
+    """An office copy re-addressed to an actor the model lacks once made the run raise ``KeyError``."""
+    trace, message = assert_delivered_and_ignored(
+        birth_model, "RecordCopy", lambda msg: msg.replace(to_actor="Nobody"), monkeypatch
+    )
+    assert message["to"] == "Nobody"
+    assert trace.termination == "quiescence"
+    assert "midwife-send-copy" not in {e.get("element") for e in trace.events}
+    assert failed_bnd_check(trace)["copyOk"] is False
+
+
+@pytest.mark.parametrize(
+    "copies,seeds,drop",
+    [(None, (42, 43), 0.0), (8, (1, 2), 0.0), (8, (1, 2, 3, 4), 0.3)],
+    ids=["fixture", "scaled", "scaled-lossy"],
+)
+def test_honest_runs_handle_every_delivery(birth_model, birth_path, monkeypatch, copies, seeds, drop):
+    """The delivery rule turns away no honest message: every Deliver line of
+    a run without an intercept reaches its handler, so no delivery is lost
+    where a trace would not show it."""
+    model = birth_model if copies is None else helpers.scaled_model(birth_path, copies)
+    handled = counting_handlers(monkeypatch)
+    for seed in seeds:
+        handled.clear()
+        _, trace = run_fixture(model, seed=seed, config=SimConfig(seed=seed, drop_probability=drop))
+        delivered = [e["message"]["type"] for e in trace.events if e["kind"] == "Deliver"]
+        assert handled == delivered, seed
+        assert len(set(delivered)) == 6 and (drop == 0.0 or any(e["kind"] == "Drop" for e in trace.events)), seed
+
+
+def test_each_credential_is_encoded_once(birth_path, monkeypatch):
+    """Minting encodes a credential's payload and signing reuses those bytes:
+    a run encodes one payload per bootstrap credential and per issuance,
+    also when an intercept reads, and so signs, every credential."""
+    model = helpers.scaled_model(birth_path, 8)
+    calls = counted_calls(monkeypatch, credentials, "canonical_bytes")
+    for seed, intercept in ((1, None), (2, lambda msg, tick: msg)):
+        calls.clear()
+        config = SimConfig(seed=seed, drop_probability=0.3)
+        agents, trace = run_fixture(model, seed=seed, config=config, intercept=intercept)
+        wallets = sum(len(spec.wallet) for spec in agents)
+        assert len(calls) == wallets + len(issue_types(trace)) > wallets > 0, seed
+
+
 # -- trace format ---------------------------------------------------------
 
 
@@ -1050,7 +1201,7 @@ def test_a_credential_is_signed_when_first_read(birth_model, monkeypatch):
     calls = counted_calls(monkeypatch, simulator, "issue_credential")
     trace = run(birth_model, agents, SimConfig(seed=42))
     assert issue_types(trace) == [BND, CERT]
-    assert [args[4] for args in calls] == [BND]
+    assert [args[1].type for args in calls] == [BND]
 
     calls.clear()
     issued = []
@@ -1062,7 +1213,7 @@ def test_a_credential_is_signed_when_first_read(birth_model, monkeypatch):
 
     hooked = run(birth_model, agents, SimConfig(seed=42), intercept=identity)
     assert hooked.text() == trace.text()
-    assert [args[4] for args in calls] == [c.type for c in issued] == [BND, CERT]
+    assert [args[1].type for args in calls] == [c.type for c in issued] == [BND, CERT]
     midwife, registrar = spec_of(agents, "Midwife"), spec_of(agents, "Registrar")
     for credential, issuer in zip(issued, (midwife, registrar)):
         payload = canonical_bytes(credential.payload())
@@ -1092,8 +1243,9 @@ def test_every_credential_a_run_builds_carries_its_payload_bytes(birth_model, mo
         return msg
 
     _, trace = run_fixture(birth_model, intercept=intercept)
-    # The bootstrap ID, the minted BND and certificate, and both signed when the intercept reads them.
-    assert sorted(c.type for c in built) == sorted([MID, BND, BND, CERT, CERT])
+    # The bootstrap ID, minted and signed; the minted BND and certificate, and both signed when the
+    # intercept reads them.
+    assert sorted(c.type for c in built) == sorted([MID, MID, BND, BND, CERT, CERT])
     for credential in built:
         assert credential._payload_bytes is not None
         assert credential.payload_bytes() == canonical_bytes(credential.payload())
