@@ -28,12 +28,14 @@ part in, which carry every task id it acts on:
 - a request or verification still unanswered after its last retry Denies
   the tasks waiting on it.
 
-Each delivered message is matched to its flow in one place, the run loop,
-by one rule (``_Simulation._DELIVERY``): requests and verdicts travel from
-a flow's receiver to its sender, issuances and presentations from its
-sender to its receiver, and an office copy from an issuance's sender to
-its ``copy_to``.  The handler of the agent addressed acts on the matched
-flow; a message off its flow is delivered and ignored.
+One rule, ``_Simulation._DELIVERY``, defines each message kind: the flow
+kind it travels on, its ends (requests and verdicts go from a flow's
+receiver to its sender, issuances and presentations the other way, an
+office copy from an issuance's sender to its ``copy_to``) and the fields
+its handler reads.  A run sends each message between those ends, and the
+run loop matches each delivered one to its flow by the same rule: the
+handler of the agent addressed acts on the matched flow, and a message off
+its flow or lacking a field is delivered and ignored.
 
 Task labels move as the run progresses (Denied is terminal), and the final
 labels come from propagating them through the goal model.  Time is a tick
@@ -278,6 +280,11 @@ class Message(Record):
     purpose: str | None = None
 
 
+def _string(value: str | None) -> str:
+    """``value`` as a JSON string, or ``null`` when it is None."""
+    return "null" if value is None else encode_basestring(value)
+
+
 def _summarize(msg: Message) -> str:
     """A message's trace summary, as canonical JSON written from a fixed
     template, keys in canonical (sorted) order."""
@@ -287,16 +294,15 @@ def _summarize(msg: Message) -> str:
     else:
         credential_id, nonce = (msg.credential.id if msg.credential is not None else None), msg.nonce
     line = "{" if credential_id is None else '{"credentialId":' + encode_basestring(credential_id) + ","
-    line += '"credentialType":' + encode_basestring(msg.credential_type)
+    line += '"credentialType":' + _string(msg.credential_type)
     if msg.digest is not None:
         line += ',"digest":' + encode_basestring(msg.digest)
-    flow = msg.flow
-    line += f',"flow":{"null" if flow is None else encode_basestring(flow)},"from":{encode_basestring(msg.from_actor)}'
+    line += f',"flow":{_string(msg.flow)},"from":{_string(msg.from_actor)}'
     if nonce is not None:
         line += ',"nonce":"' + nonce.hex() + '"'  # hex digits need no escaping
     if msg.purpose is not None:
         line += ',"purpose":' + encode_basestring(msg.purpose)
-    line += f',"to":{encode_basestring(msg.to_actor)},"type":{encode_basestring(msg.kind)}'
+    line += f',"to":{_string(msg.to_actor)},"type":{_string(msg.kind)}'
     if msg.verdict is not None:
         line += ',"verdict":true' if msg.verdict else ',"verdict":false'
     return line + "}"
@@ -392,6 +398,14 @@ class Trace(Record):
         return "\n".join(lines)
 
 
+def _presentable(msg: Message) -> bool:
+    """Whether ``msg`` carries a presentation holding a credential or, still
+    unsigned, a credential and a nonce."""
+    if msg.presentation is None:
+        return isinstance(msg.credential, Credential) and isinstance(msg.nonce, bytes)
+    return isinstance(msg.presentation, Presentation) and isinstance(msg.presentation.credential, Credential)
+
+
 class _RetryState:
     """A verification or an issuance request, which the receiver of ``flow``
     sends, then resends on a timer until it resolves; when the retries run
@@ -408,9 +422,7 @@ class _RetryState:
 class _AgentState:
     def __init__(self, spec: AgentSpec) -> None:
         self.spec = spec
-        self.wallet: dict[str, Credential] = {}
-        for credential in spec.wallet:
-            self.wallet[credential.type] = credential
+        self.wallet: dict[str, Credential] = {credential.type: credential for credential in spec.wallet}
         self.record_store: dict[str, list[str]] = {}
         self.deferred: list[tuple[CredentialFlow, bytes | None]] = []  # proof requests waiting for a credential
         self.verifications = {f.dependency: _RetryState(f, f.check_tasks) for f in spec.verifies}
@@ -449,13 +461,22 @@ class _Simulation:
 
     # -- event plumbing ---------------------------------------------------
 
-    def _send(self, msg: Message) -> None:
-        """Record the Send of ``msg`` and schedule its delivery after its route's latency."""
+    def _send(
+        self, kind: str, flow: CredentialFlow, nonce: bytes | None = None, credential: Credential | None = None,
+        verdict: bool | None = None, digest: str | None = None, purpose: str | None = None,
+    ) -> None:
+        """Send a ``kind`` message on ``flow`` between the ends ``_DELIVERY`` admits
+        it on: record its Send and schedule its delivery after its route's latency."""
+        to_actor, from_actor = self._DELIVERY[kind][1](flow)
+        msg = Message(
+            kind, flow.dependency, flow.credential_type, from_actor, to_actor, nonce, credential, None, verdict, digest,
+            purpose,
+        )
         encoded = _summarize(msg)
         lines, tick, config = self.event_lines, self.tick, self.config
         # The keys in canonical (sorted) order.
         lines.append(f'{{"kind":"Send","message":{encoded},"seq":{len(lines)},"tick":{tick}}}')
-        tick += config.latency.get((msg.from_actor, msg.to_actor), config.default_latency)
+        tick += config.latency.get((from_actor, to_actor), config.default_latency)
         heapq.heappush(self.heap, (tick, next(self.order), ("deliver", msg, encoded)))
 
     def _set_label(self, element_id: Identifier | None, satisfied: bool) -> None:
@@ -484,33 +505,12 @@ class _Simulation:
         """Send a proof request (with a fresh nonce) or an issuance request,
         and arm the retry timer."""
         flow = state.flow
-        proof = flow.kind is FlowKind.PRESENTATION
-        if proof:
+        if flow.kind is FlowKind.PRESENTATION:
             state.nonce = self.prng.next_nonce()
-        self._send(
-            Message(
-                kind="ProofRequest" if proof else "IssuanceRequest",
-                flow=flow.dependency,
-                credential_type=flow.credential_type,
-                from_actor=flow.receiver,
-                to_actor=flow.sender,
-                nonce=state.nonce,
-                purpose=flow.purpose if proof else None,
-            )
-        )
+            self._send("ProofRequest", flow, state.nonce, purpose=flow.purpose)
+        else:
+            self._send("IssuanceRequest", flow)
         heapq.heappush(self.heap, (self.tick + self.config.retry_timeout, next(self.order), ("timer", state)))
-
-    def _send_credential(self, flow: CredentialFlow, credential: Credential) -> None:
-        self._send(
-            Message(
-                kind="CredentialIssuance",
-                flow=flow.dependency,
-                credential_type=flow.credential_type,
-                from_actor=flow.sender,
-                to_actor=flow.receiver,
-                credential=credential,
-            )
-        )
 
     def _try_issue(self, agent: _AgentState) -> None:
         for flow in list(agent.pending_issue.values()):
@@ -530,18 +530,9 @@ class _Simulation:
             del agent.pending_issue[flow.dependency]
             self.event_lines.append(_issue_event(len(self.event_lines), self.tick, flow, credential))
             self._set_label(flow.issue_task, True)
-            self._send_credential(flow, credential)
+            self._send("CredentialIssuance", flow, credential=credential)
             if flow.copy_to is not None:
-                self._send(
-                    Message(
-                        kind="RecordCopy",
-                        flow=flow.dependency,
-                        credential_type=flow.credential_type,
-                        from_actor=flow.sender,
-                        to_actor=flow.copy_to,
-                        digest=credential.id,
-                    )
-                )
+                self._send("RecordCopy", flow, digest=credential.id)
 
     def _activate_gates(self, agent: _AgentState, flow: CredentialFlow) -> None:
         unsatisfied = {t for t in flow.gate_tasks if self.labels.get(t) is not _SATISFIED}
@@ -556,7 +547,7 @@ class _Simulation:
     def _on_issuance_request(self, agent: _AgentState, flow: CredentialFlow, msg: Message) -> None:
         credential = agent.issued.get(flow.dependency)
         if credential is not None:
-            self._send_credential(flow, credential)
+            self._send("CredentialIssuance", flow, credential=credential)
         else:
             agent.pending_issue[flow.dependency] = flow
             self._activate_gates(agent, flow)
@@ -567,21 +558,7 @@ class _Simulation:
         if credential is None:
             agent.deferred.append((flow, msg.nonce))
         else:
-            self._answer_proof(flow, msg.nonce, credential)
-
-    def _answer_proof(self, flow: CredentialFlow, nonce: bytes | None, credential: Credential) -> None:
-        # The credential and nonce to present; ``_holder_proof`` signs the proof when it is read.
-        self._send(
-            Message(
-                kind="ProofPresentation",
-                flow=flow.dependency,
-                credential_type=flow.credential_type,
-                from_actor=flow.sender,
-                to_actor=flow.receiver,
-                nonce=nonce,
-                credential=credential,
-            )
-        )
+            self._send("ProofPresentation", flow, msg.nonce, credential)
 
     def _signed(self, credential: Credential) -> Credential:
         """``credential`` with its issuer signature: one the run minted is signed
@@ -595,7 +572,7 @@ class _Simulation:
         return signed
 
     def _holder_proof(self, msg: Message, signed: bool = True) -> Presentation:
-        """The presentation ``_answer_proof`` sent, its credential signed and,
+        """The presentation a holder sent unsigned, its credential signed and,
         when ``signed``, its holder proof signed.
 
         Both are signed only where they are read: by a verification in
@@ -636,16 +613,7 @@ class _Simulation:
         state.resolved = True
         for task_id in state.tasks:
             self._set_label(task_id, overall)
-        self._send(
-            Message(
-                kind="PresentationVerdict",
-                flow=flow.dependency,
-                credential_type=flow.credential_type,
-                from_actor=flow.receiver,
-                to_actor=flow.sender,
-                verdict=overall,
-            )
-        )
+        self._send("PresentationVerdict", flow, verdict=overall)
         self._try_issue(agent)
 
     def _on_presentation_verdict(self, agent: _AgentState, flow: CredentialFlow, msg: Message) -> None:
@@ -661,7 +629,7 @@ class _Simulation:
         still_deferred = []
         for deferred in agent.deferred:
             if deferred[0].credential_type == credential.type:
-                self._answer_proof(*deferred, credential)
+                self._send("ProofPresentation", *deferred, credential)
             else:
                 still_deferred.append(deferred)
         agent.deferred = still_deferred
@@ -670,15 +638,21 @@ class _Simulation:
         agent.record_store.setdefault(flow.credential_type, []).append(msg.digest)
         self._set_label(flow.copy_task, True)
 
-    # The delivery rule: for each message kind, the kind of flow it travels
-    # on, the ends of that flow that receive and send it, and its handler.
+    # The delivery rule: for each message kind, the kind of flow it travels on, the
+    # ends of that flow that receive and send it (a ``copy_to`` of None admits no
+    # copy), whether it carries the fields its handler reads, and its handler.
     _DELIVERY = {
-        "IssuanceRequest": (FlowKind.ISSUANCE, attrgetter("sender", "receiver"), _on_issuance_request),
-        "CredentialIssuance": (FlowKind.ISSUANCE, attrgetter("receiver", "sender"), _on_credential_issuance),
-        "RecordCopy": (FlowKind.ISSUANCE, attrgetter("copy_to", "sender"), _on_record_copy),
-        "ProofRequest": (FlowKind.PRESENTATION, attrgetter("sender", "receiver"), _on_proof_request),
-        "ProofPresentation": (FlowKind.PRESENTATION, attrgetter("receiver", "sender"), _on_proof_presentation),
-        "PresentationVerdict": (FlowKind.PRESENTATION, attrgetter("sender", "receiver"), _on_presentation_verdict),
+        "IssuanceRequest": (FlowKind.ISSUANCE, attrgetter("sender", "receiver"), lambda m: True, _on_issuance_request),
+        "CredentialIssuance": (FlowKind.ISSUANCE, attrgetter("receiver", "sender"),
+                               lambda m: isinstance(m.credential, Credential), _on_credential_issuance),
+        "RecordCopy": (FlowKind.ISSUANCE, attrgetter("copy_to", "sender"),
+                       lambda m: isinstance(m.digest, str), _on_record_copy),
+        "ProofRequest": (FlowKind.PRESENTATION, attrgetter("sender", "receiver"),
+                         lambda m: isinstance(m.nonce, bytes) and len(m.nonce) == 16, _on_proof_request),
+        "ProofPresentation": (FlowKind.PRESENTATION, attrgetter("receiver", "sender"),
+                              _presentable, _on_proof_presentation),
+        "PresentationVerdict": (FlowKind.PRESENTATION, attrgetter("sender", "receiver"),
+                                lambda m: isinstance(m.verdict, bool), _on_presentation_verdict),
     }
 
     # -- timers -----------------------------------------------------------
@@ -742,11 +716,11 @@ class _Simulation:
             lines.append(f'{{"kind":"{kind}","message":{encoded},"seq":{len(lines)},"tick":{tick}}}')
             if dropped:
                 continue
-            # The one place a delivered message is matched to its flow; one off its flow is ignored.
+            # The one place a delivered message is matched to its flow; one the rule does not admit is ignored.
             flow, rule = flows.get(msg.flow), delivery.get(msg.kind)
-            if flow is not None and rule is not None:
-                flow_kind, ends, handler = rule
-                if flow.kind is flow_kind and ends(flow) == (msg.to_actor, msg.from_actor):
+            if flow is not None and rule is not None and msg.to_actor is not None:
+                flow_kind, ends, carries, handler = rule
+                if flow.kind is flow_kind and ends(flow) == (msg.to_actor, msg.from_actor) and carries(msg):
                     handler(self, self.agents[msg.to_actor], flow, msg)
 
         final = evaluate_goals(self.model, self.labels)
@@ -774,7 +748,8 @@ def run(
     test-harness hook: it sees every message at delivery time, signed, and
     may return None to force a drop or a substitute, which the run never
     signs.  A substitute off its flow (another flow kind, or ends other than
-    the ones its kind travels between) is delivered and ignored.
+    the ones its kind travels between) or without a field its kind carries
+    is delivered and ignored; a string field it lacks is summarized as null.
     """
     return _Simulation(model, agents, config, intercept).run()
 

@@ -37,7 +37,7 @@ from ssiforge.overlay import (
     infer_roles,
     derive_flows,
 )
-from ssiforge.propagation import LabelState, root_goals
+from ssiforge.propagation import LabelState, evaluate_goals, root_goals
 from ssiforge.simulator import (
     BootstrapCredential,
     CompileError,
@@ -732,7 +732,7 @@ def counting_handlers(monkeypatch) -> list:
 
         return wrapper
 
-    rules = {kind: (*rule[:2], counting(rule[2])) for kind, rule in simulator._Simulation._DELIVERY.items()}
+    rules = {kind: (*rule[:-1], counting(rule[-1])) for kind, rule in simulator._Simulation._DELIVERY.items()}
     monkeypatch.setattr(simulator._Simulation, "_DELIVERY", rules)
     return handled
 
@@ -798,20 +798,35 @@ FOREIGN_MESSAGES = [
     ("ProofRequest", lambda msg: msg.replace(flow="dep-cert-mother", from_actor="Mother", to_actor="Registrar")),
     ("RecordCopy", lambda msg: msg.replace(to_actor="Mother")),
     ("RecordCopy", lambda msg: msg.replace(flow="dep-cert-mother")),
+    ("RecordCopy", lambda msg: msg.replace(flow="dep-cert-mother", from_actor="Registrar", to_actor=None)),
+    ("ProofRequest", lambda msg: msg.replace(nonce=bytes(3))),
+    ("ProofRequest", lambda msg: msg.replace(nonce=None)),
+    ("CredentialIssuance", lambda msg: msg.replace(credential=None)),
+    ("ProofPresentation", lambda msg: msg.replace(presentation=None)),
+    ("PresentationVerdict", lambda msg: msg.replace(verdict=None)),
+    ("RecordCopy", lambda msg: msg.replace(digest=None)),
 ]
 
 
 @pytest.mark.parametrize(
     "kind,rewrite", FOREIGN_MESSAGES,
-    ids=["verdict-to-registrar", "issuance-to-registrar", "request-on-issuance", "copy-to-mother", "copy-on-cert"],
+    ids=[
+        "verdict-to-registrar", "issuance-to-registrar", "request-on-issuance", "copy-to-mother", "copy-on-cert",
+        "copy-to-none-on-cert", "request-short-nonce", "request-no-nonce", "issuance-no-credential",
+        "presentation-none", "verdict-none", "copy-no-digest",
+    ],
 )
 def test_a_message_off_its_flow_is_delivered_and_ignored(birth_model, monkeypatch, kind, rewrite):
     """A message counts only on its flow, between the ends the delivery rule
-    gives its kind: a verdict or an issuance sent to an actor other than the
-    flow's, a proof request moved onto an issuance flow, even between that
-    flow's ends, or an office copy sent to an actor other than its flow's
-    ``copy_to`` or on a flow that mails none, is delivered and ignored.  The
-    honest copy still labels the Midwife's copy task when it arrives.
+    gives its kind, and carrying the fields its handler reads: a verdict or
+    an issuance sent to an actor other than the flow's, a proof request
+    moved onto an issuance flow, even between that flow's ends, an office
+    copy sent to an actor other than its flow's ``copy_to`` or on a flow
+    that mails none, even to no one, and a request whose nonce is not 16
+    bytes, an issuance without a credential, a presentation without one, a
+    verdict that is not a bool or a copy without a digest, is delivered and
+    ignored.  The honest copy still labels the Midwife's copy task when it
+    arrives.
 
     A message on its own flow is still taken as it comes: the forged verdict
     of ROADMAP item 12, the real verifier's verdict rewritten to true, stays
@@ -856,6 +871,51 @@ def test_honest_runs_handle_every_delivery(birth_model, birth_path, monkeypatch,
         assert len(set(delivered)) == 6 and (drop == 0.0 or any(e["kind"] == "Drop" for e in trace.events)), seed
 
 
+def test_a_single_field_adversary_never_makes_the_run_raise(birth_model):
+    """A network adversary in the manner of Dolev and Yao that rewrites one
+    field of one delivered message never makes ``run`` raise.  Each of the
+    seed-42 fixture run's 14 deliveries gets each field set to every value
+    that field takes among the run's delivered messages, to None, and a nonce
+    to 3 bytes; each run ends in quiescence within its tick bound, and its
+    final labels are ``evaluate_goals`` over its own GoalUpdates.  This is the
+    single-field half of ROADMAP item 12's adversary, without its MAC."""
+    _, _, agents = fixture_agents(birth_model, seed=42)
+    config = SimConfig(seed=42)
+    delivered: list = []
+
+    def recording(msg, tick):
+        delivered.append(msg)
+        return msg
+
+    run(birth_model, agents, config, recording)
+    assert len(delivered) == 14
+    values: dict[str, list] = {name: [None] for name in Message._fields}
+    values["nonce"].append(bytes(3))
+    for msg in delivered:
+        for name, found in values.items():
+            if getattr(msg, name) not in found:
+                found.append(getattr(msg, name))
+
+    def rewriting(at, name, value):
+        seen = itertools.count()
+        return lambda msg, tick: msg.replace(**{name: value}) if next(seen) == at else msg
+
+    runs, crashes = 0, Counter()
+    for at, (name, found) in itertools.product(range(len(delivered)), values.items()):
+        for value in found:
+            runs += 1
+            try:
+                trace = run(birth_model, agents, config, rewriting(at, name, value))
+            except Exception as exc:  # each crash class is counted, so one failure shows them all
+                crashes[f"{type(exc).__name__}: {exc}"] += 1
+                continue
+            assert trace.termination == "quiescence" and trace.final_tick <= config.max_ticks, (at, name, value)
+            updates = {e["element"]: LabelState(e["label"]) for e in trace.events if e["kind"] == "GoalUpdate"}
+            propagated = {k: v.value for k, v in evaluate_goals(birth_model, updates).items()}
+            assert dict(trace.final_labels) == propagated, (at, name, value)
+    assert runs > 500 and not crashes, crashes
+
+
 def test_each_credential_is_encoded_once(birth_path, monkeypatch):
     """Minting encodes a credential's payload and signing reuses those bytes:
     a run encodes one payload per bootstrap credential and per issuance,
@@ -897,11 +957,11 @@ def messages(draw) -> Message:
         )
     )
     return Message(
-        kind=draw(TRICKY_TEXT),
+        kind=draw(optional(TRICKY_TEXT)),
         flow=draw(optional(TRICKY_TEXT)),
-        credential_type=draw(TRICKY_TEXT),
-        from_actor=draw(TRICKY_TEXT),
-        to_actor=draw(TRICKY_TEXT),
+        credential_type=draw(optional(TRICKY_TEXT)),
+        from_actor=draw(optional(TRICKY_TEXT)),
+        to_actor=draw(optional(TRICKY_TEXT)),
         nonce=draw(optional(st.binary(min_size=16, max_size=16))),
         credential=credential,
         presentation=presentation,
