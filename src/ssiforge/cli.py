@@ -239,7 +239,6 @@ def cmd_simulate(
     drop: float,
     trace_path: str | None,
     lexicon_path: str | None,
-    allow_ambiguous: bool,
 ) -> None:
     """Run the credential lifecycle and report goal satisfaction."""
     _bind("overlay", "credentials", "propagation", "simulator")
@@ -256,10 +255,10 @@ def cmd_simulate(
     flows = derive_flows(model, roles)
     warnings = lint_ssi(model, roles, flows)
     ambiguous = [w for w in warnings if w.code == "W_FLOW_AMBIGUOUS"]
-    if ambiguous and not allow_ambiguous:
+    if ambiguous:
         for w in ambiguous:
             print(f"WARN {w.code} {w.offending_id}: {w.message}", file=sys.stderr)
-        _fail("ambiguous flows; rerun with --allow-ambiguous to simulate anyway", 1)
+        _fail('ambiguous flows; resolve each with task verbs or an "ssi" annotation', 1)
 
     did_of = {
         actor.id: did_from_public_key(generate_keypair(actor_key_seed(seed, actor.id)).public_key)
@@ -349,7 +348,6 @@ def _parser(prog_name: str | None) -> argparse.ArgumentParser:
     )
     simulate.add_argument("--trace", dest="trace_path", metavar="PATH", help="Write the JSONL trace here.")
     simulate.add_argument("--lexicon", **lexicon)
-    simulate.add_argument("--allow-ambiguous", action="store_true", help="Run even when some flows stay unresolved.")
 
     export = command(cmd_export)
     export.add_argument("--view", choices=("sd", "sr"), required=True)

@@ -24,7 +24,7 @@ W_MULTI_PARENT             element that refines more than one parent
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Identifier = str
 
@@ -65,8 +65,11 @@ class ActorLinkKind(enum.Enum):
 REFINEMENT_KINDS = frozenset({LinkKind.AND_REFINEMENT, LinkKind.OR_REFINEMENT})
 
 
-def _tuple(items: Iterable) -> tuple:
-    return tuple(items) if not isinstance(items, tuple) else items
+def _store_tuples(record: Record, fields: tuple[str, ...]) -> None:
+    """Store each of ``record``'s ``fields`` that is not a tuple as one."""
+    for field in fields:
+        if not isinstance(getattr(record, field), tuple):
+            object.__setattr__(record, field, tuple(getattr(record, field)))
 
 
 class _RecordType(type):
@@ -183,16 +186,12 @@ class Actor(Record):
     elements: tuple[Element, ...] = ()
     links: tuple[InternalLink, ...] = ()
     annotations: Mapping[str, str] = {}
-    _elements_by_id: dict[Identifier, Element]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", _tuple(self.elements))
-        object.__setattr__(self, "links", _tuple(self.links))
-        # Element lookup by id; built in reverse so that the first of duplicate ids wins.
-        object.__setattr__(self, "_elements_by_id", {e.id: e for e in reversed(self.elements)})
+        _store_tuples(self, ("elements", "links"))
 
-    def element(self, element_id: Identifier) -> Element | None:
-        return self._elements_by_id.get(element_id)
+    def element(self, element_id: Identifier) -> Element | None:  # the first of that id
+        return next((e for e in self.elements if e.id == element_id), None)
 
 
 class ActorLink(Record):
@@ -225,19 +224,14 @@ class Model(Record):
     dependencies: tuple[Dependency, ...] = ()
     actor_links: tuple[ActorLink, ...] = ()
     metadata: Mapping[str, str] = {}
-    _actors_by_id: dict[Identifier, Actor]
     _goal_rules: tuple | None  # ``propagation.evaluate_goals``' rule list, built on its first call
     _overlay_names: object | None  # ``overlay._Names``: the names, office copies included, read on first use
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "actors", _tuple(self.actors))
-        object.__setattr__(self, "dependencies", _tuple(self.dependencies))
-        object.__setattr__(self, "actor_links", _tuple(self.actor_links))
-        # Actor lookup by id; built in reverse so that the first of duplicate ids wins.
-        object.__setattr__(self, "_actors_by_id", {a.id: a for a in reversed(self.actors)})
+        _store_tuples(self, ("actors", "dependencies", "actor_links"))
 
-    def actor(self, actor_id: Identifier) -> Actor | None:
-        return self._actors_by_id.get(actor_id)
+    def actor(self, actor_id: Identifier) -> Actor | None:  # the first of that id
+        return next((a for a in self.actors if a.id == actor_id), None)
 
 
 class ValidationIssue(Record):
@@ -259,22 +253,21 @@ def validate(model: Model) -> ValidationReport:
     """
     errors: list[ValidationIssue] = []
     warnings: list[ValidationIssue] = []
-    seen: set[Identifier] = set()
-
-    def unique(node_id: Identifier) -> None:
-        if node_id in seen:
-            errors.append(ValidationIssue("E_ID_DUP", node_id, f"identifier {node_id!r} is not unique"))
-        seen.add(node_id)
+    ids: list[Identifier] = []  # every identifier, for E_ID_DUP
+    owned: dict[Identifier, dict[Identifier, Element]] = {}  # the element ids of the first actor of each id
 
     # Read once: on Python 3.11 an enum member read is a descriptor call.
     and_refinement, or_refinement = LinkKind.AND_REFINEMENT, LinkKind.OR_REFINEMENT
+    contribution, qualification, needed_by = LinkKind.CONTRIBUTION, LinkKind.QUALIFICATION, LinkKind.NEEDED_BY
+    goal, task, resource, quality = ElementKind.GOAL, ElementKind.TASK, ElementKind.RESOURCE, ElementKind.QUALITY
     for actor in model.actors:
-        unique(actor.id)
+        ids.append(actor.id)
         if not actor.name:
             warnings.append(ValidationIssue("W_EMPTY_NAME", actor.id, "actor has an empty name"))
         local: dict[Identifier, Element] = {}
+        owned.setdefault(actor.id, local)
         for elem in actor.elements:
-            unique(elem.id)
+            ids.append(elem.id)
             local[elem.id] = elem
             if not elem.name:
                 warnings.append(ValidationIssue("W_EMPTY_NAME", elem.id, "element has an empty name"))
@@ -284,38 +277,31 @@ def validate(model: Model) -> ValidationReport:
         children: dict[Identifier, list[Identifier]] = {}  # the refinement edges: child ids by parent
         parent_counts: dict[Identifier, int] = {}  # each child's number of refinement edges
         for link in actor.links:
-            unique(link.id)
+            ids.append(link.id)
             src = local.get(link.source)
             dst = local.get(link.target)
             if src is None or dst is None:
-                errors.append(
-                    ValidationIssue(
-                        "E_REF_DANGLING",
-                        link.id,
-                        f"link endpoint outside actor {actor.id!r}",
-                    )
-                )
+                errors.append(ValidationIssue("E_REF_DANGLING", link.id, f"link endpoint outside actor {actor.id!r}"))
                 continue
             kind = link.kind
             if kind is and_refinement or kind is or_refinement:
-                if dst.kind is not ElementKind.GOAL and dst.kind is not ElementKind.TASK:
-                    errors.append(
-                        ValidationIssue("E_LINK_KIND", link.id, f"refinement target must be a goal or task, got {dst.kind.value}")
-                    )
+                if dst.kind is not goal and dst.kind is not task:
+                    message = f"refinement target must be a goal or task, got {dst.kind.value}"
+                    errors.append(ValidationIssue("E_LINK_KIND", link.id, message))
                 if first_kinds.setdefault(link.target, kind) is not kind:
                     mixed[link.target] = None
                 children.setdefault(link.target, []).append(link.source)
                 parent_counts[link.source] = parent_counts.get(link.source, 0) + 1
-            elif kind is LinkKind.CONTRIBUTION:
-                if dst.kind is not ElementKind.QUALITY:
+            elif kind is contribution:
+                if dst.kind is not quality:
                     errors.append(ValidationIssue("E_LINK_KIND", link.id, "contribution target must be a quality"))
                 if link.contribution is None:
                     errors.append(ValidationIssue("E_LINK_KIND", link.id, "contribution link carries no label"))
-            elif kind is LinkKind.QUALIFICATION:
-                if src.kind is not ElementKind.QUALITY:
+            elif kind is qualification:
+                if src.kind is not quality:
                     errors.append(ValidationIssue("E_LINK_KIND", link.id, "qualification source must be a quality"))
-            elif kind is LinkKind.NEEDED_BY:
-                if src.kind is not ElementKind.RESOURCE or dst.kind is not ElementKind.TASK:
+            elif kind is needed_by:
+                if src.kind is not resource or dst.kind is not task:
                     errors.append(ValidationIssue("E_LINK_KIND", link.id, "needed-by joins a resource to a task"))
 
         for parent in mixed:
@@ -326,34 +312,36 @@ def validate(model: Model) -> ValidationReport:
 
         cyclic = _refinement_cycle_members(children, parent_counts)
         if cyclic:
-            errors.append(
-                ValidationIssue("E_REFINE_CYCLE", min(cyclic), f"refinement cycle inside actor {actor.id!r}")
-            )
+            errors.append(ValidationIssue("E_REFINE_CYCLE", min(cyclic), f"refinement cycle inside actor {actor.id!r}"))
 
     for dep in model.dependencies:
-        unique(dep.id)
+        ids.append(dep.id)
         if not dep.name:
             warnings.append(ValidationIssue("W_EMPTY_NAME", dep.id, "dependum has an empty name"))
         if dep.depender == dep.dependee:
             errors.append(ValidationIssue("E_DEP_SELF", dep.id, "actor depends on itself"))
-        for side, actor_id, element_id in (
-            ("depender", dep.depender, dep.depender_element),
-            ("dependee", dep.dependee, dep.dependee_element),
-        ):
-            actor = model.actor(actor_id)
-            if actor is None:
+        ends = ("depender", dep.depender, dep.depender_element), ("dependee", dep.dependee, dep.dependee_element)
+        for side, actor_id, element_id in ends:
+            elements = owned.get(actor_id)
+            if elements is None:
                 errors.append(ValidationIssue("E_REF_DANGLING", dep.id, f"{side} {actor_id!r} is not an actor"))
-            elif element_id is not None and actor.element(element_id) is None:
-                errors.append(
-                    ValidationIssue("E_REF_DANGLING", dep.id, f"{side} element {element_id!r} not owned by {actor_id!r}")
-                )
+            elif element_id is not None and element_id not in elements:
+                message = f"{side} element {element_id!r} not owned by {actor_id!r}"
+                errors.append(ValidationIssue("E_REF_DANGLING", dep.id, message))
 
     for link in model.actor_links:
-        unique(link.id)
-        if model.actor(link.source) is None or model.actor(link.target) is None:
+        ids.append(link.id)
+        if link.source not in owned or link.target not in owned:
             errors.append(ValidationIssue("E_REF_DANGLING", link.id, "actor link endpoint is not an actor"))
         elif link.source == link.target:
             errors.append(ValidationIssue("E_LINK_KIND", link.id, "actor link endpoints must differ"))
+
+    if len(set(ids)) < len(ids):  # every occurrence after an identifier's first is a duplicate
+        seen: set[Identifier] = set()
+        for node_id in ids:
+            if node_id in seen:
+                errors.append(ValidationIssue("E_ID_DUP", node_id, f"identifier {node_id!r} is not unique"))
+            seen.add(node_id)
 
     errors.sort(key=lambda i: (i.offending_id, i.code))
     warnings.sort(key=lambda i: (i.offending_id, i.code))

@@ -33,17 +33,19 @@ nothing.
 from __future__ import annotations
 
 import enum
-import re
 from typing import Iterable, Mapping, Sequence
 
 from .model import Dependency, ElementKind, Identifier, LinkKind, Model, Record, ValidationIssue
 
-_PUNCT = re.compile(r"[^a-z0-9 ]+")
+# Of the ASCII in a lowercased name, a hyphen reads as a space, and all but a-z, 0-9 and the space is dropped.
+_HYPHEN_AS_SPACE = bytes.maketrans(b"-", b" ")
+_DROPPED = bytes(c for c in range(128) if c not in b"abcdefghijklmnopqrstuvwxyz0123456789 -")
 
 
 def normalize_name(text: str) -> str:
-    """Lowercase, strip punctuation, collapse whitespace."""
-    return " ".join(_PUNCT.sub("", text.lower().replace("-", " ")).split())
+    """Lowercase, strip punctuation and every character outside ASCII, collapse whitespace."""
+    kept = text.lower().encode("ascii", "ignore").translate(_HYPHEN_AS_SPACE, _DROPPED)
+    return " ".join(kept.decode("ascii").split())
 
 
 class SsiRole(enum.Enum):
@@ -52,8 +54,9 @@ class SsiRole(enum.Enum):
     VERIFIER = "Verifier"
 
 
-# Each role's place in the order of their names, as ``infer_roles`` sorts them.
-_ROLE_ORDER = {role: rank for rank, role in enumerate(sorted(SsiRole, key=lambda r: r.value))}
+# Role tables key a role by its value: on Python 3.11 an enum member's hash is a Python-level call.
+_ROLES = {role.value: role for role in SsiRole}
+_ISSUER, _HOLDER, _VERIFIER = SsiRole.ISSUER.value, SsiRole.HOLDER.value, SsiRole.VERIFIER.value
 
 
 class VerbLexicon(Record):
@@ -62,7 +65,7 @@ class VerbLexicon(Record):
     issue_verbs: frozenset[str] = frozenset({"issue"})
     provide_verbs: frozenset[str] = frozenset({"provide", "present"})
     check_verbs: frozenset[str] = frozenset({"check", "verify"})
-    _verbs: dict[str, list[tuple[str, SsiRole]]]  # by first word: (verb + " ", its role), issue verbs first
+    _verbs: dict[str, list[tuple[str, str]]]  # by first word: (verb + " ", its role's value), issue verbs first
 
     def __post_init__(self) -> None:
         groups = (self.issue_verbs, self.provide_verbs, self.check_verbs)
@@ -76,7 +79,7 @@ class VerbLexicon(Record):
         object.__setattr__(self, "provide_verbs", normalized[1])
         object.__setattr__(self, "check_verbs", normalized[2])
         object.__setattr__(self, "_verbs", {})
-        for verbs, role in zip(normalized, (SsiRole.ISSUER, SsiRole.HOLDER, SsiRole.VERIFIER)):
+        for verbs, role in zip(normalized, (_ISSUER, _HOLDER, _VERIFIER)):
             for verb in verbs:
                 self._verbs.setdefault(verb.split(" ", 1)[0], []).append((verb + " ", role))
 
@@ -106,6 +109,11 @@ class EvidenceKind(enum.Enum):
     ANNOTATION = "Annotation"
     VERB = "Verb"
     UNRESOLVED = "Unresolved"
+
+
+# Read once: on Python 3.11 an enum member read is a descriptor call.
+_ISSUANCE, _PRESENTATION = FlowKind.ISSUANCE, FlowKind.PRESENTATION
+_ANNOTATION, _VERB, _UNRESOLVED = EvidenceKind.ANNOTATION, EvidenceKind.VERB, EvidenceKind.UNRESOLVED
 
 
 class Evidence(Record):
@@ -197,17 +205,17 @@ class _SpellingIndex:
 
     def owners_in(self, text: str) -> list[str]:
         root, words = self.root, text.split()
-        found: set[tuple[int, str]] | None = None
-        for start, word in enumerate(words):
-            node, end = root.get(word), start + 1
+        words.append(" ")  # ends every walk: no word of a spelling is " "
+        found: list[tuple[int, str]] = []
+        for end, word in enumerate(words, 1):
+            node = root.get(word)
             while node is not None:
-                if "" in node:
-                    if found is None:
-                        found = set()
-                    found.update(node[""])
-                node = node.get(words[end]) if end < len(words) else None
+                owners = node.get("")
+                if owners is not None:
+                    found += owners
+                node = node.get(words[end])
                 end += 1
-        return [] if found is None else [owner for _, owner in sorted(found)]
+        return [owner for _, owner in sorted(set(found))] if found else []
 
 
 class CredentialCatalog:
@@ -226,7 +234,7 @@ class CredentialCatalog:
                 continue
             display = self.canonical.setdefault(norm, dep.name)
             self.resources.append((dep, display))
-            for alias in dep.annotations.get("ssi.alias", "").split(","):
+            for alias in filter(None, dep.annotations.get("ssi.alias", "").split(",")):
                 alias_norm = normalize_name(alias)
                 if alias_norm:
                     self.canonical.setdefault(alias_norm, display)
@@ -240,10 +248,10 @@ class CredentialCatalog:
         return self._index.owners_in(name_norm)
 
 
-def _verb_class(name_norm: str, lexicon: VerbLexicon) -> SsiRole | None:
-    # Verbs match whole words: "checkout bnd" does not start with "check".
+def _verb_class(name_norm: str, lexicon: VerbLexicon) -> str | None:
+    """The value of the role whose verb starts ``name_norm``, in whole words: "checkout bnd" has no "check"."""
     words = name_norm + " "
-    for verb, role in lexicon._verbs.get(name_norm.split(" ", 1)[0], ()):
+    for verb, role in lexicon._verbs.get(name_norm.partition(" ")[0], ()):
         if words.startswith(verb):
             return role
     return None
@@ -270,8 +278,8 @@ class _Names:
         self.copy_sends: dict[Identifier, tuple[Identifier, list[Identifier]]] = {}
         self.copy_tasks: set[tuple[Identifier, Identifier]] = set()  # every (actor, task) named with "copy"
         for (actor, task_id), norm in self.tasks:
-            words = norm.split()  # whole words, as for verbs: "copyright" is no "copy"
-            if "copy" not in words:
+            # Whole words, as for verbs: "copyright" is no "copy".
+            if "copy" not in norm or "copy" not in (words := norm.split()):
                 continue
             self.copy_tasks.add((actor, task_id))
             if "send" in words and actor not in self.copy_sends:
@@ -295,6 +303,25 @@ def _is_issuance(forced: str | None, dependee_issues: bool) -> bool:
     return forced == "issue" if forced in ("issue", "present") else dependee_issues
 
 
+def role_tasks(roles: Iterable[RoleAssignment]) -> dict[tuple[Identifier, str, str], tuple[Identifier, ...]]:
+    """The tasks of each role assignment, by (actor, credential type, role value)."""
+    return {(a.actor, a.credential_type, a.role._value_): a.tasks for a in roles}
+
+
+def unmet_role(flow: CredentialFlow, tasks: Mapping[tuple[Identifier, str, str], object]) -> str | None:
+    """Why ``compile_agents`` rejects ``flow``, given the :func:`role_tasks` of the roles: an actor of
+    it lacks the role its kind needs (issuer, or verifier and holder).  None when none does."""
+    ctype = flow.credential_type
+    if flow.kind is _ISSUANCE:
+        if (flow.sender, ctype, _ISSUER) not in tasks:
+            return f"{flow.sender!r} is not an issuer of {ctype!r}"
+    elif (flow.receiver, ctype, _VERIFIER) not in tasks:
+        return f"{flow.receiver!r} is not a verifier of {ctype!r}"
+    elif (flow.sender, ctype, _HOLDER) not in tasks:
+        return f"{flow.sender!r} is not a holder of {ctype!r}"
+    return None
+
+
 def infer_roles(model: Model, lexicon: VerbLexicon = DEFAULT_LEXICON) -> tuple[RoleAssignment, ...]:
     """Derive Issuer/Holder/Verifier assignments from task names and issuances.
 
@@ -302,7 +329,7 @@ def infer_roles(model: Model, lexicon: VerbLexicon = DEFAULT_LEXICON) -> tuple[R
     result is deduplicated and sorted by (actor, credential type, role).
     """
     names = _Names.of(model)
-    found: dict[tuple[Identifier, str, SsiRole], list[Identifier]] = {}
+    found: dict[tuple[Identifier, str, str], list[Identifier]] = {}  # as ``role_tasks`` keys them
     for (actor, task), norm in names.tasks:
         role = _verb_class(norm, lexicon)
         if role is None:
@@ -312,12 +339,14 @@ def infer_roles(model: Model, lexicon: VerbLexicon = DEFAULT_LEXICON) -> tuple[R
 
     # Receiving an issuance makes the depender a holder even without a task.
     for dep, ctype in names.catalog.resources:
-        if _is_issuance(dep.annotations.get("ssi"), (dep.dependee, ctype, SsiRole.ISSUER) in found):
-            found.setdefault((dep.depender, ctype, SsiRole.HOLDER), [])
+        if _is_issuance(dep.annotations.get("ssi"), (dep.dependee, ctype, _ISSUER) in found):
+            found.setdefault((dep.depender, ctype, _HOLDER), [])
 
-    assignments = [RoleAssignment(actor, ctype, role, tuple(tasks)) for (actor, ctype, role), tasks in found.items()]
-    assignments.sort(key=lambda a: (a.actor, a.credential_type, _ROLE_ORDER[a.role]))
-    return tuple(assignments)
+    # Roles sort by their values, so the keys sort as the assignments do.
+    return tuple(
+        RoleAssignment(actor, ctype, _ROLES[role], tuple(found[actor, ctype, role]))
+        for actor, ctype, role in sorted(found)
+    )
 
 
 def derive_flows(model: Model, roles: Sequence[RoleAssignment]) -> tuple[CredentialFlow, ...]:
@@ -334,45 +363,46 @@ def derive_flows(model: Model, roles: Sequence[RoleAssignment]) -> tuple[Credent
     """
     names = _Names.of(model)
     copy_sends, copy_tasks = names.copy_sends, names.copy_tasks
-    role_tasks = {(a.actor, a.credential_type, a.role): a.tasks for a in roles}
+    tasks = role_tasks(roles)
     # An issuer's gates are all of its Verifier tasks, in element order, plus
     # the sources of the needed-by links into the issue task, in link order.
-    verifier_tasks = {(a.actor, t) for a in roles if a.role is SsiRole.VERIFIER for t in a.tasks}
+    verifier, needs = SsiRole.VERIFIER, LinkKind.NEEDED_BY
+    verifier_tasks = {(a.actor, t) for a in roles if a.role is verifier for t in a.tasks}
     gates: dict[Identifier, tuple[Identifier, ...]] = {}
     needed_by: dict[tuple[Identifier, Identifier], list[Identifier]] = {}
     for actor in model.actors:
         gates[actor.id] = tuple(e.id for e in actor.elements if (actor.id, e.id) in verifier_tasks)
         for link in actor.links:
-            if link.kind is LinkKind.NEEDED_BY:
+            if link.kind is needs:
                 needed_by.setdefault((actor.id, link.target), []).append(link.source)
     flows: list[CredentialFlow] = []
     for dep, ctype in names.catalog.resources:
         forced = dep.annotations.get("ssi")
-        issuer = role_tasks.get((dep.dependee, ctype, SsiRole.ISSUER))
-        holder = role_tasks.get((dep.dependee, ctype, SsiRole.HOLDER))
-        verifier = role_tasks.get((dep.depender, ctype, SsiRole.VERIFIER))
+        issuer = tasks.get((dep.dependee, ctype, _ISSUER))
+        holder = tasks.get((dep.dependee, ctype, _HOLDER))
+        verifier = tasks.get((dep.depender, ctype, _VERIFIER))
         issuance = _is_issuance(forced, issuer is not None)
         if forced in ("issue", "present"):
-            evidence = Evidence(EvidenceKind.ANNOTATION)
+            evidence = Evidence(_ANNOTATION)
         elif issuance:
-            evidence = Evidence(EvidenceKind.VERB, issuer[0] if issuer else None)
+            evidence = Evidence(_VERB, issuer[0] if issuer else None)
         elif holder is not None and verifier is not None:
-            evidence = Evidence(EvidenceKind.VERB, holder[0] if holder else verifier[0] if verifier else None)
+            evidence = Evidence(_VERB, holder[0] if holder else verifier[0] if verifier else None)
         else:
-            evidence = Evidence(EvidenceKind.UNRESOLVED)
+            evidence = Evidence(_UNRESOLVED)
         if issuance:
             issue_task = issuer[0] if issuer else None
             copy_task, copy_candidates = copy_sends.get(dep.dependee, (None, (None,)))  # sent to the first
             gate_tasks = gates.get(dep.dependee, ()) + tuple(needed_by.get((dep.dependee, issue_task), ()))
             flow = CredentialFlow(
-                dep.id, FlowKind.ISSUANCE, ctype, dep.dependee, dep.depender, evidence, copy_to=copy_candidates[0],
+                dep.id, _ISSUANCE, ctype, dep.dependee, dep.depender, evidence, copy_to=copy_candidates[0],
                 copy_task=copy_task, issue_task=issue_task, gate_tasks=gate_tasks, await_task=dep.depender_element,
                 subject=dep.annotations.get("ssi.subject"),
             )
         else:
             checks = verifier or ()
             flow = CredentialFlow(
-                dep.id, FlowKind.PRESENTATION, ctype, dep.dependee, dep.depender, evidence,
+                dep.id, _PRESENTATION, ctype, dep.dependee, dep.depender, evidence,
                 require_copy=any((dep.depender, t) in copy_tasks for t in checks), check_tasks=checks,
                 verdict_task=dep.dependee_element, purpose=dep.annotations.get("ssi.purpose"),
             )
@@ -385,29 +415,27 @@ def lint_ssi(
 ) -> tuple[ValidationIssue, ...]:
     """Surface overlay blind spots; returns warnings only, sorted (code, subject)."""
     findings: list[ValidationIssue] = []
+    tasks = role_tasks(roles)
     for flow in flows:
-        if flow.evidence.kind is EvidenceKind.UNRESOLVED:
-            findings.append(
-                ValidationIssue(
-                    "W_FLOW_AMBIGUOUS",
-                    flow.dependency,
-                    f"cannot tell whether {flow.credential_type!r} is issued or presented here",
-                )
-            )
+        if flow.evidence.kind is _UNRESOLVED:
+            message = f"cannot tell whether {flow.credential_type!r} is issued or presented here"
+            findings.append(ValidationIssue("W_FLOW_AMBIGUOUS", flow.dependency, message))
+        elif (unmet := unmet_role(flow, tasks)) is not None:
+            message = f"{unmet}, so the {flow.kind.value.lower()} cannot be simulated"
+            findings.append(ValidationIssue("W_FLOW_ROLE_MISSING", flow.dependency, message))
 
     issuers: dict[str, list[Identifier]] = {}
     task_types: dict[tuple[Identifier, Identifier], list[str]] = {}
+    issuer, verifier = SsiRole.ISSUER, SsiRole.VERIFIER
     for assignment in roles:
-        if assignment.role is SsiRole.ISSUER:
+        if assignment.role is issuer:
             issuers.setdefault(assignment.credential_type, []).append(assignment.actor)
         for task in assignment.tasks:
             task_types.setdefault((assignment.actor, task), []).append(assignment.credential_type)
-    presented = sorted({f.credential_type for f in flows if f.kind is FlowKind.PRESENTATION})
+    presented = sorted({f.credential_type for f in flows if f.kind is _PRESENTATION})
     for ctype in presented:
         if ctype not in issuers:
-            findings.append(
-                ValidationIssue("W_NO_ISSUER", ctype, f"{ctype!r} is presented but nobody issues it")
-            )
+            findings.append(ValidationIssue("W_NO_ISSUER", ctype, f"{ctype!r} is presented but nobody issues it"))
         elif len(issuers[ctype]) > 1:
             names, first = ", ".join(issuers[ctype]), issuers[ctype][0]
             message = f"{ctype!r} has several issuers ({names}): bootstrap uses {first}'s, a wallet keeps one per type"
@@ -427,14 +455,9 @@ def lint_ssi(
 
     flow_targets = {(f.receiver, f.credential_type) for f in flows}
     for assignment in roles:
-        if assignment.role is SsiRole.VERIFIER and (assignment.actor, assignment.credential_type) not in flow_targets:
-            findings.append(
-                ValidationIssue(
-                    "W_ORPHAN_VERIFIER",
-                    assignment.actor,
-                    f"verifies {assignment.credential_type!r} but no such credential flows to it",
-                )
-            )
+        if assignment.role is verifier and (assignment.actor, assignment.credential_type) not in flow_targets:
+            message = f"verifies {assignment.credential_type!r} but no such credential flows to it"
+            findings.append(ValidationIssue("W_ORPHAN_VERIFIER", assignment.actor, message))
 
     findings.sort(key=lambda i: (i.code, i.offending_id))
     return tuple(findings)
@@ -449,16 +472,17 @@ def build_trust_registry(
     :func:`apply_trust_overrides` then adjusts them.
     """
     for flow in flows:
-        if flow.kind is FlowKind.ISSUANCE and flow.sender not in did_of:
+        if flow.kind is _ISSUANCE and flow.sender not in did_of:
             raise ValueError(f"didOf is missing issuer actor {flow.sender!r}")
     issuers_by_type: dict[str, list[Identifier]] = {}
     verifier_pairs: set[tuple[Identifier, str]] = set()
+    issuer, verifier = SsiRole.ISSUER, SsiRole.VERIFIER
     for assignment in roles:
-        if assignment.role is SsiRole.ISSUER:
+        if assignment.role is issuer:
             if assignment.actor not in did_of:
                 raise ValueError(f"didOf is missing issuer actor {assignment.actor!r}")
             issuers_by_type.setdefault(assignment.credential_type, []).append(assignment.actor)
-        elif assignment.role is SsiRole.VERIFIER:
+        elif assignment.role is verifier:
             verifier_pairs.add((assignment.actor, assignment.credential_type))
     return TrustRegistry(
         {pair: frozenset(did_of[a] for a in issuers_by_type.get(pair[1], ())) for pair in sorted(verifier_pairs)}

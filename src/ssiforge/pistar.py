@@ -66,6 +66,18 @@ _CONTRIBUTION_LABELS = {l.value: l for l in ContributionLabel}
 
 _KNOWN_TOP_KEYS = {"actors", "dependencies", "links", "istar", "tool", "saveDate", "diagram"}
 _METADATA_KEYS = ("tool", "saveDate")
+# Each array of entries: its key; its nouns for an entry that is not an object and for an unknown
+# type; its string fields, in the order of their errors, and how to read them with one ``get`` each
+# (a missing ``text`` reads as ""); and the kinds of its types.
+_NAMED = ("id", "text", "type"), lambda e: (e.get("id"), e.get("text", ""), e.get("type"))
+_LINKED = ("id", "type", "source", "target"), lambda e: (e.get("id"), e.get("type"), e.get("source"), e.get("target"))
+_ACTORS = ("actors", "actor", "actor", *_NAMED, _ACTOR_TYPES)
+_NODES = ("nodes", "node", "element", *_NAMED, _ELEMENT_TYPES)
+_LINKS = ("links", "link", "link", *_LINKED, _LINK_TYPES)
+_DEPENDENCIES = (
+    "dependencies", "dependency", "dependum", ("id", "text", "type", "source", "target"),
+    lambda e: (e.get("id"), e.get("text", ""), e.get("type"), e.get("source"), e.get("target")), _ELEMENT_TYPES,
+)
 
 
 class ParseError(Record):
@@ -90,7 +102,8 @@ def _token(key: str) -> str:
 
 
 class _Reader:
-    """The diagnostics of one document, and the checks that add to them."""
+    """The diagnostics of one document, and the checks that add to them.
+    An entry's pointer is built only for a diagnostic."""
 
     def __init__(self) -> None:
         self.errors: list[ParseError] = []
@@ -102,59 +115,49 @@ class _Reader:
     def result(self, model: Model | None = None) -> ParseResult:
         return ParseResult(model, tuple(self.errors), tuple(self.warnings))
 
-    def objects(self, parent: dict, key: str, path: str, noun: str) -> Iterator[tuple[str, dict]]:
-        """Yield ``(path, entry)`` for each object in the array ``parent[key]``."""
-        path = f"{path}/{key}"
+    def entries(self, parent: dict, at: str, array: tuple) -> Iterator[tuple[int, dict, tuple, object]]:
+        """Yield ``(i, entry, values, kind)`` for each object of ``array`` (see ``_ACTORS``) in ``parent``,
+        at the pointer ``at``, whose fields hold the strings ``values`` and whose ``type`` has a ``kind``;
+        each other entry gets an error for not being an object, each non-string field, or else its type."""
+        key, noun, type_noun, fields, read, types = array
+        at = f"{at}/{key}"
         entries = parent.get(key, [])
         if not isinstance(entries, list):
-            self.error(path, "E_SCHEMA", f"{key} must be an array")
+            self.error(at, "E_SCHEMA", f"{key} must be an array")
             return
         for i, entry in enumerate(entries):
-            if isinstance(entry, dict):
-                yield f"{path}/{i}", entry
-            else:
-                self.error(f"{path}/{i}", "E_SCHEMA", f"{noun} must be an object")
+            if not isinstance(entry, dict):
+                self.error(f"{at}/{i}", "E_SCHEMA", f"{noun} must be an object")
+                continue
+            values = read(entry)
+            for value in values:
+                if not isinstance(value, str):
+                    for field, bad in zip(fields, values):
+                        if not isinstance(bad, str):
+                            self.error(f"{at}/{i}/{field}", "E_SCHEMA", f"field {field!r} must be a string")
+                    break
+            else:  # every field is a string
+                kind = types.get(entry["type"])
+                if kind is None:
+                    self.error(f"{at}/{i}/type", "E_UNKNOWN_TYPE", f"unknown {type_noun} type {entry['type']!r}")
+                else:
+                    yield i, entry, values, kind
 
-    def fields(self, obj: dict, path: str, keys: tuple[str, ...], types: dict, noun: str) -> list | None:
-        """The string fields ``keys`` of ``obj`` (a missing ``text`` reads as ""),
-        with the ``type`` value replaced by its kind from ``types``.  None after
-        an error for each field that is not a string, or else for an unknown type."""
-        values = []
-        ok = True
-        for key in keys:
-            value = obj.get(key, "" if key == "text" else None)
-            if not isinstance(value, str):
-                self.error(f"{path}/{key}", "E_SCHEMA", f"field {key!r} must be a string")
-                ok = False
-            values.append(value)
-        if not ok:
-            return None
-        at = keys.index("type")
-        kind = types.get(values[at])
-        if kind is None:
-            self.error(f"{path}/type", "E_UNKNOWN_TYPE", f"unknown {noun} type {values[at]!r}")
-            return None
-        values[at] = kind
-        return values
+    def dangling(self, refs: dict, source: str, target: str, expected: str, at: str, i: int) -> None:
+        """Report each of an entry's ``source`` and ``target`` that ``refs`` lacks."""
+        for field, ref in (("source", source), ("target", target)):
+            if ref not in refs:
+                self.error(f"{at}/{i}/{field}", "E_DANGLING", f"{ref!r} is {expected}")
 
-    def resolve(self, refs: dict, ref: str, path: str, field: str, expected: str):
-        """``refs[ref]``, or None after a dangling-reference error."""
-        found = refs.get(ref)
-        if found is None:
-            self.error(f"{path}/{field}", "E_DANGLING", f"{ref!r} is {expected}")
-        return found
-
-    def properties(self, obj: dict, path: str) -> dict[str, str]:
-        raw = obj.get("customProperties", {})
-        if not isinstance(raw, dict):
-            self.error(f"{path}/customProperties", "E_SCHEMA", "customProperties must be an object")
+    def properties(self, obj: dict, at: str, i: int) -> dict[str, str]:
+        """The entry's ``customProperties`` object, after an error for each value that is not a string."""
+        props = obj.get("customProperties", {})
+        if not isinstance(props, dict):
+            self.error(f"{at}/{i}/customProperties", "E_SCHEMA", "customProperties must be an object")
             return {}
-        props: dict[str, str] = {}
-        for key, value in raw.items():
-            if isinstance(value, str):
-                props[key] = value
-            else:
-                self.error(f"{path}/customProperties/{_token(key)}", "E_SCHEMA", "property values must be strings")
+        for key, value in props.items():
+            if not isinstance(value, str):
+                self.error(f"{at}/{i}/customProperties/{_token(key)}", "E_SCHEMA", "property values must be strings")
         return props
 
 
@@ -190,68 +193,53 @@ def parse_model(data: bytes | str) -> ParseResult:
     actors: list[tuple[str, str, ActorKind, tuple[Element, ...], dict[str, str]]] = []
     links: dict[str, list[InternalLink]] = {}
     owner: dict[str, str] = {}
-    for path, raw in r.objects(doc, "actors", "", "actor"):
-        fields = r.fields(raw, path, ("id", "text", "type"), _ACTOR_TYPES, "actor")
-        if fields is None:
-            continue
-        actor_id, name, kind = fields
+    for i, raw, (actor_id, name, _), kind in r.entries(doc, "", _ACTORS):
+        nodes_at = f"/actors/{i}/nodes"
         elements: list[Element] = []
-        for node_path, node in r.objects(raw, "nodes", path, "node"):
-            fields = r.fields(node, node_path, ("id", "text", "type"), _ELEMENT_TYPES, "element")
-            if fields is None:
-                continue
-            elements.append(Element(*fields, r.properties(node, node_path)))
-            owner.setdefault(fields[0], actor_id)
-        actors.append((actor_id, name, kind, tuple(elements), r.properties(raw, path)))
+        for j, node, (element_id, element_name, _), element_kind in r.entries(raw, f"/actors/{i}", _NODES):
+            elements.append(Element(element_id, element_name, element_kind, r.properties(node, nodes_at, j)))
+            owner.setdefault(element_id, actor_id)
+        actors.append((actor_id, name, kind, tuple(elements), r.properties(raw, "/actors", i)))
         links.setdefault(actor_id, [])
 
     actor_links: list[ActorLink] = []
-    for path, raw in r.objects(doc, "links", "", "link"):
-        fields = r.fields(raw, path, ("id", "type", "source", "target"), _LINK_TYPES, "link")
-        if fields is None:
-            continue
-        _, kind, source, target = fields
+    for i, raw, (link_id, _, source, target), kind in r.entries(doc, "", _LINKS):
         between_actors = isinstance(kind, ActorLinkKind)
-        refs, expected = (links, "not an actor id") if between_actors else (owner, "not an element id")
-        src = r.resolve(refs, source, path, "source", expected)
-        dst = r.resolve(refs, target, path, "target", expected)
+        refs = links if between_actors else owner
+        src, dst = refs.get(source), refs.get(target)
         if src is None or dst is None:
+            r.dangling(refs, source, target, "not an actor id" if between_actors else "not an element id", "/links", i)
             continue
         if between_actors:
-            actor_links.append(ActorLink(*fields))
+            actor_links.append(ActorLink(link_id, kind, source, target))
             continue
         if src != dst:
-            r.error(path, "E_DANGLING", "link endpoints belong to different actors")
+            r.error(f"/links/{i}", "E_DANGLING", "link endpoints belong to different actors")
             continue
         contribution: ContributionLabel | None = None
         if kind is LinkKind.CONTRIBUTION:
             label = raw.get("label")
             if not isinstance(label, str):
-                r.error(f"{path}/label", "E_SCHEMA", "contribution link needs a string label")
+                r.error(f"/links/{i}/label", "E_SCHEMA", "contribution link needs a string label")
                 continue
             contribution = _CONTRIBUTION_LABELS.get(label.lower())
             if contribution is None:
-                r.error(f"{path}/label", "E_UNKNOWN_TYPE", f"unknown contribution label {label!r}")
+                r.error(f"/links/{i}/label", "E_UNKNOWN_TYPE", f"unknown contribution label {label!r}")
                 continue
-        links[src].append(InternalLink(*fields, contribution))
+        links[src].append(InternalLink(link_id, kind, source, target, contribution))
 
     # A dependency side is an actor id, or an element id inside that actor.
     sides: dict[str, tuple[str, str | None]] = {element: (actor, element) for element, actor in owner.items()}
     sides.update((actor, (actor, None)) for actor in links)
     dependencies: list[Dependency] = []
-    for path, raw in r.objects(doc, "dependencies", "", "dependency"):
-        fields = r.fields(raw, path, ("id", "text", "type", "source", "target"), _ELEMENT_TYPES, "dependum")
-        if fields is None:
-            continue
-        dep_id, name, kind, source, target = fields
+    for i, raw, (dep_id, name, _, source, target), kind in r.entries(doc, "", _DEPENDENCIES):
         # source names the dependee side, target the depender side.
-        dependee = r.resolve(sides, source, path, "source", "neither an actor nor an element id")
-        depender = r.resolve(sides, target, path, "target", "neither an actor nor an element id")
+        dependee, depender = sides.get(source), sides.get(target)
         if dependee is None or depender is None:
+            r.dangling(sides, source, target, "neither an actor nor an element id", "/dependencies", i)
             continue
-        dependencies.append(
-            Dependency(dep_id, name, kind, depender[0], dependee[0], depender[1], dependee[1], r.properties(raw, path))
-        )
+        ends = depender[0], dependee[0], depender[1], dependee[1]
+        dependencies.append(Dependency(dep_id, name, kind, *ends, r.properties(raw, "/dependencies", i)))
 
     if r.errors:
         return r.result()

@@ -140,19 +140,23 @@ def _rules_of(model: Model) -> tuple:
     refines: dict[Identifier, tuple[LinkKind, list[Identifier]]] = {}
     contributions: dict[Identifier, list[tuple[ContributionLabel, Identifier]]] = {}
     quality: set[Identifier] = set()
+    # Read once, and compared by identity: on Python 3.11 enum member reads and hashes are Python-level calls.
+    and_refinement, or_refinement, contribution = LinkKind.AND_REFINEMENT, LinkKind.OR_REFINEMENT, LinkKind.CONTRIBUTION
+    quality_kind = ElementKind.QUALITY
     for actor in model.actors:
         local = {e.id for e in actor.elements}
         for elem in actor.elements:
             order.append(elem.id)
-            if elem.kind is ElementKind.QUALITY:
+            if elem.kind is quality_kind:
                 quality.add(elem.id)
         for link in actor.links:
             if link.source not in local or link.target not in local:
                 continue
-            if link.kind in REFINEMENT_KINDS:
-                mode, children = refines.setdefault(link.target, (link.kind, []))
+            kind = link.kind
+            if kind is and_refinement or kind is or_refinement:
+                mode, children = refines.setdefault(link.target, (kind, []))
                 children.append(link.source)
-            elif link.kind is LinkKind.CONTRIBUTION and link.contribution is not None:
+            elif kind is contribution and link.contribution is not None:
                 contributions.setdefault(link.target, []).append((link.contribution, link.source))
 
     dep_sources: dict[Identifier, list[Identifier]] = {}
@@ -164,7 +168,7 @@ def _rules_of(model: Model) -> tuple:
     for element in order:
         if element in refines:
             mode, children = refines[element]
-            rules.append((element, combine_and if mode is LinkKind.AND_REFINEMENT else combine_or, children))
+            rules.append((element, combine_and if mode is and_refinement else combine_or, children))
         elif element in quality and element in contributions:
             polarities, sources = zip(*contributions[element])
             rules.append((element, partial(_contribute, polarities), list(sources)))

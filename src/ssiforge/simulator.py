@@ -71,7 +71,7 @@ from .credentials import (
     verify_presentation,
 )
 from .model import Identifier, Model, Record
-from .overlay import CredentialFlow, FlowKind, RoleAssignment, SsiRole, TrustRegistry
+from .overlay import CredentialFlow, FlowKind, RoleAssignment, SsiRole, TrustRegistry, role_tasks, unmet_role
 from .propagation import LabelState, evaluate_goals
 
 _MASK64 = (1 << 64) - 1
@@ -169,15 +169,16 @@ def derive_bootstrap(
     flows: Sequence[CredentialFlow],
 ) -> tuple[BootstrapCredential, ...]:
     """Pre-issue whatever presented credentials no in-run issuance provides."""
-    issuance_targets = {(f.credential_type, f.receiver) for f in flows if f.kind is FlowKind.ISSUANCE}
+    issuance, presentation, issuer_role = FlowKind.ISSUANCE, FlowKind.PRESENTATION, SsiRole.ISSUER
+    issuance_targets = {(f.credential_type, f.receiver) for f in flows if f.kind is issuance}
     issuers_by_type: dict[str, Identifier] = {}
     for assignment in roles:
-        if assignment.role is SsiRole.ISSUER:
+        if assignment.role is issuer_role:
             issuers_by_type.setdefault(assignment.credential_type, assignment.actor)
     out: list[BootstrapCredential] = []
     seen: set[tuple[str, Identifier]] = set()
     for flow in flows:
-        if flow.kind is not FlowKind.PRESENTATION:
+        if flow.kind is not presentation:
             continue
         key = (flow.credential_type, flow.sender)
         if key in issuance_targets or key in seen:
@@ -215,23 +216,20 @@ def compile_agents(
     lacks the role the flow requires (issuer for issuances, holder and
     verifier for presentations) or that the model lacks.
     """
-    role_tasks = {(a.actor, a.credential_type, a.role): a.tasks for a in roles}
+    tasks = role_tasks(roles)
     keys = {actor.id: generate_keypair(actor_key_seed(seed, actor.id)) for actor in model.actors}
     dids = {actor_id: did_from_public_key(pair.public_key) for actor_id, pair in keys.items()}
     # Lists by actor id; an actor with nothing to list is in no table.
     verifies, issues, requests, wallets, prelabeled = ({} for _ in range(5))
 
     for flow in flows:
+        unmet = unmet_role(flow, tasks)
+        if unmet is not None:
+            raise CompileError(unmet)
         if flow.kind is FlowKind.ISSUANCE:
-            if (flow.sender, flow.credential_type, SsiRole.ISSUER) not in role_tasks:
-                raise CompileError(f"{flow.sender!r} is not an issuer of {flow.credential_type!r}")
             issues.setdefault(flow.sender, []).append(flow)
             requests.setdefault(flow.receiver, []).append(flow)
         else:
-            if (flow.receiver, flow.credential_type, SsiRole.VERIFIER) not in role_tasks:
-                raise CompileError(f"{flow.receiver!r} is not a verifier of {flow.credential_type!r}")
-            if (flow.sender, flow.credential_type, SsiRole.HOLDER) not in role_tasks:
-                raise CompileError(f"{flow.sender!r} is not a holder of {flow.credential_type!r}")
             verifies.setdefault(flow.receiver, []).append(flow)
         if flow.sender not in keys or flow.receiver not in keys:
             raise CompileError(f"flow {flow.dependency!r} joins an actor the model lacks")
@@ -246,7 +244,7 @@ def compile_agents(
             mint_credential(dids[entry.issuer], holder_did, holder_did, entry.credential_type, claims, issued_at=0),
         )
         wallets.setdefault(entry.holder, []).append(credential)
-        issuer_tasks = role_tasks.get((entry.issuer, entry.credential_type, SsiRole.ISSUER))
+        issuer_tasks = tasks.get((entry.issuer, entry.credential_type, SsiRole.ISSUER.value))
         if issuer_tasks:
             prelabeled.setdefault(entry.issuer, []).append(issuer_tasks[0])
 

@@ -243,12 +243,13 @@ def test_simulate_golden_trace(tmp_path, birth_path, fixture_doc, renamed):
     args = [str(birth_path)]
     if renamed:
         # The renamed issue task is read only through the custom lexicon;
-        # without it the Midwife issues nothing and compile fails.
+        # without it the Midwife issues nothing, and the BND flow stays unresolved.
         rename_node(fixture_doc, "midwife-issue-bnd", "Draw Up BND")
         model_path = write_doc(tmp_path, fixture_doc)
-        plain = invoke(["simulate", model_path, "--seed", "42", "--allow-ambiguous"])
+        plain = invoke(["simulate", model_path, "--seed", "42"])
         assert plain.exit_code == 1
-        assert "E_COMPILE_ROLE" in plain.stderr
+        assert "WARN W_FLOW_AMBIGUOUS dep-bnd-mother:" in plain.stderr
+        assert plain.stderr.endswith("ambiguous flows; resolve each with task verbs or an \"ssi\" annotation\n")
         lexicon_path = tmp_path / "lexicon.json"
         lexicon_path.write_text(json.dumps({"issueVerbs": ["issue", "draw up"]}), encoding="utf-8")
         args = [model_path, "--lexicon", str(lexicon_path)]
@@ -395,12 +396,27 @@ def test_simulate_stops_on_ambiguous_flows(tmp_path, fixture_doc):
     result = invoke(["simulate", path, "--seed", "42"])
     assert result.exit_code == 1
     assert "WARN W_FLOW_AMBIGUOUS dep-bnd-mother:" in result.stderr
-    assert "--allow-ambiguous" in result.stderr
+    assert result.stderr.endswith("ambiguous flows; resolve each with task verbs or an \"ssi\" annotation\n")
+    assert "Root goals:" not in result.stdout
 
+    # no option runs the model anyway
     forced = invoke(["simulate", path, "--seed", "42", "--allow-ambiguous"])
-    # the defaulted presentation has no matching verifier, so compilation fails
-    assert forced.exit_code == 1
-    assert forced.stderr.startswith("E_COMPILE_ROLE:")
+    assert forced.exit_code == 2
+    assert "unrecognized arguments: --allow-ambiguous" in forced.stderr
+
+
+def test_roles_strict_flags_the_flow_simulate_rejects(tmp_path, fixture_doc):
+    for dep in fixture_doc["dependencies"]:
+        if dep["id"] == "dep-id-midwife":
+            dep["customProperties"]["ssi"] = "issue"
+    path = write_doc(tmp_path, fixture_doc)
+    roles = invoke(["roles", path, "--strict"])
+    assert roles.exit_code == 1
+    assert "  dep-id-midwife: Issuance of Mother's ID from Mother to Midwife [Annotation]" in roles.stdout
+    assert "WARN W_FLOW_ROLE_MISSING dep-id-midwife: 'Mother' is not an issuer of \"Mother's ID\"" in roles.stdout
+    simulate = invoke(["simulate", path, "--seed", "42"])
+    assert simulate.exit_code == 1
+    assert simulate.stderr == "E_COMPILE_ROLE: 'Mother' is not an issuer of \"Mother's ID\"\n"
 
 
 def test_simulate_drop_flag(birth_path):
@@ -556,9 +572,9 @@ def test_simulate_help_shows_option_help():
         "Message drop probability.",
         "Write the JSONL trace here.",
         "JSON verb lexicon override.",
-        "Run even when some flows stay unresolved.",
     ):
         assert text in result.stdout
+    assert "--allow-ambiguous" not in result.stdout
 
 
 def test_simulate_has_no_dot_option(birth_path, tmp_path):

@@ -28,7 +28,7 @@ from ssiforge.overlay import (
 )
 from ssiforge.overlay import _Names
 from ssiforge.pistar import parse_model
-from ssiforge.simulator import derive_bootstrap
+from ssiforge.simulator import CompileError, compile_agents, derive_bootstrap
 
 BND = "Birth Notification Document"
 MID = "Mother's ID"
@@ -405,6 +405,30 @@ def test_a_holder_without_tasks_receives_an_issuance(birth_model, dependency, fo
     assert untasked <= issued
 
 
+@pytest.mark.parametrize("renamed", [False, True], ids=["fixture", "bnd-issue-task-renamed"])
+def test_lint_flags_exactly_the_flows_compile_agents_rejects(birth_model, renamed):
+    # With each ``ssi`` value forced on each resource dependency in turn, a flow draws
+    # W_FLOW_ROLE_MISSING or W_FLOW_AMBIGUOUS exactly when ``compile_agents`` rejects it.
+    base = helpers.rename_element(birth_model, "midwife-issue-bnd", "Arrange BND") if renamed else birth_model
+    drawn = Counter()
+    for dependency, forced in [(None, None), *((d, v) for d in FIXTURE_RESOURCES for v in ("issue", "present"))]:
+        model = base if dependency is None else annotate_dependency(base, dependency, ssi=forced)
+        roles = infer_roles(model)
+        flows = derive_flows(model, roles)
+        codes = ("W_FLOW_ROLE_MISSING", "W_FLOW_AMBIGUOUS")
+        flagged = {w.offending_id: w.code for w in lint_ssi(model, roles, flows) if w.code in codes}
+        for flow in flows:
+            try:
+                compile_agents(model, roles, [flow], TrustRegistry({}))
+            except CompileError as exc:
+                assert flow.dependency in flagged, (dependency, forced, str(exc))
+                drawn[flagged[flow.dependency]] += 1
+            else:
+                assert flow.dependency not in flagged, (dependency, forced)
+    # Forcing reaches the lint code on the fixture; the renamed task leaves one flow ambiguous too.
+    assert set(drawn) == ({"W_FLOW_ROLE_MISSING", "W_FLOW_AMBIGUOUS"} if renamed else {"W_FLOW_ROLE_MISSING"})
+
+
 def test_check_task_is_fallback_evidence():
     doc = {
         "istar": "2.0",
@@ -432,9 +456,12 @@ def test_check_task_is_fallback_evidence():
     assert presentation.evidence == Evidence(EvidenceKind.VERB, "v-check")
 
 
-def test_lint_is_quiet_on_fixture(birth_model):
+def test_lint_is_quiet_on_fixture(birth_model, birth_path):
     roles = infer_roles(birth_model)
     assert lint_ssi(birth_model, roles, derive_flows(birth_model, roles)) == ()
+    copies = helpers.scaled_model(birth_path, 12)
+    roles = infer_roles(copies)
+    assert lint_ssi(copies, roles, derive_flows(copies, roles)) == ()
 
 
 def test_renamed_issue_task_leaves_one_ambiguous_flow(birth_model):

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 import helpers
-from ssiforge.model import ActorLinkKind, ContributionLabel, ElementKind, LinkKind
+from ssiforge.model import ActorKind, ActorLinkKind, ContributionLabel, ElementKind, LinkKind
 from ssiforge.pistar import export_dot, parse_model, serialize_model
 
 
@@ -226,21 +226,15 @@ def test_duplicate_ids_left_to_validation():
     assert result.ok
 
 
-# What the reader said about each of 3,000 seeded edits of the fixture
-# (``helpers.mutate_document``): every error and warning as (path, code,
-# message) in order, and the serialized model when there is one.
-CORPUS_SIZE = 3000
-CORPUS_SHA256 = "cdc3a1ecdad0fbb749451c11600f92f99dfc23c20190d960dd23b44c0011592b"
-CORPUS_CODES = {"E_DANGLING": 3627, "E_SCHEMA": 1625, "E_UNKNOWN_TYPE": 853, "E_VERSION": 25, "W_UNKNOWN_KEY": 17}
-CORPUS_PARSED = 817
-
-
-def test_mutated_fixtures_keep_their_diagnostics(birth_path):
-    text = birth_path.read_text(encoding="utf-8")
+def corpus_diagnostics(text: str, size: int) -> tuple[dict, int, str]:
+    """What the reader said about each of ``size`` seeded edits of the document
+    ``text`` (``helpers.mutate_document``): the count of each code, the number
+    of edits that still parse, and a digest of every error and warning as
+    (path, code, message) in order, with the serialized model when there is one."""
     digest = hashlib.sha256()
     codes = Counter()
     parsed = 0
-    for seed in range(CORPUS_SIZE):
+    for seed in range(size):
         result = parse_doc(helpers.mutate_document(json.loads(text), random.Random(seed)))
         entry = [
             [[e.path, e.code, e.message] for e in result.errors],
@@ -250,8 +244,108 @@ def test_mutated_fixtures_keep_their_diagnostics(birth_path):
         digest.update(json.dumps(entry).encode() + b"\n")
         codes.update(e.code for e in result.errors + result.warnings)
         parsed += result.ok
-    assert (dict(codes), parsed) == (CORPUS_CODES, CORPUS_PARSED)
-    assert digest.hexdigest() == CORPUS_SHA256
+    return dict(codes), parsed, digest.hexdigest()
+
+
+CORPUS_SIZE = 3000
+CORPUS_SHA256 = "cdc3a1ecdad0fbb749451c11600f92f99dfc23c20190d960dd23b44c0011592b"
+CORPUS_CODES = {"E_DANGLING": 3627, "E_SCHEMA": 1625, "E_UNKNOWN_TYPE": 853, "E_VERSION": 25, "W_UNKNOWN_KEY": 17}
+CORPUS_PARSED = 817
+
+
+def test_mutated_fixtures_keep_their_diagnostics(birth_path):
+    text = birth_path.read_text(encoding="utf-8")
+    assert corpus_diagnostics(text, CORPUS_SIZE) == (CORPUS_CODES, CORPUS_PARSED, CORPUS_SHA256)
+
+
+def every_entry_kind_doc() -> dict:
+    """A document holding every entry kind the reader reads: each actor and
+    element type, each internal link type (a contribution link with each
+    label, one in capitals), both actor link types, ``customProperties`` on
+    actors, nodes and dependencies, and dependency sides at actor and at
+    element level."""
+    return {
+        "istar": "2.0",
+        "tool": "pistar.2.1.0",
+        "saveDate": "Tue, 20 Oct 2026 10:00:00 GMT",
+        "diagram": {"width": 800, "height": 600},
+        "actors": [
+            {
+                "id": "A",
+                "text": "Alpha",
+                "type": "istar.Actor",
+                "customProperties": {"Description": "first"},
+                "nodes": [
+                    {"id": "g", "text": "Grow", "type": "istar.Goal", "customProperties": {"k": "v"}},
+                    {"id": "g2", "text": "Grow fast", "type": "istar.Goal"},
+                    {"id": "t", "text": "Till", "type": "istar.Task", "customProperties": {}},
+                    {"id": "t2", "text": "Sow", "type": "istar.Task"},
+                    {"id": "r", "text": "Seed", "type": "istar.Resource"},
+                    {"id": "q", "text": "Quick", "type": "istar.Quality", "customProperties": {"a/b": "c~d"}},
+                ],
+            },
+            {
+                "id": "B",
+                "text": "Beta",
+                "type": "istar.Agent",
+                "customProperties": {},
+                "nodes": [
+                    {"id": "u", "text": "Use", "type": "istar.Task"},
+                    {"id": "h", "text": "Harvest", "type": "istar.Goal"},
+                ],
+            },
+            {"id": "C", "text": "Gamma", "type": "istar.Role", "nodes": []},
+        ],
+        "links": [
+            {"id": "l-and", "type": "istar.AndRefinementLink", "source": "t", "target": "g"},
+            {"id": "l-or", "type": "istar.OrRefinementLink", "source": "t2", "target": "g2"},
+            {"id": "l-make", "type": "istar.ContributionLink", "source": "t", "target": "q", "label": "make"},
+            {"id": "l-help", "type": "istar.ContributionLink", "source": "t2", "target": "q", "label": "Help"},
+            {"id": "l-hurt", "type": "istar.ContributionLink", "source": "g", "target": "q", "label": "hurt"},
+            {"id": "l-break", "type": "istar.ContributionLink", "source": "g2", "target": "q", "label": "break"},
+            {"id": "l-qual", "type": "istar.QualificationLink", "source": "q", "target": "g"},
+            {"id": "l-need", "type": "istar.NeededByLink", "source": "r", "target": "t"},
+            {"id": "l-and-b", "type": "istar.AndRefinementLink", "source": "u", "target": "h"},
+            {"id": "l-isa", "type": "istar.IsALink", "source": "B", "target": "C"},
+            {"id": "l-part", "type": "istar.ParticipatesInLink", "source": "A", "target": "C"},
+        ],
+        "dependencies": [
+            {
+                "id": "d-res",
+                "text": "Seed",
+                "type": "istar.Resource",
+                "source": "u",
+                "target": "t",
+                "customProperties": {"ssi": "issue", "ssi.alias": "Grain"},
+            },
+            {"id": "d-goal", "text": "Yield", "type": "istar.Goal", "source": "B", "target": "g"},
+            {"id": "d-task", "text": "Plough", "type": "istar.Task", "source": "h", "target": "A", "customProperties": {}},
+            {"id": "d-quality", "text": "Fresh", "type": "istar.Quality", "source": "C", "target": "B"},
+        ],
+    }
+
+
+EVERY_KIND_CORPUS_SIZE = 2000
+EVERY_KIND_CORPUS_SHA256 = "5d784c5c815f6300fed9703e5ca2bb5d134c20a03fcccfdc8aef321a95aadc4b"
+EVERY_KIND_CORPUS_CODES = {"E_DANGLING": 3324, "E_SCHEMA": 1211, "E_UNKNOWN_TYPE": 612, "E_VERSION": 9, "W_UNKNOWN_KEY": 9}
+EVERY_KIND_CORPUS_PARSED = 416
+
+
+def test_mutated_documents_of_every_entry_kind_keep_their_diagnostics():
+    doc = every_entry_kind_doc()
+    result = parse_doc(doc)
+    assert result.ok and result.warnings == ()
+    assert {a.kind for a in result.model.actors} == set(ActorKind)
+    assert {e.kind for a in result.model.actors for e in a.elements} == set(ElementKind)
+    assert {l.kind for l in result.model.actors[0].links} == set(LinkKind)
+    assert {l.contribution for l in result.model.actors[0].links} - {None} == set(ContributionLabel)
+    assert {l.kind for l in result.model.actor_links} == set(ActorLinkKind)
+    assert {(d.depender_element is None, d.dependee_element is None) for d in result.model.dependencies} == {
+        (False, False), (False, True), (True, False), (True, True)
+    }
+    text = json.dumps(doc)
+    pinned = (EVERY_KIND_CORPUS_CODES, EVERY_KIND_CORPUS_PARSED, EVERY_KIND_CORPUS_SHA256)
+    assert corpus_diagnostics(text, EVERY_KIND_CORPUS_SIZE) == pinned
 
 
 def test_fixture_round_trip(birth_path):
