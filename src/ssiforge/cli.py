@@ -253,12 +253,11 @@ def cmd_simulate(
     overrides = _load_overrides(trust_path)
     roles = infer_roles(model, lexicon)
     flows = derive_flows(model, roles)
-    warnings = lint_ssi(model, roles, flows)
-    ambiguous = [w for w in warnings if w.code == "W_FLOW_AMBIGUOUS"]
-    if ambiguous:
-        for w in ambiguous:
+    unrunnable = [w for w in lint_ssi(model, roles, flows) if w.code in ("W_FLOW_AMBIGUOUS", "W_FLOW_ROLE_MISSING")]
+    if unrunnable:
+        for w in unrunnable:
             print(f"WARN {w.code} {w.offending_id}: {w.message}", file=sys.stderr)
-        _fail('ambiguous flows; resolve each with task verbs or an "ssi" annotation', 1)
+        _fail('ambiguous flows or flows missing a role; resolve each with task verbs or an "ssi" annotation', 1)
 
     did_of = {
         actor.id: did_from_public_key(generate_keypair(actor_key_seed(seed, actor.id)).public_key)

@@ -423,6 +423,10 @@ def lint_ssi(
         elif (unmet := unmet_role(flow, tasks)) is not None:
             message = f"{unmet}, so the {flow.kind.value.lower()} cannot be simulated"
             findings.append(ValidationIssue("W_FLOW_ROLE_MISSING", flow.dependency, message))
+        side, task = ("depender", flow.await_task) if flow.kind is _ISSUANCE else ("dependee", flow.verdict_task)
+        if task is None and flow.evidence.kind is not _UNRESOLVED:
+            message = f"its {side} side is an actor, not an element, so the run labels no {side} task from it"
+            findings.append(ValidationIssue("W_FLOW_UNANCHORED", flow.dependency, message))
 
     issuers: dict[str, list[Identifier]] = {}
     task_types: dict[tuple[Identifier, Identifier], list[str]] = {}

@@ -10,11 +10,11 @@ part in, which carry every task id it acts on:
   activates those checks (sending nonce-fresh proof requests) when a request
   arrives; an issuer with a "send copy" task also mails the credential
   digest to the named actor;
-- a holder answers proof requests from its wallet, deferring the answer
-  until the credential arrives if it must; its proof is signed only when a
-  verification in progress reads it on its current nonce (or an
-  ``intercept`` reads it), and a credential issued in the run is signed by
-  its issuer only when first read, so an unread one is never signed;
+- a holder answers proof requests from its wallet with a ``Presentation``,
+  deferring the answer until the credential arrives if it must; the run
+  signs only what it built, once, when first read: a presentation by its
+  holder when a verification in progress reads it on its current nonce (or
+  an ``intercept`` reads it), a credential issued in the run by its issuer;
 - a verifier that issues nothing sends its proof requests at tick 0; it
   runs the four cryptographic checks on each presentation in one
   ``credentials.verify_presentation`` call, plus a digest comparison
@@ -32,10 +32,10 @@ One rule, ``_Simulation._DELIVERY``, defines each message kind: the flow
 kind it travels on, its ends (requests and verdicts go from a flow's
 receiver to its sender, issuances and presentations the other way, an
 office copy from an issuance's sender to its ``copy_to``) and the fields
-its handler reads.  A run sends each message between those ends, and the
-run loop matches each delivered one to its flow by the same rule: the
-handler of the agent addressed acts on the matched flow, and a message off
-its flow or lacking a field is delivered and ignored.
+its handler reads, such as a credential of the flow's type.  A run sends
+each message between those ends, and the run loop matches each delivered
+one to its flow by the same rule: the agent addressed acts on the matched
+flow, and a message off its flow or lacking a field is ignored.
 
 Task labels move as the run progresses (Denied is terminal), and the final
 labels come from propagating them through the goal model.  Time is a tick
@@ -396,12 +396,9 @@ class Trace(Record):
         return "\n".join(lines)
 
 
-def _presentable(msg: Message) -> bool:
-    """Whether ``msg`` carries a presentation holding a credential or, still
-    unsigned, a credential and a nonce."""
-    if msg.presentation is None:
-        return isinstance(msg.credential, Credential) and isinstance(msg.nonce, bytes)
-    return isinstance(msg.presentation, Presentation) and isinstance(msg.presentation.credential, Credential)
+def _of_type(credential: object, flow: CredentialFlow) -> bool:
+    """Whether ``credential`` is a credential of ``flow``'s type."""
+    return isinstance(credential, Credential) and credential.type == flow.credential_type
 
 
 class _RetryState:
@@ -447,9 +444,9 @@ class _Simulation:
         self.flows = {f.dependency: f for spec in agents for f in (*spec.issues, *spec.verifies)}
         self.subject_dids: dict[str, str] = {}
         self.verified: VerificationMemo = {}  # the run's issuer signature checks and presenter DID keys
-        # By object identity, each credential the run minted (held, so no other takes
-        # its identity), its issuer's keys, and the signed credential once read.
-        self.minted: dict[int, list] = {}
+        # By object identity, each credential and presentation the run built unsigned (held,
+        # so no other takes its identity), the keys that sign it, and the signed one once read.
+        self.built: dict[int, list] = {}
         self.labels: dict[Identifier, LabelState] = {}
         # Each event's canonical JSON, encoded as it is recorded; an event's seq is its index.
         self.event_lines: list[str] = []
@@ -461,14 +458,15 @@ class _Simulation:
 
     def _send(
         self, kind: str, flow: CredentialFlow, nonce: bytes | None = None, credential: Credential | None = None,
-        verdict: bool | None = None, digest: str | None = None, purpose: str | None = None,
+        presentation: Presentation | None = None, verdict: bool | None = None, digest: str | None = None,
+        purpose: str | None = None,
     ) -> None:
         """Send a ``kind`` message on ``flow`` between the ends ``_DELIVERY`` admits
         it on: record its Send and schedule its delivery after its route's latency."""
         to_actor, from_actor = self._DELIVERY[kind][1](flow)
         msg = Message(
-            kind, flow.dependency, flow.credential_type, from_actor, to_actor, nonce, credential, None, verdict, digest,
-            purpose,
+            kind, flow.dependency, flow.credential_type, from_actor, to_actor, nonce, credential, presentation, verdict,
+            digest, purpose,
         )
         encoded = _summarize(msg)
         lines, tick, config = self.event_lines, self.tick, self.config
@@ -523,7 +521,7 @@ class _Simulation:
                 _claims_for(flow.credential_type, agent.spec.actor, flow.receiver, flow.subject),
                 issued_at=self.tick,
             )
-            self.minted[id(credential)] = [credential, agent.spec.keys, None]
+            self.built[id(credential)] = [credential, agent.spec.keys, None]
             agent.issued[flow.dependency] = credential
             del agent.pending_issue[flow.dependency]
             self.event_lines.append(_issue_event(len(self.event_lines), self.tick, flow, credential))
@@ -551,48 +549,44 @@ class _Simulation:
             self._activate_gates(agent, flow)
             self._try_issue(agent)
 
+    def _present(self, holder: AgentSpec, flow: CredentialFlow, nonce: bytes, credential: Credential) -> None:
+        """Send ``holder``'s presentation of ``credential`` on ``nonce``, its holder proof empty until read."""
+        presentation = Presentation(credential, holder.did, nonce, b"")
+        self.built[id(presentation)] = [presentation, holder.keys, None]
+        self._send("ProofPresentation", flow, presentation=presentation)
+
     def _on_proof_request(self, agent: _AgentState, flow: CredentialFlow, msg: Message) -> None:
         credential = agent.wallet.get(flow.credential_type)
         if credential is None:
             agent.deferred.append((flow, msg.nonce))
         else:
-            self._send("ProofPresentation", flow, msg.nonce, credential)
+            self._present(agent.spec, flow, msg.nonce, credential)
 
-    def _signed(self, credential: Credential) -> Credential:
-        """``credential`` with its issuer signature: one the run minted is signed
-        once, when first read; any other, such as an ``intercept``'s, is as it is."""
-        entry = self.minted.get(id(credential))
+    def _signed(self, value, proof: bool = True):
+        """``value`` signed once, when first read, if the run built it: a credential
+        by its issuer, a presentation by its holder after its credential or, without
+        ``proof``, its credential only.  Anything else, such as an ``intercept``'s, is
+        as it is.  Ed25519 is deterministic, so signing late gives the same bytes."""
+        entry = self.built.get(id(value))
         if entry is None:
-            return credential
-        c, keys, signed = entry
+            return value
+        _, keys, signed = entry
         if signed is None:
-            signed = entry[2] = issue_credential(keys, c)
+            if value.__class__ is Credential:
+                signed = entry[2] = issue_credential(keys, value)
+            else:
+                credential = self._signed(value.credential)
+                if not proof:
+                    return value.replace(credential=credential)
+                signed = entry[2] = create_presentation(keys, value.presenter, credential, value.nonce)
         return signed
-
-    def _holder_proof(self, msg: Message, signed: bool = True) -> Presentation:
-        """The presentation a holder sent unsigned, its credential signed and,
-        when ``signed``, its holder proof signed.
-
-        Both are signed only where they are read: by a verification in
-        progress (``_on_proof_presentation``), the proof only on its current
-        nonce, or before an ``intercept`` sees the message (``run``).  Ed25519
-        signatures are deterministic, so signing late gives the bytes signing
-        at issue or send would have, and the summary, which holds only the
-        credential id and the nonce, is the same.
-        """
-        holder = self.agents[msg.from_actor].spec
-        credential = self._signed(msg.credential)
-        if not signed:
-            return Presentation(credential=credential, presenter=holder.did, nonce=msg.nonce, holder_proof=b"")
-        return create_presentation(holder.keys, holder.did, credential, msg.nonce)
 
     def _on_proof_presentation(self, agent: _AgentState, flow: CredentialFlow, msg: Message) -> None:
         state = agent.verifications[flow.dependency]
         if state.resolved or state.nonce is None:  # answered already, or never asked
             return
-        presentation = msg.presentation
-        if presentation is None:
-            presentation = self._holder_proof(msg, signed=msg.nonce == state.nonce)
+        # A proof answering a superseded nonce is not verified, so not signed.
+        presentation = self._signed(msg.presentation, proof=msg.presentation.nonce == state.nonce)
         outcome = verify_presentation(
             presentation,
             self.directory,
@@ -627,7 +621,7 @@ class _Simulation:
         still_deferred = []
         for deferred in agent.deferred:
             if deferred[0].credential_type == credential.type:
-                self._send("ProofPresentation", *deferred, credential)
+                self._present(agent.spec, *deferred, credential)
             else:
                 still_deferred.append(deferred)
         agent.deferred = still_deferred
@@ -638,19 +632,21 @@ class _Simulation:
 
     # The delivery rule: for each message kind, the kind of flow it travels on, the
     # ends of that flow that receive and send it (a ``copy_to`` of None admits no
-    # copy), whether it carries the fields its handler reads, and its handler.
+    # copy), whether it carries the fields its handler reads on that flow, and its handler.
     _DELIVERY = {
-        "IssuanceRequest": (FlowKind.ISSUANCE, attrgetter("sender", "receiver"), lambda m: True, _on_issuance_request),
+        "IssuanceRequest": (FlowKind.ISSUANCE, attrgetter("sender", "receiver"), lambda m, f: True,
+                            _on_issuance_request),
         "CredentialIssuance": (FlowKind.ISSUANCE, attrgetter("receiver", "sender"),
-                               lambda m: isinstance(m.credential, Credential), _on_credential_issuance),
+                               lambda m, f: _of_type(m.credential, f), _on_credential_issuance),
         "RecordCopy": (FlowKind.ISSUANCE, attrgetter("copy_to", "sender"),
-                       lambda m: isinstance(m.digest, str), _on_record_copy),
+                       lambda m, f: isinstance(m.digest, str), _on_record_copy),
         "ProofRequest": (FlowKind.PRESENTATION, attrgetter("sender", "receiver"),
-                         lambda m: isinstance(m.nonce, bytes) and len(m.nonce) == 16, _on_proof_request),
+                         lambda m, f: isinstance(m.nonce, bytes) and len(m.nonce) == 16, _on_proof_request),
         "ProofPresentation": (FlowKind.PRESENTATION, attrgetter("receiver", "sender"),
-                              _presentable, _on_proof_presentation),
+                              lambda m, f: isinstance(m.presentation, Presentation)
+                              and _of_type(m.presentation.credential, f), _on_proof_presentation),
         "PresentationVerdict": (FlowKind.PRESENTATION, attrgetter("sender", "receiver"),
-                                lambda m: isinstance(m.verdict, bool), _on_presentation_verdict),
+                                lambda m, f: isinstance(m.verdict, bool), _on_presentation_verdict),
     }
 
     # -- timers -----------------------------------------------------------
@@ -699,11 +695,8 @@ class _Simulation:
             _, msg, encoded = entry
             dropped = self.prng.next_float() < drop_probability
             if not dropped and self.intercept is not None:
-                # The hook sees every credential and holder proof signed.
-                if msg.kind == "ProofPresentation" and msg.presentation is None:
-                    msg = msg.replace(nonce=None, credential=None, presentation=self._holder_proof(msg))
-                elif msg.kind == "CredentialIssuance":
-                    msg = msg.replace(credential=self._signed(msg.credential))
+                # The hook sees every credential and presentation the run built signed.
+                msg = msg.replace(credential=self._signed(msg.credential), presentation=self._signed(msg.presentation))
                 replacement = self.intercept(msg, self.tick)
                 if replacement is None:
                     dropped = True
@@ -718,7 +711,7 @@ class _Simulation:
             flow, rule = flows.get(msg.flow), delivery.get(msg.kind)
             if flow is not None and rule is not None and msg.to_actor is not None:
                 flow_kind, ends, carries, handler = rule
-                if flow.kind is flow_kind and ends(flow) == (msg.to_actor, msg.from_actor) and carries(msg):
+                if flow.kind is flow_kind and ends(flow) == (msg.to_actor, msg.from_actor) and carries(msg, flow):
                     handler(self, self.agents[msg.to_actor], flow, msg)
 
         final = evaluate_goals(self.model, self.labels)
@@ -739,15 +732,15 @@ def run(
 ) -> Trace:
     """Execute the compiled agents until quiescence or the tick bound.
 
-    A holder proof is signed only when a verification in progress reads it
-    on its current nonce, a credential issued in the run when first read,
-    and each distinct issuer signature is verified once; the memo of those
-    checks lives in the run and goes with it.  ``intercept`` is a
-    test-harness hook: it sees every message at delivery time, signed, and
-    may return None to force a drop or a substitute, which the run never
-    signs.  A substitute off its flow (another flow kind, or ends other than
-    the ones its kind travels between) or without a field its kind carries
-    is delivered and ignored; a string field it lacks is summarized as null.
+    The run signs only what it built, when first read: a holder proof when a
+    verification in progress reads it on its current nonce, a credential
+    issued in the run; each distinct issuer signature is verified once, in a
+    memo that lives and goes with the run.  ``intercept`` is a test-harness
+    hook: it sees every message at delivery time, signed, and may return None
+    to force a drop or a substitute, which no key of the run signs.  A
+    substitute off its flow (another flow kind, or other ends than its kind's)
+    or without a field its kind carries, such as a credential of its flow's
+    type, is delivered and ignored; a string field it lacks is summarized as null.
     """
     return _Simulation(model, agents, config, intercept).run()
 

@@ -234,6 +234,32 @@ def test_a_run_never_signs_a_credential_an_intercept_returned(birth_model, sign)
     assert trace.final_labels["mother-goal"] == "Denied"
 
 
+def test_a_run_never_signs_a_proof_an_intercept_assembled(birth_model):
+    """A network attacker in the manner of Dolev and Yao drops the Mother's
+    first presentation of her ID to the Registrar, then puts her BND and the
+    nonce of each later one in its place, as a bare credential and nonce.  A
+    run once signed the Mother's proof over the BND, and the ID check passed
+    on it; the run now signs only presentations it built, so it ignores each
+    of them and the ID check never passes."""
+    bnds, presentations = [], []
+
+    def intercept(msg, tick):
+        if msg.kind == "CredentialIssuance" and msg.credential_type == BND:
+            bnds.append(msg.credential)
+        elif msg.kind == "ProofPresentation" and msg.flow == "dep-id-registrar":
+            presentations.append(msg)
+            if len(presentations) == 1:
+                return None
+            return msg.replace(presentation=None, credential=bnds[0], nonce=msg.presentation.nonce)
+        return msg
+
+    trace = simulate_fixture(birth_model, intercept=intercept)
+    verifies = [e for e in trace.events if e["kind"] == "Verify" and e["flow"] == "dep-id-registrar"]
+    assert bnds[0].id not in {e["credentialId"] for e in verifies}
+    assert trace.final_labels["registrar-check-id"] == "Denied"
+    assert len(presentations) > 2 and trace.termination == "quiescence"
+
+
 def test_untrusted_issuer_blocks_the_certificate(birth_path, tmp_path):
     midwife_did = did_from_public_key(generate_keypair(actor_key_seed(42, "Midwife")).public_key)
     trust_path = tmp_path / "trust.json"

@@ -575,6 +575,18 @@ def test_registry_needs_issuer_dids(birth_model):
         build_trust_registry(roles, flows, dids)
 
 
+def test_registry_needs_the_dids_of_issuers_without_a_flow(birth_model):
+    """The ID Agency issues the Mother's ID but sends no issuance, so only the
+    issuer-role check catches its DID missing."""
+    roles = infer_roles(birth_model)
+    flows = derive_flows(birth_model, roles)
+    assert "ID Agency" not in {f.sender for f in flows if f.kind is FlowKind.ISSUANCE}
+    dids = fixture_dids(birth_model)
+    del dids["ID Agency"]
+    with pytest.raises(ValueError, match="didOf is missing issuer actor 'ID Agency'"):
+        build_trust_registry(roles, flows, dids)
+
+
 def test_override_action_validated():
     with pytest.raises(ValueError):
         TrustOverride("V", "T", "did:sim:x", action="drop")

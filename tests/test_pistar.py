@@ -396,6 +396,16 @@ def test_sd_view_routes_dependencies(birth_model):
         assert a in nodes and b in nodes
 
 
+def test_sd_view_draws_actor_links_dotted():
+    links = [
+        {"id": "al-isa", "type": "istar.IsALink", "source": "B", "target": "A"},
+        {"id": "al-part", "type": "istar.ParticipatesInLink", "source": "A", "target": "B"},
+    ]
+    text = export_dot(parse_doc(minimal_doc(links=links)).model, "sd")
+    assert '  "B" -> "A" [label="is-a",style=dotted];' in text.splitlines()
+    assert '  "A" -> "B" [label="participates-in",style=dotted];' in text.splitlines()
+
+
 def test_sd_view_shapes_dependums(birth_model):
     text = export_dot(birth_model, "sd")
     for line in text.splitlines():

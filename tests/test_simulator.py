@@ -31,6 +31,7 @@ from ssiforge.overlay import (
     RoleAssignment,
     SsiRole,
     TrustOverride,
+    TrustRegistry,
     VerbLexicon,
     apply_trust_overrides,
     build_trust_registry,
@@ -277,6 +278,17 @@ def test_compile_requires_matching_roles(birth_model, drop):
         compile_agents(birth_model, kept, flows, trust)
     assert err.value.code == "E_COMPILE_ROLE"
     assert BND in str(err.value)
+
+
+def test_compile_rejects_a_flow_to_an_unknown_actor(birth_model):
+    """A flow whose actors hold the roles it needs but that joins an actor the model lacks."""
+    roles = infer_roles(birth_model)
+    ghost = RoleAssignment("Ghost", "Permit", SsiRole.ISSUER, ("ghost-issue",))
+    flow = CredentialFlow(
+        "dep-permit", FlowKind.ISSUANCE, "Permit", "Ghost", "Mother", Evidence(EvidenceKind.ANNOTATION)
+    )
+    with pytest.raises(CompileError, match="flow 'dep-permit' joins an actor the model lacks"):
+        compile_agents(birth_model, (*roles, ghost), (flow,), TrustRegistry({}))
 
 
 def test_compile_rejects_unknown_bootstrap_actor(birth_model):
@@ -803,6 +815,9 @@ FOREIGN_MESSAGES = [
     ("ProofRequest", lambda msg: msg.replace(nonce=None)),
     ("CredentialIssuance", lambda msg: msg.replace(credential=None)),
     ("ProofPresentation", lambda msg: msg.replace(presentation=None)),
+    ("ProofPresentation", lambda msg: msg.replace(
+        presentation=None, credential=msg.presentation.credential, nonce=msg.presentation.nonce,
+    )),
     ("PresentationVerdict", lambda msg: msg.replace(verdict=None)),
     ("RecordCopy", lambda msg: msg.replace(digest=None)),
 ]
@@ -813,7 +828,7 @@ FOREIGN_MESSAGES = [
     ids=[
         "verdict-to-registrar", "issuance-to-registrar", "request-on-issuance", "copy-to-mother", "copy-on-cert",
         "copy-to-none-on-cert", "request-short-nonce", "request-no-nonce", "issuance-no-credential",
-        "presentation-none", "verdict-none", "copy-no-digest",
+        "presentation-none", "presentation-as-credential-and-nonce", "verdict-none", "copy-no-digest",
     ],
 )
 def test_a_message_off_its_flow_is_delivered_and_ignored(birth_model, monkeypatch, kind, rewrite):
@@ -824,9 +839,9 @@ def test_a_message_off_its_flow_is_delivered_and_ignored(birth_model, monkeypatc
     copy sent to an actor other than its flow's ``copy_to`` or on a flow
     that mails none, even to no one, and a request whose nonce is not 16
     bytes, an issuance without a credential, a presentation without one, a
-    verdict that is not a bool or a copy without a digest, is delivered and
-    ignored.  The honest copy still labels the Midwife's copy task when it
-    arrives.
+    credential and a nonce in place of a presentation, a verdict that is not
+    a bool or a copy without a digest, is delivered and ignored.  The honest
+    copy still labels the Midwife's copy task when it arrives.
 
     A message on its own flow is still taken as it comes: the forged verdict
     of ROADMAP item 12, the real verifier's verdict rewritten to true, stays
@@ -850,6 +865,62 @@ def test_a_copy_addressed_to_no_actor_is_delivered_and_ignored(birth_model, monk
     assert trace.termination == "quiescence"
     assert "midwife-send-copy" not in {e.get("element") for e in trace.events}
     assert failed_bnd_check(trace)["copyOk"] is False
+
+
+def test_an_issuance_of_another_type_is_delivered_and_ignored(birth_model):
+    """An intercept that puts the Mother's own BND in every ``CredentialIssuance``
+    of her birth certificate once made her obtain the certificate; the delivery
+    rule now turns the BND away on the certificate's flow, so her request runs
+    out of retries."""
+    bnds = []
+
+    def intercept(msg, tick):
+        if msg.kind == "CredentialIssuance" and msg.credential_type == BND:
+            bnds.append(msg.credential)
+        elif msg.kind == "CredentialIssuance" and msg.credential_type == CERT:
+            return msg.replace(credential=bnds[0])
+        return msg
+
+    _, trace = run_fixture(birth_model, intercept=intercept)
+    assert trace.final_labels["mother-obtain-cert"] == "Denied"
+    assert trace.final_labels["mother-goal"] != "Satisfied" and trace.termination == "quiescence"
+    swapped = [e for e in trace.events if e["kind"] == "Deliver" and e["message"]["flow"] == "dep-cert-mother"
+               and e["message"]["type"] == "CredentialIssuance"]
+    assert len(swapped) > 1 and {e["message"]["credentialId"] for e in swapped} == {bnds[0].id}
+
+
+def test_a_presentation_moved_to_another_flow_is_delivered_and_ignored(birth_model):
+    """An intercept that gives the Registrar's BND request the nonce of its ID
+    request, drops the Mother's first ID presentation and moves her BND
+    presentation onto the ID flow once made the ID check pass on the BND.  The
+    delivery rule now turns the BND away on the ID flow, and the ID check
+    passes only on a later presentation of the Mother's real ID."""
+    nonces, dropped, moved = {}, [], []
+
+    def intercept(msg, tick):
+        if msg.kind == "ProofRequest" and msg.flow == "dep-id-registrar":
+            nonces.setdefault(msg.flow, msg.nonce)
+        elif msg.kind == "ProofRequest" and msg.flow == "dep-bnd-registrar" and msg.flow not in nonces:
+            nonces[msg.flow] = msg.nonce
+            return msg.replace(nonce=nonces["dep-id-registrar"])
+        elif msg.kind == "ProofPresentation" and msg.flow == "dep-id-registrar" and not dropped:
+            dropped.append(msg)
+            return None
+        elif msg.kind == "ProofPresentation" and msg.flow == "dep-bnd-registrar" and not moved:
+            moved.append(msg)
+            return msg.replace(flow="dep-id-registrar", credential_type=MID)
+        return msg
+
+    _, trace = run_fixture(birth_model, intercept=intercept)
+    assert moved and moved[0].presentation.nonce == nonces["dep-id-registrar"]
+    real_id = next(e["credentialId"] for e in trace.events if e["kind"] == "Verify" and e["flow"] == "dep-id-midwife")
+    checks = [e for e in trace.events if e["kind"] == "Verify" and e["flow"] == "dep-id-registrar"]
+    assert [(e["credentialId"], e["verdict"]) for e in checks] == [(real_id, True)]
+    assert checks[0]["seq"] > next(
+        e["seq"] for e in trace.events if e["kind"] == "Deliver" and e["message"]["flow"] == "dep-id-registrar"
+        and e["message"].get("credentialId") == moved[0].presentation.credential.id
+    )
+    assert trace.final_labels["registrar-check-id"] == "Satisfied"
 
 
 @pytest.mark.parametrize(
