@@ -253,10 +253,11 @@ def cmd_simulate(
     overrides = _load_overrides(trust_path)
     roles = infer_roles(model, lexicon)
     flows = derive_flows(model, roles)
-    unrunnable = [w for w in lint_ssi(model, roles, flows) if w.code in ("W_FLOW_AMBIGUOUS", "W_FLOW_ROLE_MISSING")]
+    warnings = lint_ssi(model, roles, flows)
+    unrunnable = [w for w in warnings if w.code in ("W_FLOW_AMBIGUOUS", "W_FLOW_ROLE_MISSING")]
+    for w in unrunnable or warnings:  # the flows that stop the run, else every warning
+        print(f"WARN {w.code} {w.offending_id}: {w.message}", file=sys.stderr)
     if unrunnable:
-        for w in unrunnable:
-            print(f"WARN {w.code} {w.offending_id}: {w.message}", file=sys.stderr)
         _fail('ambiguous flows or flows missing a role; resolve each with task verbs or an "ssi" annotation', 1)
 
     did_of = {

@@ -33,6 +33,7 @@ nothing.
 from __future__ import annotations
 
 import enum
+import itertools
 from typing import Iterable, Mapping, Sequence
 
 from .model import Dependency, ElementKind, Identifier, LinkKind, Model, Record, ValidationIssue
@@ -308,6 +309,16 @@ def role_tasks(roles: Iterable[RoleAssignment]) -> dict[tuple[Identifier, str, s
     return {(a.actor, a.credential_type, a.role._value_): a.tasks for a in roles}
 
 
+def issuers_by_type(roles: Iterable[RoleAssignment]) -> dict[str, list[Identifier]]:
+    """The issuers of each credential type, in role order; bootstrap takes the first."""
+    issuers: dict[str, list[Identifier]] = {}
+    issuer = SsiRole.ISSUER
+    for a in roles:
+        if a.role is issuer:
+            issuers.setdefault(a.credential_type, []).append(a.actor)
+    return issuers
+
+
 def unmet_role(flow: CredentialFlow, tasks: Mapping[tuple[Identifier, str, str], object]) -> str | None:
     """Why ``compile_agents`` rejects ``flow``, given the :func:`role_tasks` of the roles: an actor of
     it lacks the role its kind needs (issuer, or verifier and holder).  None when none does."""
@@ -428,12 +439,9 @@ def lint_ssi(
             message = f"its {side} side is an actor, not an element, so the run labels no {side} task from it"
             findings.append(ValidationIssue("W_FLOW_UNANCHORED", flow.dependency, message))
 
-    issuers: dict[str, list[Identifier]] = {}
+    issuers = issuers_by_type(roles)
     task_types: dict[tuple[Identifier, Identifier], list[str]] = {}
-    issuer, verifier = SsiRole.ISSUER, SsiRole.VERIFIER
     for assignment in roles:
-        if assignment.role is issuer:
-            issuers.setdefault(assignment.credential_type, []).append(assignment.actor)
         for task in assignment.tasks:
             task_types.setdefault((assignment.actor, task), []).append(assignment.credential_type)
     presented = sorted({f.credential_type for f in flows if f.kind is _PRESENTATION})
@@ -458,6 +466,7 @@ def lint_ssi(
             findings.append(ValidationIssue("W_COPY_AMBIGUOUS", task, message))
 
     flow_targets = {(f.receiver, f.credential_type) for f in flows}
+    verifier = SsiRole.VERIFIER
     for assignment in roles:
         if assignment.role is verifier and (assignment.actor, assignment.credential_type) not in flow_targets:
             message = f"verifies {assignment.credential_type!r} but no such credential flows to it"
@@ -475,21 +484,15 @@ def build_trust_registry(
     A verifier of T accepts exactly the DIDs of the model's issuers of T;
     :func:`apply_trust_overrides` then adjusts them.
     """
-    for flow in flows:
-        if flow.kind is _ISSUANCE and flow.sender not in did_of:
-            raise ValueError(f"didOf is missing issuer actor {flow.sender!r}")
-    issuers_by_type: dict[str, list[Identifier]] = {}
-    verifier_pairs: set[tuple[Identifier, str]] = set()
-    issuer, verifier = SsiRole.ISSUER, SsiRole.VERIFIER
-    for assignment in roles:
-        if assignment.role is issuer:
-            if assignment.actor not in did_of:
-                raise ValueError(f"didOf is missing issuer actor {assignment.actor!r}")
-            issuers_by_type.setdefault(assignment.credential_type, []).append(assignment.actor)
-        elif assignment.role is verifier:
-            verifier_pairs.add((assignment.actor, assignment.credential_type))
+    issuers = issuers_by_type(roles)
+    senders = [f.sender for f in flows if f.kind is _ISSUANCE]
+    for actor in itertools.chain(senders, *issuers.values()):
+        if actor not in did_of:
+            raise ValueError(f"didOf is missing issuer actor {actor!r}")
+    verifier = SsiRole.VERIFIER
+    verifier_pairs = {(a.actor, a.credential_type) for a in roles if a.role is verifier}
     return TrustRegistry(
-        {pair: frozenset(did_of[a] for a in issuers_by_type.get(pair[1], ())) for pair in sorted(verifier_pairs)}
+        {pair: frozenset(did_of[a] for a in issuers.get(pair[1], ())) for pair in sorted(verifier_pairs)}
     )
 
 

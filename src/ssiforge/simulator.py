@@ -28,14 +28,15 @@ part in, which carry every task id it acts on:
 - a request or verification still unanswered after its last retry Denies
   the tasks waiting on it.
 
-One rule, ``_Simulation._DELIVERY``, defines each message kind: the flow
-kind it travels on, its ends (requests and verdicts go from a flow's
-receiver to its sender, issuances and presentations the other way, an
-office copy from an issuance's sender to its ``copy_to``) and the fields
-its handler reads, such as a credential of the flow's type.  A run sends
-each message between those ends, and the run loop matches each delivered
-one to its flow by the same rule: the agent addressed acts on the matched
-flow, and a message off its flow or lacking a field is ignored.
+A message is its kind, its flow, its two ends and one payload.  One rule,
+``_Simulation._DELIVERY``, defines each message kind: the flow kind it
+travels on, its ends (requests and verdicts go from a flow's receiver to
+its sender, issuances and presentations the other way, an office copy from
+an issuance's sender to its ``copy_to``) and the payload its handler reads,
+such as a credential of the flow's type.  A run sends each message between
+those ends, and the run loop matches each delivered one to its flow by the
+same rule: the agent addressed acts on the matched flow and payload, and a
+message off its flow or with another payload is ignored.
 
 Task labels move as the run progresses (Denied is terminal), and the final
 labels come from propagating them through the goal model.  Time is a tick
@@ -71,7 +72,9 @@ from .credentials import (
     verify_presentation,
 )
 from .model import Identifier, Model, Record
-from .overlay import CredentialFlow, FlowKind, RoleAssignment, SsiRole, TrustRegistry, role_tasks, unmet_role
+from .overlay import (
+    CredentialFlow, FlowKind, RoleAssignment, SsiRole, TrustRegistry, issuers_by_type, role_tasks, unmet_role,
+)
 from .propagation import LabelState, evaluate_goals
 
 _MASK64 = (1 << 64) - 1
@@ -169,12 +172,9 @@ def derive_bootstrap(
     flows: Sequence[CredentialFlow],
 ) -> tuple[BootstrapCredential, ...]:
     """Pre-issue whatever presented credentials no in-run issuance provides."""
-    issuance, presentation, issuer_role = FlowKind.ISSUANCE, FlowKind.PRESENTATION, SsiRole.ISSUER
+    issuance, presentation = FlowKind.ISSUANCE, FlowKind.PRESENTATION
     issuance_targets = {(f.credential_type, f.receiver) for f in flows if f.kind is issuance}
-    issuers_by_type: dict[str, Identifier] = {}
-    for assignment in roles:
-        if assignment.role is issuer_role:
-            issuers_by_type.setdefault(assignment.credential_type, assignment.actor)
+    first_issuer = {ctype: actors[0] for ctype, actors in issuers_by_type(roles).items()}
     out: list[BootstrapCredential] = []
     seen: set[tuple[str, Identifier]] = set()
     for flow in flows:
@@ -183,7 +183,7 @@ def derive_bootstrap(
         key = (flow.credential_type, flow.sender)
         if key in issuance_targets or key in seen:
             continue
-        issuer = issuers_by_type.get(flow.credential_type)
+        issuer = first_issuer.get(flow.credential_type)
         if issuer is None or issuer == flow.sender:
             continue
         seen.add(key)
@@ -267,15 +267,9 @@ def compile_agents(
 class Message(Record):
     kind: str
     flow: Identifier | None
-    credential_type: str
     from_actor: Identifier
     to_actor: Identifier
-    nonce: bytes | None = None
-    credential: Credential | None = None
-    presentation: Presentation | None = None
-    verdict: bool | None = None
-    digest: str | None = None
-    purpose: str | None = None
+    payload: bytes | Credential | str | Presentation | bool | None = None  # the one its kind carries
 
 
 def _string(value: str | None) -> str:
@@ -283,26 +277,30 @@ def _string(value: str | None) -> str:
     return "null" if value is None else encode_basestring(value)
 
 
-def _summarize(msg: Message) -> str:
+def _summarize(msg: Message, flow: CredentialFlow | None) -> str:
     """A message's trace summary, as canonical JSON written from a fixed
-    template, keys in canonical (sorted) order."""
-    presentation = msg.presentation
-    if presentation is not None:
-        credential_id, nonce = presentation.credential.id, presentation.nonce
-    else:
-        credential_id, nonce = (msg.credential.id if msg.credential is not None else None), msg.nonce
+    template, keys in canonical (sorted) order: its payload by its class, and
+    the credential type, and a proof request's purpose, of ``flow``, the flow
+    it names (None when it names none)."""
+    payload, credential_id, nonce = msg.payload, None, None
+    if isinstance(payload, Presentation):
+        credential_id, nonce = payload.credential.id, payload.nonce
+    elif isinstance(payload, Credential):
+        credential_id = payload.id
+    elif isinstance(payload, bytes):
+        nonce = payload
     line = "{" if credential_id is None else '{"credentialId":' + encode_basestring(credential_id) + ","
-    line += '"credentialType":' + _string(msg.credential_type)
-    if msg.digest is not None:
-        line += ',"digest":' + encode_basestring(msg.digest)
+    line += '"credentialType":' + ("null" if flow is None else encode_basestring(flow.credential_type))
+    if isinstance(payload, str):
+        line += ',"digest":' + encode_basestring(payload)
     line += f',"flow":{_string(msg.flow)},"from":{_string(msg.from_actor)}'
     if nonce is not None:
         line += ',"nonce":"' + nonce.hex() + '"'  # hex digits need no escaping
-    if msg.purpose is not None:
-        line += ',"purpose":' + encode_basestring(msg.purpose)
+    if flow is not None and flow.purpose is not None and msg.kind == "ProofRequest":
+        line += ',"purpose":' + encode_basestring(flow.purpose)
     line += f',"to":{_string(msg.to_actor)},"type":{_string(msg.kind)}'
-    if msg.verdict is not None:
-        line += ',"verdict":true' if msg.verdict else ',"verdict":false'
+    if isinstance(payload, bool):
+        line += ',"verdict":true' if payload else ',"verdict":false'
     return line + "}"
 
 
@@ -456,19 +454,12 @@ class _Simulation:
 
     # -- event plumbing ---------------------------------------------------
 
-    def _send(
-        self, kind: str, flow: CredentialFlow, nonce: bytes | None = None, credential: Credential | None = None,
-        presentation: Presentation | None = None, verdict: bool | None = None, digest: str | None = None,
-        purpose: str | None = None,
-    ) -> None:
-        """Send a ``kind`` message on ``flow`` between the ends ``_DELIVERY`` admits
-        it on: record its Send and schedule its delivery after its route's latency."""
+    def _send(self, kind: str, flow: CredentialFlow, payload=None) -> None:
+        """Send a ``kind`` message carrying ``payload`` on ``flow`` between the ends ``_DELIVERY``
+        admits it on: record its Send and schedule its delivery after its route's latency."""
         to_actor, from_actor = self._DELIVERY[kind][1](flow)
-        msg = Message(
-            kind, flow.dependency, flow.credential_type, from_actor, to_actor, nonce, credential, presentation, verdict,
-            digest, purpose,
-        )
-        encoded = _summarize(msg)
+        msg = Message(kind, flow.dependency, from_actor, to_actor, payload)
+        encoded = _summarize(msg, flow)
         lines, tick, config = self.event_lines, self.tick, self.config
         # The keys in canonical (sorted) order.
         lines.append(f'{{"kind":"Send","message":{encoded},"seq":{len(lines)},"tick":{tick}}}')
@@ -503,7 +494,7 @@ class _Simulation:
         flow = state.flow
         if flow.kind is FlowKind.PRESENTATION:
             state.nonce = self.prng.next_nonce()
-            self._send("ProofRequest", flow, state.nonce, purpose=flow.purpose)
+            self._send("ProofRequest", flow, state.nonce)
         else:
             self._send("IssuanceRequest", flow)
         heapq.heappush(self.heap, (self.tick + self.config.retry_timeout, next(self.order), ("timer", state)))
@@ -526,9 +517,9 @@ class _Simulation:
             del agent.pending_issue[flow.dependency]
             self.event_lines.append(_issue_event(len(self.event_lines), self.tick, flow, credential))
             self._set_label(flow.issue_task, True)
-            self._send("CredentialIssuance", flow, credential=credential)
+            self._send("CredentialIssuance", flow, credential)
             if flow.copy_to is not None:
-                self._send("RecordCopy", flow, digest=credential.id)
+                self._send("RecordCopy", flow, credential.id)
 
     def _activate_gates(self, agent: _AgentState, flow: CredentialFlow) -> None:
         unsatisfied = {t for t in flow.gate_tasks if self.labels.get(t) is not _SATISFIED}
@@ -537,13 +528,13 @@ class _Simulation:
                 self._send_attempt(state)
 
     # -- message handlers -------------------------------------------------
-    # Each takes the agent ``msg`` is delivered to and the flow that the
-    # delivery rule (``_DELIVERY``) matched ``msg`` to.
+    # Each takes the agent a message is delivered to, the flow that the
+    # delivery rule (``_DELIVERY``) matched it to, and its payload.
 
-    def _on_issuance_request(self, agent: _AgentState, flow: CredentialFlow, msg: Message) -> None:
+    def _on_issuance_request(self, agent: _AgentState, flow: CredentialFlow, payload: None) -> None:
         credential = agent.issued.get(flow.dependency)
         if credential is not None:
-            self._send("CredentialIssuance", flow, credential=credential)
+            self._send("CredentialIssuance", flow, credential)
         else:
             agent.pending_issue[flow.dependency] = flow
             self._activate_gates(agent, flow)
@@ -553,14 +544,14 @@ class _Simulation:
         """Send ``holder``'s presentation of ``credential`` on ``nonce``, its holder proof empty until read."""
         presentation = Presentation(credential, holder.did, nonce, b"")
         self.built[id(presentation)] = [presentation, holder.keys, None]
-        self._send("ProofPresentation", flow, presentation=presentation)
+        self._send("ProofPresentation", flow, presentation)
 
-    def _on_proof_request(self, agent: _AgentState, flow: CredentialFlow, msg: Message) -> None:
+    def _on_proof_request(self, agent: _AgentState, flow: CredentialFlow, nonce: bytes) -> None:
         credential = agent.wallet.get(flow.credential_type)
         if credential is None:
-            agent.deferred.append((flow, msg.nonce))
+            agent.deferred.append((flow, nonce))
         else:
-            self._present(agent.spec, flow, msg.nonce, credential)
+            self._present(agent.spec, flow, nonce, credential)
 
     def _signed(self, value, proof: bool = True):
         """``value`` signed once, when first read, if the run built it: a credential
@@ -581,12 +572,12 @@ class _Simulation:
                 signed = entry[2] = create_presentation(keys, value.presenter, credential, value.nonce)
         return signed
 
-    def _on_proof_presentation(self, agent: _AgentState, flow: CredentialFlow, msg: Message) -> None:
+    def _on_proof_presentation(self, agent: _AgentState, flow: CredentialFlow, presentation: Presentation) -> None:
         state = agent.verifications[flow.dependency]
         if state.resolved or state.nonce is None:  # answered already, or never asked
             return
         # A proof answering a superseded nonce is not verified, so not signed.
-        presentation = self._signed(msg.presentation, proof=msg.presentation.nonce == state.nonce)
+        presentation = self._signed(presentation, proof=presentation.nonce == state.nonce)
         outcome = verify_presentation(
             presentation,
             self.directory,
@@ -605,14 +596,13 @@ class _Simulation:
         state.resolved = True
         for task_id in state.tasks:
             self._set_label(task_id, overall)
-        self._send("PresentationVerdict", flow, verdict=overall)
+        self._send("PresentationVerdict", flow, overall)
         self._try_issue(agent)
 
-    def _on_presentation_verdict(self, agent: _AgentState, flow: CredentialFlow, msg: Message) -> None:
-        self._set_label(flow.verdict_task, msg.verdict)
+    def _on_presentation_verdict(self, agent: _AgentState, flow: CredentialFlow, verdict: bool) -> None:
+        self._set_label(flow.verdict_task, verdict)
 
-    def _on_credential_issuance(self, agent: _AgentState, flow: CredentialFlow, msg: Message) -> None:
-        credential = msg.credential
+    def _on_credential_issuance(self, agent: _AgentState, flow: CredentialFlow, credential: Credential) -> None:
         agent.wallet[credential.type] = credential
         state = agent.requests[flow.dependency]
         if not state.resolved:
@@ -626,27 +616,27 @@ class _Simulation:
                 still_deferred.append(deferred)
         agent.deferred = still_deferred
 
-    def _on_record_copy(self, agent: _AgentState, flow: CredentialFlow, msg: Message) -> None:
-        agent.record_store.setdefault(flow.credential_type, []).append(msg.digest)
+    def _on_record_copy(self, agent: _AgentState, flow: CredentialFlow, digest: str) -> None:
+        agent.record_store.setdefault(flow.credential_type, []).append(digest)
         self._set_label(flow.copy_task, True)
 
     # The delivery rule: for each message kind, the kind of flow it travels on, the
     # ends of that flow that receive and send it (a ``copy_to`` of None admits no
-    # copy), whether it carries the fields its handler reads on that flow, and its handler.
+    # copy), whether its payload is the one its handler reads on that flow, and its handler.
     _DELIVERY = {
-        "IssuanceRequest": (FlowKind.ISSUANCE, attrgetter("sender", "receiver"), lambda m, f: True,
+        "IssuanceRequest": (FlowKind.ISSUANCE, attrgetter("sender", "receiver"), lambda p, f: p is None,
                             _on_issuance_request),
-        "CredentialIssuance": (FlowKind.ISSUANCE, attrgetter("receiver", "sender"),
-                               lambda m, f: _of_type(m.credential, f), _on_credential_issuance),
-        "RecordCopy": (FlowKind.ISSUANCE, attrgetter("copy_to", "sender"),
-                       lambda m, f: isinstance(m.digest, str), _on_record_copy),
+        "CredentialIssuance": (FlowKind.ISSUANCE, attrgetter("receiver", "sender"), _of_type,
+                               _on_credential_issuance),
+        "RecordCopy": (FlowKind.ISSUANCE, attrgetter("copy_to", "sender"), lambda p, f: isinstance(p, str),
+                       _on_record_copy),
         "ProofRequest": (FlowKind.PRESENTATION, attrgetter("sender", "receiver"),
-                         lambda m, f: isinstance(m.nonce, bytes) and len(m.nonce) == 16, _on_proof_request),
+                         lambda p, f: isinstance(p, bytes) and len(p) == 16, _on_proof_request),
         "ProofPresentation": (FlowKind.PRESENTATION, attrgetter("receiver", "sender"),
-                              lambda m, f: isinstance(m.presentation, Presentation)
-                              and _of_type(m.presentation.credential, f), _on_proof_presentation),
+                              lambda p, f: isinstance(p, Presentation) and _of_type(p.credential, f),
+                              _on_proof_presentation),
         "PresentationVerdict": (FlowKind.PRESENTATION, attrgetter("sender", "receiver"),
-                                lambda m, f: isinstance(m.verdict, bool), _on_presentation_verdict),
+                                lambda p, f: isinstance(p, bool), _on_presentation_verdict),
     }
 
     # -- timers -----------------------------------------------------------
@@ -696,13 +686,13 @@ class _Simulation:
             dropped = self.prng.next_float() < drop_probability
             if not dropped and self.intercept is not None:
                 # The hook sees every credential and presentation the run built signed.
-                msg = msg.replace(credential=self._signed(msg.credential), presentation=self._signed(msg.presentation))
+                msg = msg.replace(payload=self._signed(msg.payload))
                 replacement = self.intercept(msg, self.tick)
                 if replacement is None:
                     dropped = True
                 elif replacement is not msg:
                     msg = replacement
-                    encoded = _summarize(msg)
+                    encoded = _summarize(msg, flows.get(msg.flow))
             kind = "Drop" if dropped else "Deliver"
             lines.append(f'{{"kind":"{kind}","message":{encoded},"seq":{len(lines)},"tick":{tick}}}')
             if dropped:
@@ -711,8 +701,9 @@ class _Simulation:
             flow, rule = flows.get(msg.flow), delivery.get(msg.kind)
             if flow is not None and rule is not None and msg.to_actor is not None:
                 flow_kind, ends, carries, handler = rule
-                if flow.kind is flow_kind and ends(flow) == (msg.to_actor, msg.from_actor) and carries(msg, flow):
-                    handler(self, self.agents[msg.to_actor], flow, msg)
+                payload = msg.payload
+                if flow.kind is flow_kind and ends(flow) == (msg.to_actor, msg.from_actor) and carries(payload, flow):
+                    handler(self, self.agents[msg.to_actor], flow, payload)
 
         final = evaluate_goals(self.model, self.labels)
         return Trace(
@@ -739,8 +730,10 @@ def run(
     hook: it sees every message at delivery time, signed, and may return None
     to force a drop or a substitute, which no key of the run signs.  A
     substitute off its flow (another flow kind, or other ends than its kind's)
-    or without a field its kind carries, such as a credential of its flow's
-    type, is delivered and ignored; a string field it lacks is summarized as null.
+    or without the payload its kind carries, such as a credential of its
+    flow's type, is delivered and ignored.  Its summary shows the credential
+    type of the flow it names (null if it names none) and a string field it
+    lacks as null.
     """
     return _Simulation(model, agents, config, intercept).run()
 

@@ -111,32 +111,32 @@ def test_honest_run_satisfies_the_mother_deterministically(birth_model):
 
 
 def _claim_tamper(msg):
-    credential = msg.presentation.credential
+    credential = msg.payload.credential
     tampered = credential.replace(claims=dict(credential.claims, subjectActor="intruder"))
-    return msg.replace(presentation=msg.presentation.replace(credential=tampered))
+    return msg.replace(payload=msg.payload.replace(credential=tampered))
 
 
 def _resign_tamper(msg):
     mallory = generate_keypair(b"\x99" * 32)
-    credential = msg.presentation.credential
+    credential = msg.payload.credential
     forged = credential.replace(
         signature=mallory.signing_key.sign(canonical_bytes(credential.payload())),
     )
-    return msg.replace(presentation=msg.presentation.replace(credential=forged))
+    return msg.replace(payload=msg.payload.replace(credential=forged))
 
 
 def _stale_nonce_tamper(msg):
     mother = generate_keypair(actor_key_seed(42, "Mother"))
-    stale = create_presentation(mother, msg.presentation.presenter, msg.presentation.credential, bytes(16))
-    return msg.replace(presentation=stale)
+    stale = create_presentation(mother, msg.payload.presenter, msg.payload.credential, bytes(16))
+    return msg.replace(payload=stale)
 
 
 def _impostor_tamper(msg):
     mallory = generate_keypair(b"\x99" * 32)
     hijacked = create_presentation(
-        mallory, did_from_public_key(mallory.public_key), msg.presentation.credential, msg.presentation.nonce
+        mallory, did_from_public_key(mallory.public_key), msg.payload.credential, msg.payload.nonce
     )
-    return msg.replace(presentation=hijacked)
+    return msg.replace(payload=hijacked)
 
 
 @pytest.mark.parametrize(
@@ -177,8 +177,8 @@ def test_a_run_never_reuses_a_check_for_other_bytes(birth_model, tamper):
 
     def intercept(msg, tick):
         if msg.kind == "ProofPresentation" and msg.flow == "dep-id-registrar":
-            tampered.append(tamper(msg).presentation)
-            return msg.replace(presentation=tampered[-1])
+            tampered.append(tamper(msg).payload)
+            return msg.replace(payload=tampered[-1])
         return msg
 
     trace = simulate_fixture(birth_model, intercept=intercept)
@@ -217,12 +217,12 @@ def test_a_run_never_signs_a_credential_an_intercept_returned(birth_model, sign)
     copies = []
 
     def intercept(msg, tick):
-        if msg.kind == "CredentialIssuance" and msg.credential_type == BND:
-            honest = msg.credential
+        if msg.kind == "CredentialIssuance" and msg.payload.type == BND:
+            honest = msg.payload
             claims = dict(honest.claims, subjectActor="changeling")
             minted = mint_credential(honest.issuer, honest.subject, honest.holder, honest.type, claims, honest.issued_at)
             copies.append(sign(minted))
-            return msg.replace(credential=copies[-1])
+            return msg.replace(payload=copies[-1])
         return msg
 
     trace = simulate_fixture(birth_model, intercept=intercept)
@@ -237,20 +237,21 @@ def test_a_run_never_signs_a_credential_an_intercept_returned(birth_model, sign)
 def test_a_run_never_signs_a_proof_an_intercept_assembled(birth_model):
     """A network attacker in the manner of Dolev and Yao drops the Mother's
     first presentation of her ID to the Registrar, then puts her BND and the
-    nonce of each later one in its place, as a bare credential and nonce.  A
-    run once signed the Mother's proof over the BND, and the ID check passed
-    on it; the run now signs only presentations it built, so it ignores each
-    of them and the ID check never passes."""
+    nonce of each later one in its place, as a presentation with an empty
+    holder proof.  A run once signed the Mother's proof over the BND, and the
+    ID check passed on it; the run now signs only presentations it built,
+    and the delivery rule turns a BND away on the ID flow, so it ignores
+    each of them and the ID check never passes."""
     bnds, presentations = [], []
 
     def intercept(msg, tick):
-        if msg.kind == "CredentialIssuance" and msg.credential_type == BND:
-            bnds.append(msg.credential)
+        if msg.kind == "CredentialIssuance" and msg.payload.type == BND:
+            bnds.append(msg.payload)
         elif msg.kind == "ProofPresentation" and msg.flow == "dep-id-registrar":
             presentations.append(msg)
             if len(presentations) == 1:
                 return None
-            return msg.replace(presentation=None, credential=bnds[0], nonce=msg.presentation.nonce)
+            return msg.replace(payload=msg.payload.replace(credential=bnds[0], holder_proof=b""))
         return msg
 
     trace = simulate_fixture(birth_model, intercept=intercept)

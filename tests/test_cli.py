@@ -259,7 +259,7 @@ def test_simulate_golden_trace(tmp_path, birth_path, fixture_doc, renamed):
         args = [model_path, "--lexicon", str(lexicon_path)]
     trace = tmp_path / "run.jsonl"
     result = invoke(["simulate", *args, "--seed", "42", "--trace", str(trace)])
-    assert result.exit_code == 0
+    assert result.exit_code == 0 and result.stderr == ""
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN_TRACE_SHA256
 
 
@@ -445,8 +445,9 @@ def test_a_flow_anchored_on_an_actor_is_flagged_and_still_runs(tmp_path, fixture
     """A resource dependency whose depender side (of an issuance) or dependee
     side (of a presentation) is an actor validates, but the run labels no task
     of that side from it, so the Mother's root cannot be Satisfied however the
-    checks go.  ``roles --strict`` names the dependency; a run still ends in
-    quiescence, its final labels propagated from its own GoalUpdates."""
+    checks go.  ``roles --strict`` names the dependency, and so does
+    ``simulate``, on stderr; a run still ends in quiescence, its final labels
+    propagated from its own GoalUpdates."""
     for dep in fixture_doc["dependencies"]:
         if dep["id"] == dep_id:
             dep[end] = "Mother"
@@ -459,7 +460,9 @@ def test_a_flow_anchored_on_an_actor_is_flagged_and_still_runs(tmp_path, fixture
     for drop in ("0", "0.3"):
         trace_path = tmp_path / f"run-{drop}.jsonl"
         result = invoke(["simulate", path, "--seed", "42", "--drop", drop, "--trace", str(trace_path)])
-        assert result.exit_code == 1 and "W_FLOW_UNANCHORED" not in result.stderr
+        warning = f"WARN W_FLOW_UNANCHORED {dep_id}: its {side} side is an actor, not an element"
+        (line,) = result.stderr.splitlines()
+        assert result.exit_code == 1 and line.startswith(warning)
         lines = [json.loads(line) for line in trace_path.read_text(encoding="utf-8").splitlines()]
         updates = {e["element"]: LabelState(e["label"]) for e in lines[1:-1] if e["kind"] == "GoalUpdate"}
         assert lines[-1]["termination"] == "quiescence"

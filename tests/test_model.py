@@ -480,11 +480,8 @@ RECORDS = [
     ),
     (
         Message,
-        dict(
-            kind="Present", flow="d", credential_type="BND", from_actor="A", to_actor="B", nonce=bytes(16),
-            credential=None, presentation=None, verdict=None, digest="ab", purpose="p",
-        ),
-        {"purpose": "rewritten"},
+        dict(kind="ProofRequest", flow="d", from_actor="A", to_actor="B", payload=bytes(16)),
+        {"payload": bytes(3)},
         None,
     ),
     (

@@ -23,6 +23,7 @@ from ssiforge.overlay import (
     build_trust_registry,
     derive_flows,
     infer_roles,
+    issuers_by_type,
     lint_ssi,
     normalize_name,
 )
@@ -504,18 +505,26 @@ def test_a_task_naming_two_types_warns(birth_model):
 
 
 def test_a_presented_type_with_several_issuers_warns(birth_model):
+    """``issuers_by_type`` lists the issuers of each type in role order for
+    every reader: whatever that order, the bootstrap takes the first, the
+    warning names that one, and the registry accepts them all."""
     midwife = birth_model.actor("Midwife")
     extra = Element("midwife-issue-id", "Issue Mother's ID", ElementKind.TASK)
     model = birth_model.replace(
         actors=tuple(a.replace(elements=(*a.elements, extra)) if a is midwife else a for a in birth_model.actors)
     )
-    roles = infer_roles(model)
-    flows = derive_flows(model, roles)
-    # The bootstrap silently takes the first issuer, and a wallet keeps one credential per type.
-    assert [(b.credential_type, b.issuer) for b in derive_bootstrap(model, roles, flows)] == [(MID, "ID Agency")]
-    warnings = lint_ssi(model, roles, flows)
-    assert [(w.code, w.offending_id) for w in warnings] == [("W_MULTI_ISSUER", MID)]
-    assert "(ID Agency, Midwife)" in warnings[0].message
+    dids = fixture_dids(model)
+    for roles, first in ((infer_roles(model), "ID Agency"), (tuple(reversed(infer_roles(model))), "Midwife")):
+        flows = derive_flows(model, roles)
+        names = issuers_by_type(roles)[MID]
+        assert names[0] == first and sorted(names) == ["ID Agency", "Midwife"]
+        # The bootstrap takes the first issuer, and a wallet keeps one credential per type.
+        assert [(b.credential_type, b.issuer) for b in derive_bootstrap(model, roles, flows)] == [(MID, first)]
+        warnings = lint_ssi(model, roles, flows)
+        assert [(w.code, w.offending_id) for w in warnings] == [("W_MULTI_ISSUER", MID)]
+        assert f"({', '.join(names)}): bootstrap uses {first}'s" in warnings[0].message
+        registry = build_trust_registry(roles, flows, dids)
+        assert registry.accepted["Registrar", MID] == {dids["ID Agency"], dids["Midwife"]}
 
 
 def fixture_dids(model):

@@ -509,10 +509,10 @@ def assert_no_certificate(trace):
 
 def test_mutated_claim_fails_integrity(birth_model):
     def mutate(msg):
-        credential = msg.presentation.credential
+        credential = msg.payload.credential
         claims = dict(credential.claims, subjectActor="someone else")
         tampered = credential.replace(claims=claims)
-        return msg.replace(presentation=msg.presentation.replace(credential=tampered))
+        return msg.replace(payload=msg.payload.replace(credential=tampered))
 
     _, trace = run_fixture(birth_model, intercept=bnd_presentation_intercept(mutate))
     event = failed_bnd_check(trace)
@@ -525,11 +525,11 @@ def test_foreign_resign_fails_issuer_signature(birth_model):
     mallory = generate_keypair(MALLORY_SEED)
 
     def mutate(msg):
-        credential = msg.presentation.credential
+        credential = msg.payload.credential
         forged = credential.replace(
             signature=mallory.signing_key.sign(canonical_bytes(credential.payload())),
         )
-        return msg.replace(presentation=msg.presentation.replace(credential=forged))
+        return msg.replace(payload=msg.payload.replace(credential=forged))
 
     _, trace = run_fixture(birth_model, intercept=bnd_presentation_intercept(mutate))
     event = failed_bnd_check(trace)
@@ -547,10 +547,8 @@ def test_replayed_nonce_fails_subject_binding(birth_model):
     mother_keys = generate_keypair(actor_key_seed(42, "Mother"))
 
     def mutate(msg):
-        stale = create_presentation(
-            mother_keys, msg.presentation.presenter, msg.presentation.credential, bytes(16)
-        )
-        return msg.replace(presentation=stale)
+        stale = create_presentation(mother_keys, msg.payload.presenter, msg.payload.credential, bytes(16))
+        return msg.replace(payload=stale)
 
     _, trace = run_fixture(birth_model, intercept=bnd_presentation_intercept(mutate))
     event = failed_bnd_check(trace)
@@ -575,10 +573,8 @@ def test_impostor_presenter_fails_subject_binding(birth_model):
     mallory_did = did_from_public_key(mallory.public_key)
 
     def mutate(msg):
-        hijacked = create_presentation(
-            mallory, mallory_did, msg.presentation.credential, msg.presentation.nonce
-        )
-        return msg.replace(presentation=hijacked)
+        hijacked = create_presentation(mallory, mallory_did, msg.payload.credential, msg.payload.nonce)
+        return msg.replace(payload=hijacked)
 
     _, trace = run_fixture(birth_model, intercept=bnd_presentation_intercept(mutate))
     event = failed_bnd_check(trace)
@@ -619,7 +615,7 @@ def test_lost_issuance_is_retried(birth_model):
     seen = {"dropped": False}
 
     def intercept(msg, tick):
-        if msg.kind == "CredentialIssuance" and msg.credential_type == CERT and not seen["dropped"]:
+        if msg.kind == "CredentialIssuance" and msg.payload.type == CERT and not seen["dropped"]:
             seen["dropped"] = True
             return None
         return msg
@@ -737,14 +733,14 @@ def counting_handlers(monkeypatch) -> list:
     """Record the kind of each delivered message that the delivery rule hands to its handler."""
     handled: list = []
 
-    def counting(handler):
-        def wrapper(sim, agent, flow, msg):
-            handled.append(msg.kind)
-            return handler(sim, agent, flow, msg)
+    def counting(kind, handler):
+        def wrapper(sim, agent, flow, payload):
+            handled.append(kind)
+            return handler(sim, agent, flow, payload)
 
         return wrapper
 
-    rules = {kind: (*rule[:-1], counting(rule[-1])) for kind, rule in simulator._Simulation._DELIVERY.items()}
+    rules = {kind: (*rule[:-1], counting(kind, rule[-1])) for kind, rule in simulator._Simulation._DELIVERY.items()}
     monkeypatch.setattr(simulator._Simulation, "_DELIVERY", rules)
     return handled
 
@@ -804,6 +800,10 @@ def assert_delivered_and_ignored(model, kind, rewrite, monkeypatch):
     return ignored, deliver["message"]
 
 
+def stub_presentation() -> Presentation:
+    return Presentation(credential_with_id("stub"), "did:sim:h", bytes(16), b"")
+
+
 FOREIGN_MESSAGES = [
     ("PresentationVerdict", lambda msg: msg.replace(to_actor="Registrar")),
     ("CredentialIssuance", lambda msg: msg.replace(to_actor="Registrar")),
@@ -811,15 +811,18 @@ FOREIGN_MESSAGES = [
     ("RecordCopy", lambda msg: msg.replace(to_actor="Mother")),
     ("RecordCopy", lambda msg: msg.replace(flow="dep-cert-mother")),
     ("RecordCopy", lambda msg: msg.replace(flow="dep-cert-mother", from_actor="Registrar", to_actor=None)),
-    ("ProofRequest", lambda msg: msg.replace(nonce=bytes(3))),
-    ("ProofRequest", lambda msg: msg.replace(nonce=None)),
-    ("CredentialIssuance", lambda msg: msg.replace(credential=None)),
-    ("ProofPresentation", lambda msg: msg.replace(presentation=None)),
-    ("ProofPresentation", lambda msg: msg.replace(
-        presentation=None, credential=msg.presentation.credential, nonce=msg.presentation.nonce,
-    )),
-    ("PresentationVerdict", lambda msg: msg.replace(verdict=None)),
-    ("RecordCopy", lambda msg: msg.replace(digest=None)),
+    ("ProofRequest", lambda msg: msg.replace(payload=bytes(3))),
+    ("ProofRequest", lambda msg: msg.replace(payload=None)),
+    ("CredentialIssuance", lambda msg: msg.replace(payload=None)),
+    ("ProofPresentation", lambda msg: msg.replace(payload=None)),
+    ("ProofPresentation", lambda msg: msg.replace(payload=(msg.payload.credential, msg.payload.nonce))),
+    ("PresentationVerdict", lambda msg: msg.replace(payload=None)),
+    ("RecordCopy", lambda msg: msg.replace(payload=None)),
+    ("RecordCopy", lambda msg: msg.replace(payload=True)),
+    ("CredentialIssuance", lambda msg: msg.replace(payload=bytes(16))),
+    ("PresentationVerdict", lambda msg: msg.replace(payload=credential_with_id("stub"))),
+    ("ProofRequest", lambda msg: msg.replace(payload=stub_presentation())),
+    ("IssuanceRequest", lambda msg: msg.replace(payload=bytes(16))),
 ]
 
 
@@ -829,19 +832,24 @@ FOREIGN_MESSAGES = [
         "verdict-to-registrar", "issuance-to-registrar", "request-on-issuance", "copy-to-mother", "copy-on-cert",
         "copy-to-none-on-cert", "request-short-nonce", "request-no-nonce", "issuance-no-credential",
         "presentation-none", "presentation-as-credential-and-nonce", "verdict-none", "copy-no-digest",
+        "copy-with-verdict", "issuance-with-nonce", "verdict-with-credential", "request-with-presentation",
+        "issuance-request-with-nonce",
     ],
 )
 def test_a_message_off_its_flow_is_delivered_and_ignored(birth_model, monkeypatch, kind, rewrite):
     """A message counts only on its flow, between the ends the delivery rule
-    gives its kind, and carrying the fields its handler reads: a verdict or
+    gives its kind, and carrying the payload its handler reads: a verdict or
     an issuance sent to an actor other than the flow's, a proof request
     moved onto an issuance flow, even between that flow's ends, an office
     copy sent to an actor other than its flow's ``copy_to`` or on a flow
     that mails none, even to no one, and a request whose nonce is not 16
     bytes, an issuance without a credential, a presentation without one, a
     credential and a nonce in place of a presentation, a verdict that is not
-    a bool or a copy without a digest, is delivered and ignored.  The honest
-    copy still labels the Midwife's copy task when it arrives.
+    a bool or a copy without a digest, is delivered and ignored.  So is a
+    payload of another kind's class: a verdict as an office copy, a nonce as
+    an issuance or in an issuance request, a credential as a verdict and a
+    presentation as a proof request.  The honest copy still labels the
+    Midwife's copy task when it arrives.
 
     A message on its own flow is still taken as it comes: the forged verdict
     of ROADMAP item 12, the real verifier's verdict rewritten to true, stays
@@ -875,10 +883,10 @@ def test_an_issuance_of_another_type_is_delivered_and_ignored(birth_model):
     bnds = []
 
     def intercept(msg, tick):
-        if msg.kind == "CredentialIssuance" and msg.credential_type == BND:
-            bnds.append(msg.credential)
-        elif msg.kind == "CredentialIssuance" and msg.credential_type == CERT:
-            return msg.replace(credential=bnds[0])
+        if msg.kind == "CredentialIssuance" and msg.payload.type == BND:
+            bnds.append(msg.payload)
+        elif msg.kind == "CredentialIssuance" and msg.payload.type == CERT:
+            return msg.replace(payload=bnds[0])
         return msg
 
     _, trace = run_fixture(birth_model, intercept=intercept)
@@ -899,27 +907,29 @@ def test_a_presentation_moved_to_another_flow_is_delivered_and_ignored(birth_mod
 
     def intercept(msg, tick):
         if msg.kind == "ProofRequest" and msg.flow == "dep-id-registrar":
-            nonces.setdefault(msg.flow, msg.nonce)
+            nonces.setdefault(msg.flow, msg.payload)
         elif msg.kind == "ProofRequest" and msg.flow == "dep-bnd-registrar" and msg.flow not in nonces:
-            nonces[msg.flow] = msg.nonce
-            return msg.replace(nonce=nonces["dep-id-registrar"])
+            nonces[msg.flow] = msg.payload
+            return msg.replace(payload=nonces["dep-id-registrar"])
         elif msg.kind == "ProofPresentation" and msg.flow == "dep-id-registrar" and not dropped:
             dropped.append(msg)
             return None
         elif msg.kind == "ProofPresentation" and msg.flow == "dep-bnd-registrar" and not moved:
             moved.append(msg)
-            return msg.replace(flow="dep-id-registrar", credential_type=MID)
+            return msg.replace(flow="dep-id-registrar")
         return msg
 
     _, trace = run_fixture(birth_model, intercept=intercept)
-    assert moved and moved[0].presentation.nonce == nonces["dep-id-registrar"]
+    assert moved and moved[0].payload.nonce == nonces["dep-id-registrar"]
     real_id = next(e["credentialId"] for e in trace.events if e["kind"] == "Verify" and e["flow"] == "dep-id-midwife")
     checks = [e for e in trace.events if e["kind"] == "Verify" and e["flow"] == "dep-id-registrar"]
     assert [(e["credentialId"], e["verdict"]) for e in checks] == [(real_id, True)]
-    assert checks[0]["seq"] > next(
-        e["seq"] for e in trace.events if e["kind"] == "Deliver" and e["message"]["flow"] == "dep-id-registrar"
-        and e["message"].get("credentialId") == moved[0].presentation.credential.id
+    delivered = next(
+        e for e in trace.events if e["kind"] == "Deliver" and e["message"]["flow"] == "dep-id-registrar"
+        and e["message"].get("credentialId") == moved[0].payload.credential.id
     )
+    assert checks[0]["seq"] > delivered["seq"]
+    assert delivered["message"]["credentialType"] == MID  # the type of the flow it names, not of its credential
     assert trace.final_labels["registrar-check-id"] == "Satisfied"
 
 
@@ -946,10 +956,11 @@ def test_a_single_field_adversary_never_makes_the_run_raise(birth_model):
     """A network adversary in the manner of Dolev and Yao that rewrites one
     field of one delivered message never makes ``run`` raise.  Each of the
     seed-42 fixture run's 14 deliveries gets each field set to every value
-    that field takes among the run's delivered messages, to None, and a nonce
-    to 3 bytes; each run ends in quiescence within its tick bound, and its
-    final labels are ``evaluate_goals`` over its own GoalUpdates.  This is the
-    single-field half of ROADMAP item 12's adversary, without its MAC."""
+    that field takes among the run's delivered messages, to None, and its
+    payload to a 3-byte nonce, so each message also carries the payload of
+    every other kind; each run ends in quiescence within its tick bound, and
+    its final labels are ``evaluate_goals`` over its own GoalUpdates.  This is
+    the single-field half of ROADMAP item 12's adversary, without its MAC."""
     _, _, agents = fixture_agents(birth_model, seed=42)
     config = SimConfig(seed=42)
     delivered: list = []
@@ -961,7 +972,7 @@ def test_a_single_field_adversary_never_makes_the_run_raise(birth_model):
     run(birth_model, agents, config, recording)
     assert len(delivered) == 14
     values: dict[str, list] = {name: [None] for name in Message._fields}
-    values["nonce"].append(bytes(3))
+    values["payload"].append(bytes(3))
     for msg in delivered:
         for name, found in values.items():
             if getattr(msg, name) not in found:
@@ -984,7 +995,9 @@ def test_a_single_field_adversary_never_makes_the_run_raise(birth_model):
             updates = {e["element"]: LabelState(e["label"]) for e in trace.events if e["kind"] == "GoalUpdate"}
             propagated = {k: v.value for k, v in evaluate_goals(birth_model, updates).items()}
             assert dict(trace.final_labels) == propagated, (at, name, value)
-    assert runs > 500 and not crashes, crashes
+    # 14 deliveries times 33 values: 7 kinds, 6 flows, 4 senders, 4 recipients and 12 payloads.
+    assert {type(p) for p in values["payload"]} == {type(None), bytes, Credential, str, Presentation, bool}
+    assert runs == 462 and not crashes, crashes
 
 
 def test_each_credential_is_encoded_once(birth_path, monkeypatch):
@@ -1016,54 +1029,64 @@ def credential_with_id(credential_id: str) -> Credential:
     return Credential(credential_id, "T", "did:sim:i", "did:sim:s", "did:sim:h", {}, 0, b"")
 
 
+def flows_of(kind):
+    return st.builds(
+        CredentialFlow, TRICKY_TEXT, st.just(kind), TRICKY_TEXT, TRICKY_TEXT, TRICKY_TEXT,
+        st.just(Evidence(EvidenceKind.VERB)), purpose=optional(TRICKY_TEXT),
+    )
+
+
+PAYLOADS = st.one_of(
+    st.none(),
+    st.binary(min_size=16, max_size=16),
+    TRICKY_TEXT.map(credential_with_id),
+    TRICKY_TEXT,
+    st.booleans(),
+    st.builds(
+        Presentation, TRICKY_TEXT.map(credential_with_id), TRICKY_TEXT, st.binary(min_size=16, max_size=16),
+        st.just(b""),
+    ),
+)
+
+
 @st.composite
 def messages(draw) -> Message:
-    credential = draw(optional(TRICKY_TEXT.map(credential_with_id)))
-    presentation = draw(
-        optional(
-            st.builds(
-                Presentation, TRICKY_TEXT.map(credential_with_id), TRICKY_TEXT, st.binary(min_size=16, max_size=16),
-                st.just(b""),
-            )
-        )
-    )
+    kind = draw(optional(st.sampled_from(sorted(simulator._Simulation._DELIVERY)) | TRICKY_TEXT))
     return Message(
-        kind=draw(optional(TRICKY_TEXT)),
+        kind=kind,
         flow=draw(optional(TRICKY_TEXT)),
-        credential_type=draw(optional(TRICKY_TEXT)),
         from_actor=draw(optional(TRICKY_TEXT)),
         to_actor=draw(optional(TRICKY_TEXT)),
-        nonce=draw(optional(st.binary(min_size=16, max_size=16))),
-        credential=credential,
-        presentation=presentation,
-        verdict=draw(optional(st.booleans())),
-        digest=draw(optional(TRICKY_TEXT)),
-        purpose=draw(optional(TRICKY_TEXT)),
+        payload=draw(PAYLOADS),
     )
 
 
-def summary_oracle(msg: Message) -> dict:
-    """The summary of ``msg``, field by field as docs/trace.md lists it."""
+def summary_oracle(msg: Message, flow: CredentialFlow | None) -> dict:
+    """The summary of ``msg`` naming ``flow``, field by field as docs/trace.md lists it."""
     summary = {
-        "credentialType": msg.credential_type, "flow": msg.flow, "from": msg.from_actor, "to": msg.to_actor,
-        "type": msg.kind,
+        "credentialType": None if flow is None else flow.credential_type, "flow": msg.flow, "from": msg.from_actor,
+        "to": msg.to_actor, "type": msg.kind,
     }
-    if msg.nonce is not None:
-        summary["nonce"] = msg.nonce.hex()
-    if msg.credential is not None:
-        summary["credentialId"] = msg.credential.id
-    if msg.presentation is not None:
-        summary["credentialId"] = msg.presentation.credential.id
-        summary["nonce"] = msg.presentation.nonce.hex()
-    for key, value in (("verdict", msg.verdict), ("digest", msg.digest), ("purpose", msg.purpose)):
-        if value is not None:
-            summary[key] = value
+    payload = msg.payload
+    if isinstance(payload, Presentation):
+        summary["credentialId"] = payload.credential.id
+        summary["nonce"] = payload.nonce.hex()
+    elif isinstance(payload, Credential):
+        summary["credentialId"] = payload.id
+    elif isinstance(payload, bytes):
+        summary["nonce"] = payload.hex()
+    elif isinstance(payload, bool):
+        summary["verdict"] = payload
+    elif isinstance(payload, str):
+        summary["digest"] = payload
+    if msg.kind == "ProofRequest" and flow is not None and flow.purpose is not None:
+        summary["purpose"] = flow.purpose
     return summary
 
 
-@given(messages())
-def test_summary_template_is_canonical_json(msg):
-    encoded, summary = simulator._summarize(msg), summary_oracle(msg)
+@given(messages(), optional(flows_of(FlowKind.PRESENTATION) | flows_of(FlowKind.ISSUANCE)))
+def test_summary_template_is_canonical_json(msg, flow):
+    encoded, summary = simulator._summarize(msg, flow), summary_oracle(msg, flow)
     assert json.loads(encoded) == summary
     assert encoded == canonical_text(summary)
 
@@ -1083,14 +1106,7 @@ def test_a_reused_model_runs_as_a_fresh_one(birth_path):
         )
         assert reused.text() == fresh.text()
         if hook is not None:
-            assert any("rewritten" in e["message"].get("purpose", "") for e in reused.events if e["kind"] == "Deliver")
-
-
-def flows_of(kind):
-    return st.builds(
-        CredentialFlow, TRICKY_TEXT, st.just(kind), TRICKY_TEXT, TRICKY_TEXT, TRICKY_TEXT,
-        st.just(Evidence(EvidenceKind.VERB)),
-    )
+            assert any("rewritten" in (e["message"]["to"] or "") for e in reused.events if e["kind"] == "Deliver")
 
 
 @given(st.integers(0, 10**6), st.integers(0, 10**6), flows_of(FlowKind.ISSUANCE), TRICKY_TEXT, TRICKY_TEXT)
@@ -1209,7 +1225,7 @@ def rewriting_intercept():
         if n % 7 == 0:
             return None
         if n % 3 == 0:
-            return msg.replace(purpose=f"rewritten {n}")
+            return msg.replace(to_actor=f"rewritten {n}")
         return msg
 
     return intercept
@@ -1312,7 +1328,7 @@ def test_each_read_presentation_is_signed_once(birth_model, monkeypatch):
 
         def identity(msg, tick):
             if msg.kind == "ProofPresentation":
-                seen.append(msg.presentation.holder_proof)
+                seen.append(msg.payload.holder_proof)
             return msg
 
         _, hooked = run_fixture(birth_model, seed=seed, config=config, intercept=identity)
@@ -1339,7 +1355,7 @@ def test_a_credential_is_signed_when_first_read(birth_model, monkeypatch):
 
     def identity(msg, tick):
         if msg.kind == "CredentialIssuance":
-            issued.append(msg.credential)
+            issued.append(msg.payload)
         return msg
 
     hooked = run(birth_model, agents, SimConfig(seed=42), intercept=identity)
@@ -1368,9 +1384,9 @@ def test_every_credential_a_run_builds_carries_its_payload_bytes(birth_model, mo
 
     def intercept(msg, tick):
         if msg.kind == "ProofPresentation" and msg.flow == "dep-bnd-registrar":
-            credential = msg.presentation.credential
+            credential = msg.payload.credential
             rebuilt.append(credential.replace(claims=dict(credential.claims)))
-            return msg.replace(presentation=msg.presentation.replace(credential=rebuilt[-1]))
+            return msg.replace(payload=msg.payload.replace(credential=rebuilt[-1]))
         return msg
 
     _, trace = run_fixture(birth_model, intercept=intercept)
@@ -1459,7 +1475,7 @@ def test_trace_text_equals_per_event_canonical_bytes(birth_path):
     # Replaced messages are summarized and encoded again at delivery.
     _, hooked = run_fixture(model, seed=7, config=config, intercept=rewriting_intercept())
     delivered = [e["message"] for e in hooked.events if e["kind"] == "Deliver"]
-    assert any("rewritten" in m.get("purpose", "") for m in delivered)
+    assert any("rewritten" in (m["to"] or "") for m in delivered)
     assert hooked.text().encode("utf-8") == per_event_oracle(hooked)
 
 
