@@ -20,31 +20,32 @@ part in, which carry every task id it acts on:
   ``credentials.verify_presentation`` call, plus a digest comparison
   against its record store when a "check ... copy" task exists, then
   reports the verdict back to the presenter;
-- each distinct issuer signature is verified with Ed25519 once per run: a
-  credential presented to several verifiers reuses the first result,
+- each distinct issuer signature is verified with Ed25519 once per run,
   through a memo keyed on the bytes verified that the run keeps and drops
-  with itself, which also holds the key each presenter DID decodes to; a
-  holder proof answering a superseded nonce is not verified;
+  with itself; it starts with each agent's DID and key, and adds the key
+  any other presenter DID decodes to; a holder proof answering a
+  superseded nonce is not verified;
 - a request or verification still unanswered after its last retry Denies
   the tasks waiting on it.
 
 A message is its kind, its flow, its two ends and one payload.  One rule,
-``_Simulation._DELIVERY``, defines each message kind: the flow kind it
-travels on, its ends (requests and verdicts go from a flow's receiver to
-its sender, issuances and presentations the other way, an office copy from
-an issuance's sender to its ``copy_to``) and the payload its handler reads,
-such as a credential of the flow's type.  A run sends each message between
-those ends, and the run loop matches each delivered one to its flow by the
-same rule: the agent addressed acts on the matched flow and payload, and a
-message off its flow or with another payload is ignored.
+``_Simulation._DELIVERY``, gives each message kind the flow kind it travels
+on, its ends and the payload its handler reads, such as a credential of the
+flow's type; a run sends each message between those ends, and the agent
+addressed acts on it.  ``intercept``, a test hook, sees each message at
+delivery, signed, and returns None for a drop or a substitute, which no key
+of the run signs and the rule checks there: one off its flow or with another
+payload is ignored, and its summary writes a kind, flow or end that is not a
+string as null.
 
 Task labels move as the run progresses (Denied is terminal), and the final
 labels come from propagating them through the goal model.  Time is a tick
 counter driven by a single delivery queue; randomness (message drops, nonce
-bytes) comes from one SplitMix64 stream, so a (model, agents, config)
-triple always reproduces the same trace, byte for byte.  Each event is
-encoded once, when it happens, into the canonical JSON line a trace keeps,
-where the run appends it; its ``seq`` is its index among those lines.
+bytes) comes from one SplitMix64 stream, whose drop draw advances it at
+every delivery, drop 0 included, so a (model, agents, config) triple always
+reproduces the same trace, byte for byte.  Each event is encoded once, when
+it happens, into the canonical JSON line a trace keeps; its ``seq`` is its
+index among those lines.
 """
 
 from __future__ import annotations
@@ -91,14 +92,16 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
+        z = self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
-    def next_float(self) -> float:
-        return (self.next_u64() >> 11) * 2.0**-53
+    def next_float(self) -> float:  # ``next_u64`` inline: one per delivery
+        z = self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return ((z ^ (z >> 31)) >> 11) * 2.0**-53
 
     def next_nonce(self) -> bytes:
         return self.next_u64().to_bytes(8, "big") + self.next_u64().to_bytes(8, "big")
@@ -272,36 +275,32 @@ class Message(Record):
     payload: bytes | Credential | str | Presentation | bool | None = None  # the one its kind carries
 
 
-def _string(value: str | None) -> str:
-    """``value`` as a JSON string, or ``null`` when it is None."""
-    return "null" if value is None else encode_basestring(value)
-
-
 def _summarize(msg: Message, flow: CredentialFlow | None) -> str:
     """A message's trace summary, as canonical JSON written from a fixed
-    template, keys in canonical (sorted) order: its payload by its class, and
-    the credential type, and a proof request's purpose, of ``flow``, the flow
-    it names (None when it names none)."""
-    payload, credential_id, nonce = msg.payload, None, None
-    if isinstance(payload, Presentation):
-        credential_id, nonce = payload.credential.id, payload.nonce
+    template, keys in canonical (sorted) order: its payload by its class, its
+    kind, flow and ends (null if not strings), and the credential type, and a
+    proof request's purpose, of ``flow``, the flow it names (None if none)."""
+    payload, kind, flow_id, from_actor, to_actor = msg.payload, msg.kind, msg.flow, msg.from_actor, msg.to_actor
+    head = digest = nonce = purpose = verdict = ""
+    if isinstance(payload, bytes):
+        nonce = f',"nonce":"{payload.hex()}"'  # hex digits need no escaping
+    elif isinstance(payload, str):
+        digest = ',"digest":' + encode_basestring(payload)
+    elif isinstance(payload, bool):
+        verdict = ',"verdict":true' if payload else ',"verdict":false'
+    elif isinstance(payload, Presentation):
+        head, nonce = f'"credentialId":{encode_basestring(payload.credential.id)},', f',"nonce":"{payload.nonce.hex()}"'
     elif isinstance(payload, Credential):
-        credential_id = payload.id
-    elif isinstance(payload, bytes):
-        nonce = payload
-    line = "{" if credential_id is None else '{"credentialId":' + encode_basestring(credential_id) + ","
-    line += '"credentialType":' + ("null" if flow is None else encode_basestring(flow.credential_type))
-    if isinstance(payload, str):
-        line += ',"digest":' + encode_basestring(payload)
-    line += f',"flow":{_string(msg.flow)},"from":{_string(msg.from_actor)}'
-    if nonce is not None:
-        line += ',"nonce":"' + nonce.hex() + '"'  # hex digits need no escaping
-    if flow is not None and flow.purpose is not None and msg.kind == "ProofRequest":
-        line += ',"purpose":' + encode_basestring(flow.purpose)
-    line += f',"to":{_string(msg.to_actor)},"type":{_string(msg.kind)}'
-    if isinstance(payload, bool):
-        line += ',"verdict":true' if payload else ',"verdict":false'
-    return line + "}"
+        head = f'"credentialId":{encode_basestring(payload.id)},'
+    if flow is not None and flow.purpose is not None and kind == "ProofRequest":
+        purpose = ',"purpose":' + encode_basestring(flow.purpose)
+    return (
+        f'{{{head}"credentialType":{"null" if flow is None else encode_basestring(flow.credential_type)}{digest}'
+        f',"flow":{encode_basestring(flow_id) if isinstance(flow_id, str) else "null"}'
+        f',"from":{encode_basestring(from_actor) if isinstance(from_actor, str) else "null"}{nonce}{purpose}'
+        f',"to":{encode_basestring(to_actor) if isinstance(to_actor, str) else "null"}'
+        f',"type":{encode_basestring(kind) if isinstance(kind, str) else "null"}{verdict}}}'
+    )
 
 
 _JSON_BOOL = {True: "true", False: "false"}
@@ -426,10 +425,7 @@ class _AgentState:
 
 class _Simulation:
     def __init__(
-        self,
-        model: Model,
-        agents: Sequence[AgentSpec],
-        config: SimConfig,
+        self, model: Model, agents: Sequence[AgentSpec], config: SimConfig,
         intercept: Callable[[Message, int], Message | None] | None,
     ) -> None:
         self.model = model
@@ -441,14 +437,13 @@ class _Simulation:
         # Every flow by its dependency id: each issuance its sender issues, each presentation its receiver verifies.
         self.flows = {f.dependency: f for spec in agents for f in (*spec.issues, *spec.verifies)}
         self.subject_dids: dict[str, str] = {}
-        self.verified: VerificationMemo = {}  # the run's issuer signature checks and presenter DID keys
+        self.verified: VerificationMemo = dict(self.directory)  # signature checks and DID keys, agents' first
         # By object identity, each credential and presentation the run built unsigned (held,
         # so no other takes its identity), the keys that sign it, and the signed one once read.
         self.built: dict[int, list] = {}
         self.labels: dict[Identifier, LabelState] = {}
-        # Each event's canonical JSON, encoded as it is recorded; an event's seq is its index.
         self.event_lines: list[str] = []
-        self.heap: list[tuple[int, int, tuple]] = []
+        self.heap: list[tuple] = []  # (tick, order, message, summary), or a timer's (tick, order, state, None)
         self.order = itertools.count()  # orders the heap's entries of one tick as they were pushed
         self.tick = 0
 
@@ -460,11 +455,11 @@ class _Simulation:
         to_actor, from_actor = self._DELIVERY[kind][1](flow)
         msg = Message(kind, flow.dependency, from_actor, to_actor, payload)
         encoded = _summarize(msg, flow)
-        lines, tick, config = self.event_lines, self.tick, self.config
+        lines, tick, latency, default = self.event_lines, self.tick, self.config.latency, self.config.default_latency
         # The keys in canonical (sorted) order.
         lines.append(f'{{"kind":"Send","message":{encoded},"seq":{len(lines)},"tick":{tick}}}')
-        tick += config.latency.get((from_actor, to_actor), config.default_latency)
-        heapq.heappush(self.heap, (tick, next(self.order), ("deliver", msg, encoded)))
+        tick += latency.get((from_actor, to_actor), default) if latency else default
+        heapq.heappush(self.heap, (tick, next(self.order), msg, encoded))
 
     def _set_label(self, element_id: Identifier | None, satisfied: bool) -> None:
         """Label ``element_id`` Satisfied or Denied, unless it is None, has that label or is Denied."""
@@ -489,27 +484,23 @@ class _Simulation:
         return self.subject_dids[subject]
 
     def _send_attempt(self, state: _RetryState) -> None:
-        """Send a proof request (with a fresh nonce) or an issuance request,
-        and arm the retry timer."""
+        """Send a proof request (with a fresh nonce) or an issuance request, and arm the retry timer."""
         flow = state.flow
         if flow.kind is FlowKind.PRESENTATION:
             state.nonce = self.prng.next_nonce()
             self._send("ProofRequest", flow, state.nonce)
         else:
             self._send("IssuanceRequest", flow)
-        heapq.heappush(self.heap, (self.tick + self.config.retry_timeout, next(self.order), ("timer", state)))
+        heapq.heappush(self.heap, (self.tick + self.config.retry_timeout, next(self.order), state, None))
 
     def _try_issue(self, agent: _AgentState) -> None:
         for flow in list(agent.pending_issue.values()):
             if any(self.labels.get(t) is not _SATISFIED for t in flow.gate_tasks):
                 continue
             holder_did = self.agents[flow.receiver].spec.did
+            claims = _claims_for(flow.credential_type, agent.spec.actor, flow.receiver, flow.subject)
             credential = mint_credential(
-                agent.spec.did,
-                self._subject_did(flow.subject, holder_did),
-                holder_did,
-                flow.credential_type,
-                _claims_for(flow.credential_type, agent.spec.actor, flow.receiver, flow.subject),
+                agent.spec.did, self._subject_did(flow.subject, holder_did), holder_did, flow.credential_type, claims,
                 issued_at=self.tick,
             )
             self.built[id(credential)] = [credential, agent.spec.keys, None]
@@ -608,13 +599,12 @@ class _Simulation:
         if not state.resolved:
             state.resolved = True
             self._set_label(flow.await_task, True)
-        still_deferred = []
-        for deferred in agent.deferred:
-            if deferred[0].credential_type == credential.type:
-                self._present(agent.spec, *deferred, credential)
+        deferred, agent.deferred = agent.deferred, []
+        for request in deferred:
+            if request[0].credential_type == credential.type:
+                self._present(agent.spec, *request, credential)
             else:
-                still_deferred.append(deferred)
-        agent.deferred = still_deferred
+                agent.deferred.append(request)
 
     def _on_record_copy(self, agent: _AgentState, flow: CredentialFlow, digest: str) -> None:
         agent.record_store.setdefault(flow.credential_type, []).append(digest)
@@ -639,6 +629,22 @@ class _Simulation:
                                 lambda p, f: isinstance(p, bool), _on_presentation_verdict),
     }
 
+    def _intercepted(self, msg: Message, encoded: str) -> None:
+        """Deliver what ``intercept`` makes of ``msg`` by the delivery rule, or drop it for None."""
+        signed = msg.replace(payload=self._signed(msg.payload))  # the hook sees it signed
+        msg, lines = self.intercept(signed, self.tick), self.event_lines
+        flow = self.flows.get(msg.flow) if msg is not None and isinstance(msg.flow, str) else None
+        if msg is not None and msg is not signed:
+            encoded = _summarize(msg, flow)
+        lines.append(f'{{"kind":"{"Drop" if msg is None else "Deliver"}","message":{encoded},"seq":{len(lines)},'
+                     f'"tick":{self.tick}}}')
+        rule = self._DELIVERY.get(msg.kind) if flow is not None and isinstance(msg.kind, str) else None
+        if rule is None or msg.to_actor is None:
+            return
+        flow_kind, ends, carries, handler = rule
+        if flow.kind is flow_kind and ends(flow) == (msg.to_actor, msg.from_actor) and carries(msg.payload, flow):
+            handler(self, self.agents[msg.to_actor], flow, msg.payload)
+
     # -- timers -----------------------------------------------------------
 
     def _on_timer(self, state: _RetryState) -> None:
@@ -659,9 +665,7 @@ class _Simulation:
             for task_id in agent.spec.prelabeled:
                 self._set_label(task_id, True)
         for agent in self.agents.values():
-            # Every check task of an issuing agent gates its issuances, so
-            # those verifications wait for a request; the checks of an agent
-            # that issues nothing start at tick 0.
+            # An issuing agent's checks gate its issuances, so await a request; others' start at tick 0.
             if not agent.spec.issues:
                 for state in agent.verifications.values():
                     if state.tasks:
@@ -670,40 +674,26 @@ class _Simulation:
                 self._send_attempt(state)
 
         termination = "quiescence"
-        heap, lines, flows, delivery = self.heap, self.event_lines, self.flows, self._DELIVERY
+        heap, heappop, lines, flows, agents = self.heap, heapq.heappop, self.event_lines, self.flows, self.agents
+        delivery, intercept, next_float = self._DELIVERY, self.intercept, self.prng.next_float
         max_ticks, drop_probability = self.config.max_ticks, self.config.drop_probability
         while heap:
-            tick, _, entry = heapq.heappop(heap)
+            tick, _, msg, encoded = heappop(heap)
             if tick > max_ticks:
                 termination = "timeout"
                 self.tick = max_ticks
                 break
             self.tick = tick
-            if entry[0] == "timer":
-                self._on_timer(entry[1])
+            if encoded is None:  # a timer, ``msg`` its retry state
+                self._on_timer(msg)
                 continue
-            _, msg, encoded = entry
-            dropped = self.prng.next_float() < drop_probability
-            if not dropped and self.intercept is not None:
-                # The hook sees every credential and presentation the run built signed.
-                msg = msg.replace(payload=self._signed(msg.payload))
-                replacement = self.intercept(msg, self.tick)
-                if replacement is None:
-                    dropped = True
-                elif replacement is not msg:
-                    msg = replacement
-                    encoded = _summarize(msg, flows.get(msg.flow))
-            kind = "Drop" if dropped else "Deliver"
-            lines.append(f'{{"kind":"{kind}","message":{encoded},"seq":{len(lines)},"tick":{tick}}}')
-            if dropped:
-                continue
-            # The one place a delivered message is matched to its flow; one the rule does not admit is ignored.
-            flow, rule = flows.get(msg.flow), delivery.get(msg.kind)
-            if flow is not None and rule is not None and msg.to_actor is not None:
-                flow_kind, ends, carries, handler = rule
-                payload = msg.payload
-                if flow.kind is flow_kind and ends(flow) == (msg.to_actor, msg.from_actor) and carries(payload, flow):
-                    handler(self, self.agents[msg.to_actor], flow, payload)
+            if next_float() < drop_probability:  # drawn at every delivery, drop 0 included
+                lines.append(f'{{"kind":"Drop","message":{encoded},"seq":{len(lines)},"tick":{tick}}}')
+            elif intercept is not None:
+                self._intercepted(msg, encoded)
+            else:  # admitted by construction: ``_send`` took its flow, ends and payload from one rule
+                lines.append(f'{{"kind":"Deliver","message":{encoded},"seq":{len(lines)},"tick":{tick}}}')
+                delivery[msg.kind][3](self, agents[msg.to_actor], flows[msg.flow], msg.payload)
 
         final = evaluate_goals(self.model, self.labels)
         return Trace(
@@ -723,17 +713,9 @@ def run(
 ) -> Trace:
     """Execute the compiled agents until quiescence or the tick bound.
 
-    The run signs only what it built, when first read: a holder proof when a
-    verification in progress reads it on its current nonce, a credential
-    issued in the run; each distinct issuer signature is verified once, in a
-    memo that lives and goes with the run.  ``intercept`` is a test-harness
-    hook: it sees every message at delivery time, signed, and may return None
-    to force a drop or a substitute, which no key of the run signs.  A
-    substitute off its flow (another flow kind, or other ends than its kind's)
-    or without the payload its kind carries, such as a credential of its
-    flow's type, is delivered and ignored.  Its summary shows the credential
-    type of the flow it names (null if it names none) and a string field it
-    lacks as null.
+    The run signs only what it built, when first read, and verifies each
+    distinct issuer signature once; ``intercept`` is the test-harness hook
+    of the module docstring.
     """
     return _Simulation(model, agents, config, intercept).run()
 

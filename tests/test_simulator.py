@@ -82,6 +82,9 @@ def test_splitmix64_float_and_nonce():
     assert gen.next_nonce() != nonce
     again = SplitMix64(42)
     assert [again.next_float() for _ in range(100)] == floats
+    # A float is the top 53 bits of the draw ``next_u64`` makes at the same place in the stream.
+    words = SplitMix64(42)
+    assert floats == [(words.next_u64() >> 11) * 2.0**-53 for _ in range(100)]
 
 
 def test_key_seeds_are_plain_hashes():
@@ -720,10 +723,25 @@ def test_events_do_not_share_message_summaries(birth_model):
     assert [dict(m) for m in messages[1:]] == before[1:]
 
 
-def test_identity_intercept_changes_nothing(birth_model):
-    _, plain = run_fixture(birth_model)
-    _, hooked = run_fixture(birth_model, intercept=lambda msg, tick: msg)
+@pytest.mark.parametrize(
+    "copies,config",
+    [
+        *((None, SimConfig(seed=seed)) for seed in (42, 1, 2, 3)),
+        (3, SimConfig(seed=7, drop_probability=0.3, latency={("Mother-c2", "Registrar-c2"): 3})),
+    ],
+    ids=["fixture-42", "fixture-1", "fixture-2", "fixture-3", "scaled-lossy-latency"],
+)
+def test_identity_intercept_changes_nothing(birth_model, birth_path, copies, config):
+    """A run admits each message it built by construction, and a hook puts every
+    message through the full delivery rule: an identity hook, which forces the
+    rule on every delivery, writes the plain run's bytes."""
+    model = birth_model if copies is None else helpers.scaled_model(birth_path, copies)
+    _, plain = run_fixture(model, seed=config.seed, config=config)
+    _, hooked = run_fixture(model, seed=config.seed, config=config, intercept=lambda msg, tick: msg)
     assert plain.text() == hooked.text()
+    if config.drop_probability:
+        routes = {(e["message"]["from"], e["message"]["to"]) for e in plain.events if e["kind"] == "Deliver"}
+        assert any(e["kind"] == "Drop" for e in plain.events) and set(config.latency) <= routes
 
 
 # -- the delivery rule ----------------------------------------------------
@@ -952,15 +970,20 @@ def test_honest_runs_handle_every_delivery(birth_model, birth_path, monkeypatch,
         assert len(set(delivered)) == 6 and (drop == 0.0 or any(e["kind"] == "Drop" for e in trace.events)), seed
 
 
+SUMMARY_KEYS = {"kind": "type", "flow": "flow", "from_actor": "from", "to_actor": "to"}
+
+
 def test_a_single_field_adversary_never_makes_the_run_raise(birth_model):
     """A network adversary in the manner of Dolev and Yao that rewrites one
     field of one delivered message never makes ``run`` raise.  Each of the
     seed-42 fixture run's 14 deliveries gets each field set to every value
     that field takes among the run's delivered messages, to None, and its
     payload to a 3-byte nonce, so each message also carries the payload of
-    every other kind; each run ends in quiescence within its tick bound, and
-    its final labels are ``evaluate_goals`` over its own GoalUpdates.  This is
-    the single-field half of ROADMAP item 12's adversary, without its MAC."""
+    every other kind; its kind, flow and ends are also set to values of
+    other classes: a list, an int and bytes, which its summary writes as
+    null.  Each run ends in quiescence within its tick bound, and its final
+    labels are ``evaluate_goals`` over its own GoalUpdates.  This is the
+    single-field half of ROADMAP item 12's adversary, without its MAC."""
     _, _, agents = fixture_agents(birth_model, seed=42)
     config = SimConfig(seed=42)
     delivered: list = []
@@ -977,6 +1000,8 @@ def test_a_single_field_adversary_never_makes_the_run_raise(birth_model):
         for name, found in values.items():
             if getattr(msg, name) not in found:
                 found.append(getattr(msg, name))
+    for name in ("kind", "flow", "from_actor", "to_actor"):
+        values[name] += [[values[name][1]], 5, values[name][1].encode("utf-8")]
 
     def rewriting(at, name, value):
         seen = itertools.count()
@@ -995,9 +1020,13 @@ def test_a_single_field_adversary_never_makes_the_run_raise(birth_model):
             updates = {e["element"]: LabelState(e["label"]) for e in trace.events if e["kind"] == "GoalUpdate"}
             propagated = {k: v.value for k, v in evaluate_goals(birth_model, updates).items()}
             assert dict(trace.final_labels) == propagated, (at, name, value)
-    # 14 deliveries times 33 values: 7 kinds, 6 flows, 4 senders, 4 recipients and 12 payloads.
+            if name != "payload" and not isinstance(value, (str, type(None))):  # written as null
+                rewritten = [e["message"] for e in trace.events if e["kind"] == "Deliver"][at]
+                assert rewritten[SUMMARY_KEYS[name]] is None, (at, name, value)
+    # 14 deliveries times 45 values: 7 kinds, 6 flows, 4 senders and 4 recipients, each with 3 of other
+    # classes, and 12 payloads.
     assert {type(p) for p in values["payload"]} == {type(None), bytes, Credential, str, Presentation, bool}
-    assert runs == 462 and not crashes, crashes
+    assert runs == 630 and not crashes, crashes
 
 
 def test_each_credential_is_encoded_once(birth_path, monkeypatch):
@@ -1049,23 +1078,29 @@ PAYLOADS = st.one_of(
 )
 
 
+# A value of another class than a string or None, such as an ``intercept`` may write in any field.
+NOT_TEXT = st.lists(TRICKY_TEXT, max_size=2) | st.integers() | st.binary(max_size=4)
+
+
 @st.composite
 def messages(draw) -> Message:
-    kind = draw(optional(st.sampled_from(sorted(simulator._Simulation._DELIVERY)) | TRICKY_TEXT))
+    kind = draw(optional(st.sampled_from(sorted(simulator._Simulation._DELIVERY)) | TRICKY_TEXT) | NOT_TEXT)
     return Message(
         kind=kind,
-        flow=draw(optional(TRICKY_TEXT)),
-        from_actor=draw(optional(TRICKY_TEXT)),
-        to_actor=draw(optional(TRICKY_TEXT)),
+        flow=draw(optional(TRICKY_TEXT) | NOT_TEXT),
+        from_actor=draw(optional(TRICKY_TEXT) | NOT_TEXT),
+        to_actor=draw(optional(TRICKY_TEXT) | NOT_TEXT),
         payload=draw(PAYLOADS),
     )
 
 
 def summary_oracle(msg: Message, flow: CredentialFlow | None) -> dict:
     """The summary of ``msg`` naming ``flow``, field by field as docs/trace.md lists it."""
+    # A kind, flow or end that is not a string is null.
+    text = {name: value if isinstance(value := getattr(msg, name), str) else None for name in Message._fields}
     summary = {
-        "credentialType": None if flow is None else flow.credential_type, "flow": msg.flow, "from": msg.from_actor,
-        "to": msg.to_actor, "type": msg.kind,
+        "credentialType": None if flow is None else flow.credential_type, "flow": text["flow"],
+        "from": text["from_actor"], "to": text["to_actor"], "type": text["kind"],
     }
     payload = msg.payload
     if isinstance(payload, Presentation):
@@ -1414,6 +1449,19 @@ def test_fixture_verifies_each_distinct_signature_once(birth_model, monkeypatch)
         assert sum(e["kind"] == "Verify" for e in trace.events) == 3
         assert len(calls) == 5
         assert len(set(calls)) == 5
+
+
+def test_a_run_decodes_no_did_of_its_agents(birth_path, monkeypatch):
+    """The run's memo starts with each agent's DID mapped to its key, the key
+    that DID decodes to, so a run whose presenters are its agents decodes no
+    DID and still binds each holder proof to its presenter."""
+    model = helpers.scaled_model(birth_path, 3)
+    _, _, agents = fixture_agents(model, seed=7)
+    assert all(credentials.decode_did(spec.did) == spec.keys.public_key for spec in agents)
+    calls = counted_calls(monkeypatch, credentials, "decode_did")
+    trace = run(model, agents, SimConfig(seed=7, drop_probability=0.3))
+    bound = [e["subjectBinding"] for e in trace.events if e["kind"] == "Verify"]
+    assert calls == [] and bound.count(True) > 0 and any(e["kind"] == "Drop" for e in trace.events)
 
 
 @pytest.mark.parametrize("copies", range(1, 11))
