@@ -158,6 +158,7 @@ class CredentialFlow(Record):
     check_tasks: tuple[Identifier, ...] = ()
     verdict_task: Identifier | None = None
     purpose: str | None = None
+    _frames: dict | None  # ``simulator``'s fixed summary text of each message kind sent on the flow
 
 
 class TrustPolicyError(ValueError):

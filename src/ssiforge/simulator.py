@@ -32,17 +32,21 @@ A message is its kind, its flow, its two ends and one payload.  One rule,
 ``_Simulation._DELIVERY``, gives each message kind the flow kind it travels
 on, its ends and the payload its handler reads, such as a credential of the
 flow's type; a run sends each message between those ends, and the agent
-addressed acts on it.  ``intercept``, a test hook, sees each message at
-delivery, signed, and returns None for a drop or a substitute, which no key
-of the run signs and the rule checks there: one off its flow or with another
-payload is ignored, and its summary writes a kind, flow or end that is not a
-string as null.
+addressed acts on it.  A run carries each message as those parts and its
+summary, written from the fixed text its flow keeps for its kind and what
+its payload writes.  ``intercept``, a test hook, sees each message at
+delivery as a ``Message``, built only for it, signed, and returns None for a
+drop or a substitute, which no key of the run signs and the rule checks
+there: one off its flow or with another payload is ignored, and its summary,
+written whole, writes a kind, flow or end that is not a string as null.
 
 Task labels move as the run progresses (Denied is terminal), and the final
 labels come from propagating them through the goal model.  Time is a tick
-counter driven by a single delivery queue; randomness (message drops, nonce
-bytes) comes from one SplitMix64 stream, whose drop draw advances it at
-every delivery, drop 0 included, so a (model, agents, config) triple always
+counter driven by a calendar queue, a list of deliveries and timers per tick
+and a heap of those ticks: entries run in (tick, insertion order), and a
+send at latency 0 after everything already due in its tick.  Randomness (message drops, nonce bytes)
+comes from one SplitMix64 stream, whose drop draw advances it at every
+delivery, drop 0 included, so a (model, agents, config) triple always
 reproduces the same trace, byte for byte.  Each event is encoded once, when
 it happens, into the canonical JSON line a trace keeps; its ``seq`` is its
 index among those lines.
@@ -52,7 +56,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import itertools
 import json
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from json.encoder import encode_basestring
@@ -126,6 +129,17 @@ class SimConfig(Record):
     max_ticks: int = 10000
 
     def __post_init__(self) -> None:
+        # Ticks key the run's queue and count the trace: each is an int, and a bool is no number.
+        counts = (self.seed, self.default_latency, self.max_retries, self.retry_timeout, self.max_ticks)
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (*counts, *self.latency.values())):
+            raise ValueError("seed, latencies, retries and tick bounds must be integers")
+        if isinstance(self.drop_probability, bool) or not isinstance(self.drop_probability, (int, float)):
+            raise ValueError("drop_probability must be a number")
+        routes = self.latency
+        if not all(isinstance(r, tuple) and len(r) == 2 and all(isinstance(a, str) for a in r) for r in routes):
+            raise ValueError("each latency key must be a (sender, receiver) pair of actor ids")
+        if len({"->".join(route) for route in routes}) < len(routes):  # the keys of the config line
+            raise ValueError("latency keys must write distinct 'sender->receiver' texts")
         if not 0 <= self.seed <= _MASK64:
             raise ValueError("seed must be within [0, 2^64)")
         if not 0.0 <= self.drop_probability <= 1.0:
@@ -275,32 +289,47 @@ class Message(Record):
     payload: bytes | Credential | str | Presentation | bool | None = None  # the one its kind carries
 
 
-def _summarize(msg: Message, flow: CredentialFlow | None) -> str:
-    """A message's trace summary, as canonical JSON written from a fixed
-    template, keys in canonical (sorted) order: its payload by its class, its
-    kind, flow and ends (null if not strings), and the credential type, and a
-    proof request's purpose, of ``flow``, the flow it names (None if none)."""
-    payload, kind, flow_id, from_actor, to_actor = msg.payload, msg.kind, msg.flow, msg.from_actor, msg.to_actor
-    head = digest = nonce = purpose = verdict = ""
-    if isinstance(payload, bytes):
-        nonce = f',"nonce":"{payload.hex()}"'  # hex digits need no escaping
-    elif isinstance(payload, str):
-        digest = ',"digest":' + encode_basestring(payload)
-    elif isinstance(payload, bool):
-        verdict = ',"verdict":true' if payload else ',"verdict":false'
-    elif isinstance(payload, Presentation):
-        head, nonce = f'"credentialId":{encode_basestring(payload.credential.id)},', f',"nonce":"{payload.nonce.hex()}"'
-    elif isinstance(payload, Credential):
-        head = f'"credentialId":{encode_basestring(payload.id)},'
+def _frame(
+    kind: object, flow_id: object, from_actor: object, to_actor: object, flow: CredentialFlow | None,
+) -> tuple[str, str, str]:
+    """The fixed text of a message summary, as canonical JSON members: its
+    credential type; its flow and sender; its receiver and kind (each null if
+    not a string).  The credential type, and a proof request's purpose, are
+    those of ``flow``, the flow it names (None if none)."""
+    def text(value: object) -> str:
+        return encode_basestring(value) if isinstance(value, str) else "null"
+
+    purpose = ""
     if flow is not None and flow.purpose is not None and kind == "ProofRequest":
         purpose = ',"purpose":' + encode_basestring(flow.purpose)
     return (
-        f'{{{head}"credentialType":{"null" if flow is None else encode_basestring(flow.credential_type)}{digest}'
-        f',"flow":{encode_basestring(flow_id) if isinstance(flow_id, str) else "null"}'
-        f',"from":{encode_basestring(from_actor) if isinstance(from_actor, str) else "null"}{nonce}{purpose}'
-        f',"to":{encode_basestring(to_actor) if isinstance(to_actor, str) else "null"}'
-        f',"type":{encode_basestring(kind) if isinstance(kind, str) else "null"}{verdict}}}'
+        f'"credentialType":{"null" if flow is None else encode_basestring(flow.credential_type)}',
+        f',"flow":{text(flow_id)},"from":{text(from_actor)}',
+        f'{purpose},"to":{text(to_actor)},"type":{text(kind)}',
     )
+
+
+def _summary(frame: tuple[str, str, str], payload: object) -> str:
+    """A message summary, as canonical JSON with keys in canonical (sorted)
+    order: its fixed text ``frame`` and what its payload writes, by its class."""
+    credential_type, ends, tail = frame
+    if isinstance(payload, bytes):  # hex digits need no escaping
+        return f'{{{credential_type}{ends},"nonce":"{payload.hex()}"{tail}}}'
+    if isinstance(payload, str):
+        return f'{{{credential_type},"digest":{encode_basestring(payload)}{ends}{tail}}}'
+    if isinstance(payload, bool):
+        return f'{{{credential_type}{ends}{tail},"verdict":{"true" if payload else "false"}}}'
+    if isinstance(payload, Presentation):
+        return (f'{{"credentialId":{encode_basestring(payload.credential.id)},{credential_type}{ends}'
+                f',"nonce":"{payload.nonce.hex()}"{tail}}}')
+    if isinstance(payload, Credential):
+        return f'{{"credentialId":{encode_basestring(payload.id)},{credential_type}{ends}{tail}}}'
+    return f"{{{credential_type}{ends}{tail}}}"
+
+
+def _summarize(msg: Message, flow: CredentialFlow | None) -> str:
+    """A message's trace summary, its fixed text written in full; ``flow`` is the flow it names."""
+    return _summary(_frame(msg.kind, msg.flow, msg.from_actor, msg.to_actor, flow), msg.payload)
 
 
 _JSON_BOOL = {True: "true", False: "false"}
@@ -443,23 +472,41 @@ class _Simulation:
         self.built: dict[int, list] = {}
         self.labels: dict[Identifier, LabelState] = {}
         self.event_lines: list[str] = []
-        self.heap: list[tuple] = []  # (tick, order, message, summary), or a timer's (tick, order, state, None)
-        self.order = itertools.count()  # orders the heap's entries of one tick as they were pushed
+        # A calendar queue: each tick's entries in the order they were scheduled, and a heap of those
+        # ticks.  An entry is a message's (summary, kind, flow, receiver, sender, payload) or a timer's state.
+        self.due: dict[int, list] = {}
+        self.ticks: list[int] = []
         self.tick = 0
 
     # -- event plumbing ---------------------------------------------------
 
+    def _schedule(self, tick: int, entry) -> None:
+        """Queue ``entry`` at ``tick``, after every entry already there, the tick being run included."""
+        entries = self.due.get(tick)
+        if entries is None:
+            self.due[tick] = [entry]
+            heapq.heappush(self.ticks, tick)
+        else:
+            entries.append(entry)
+
     def _send(self, kind: str, flow: CredentialFlow, payload=None) -> None:
         """Send a ``kind`` message carrying ``payload`` on ``flow`` between the ends ``_DELIVERY``
-        admits it on: record its Send and schedule its delivery after its route's latency."""
+        admits it on: record its Send and schedule its delivery after its route's latency.  Its
+        summary's fixed text is written at the first send of ``kind`` on ``flow`` and kept on ``flow``."""
         to_actor, from_actor = self._DELIVERY[kind][1](flow)
-        msg = Message(kind, flow.dependency, from_actor, to_actor, payload)
-        encoded = _summarize(msg, flow)
+        frames = flow._frames
+        if frames is None:
+            frames = {}
+            object.__setattr__(flow, "_frames", frames)
+        frame = frames.get(kind)
+        if frame is None:
+            frame = frames[kind] = _frame(kind, flow.dependency, from_actor, to_actor, flow)
+        encoded = _summary(frame, payload)
         lines, tick, latency, default = self.event_lines, self.tick, self.config.latency, self.config.default_latency
         # The keys in canonical (sorted) order.
         lines.append(f'{{"kind":"Send","message":{encoded},"seq":{len(lines)},"tick":{tick}}}')
         tick += latency.get((from_actor, to_actor), default) if latency else default
-        heapq.heappush(self.heap, (tick, next(self.order), msg, encoded))
+        self._schedule(tick, (encoded, kind, flow, to_actor, from_actor, payload))
 
     def _set_label(self, element_id: Identifier | None, satisfied: bool) -> None:
         """Label ``element_id`` Satisfied or Denied, unless it is None, has that label or is Denied."""
@@ -491,7 +538,7 @@ class _Simulation:
             self._send("ProofRequest", flow, state.nonce)
         else:
             self._send("IssuanceRequest", flow)
-        heapq.heappush(self.heap, (self.tick + self.config.retry_timeout, next(self.order), state, None))
+        self._schedule(self.tick + self.config.retry_timeout, state)
 
     def _try_issue(self, agent: _AgentState) -> None:
         for flow in list(agent.pending_issue.values()):
@@ -629,9 +676,10 @@ class _Simulation:
                                 lambda p, f: isinstance(p, bool), _on_presentation_verdict),
     }
 
-    def _intercepted(self, msg: Message, encoded: str) -> None:
-        """Deliver what ``intercept`` makes of ``msg`` by the delivery rule, or drop it for None."""
-        signed = msg.replace(payload=self._signed(msg.payload))  # the hook sees it signed
+    def _intercepted(self, encoded: str, kind: str, flow: CredentialFlow, to_actor: Identifier,
+                     from_actor: Identifier, payload) -> None:
+        """Deliver what ``intercept`` makes of the message by the delivery rule, or drop it for None."""
+        signed = Message(kind, flow.dependency, from_actor, to_actor, self._signed(payload))  # the hook sees it signed
         msg, lines = self.intercept(signed, self.tick), self.event_lines
         flow = self.flows.get(msg.flow) if msg is not None and isinstance(msg.flow, str) else None
         if msg is not None and msg is not signed:
@@ -674,26 +722,29 @@ class _Simulation:
                 self._send_attempt(state)
 
         termination = "quiescence"
-        heap, heappop, lines, flows, agents = self.heap, heapq.heappop, self.event_lines, self.flows, self.agents
+        due, ticks, heappop, lines, agents = self.due, self.ticks, heapq.heappop, self.event_lines, self.agents
         delivery, intercept, next_float = self._DELIVERY, self.intercept, self.prng.next_float
         max_ticks, drop_probability = self.config.max_ticks, self.config.drop_probability
-        while heap:
-            tick, _, msg, encoded = heappop(heap)
+        while ticks:
+            tick = heappop(ticks)
             if tick > max_ticks:
                 termination = "timeout"
                 self.tick = max_ticks
                 break
             self.tick = tick
-            if encoded is None:  # a timer, ``msg`` its retry state
-                self._on_timer(msg)
-                continue
-            if next_float() < drop_probability:  # drawn at every delivery, drop 0 included
-                lines.append(f'{{"kind":"Drop","message":{encoded},"seq":{len(lines)},"tick":{tick}}}')
-            elif intercept is not None:
-                self._intercepted(msg, encoded)
-            else:  # admitted by construction: ``_send`` took its flow, ends and payload from one rule
-                lines.append(f'{{"kind":"Deliver","message":{encoded},"seq":{len(lines)},"tick":{tick}}}')
-                delivery[msg.kind][3](self, agents[msg.to_actor], flows[msg.flow], msg.payload)
+            for entry in due[tick]:  # a latency-0 send joins the list while it runs
+                if entry.__class__ is _RetryState:
+                    self._on_timer(entry)
+                    continue
+                if next_float() < drop_probability:  # drawn at every delivery, drop 0 included
+                    lines.append(f'{{"kind":"Drop","message":{entry[0]},"seq":{len(lines)},"tick":{tick}}}')
+                elif intercept is not None:
+                    self._intercepted(*entry)
+                else:  # admitted by construction: ``_send`` took its flow, ends and payload from one rule
+                    encoded, kind, flow, to_actor, _, payload = entry
+                    lines.append(f'{{"kind":"Deliver","message":{encoded},"seq":{len(lines)},"tick":{tick}}}')
+                    delivery[kind][3](self, agents[to_actor], flow, payload)
+            del due[tick]
 
         final = evaluate_goals(self.model, self.labels)
         return Trace(
@@ -713,9 +764,10 @@ def run(
 ) -> Trace:
     """Execute the compiled agents until quiescence or the tick bound.
 
-    The run signs only what it built, when first read, and verifies each
-    distinct issuer signature once; ``intercept`` is the test-harness hook
-    of the module docstring.
+    The run signs only what it built, when first read, verifies each
+    distinct issuer signature once and writes each message summary from the
+    fixed text its flow keeps; ``intercept`` is the test-harness hook of the
+    module docstring.
     """
     return _Simulation(model, agents, config, intercept).run()
 

@@ -119,6 +119,16 @@ def test_config_defaults_and_latency():
         {"max_ticks": 0},
         {"seed": -1},
         {"seed": 2**64},
+        # Ticks key the run's queue and count the trace: each tick and count is an int, and no bool.
+        {"default_latency": 0.5},
+        {"latency": {("A", "B"): 0.5}},
+        {"max_ticks": 7.5},
+        {"default_latency": True},
+        {"drop_probability": True},
+        {"seed": 42.0},
+        # The config line writes each latency key as "sender->receiver", once.
+        {"latency": {("A", "B", "C"): 1}},
+        {"latency": {("A->B", "C"): 1, ("A", "B->C"): 2}},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -734,11 +744,14 @@ def test_events_do_not_share_message_summaries(birth_model):
 def test_identity_intercept_changes_nothing(birth_model, birth_path, copies, config):
     """A run admits each message it built by construction, and a hook puts every
     message through the full delivery rule: an identity hook, which forces the
-    rule on every delivery, writes the plain run's bytes."""
+    rule on every delivery, writes the plain run's bytes.  A hook that returns
+    a copy also has ``_summarize`` write every delivered summary whole, which
+    must equal the text the run wrote from its flow's fixed text."""
     model = birth_model if copies is None else helpers.scaled_model(birth_path, copies)
     _, plain = run_fixture(model, seed=config.seed, config=config)
-    _, hooked = run_fixture(model, seed=config.seed, config=config, intercept=lambda msg, tick: msg)
-    assert plain.text() == hooked.text()
+    for hook in (lambda msg, tick: msg, lambda msg, tick: msg.replace()):
+        _, hooked = run_fixture(model, seed=config.seed, config=config, intercept=hook)
+        assert plain.text() == hooked.text()
     if config.drop_probability:
         routes = {(e["message"]["from"], e["message"]["to"]) for e in plain.events if e["kind"] == "Deliver"}
         assert any(e["kind"] == "Drop" for e in plain.events) and set(config.latency) <= routes
@@ -1043,6 +1056,38 @@ def test_each_credential_is_encoded_once(birth_path, monkeypatch):
         assert len(calls) == wallets + len(issue_types(trace)) > wallets > 0, seed
 
 
+def test_a_run_builds_a_message_only_for_its_intercept(birth_model, monkeypatch):
+    """A run carries each message as its kind, flow, ends and payload: it builds
+    no ``Message`` without an ``intercept``, and one per delivery the hook sees."""
+    built = counted_calls(monkeypatch, simulator, "Message")
+    config = SimConfig(seed=7, drop_probability=0.3)
+    run_fixture(birth_model, seed=7, config=config)
+    assert built == []
+    _, trace = run_fixture(birth_model, seed=7, config=config, intercept=lambda msg, tick: msg)
+    assert len(built) == sum(e["kind"] == "Deliver" for e in trace.events) > 0
+
+
+def test_two_runs_of_one_overlay_write_each_fixed_text_once(birth_path, monkeypatch):
+    """The fixed text of each message kind on each flow is written at its first
+    send and kept with the flow, so later runs of the same flows, at other
+    seeds, write none again."""
+    model = helpers.scaled_model(birth_path, 2)
+    roles = infer_roles(model, DEFAULT_LEXICON)
+    flows = derive_flows(model, roles)
+    bootstrap = derive_bootstrap(model, roles, flows)
+    frames = counted_calls(monkeypatch, simulator, "_frame")
+    written, sent = [], []
+    for seed in (3, 5):
+        frames.clear()
+        dids = {a.id: did_from_public_key(generate_keypair(actor_key_seed(seed, a.id)).public_key) for a in model.actors}
+        agents = compile_agents(model, roles, flows, build_trust_registry(roles, flows, dids), bootstrap, seed=seed)
+        trace = run(model, agents, SimConfig(seed=seed, drop_probability=0.3))
+        written.append(sorted((kind, flow_id) for kind, flow_id, *_ in frames))
+        sent.append({(e["message"]["type"], e["message"]["flow"]) for e in trace.events if e["kind"] == "Send"})
+    assert written == [sorted(sent[0]), sorted(sent[1] - sent[0])]
+    assert len(sent[0] & sent[1]) > len(flows)
+
+
 # -- trace format ---------------------------------------------------------
 
 
@@ -1273,16 +1318,31 @@ def test_scaled_lossy_trace_is_pinned(birth_path):
 
 # sha256 of the fixture's trace at seed 7, drop 0.3: a run that drops a presentation; and of the same
 # run with a latency of 3 ticks from the Mother to the Registrar and of 2 from the Midwife to the Mother.
+# Then three runs where a handler sends into the tick being run, which its send must join after
+# everything already due in that tick: every route at latency 0, with no drop (all 45 events at
+# tick 0) and at drop 0.3, and the Mother to the Registrar alone at latency 0.
 FIXTURE_LOSSY_TRACES = [
     (SimConfig(seed=7, drop_probability=0.3), "1055e9f1703bdcfe874c2fe0b8a1b42e3eb2ff3474ac10e90f1e96739b1d9042"),
     (
         SimConfig(seed=7, drop_probability=0.3, latency={("Mother", "Registrar"): 3, ("Midwife", "Mother"): 2}),
         "bf7eec51ab8d8372b3278739c38b46e356a3aca7b09df13f15efc417fbb4285f",
     ),
+    (SimConfig(seed=7, default_latency=0), "8d6b4d45ac0ad8cf8eb1a30155e3a4fc6d265852be74b6cf72397b5ff4349ac5"),
+    (
+        SimConfig(seed=7, drop_probability=0.3, default_latency=0),
+        "c7b84f5322982cfd2aeed36b226b2f7826d6e1e8b9db720ccc2cbde45d02c5cb",
+    ),
+    (
+        SimConfig(seed=7, drop_probability=0.3, latency={("Mother", "Registrar"): 0, ("Midwife", "Mother"): 2}),
+        "d4e8bf6d8795aa4fbab6dacec05497555a417c438122601749cefa0a693f5f31",
+    ),
 ]
 
 
-@pytest.mark.parametrize("config,sha256", FIXTURE_LOSSY_TRACES, ids=["default-latency", "pair-latency"])
+@pytest.mark.parametrize(
+    "config,sha256", FIXTURE_LOSSY_TRACES,
+    ids=["default-latency", "pair-latency", "zero-latency", "zero-latency-lossy", "pair-zero-latency"],
+)
 def test_fixture_lossy_trace_is_pinned(birth_model, config, sha256):
     _, trace = run_fixture(birth_model, seed=7, config=config)
     assert hashlib.sha256(trace.text().encode("utf-8")).hexdigest() == sha256
